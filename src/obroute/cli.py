@@ -33,7 +33,7 @@ def _overlay(cfg: dict[str, str], args: argparse.Namespace) -> dict[str, str]:
     if getattr(args, "generate", None):
         cfg.pop("graph", None)
         cfg["generate"] = args.generate
-    for key in ("seed", "arity", "samples"):
+    for key in ("seed", "arity"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
@@ -147,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scheme", action="append", choices=SCHEMES,
                    help="repeatable; default reference")
     p.add_argument("--demands", help="permutation | uniform_pairs:K | gravity | file:PATH")
-    p.add_argument("--samples", type=int, help="path samples per pair (default 1000)")
     p.add_argument("--out-dir", help="report directory (default runs)")
     p.set_defaults(fn=_cmd_route)
 
@@ -163,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

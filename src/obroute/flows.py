@@ -11,6 +11,7 @@ import heapq
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,7 +248,7 @@ def sample_path(fa: FlowAssignment, start: int, direction: str = "forward",
     while True:
         options = links(cur)
         targets = [u for u, _ in options]
-        cum = np.cumsum([f for _, f in options])
+        cum = list(accumulate(f for _, f in options))
         pick = targets[bisect_right(cum, rng.random() * cum[-1])]
         if pick == terminal:
             return path

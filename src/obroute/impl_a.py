@@ -39,8 +39,9 @@ from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_inte
 from obroute.graph import CapacitatedGraph
 
 __all__ = ["FlowTables", "build_flow_tables", "route_to_border", "route_from_border",
-           "endpoint_distribution", "assign_labels", "label_bit_length",
-           "header_bit_length", "measure_table_bits_a", "serialize_vertex_table"]
+           "endpoint_distribution", "walk_loads", "assign_labels",
+           "label_bit_length", "header_bit_length", "measure_table_bits_a",
+           "serialize_vertex_table"]
 
 _MAX_DOUBLINGS = 12
 
@@ -148,12 +149,40 @@ def route_from_border(tables: FlowTables, cluster_id: int, index: int, v: int,
 
 def endpoint_distribution(tables: FlowTables, cluster_id: int, index: int,
                           start: int, direction: str = "forward") -> dict[int, float]:
-    """Exact absorption law of the forwarding walk from a single start vertex.
+    """Exact absorption law of the forwarding walk from a single start vertex."""
+    fa = tables.flows[(cluster_id, index)]
+    return _propagate(fa, {start: 1.0}, direction)[1]
 
-    Propagates unit mass through the acyclic flow in topological order; no
-    sampling involved.
+
+def walk_loads(tables: FlowTables, cluster_id: int, index: int,
+               start_law: dict[int, float],
+               direction: str) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
+    """Exact expected edge loads of the forward (route_to_border) or backward
+    (route_from_border) walk of one flow started on `start_law`, and the law
+    of its end vertex. Started on the flow's source (forward) or sink
+    (backward) law, the walk crosses arc a->b f(a,b)/|f| times on average.
     """
     fa = tables.flows[(cluster_id, index)]
+    for v, p in start_law.items():
+        arc = (SRC, v) if direction == "forward" else (v, SNK)
+        if p > 0 and fa.arcs.get(arc, 0) <= 0:
+            raise ValueError(
+                f"vertex {v} carries no {direction} terminal flow in cluster "
+                f"{cluster_id} target {index}; walk cannot start")
+    crossed, end_law = _propagate(fa, start_law, direction)
+    loads: dict[tuple[int, int], float] = {}
+    for (a, b), x in crossed.items():
+        key = (a, b) if a < b else (b, a)
+        loads[key] = loads.get(key, 0.0) + x
+    return loads, end_law
+
+
+def _propagate(fa: FlowAssignment, start_law: dict[int, float],
+               direction: str) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
+    """Push the start law through the acyclic flow in topological order, each
+    vertex splitting its mass over its links in proportion to their flow; no
+    sampling involved. Returns the mass crossing each graph arc (as walked)
+    and the mass absorbed at each vertex."""
     if not fa.is_acyclic():
         raise ValueError("absorption law requires an acyclic flow")
     if direction == "forward":
@@ -165,11 +194,14 @@ def endpoint_distribution(tables: FlowTables, cluster_id: int, index: int,
 
     order = _topological(fa, direction)
     position = {v: k for k, v in enumerate(order)}
-    if start not in position:
-        raise ValueError(f"vertex {start} carries no {direction} flow")
-    mass = {start: 1.0}
+    for v in start_law:
+        if v not in position:
+            raise ValueError(f"vertex {v} carries no {direction} flow")
+    mass = dict(start_law)
+    crossed: dict[tuple[int, int], float] = {}
     absorbed: dict[int, float] = {}
-    for v in order[position[start]:]:
+    first = min((position[v] for v in mass), default=len(order))
+    for v in order[first:]:
         mv = mass.pop(v, 0.0)
         if mv == 0.0:
             continue
@@ -181,7 +213,8 @@ def endpoint_distribution(tables: FlowTables, cluster_id: int, index: int,
                 absorbed[v] = absorbed.get(v, 0.0) + share
             else:
                 mass[u] = mass.get(u, 0.0) + share
-    return absorbed
+                crossed[(v, u)] = crossed.get((v, u), 0.0) + share
+    return crossed, absorbed
 
 
 def _topological(fa: FlowAssignment, direction: str) -> list[int]:

@@ -51,7 +51,8 @@ from obroute.graph import CapacitatedGraph
 
 __all__ = ["RoundedSizes", "CubeMaps", "CubeScheme", "round_and_order",
            "build_embedding", "build_rerand_cube", "build_cube_scheme",
-           "hypercube_route", "route_to_border_b", "rerandomize",
+           "hypercube_route", "hypercube_loads", "route_to_border_b",
+           "border_loads_b", "rerandomize", "rerandomize_loads",
            "audit_cube_scheme", "measure_table_bits_b"]
 
 
@@ -355,18 +356,68 @@ def hypercube_route(maps: CubeMaps, h_from: int, h_to: int,
     return path
 
 
+def hypercube_loads(maps: CubeMaps, start_law: dict[int, float], lo: int,
+                    hi: int) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
+    """Exact expected graph-edge loads of hypercube_route from a uniform node of
+    a vertex drawn from start_law to a uniform node of [lo, hi), and the law of
+    the target node's owner.
+
+    With start node x, intermediate z and target t, bit fixing crosses
+    dimension k out of node y in phase 1 iff x>>k = y>>k, z agrees with y below
+    k and z_k != y_k, with probability 2^-(k+1) P(x>>k = y>>k); in phase 2 iff
+    t agrees with y below k, t_k != y_k and z>>k = y>>k, with probability
+    P(t mod 2^(k+1) = y_<k + (1 - y_k) 2^k) 2^-(d-k). Each crossing of a cube
+    edge loads the edges of its stored graph path. O(d 2^d) with numpy.
+    """
+    d = maps.dimension
+    nodes = np.arange(1 << d)
+    start = np.zeros(1 << d)
+    for v, p in start_law.items():
+        owned = maps.vertex_nodes.get(v)
+        if not owned:
+            raise ValueError(f"vertex {v} owns no cube nodes")
+        start[owned] += p / len(owned)
+    target = np.zeros(1 << d)
+    target[lo:hi] = 1.0 / (hi - lo)
+    crossing = np.zeros((d, 1 << d))    # [k, y]: either direction of edge {y, y ^ 2^k}
+    for k in range(d):
+        high = start.reshape(-1, 1 << k).sum(axis=1)
+        low = np.bincount(nodes & ((2 << k) - 1), weights=target, minlength=2 << k)
+        out = (high[nodes >> k] / 2.0 ** (k + 1)
+               + low[(nodes & ((1 << k) - 1)) | (~nodes & (1 << k))] / 2.0 ** (d - k))
+        crossing[k] = out + out[nodes ^ (1 << k)]
+    loads: dict[tuple[int, int], float] = {}
+    for (x, y), path in maps.edge_paths.items():
+        p = float(crossing[(x ^ y).bit_length() - 1, x])
+        if p == 0.0:
+            continue
+        for a, b in zip(path, path[1:]):
+            key = (a, b) if a < b else (b, a)
+            loads[key] = loads.get(key, 0.0) + p
+    end_law: dict[int, float] = {}
+    for node in range(lo, hi):
+        v = maps.node_owner[node]
+        end_law[v] = end_law.get(v, 0.0) + 1.0 / (hi - lo)
+    return loads, end_law
+
+
+def _target_range(scheme: CubeScheme, cluster_id: int, tree_index: int) -> tuple[int, int]:
+    sizes = scheme.rounded[cluster_id]
+    layout = 0 if tree_index == 0 else sizes.child_to_layout[tree_index]
+    lo, hi = sizes.range_of(layout)
+    if hi == lo:
+        raise ValueError(f"cluster {cluster_id} target {tree_index} has no border nodes")
+    return lo, hi
+
+
 def route_to_border_b(scheme: CubeScheme, cluster_id: int, tree_index: int,
                       v_start: int, rng: np.random.Generator) -> tuple[list[int], int]:
     """Cube hop to a uniform node of the target range; the owner is the endpoint.
 
     tree_index 0 targets the cluster's own border, k >= 1 the k-th tree child.
     """
-    sizes = scheme.rounded[cluster_id]
+    lo, hi = _target_range(scheme, cluster_id, tree_index)
     maps = scheme.mains[cluster_id]
-    layout = 0 if tree_index == 0 else sizes.child_to_layout[tree_index]
-    lo, hi = sizes.range_of(layout)
-    if hi == lo:
-        raise ValueError(f"cluster {cluster_id} target {tree_index} has no border nodes")
     nodes = maps.vertex_nodes.get(v_start)
     if not nodes:
         raise ValueError(f"vertex {v_start} owns no cube nodes in cluster {cluster_id}")
@@ -391,6 +442,23 @@ def rerandomize(scheme: CubeScheme, cluster_id: int, v: int,
     target = int(rng.integers(scheme.rounded[cluster_id].total_weight))
     path = hypercube_route(maps, start, target, rng)
     return path, maps.node_owner[target]
+
+
+def border_loads_b(scheme: CubeScheme, cluster_id: int, tree_index: int,
+                   start_law: dict[int, float]
+                   ) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
+    """Exact counterpart of route_to_border_b: expected edge loads and end law
+    of the cube hop from a start vertex drawn from start_law."""
+    lo, hi = _target_range(scheme, cluster_id, tree_index)
+    return hypercube_loads(scheme.mains[cluster_id], start_law, lo, hi)
+
+
+def rerandomize_loads(scheme: CubeScheme, cluster_id: int, start_law: dict[int, float]
+                      ) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
+    """Exact counterpart of rerandomize on a non-singleton cluster; the end law
+    is the cluster law."""
+    return hypercube_loads(scheme.shuffles[cluster_id], start_law, 0,
+                           scheme.rounded[cluster_id].total_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,77 +1,114 @@
-"""Demand-oblivious path selection over a cluster tree, for any hop backend.
+"""Demand-oblivious routing over a cluster tree: path sampling and exact
+expected edge loads, for any hop backend.
 
-A route for (s, t) walks the tree path between the two leaves. Every tree edge
-is crossed by one hop made of two sub-paths meeting at an intermediate border
-vertex: the lower one inside the child cluster, the upper one inside the
-parent. Backends supply the hops:
+A route for (s, t) walks the tree path between the two leaves and crosses
+every tree edge on it with one hop. A hop is made of at most two primitives,
+which every backend provides:
 
-  reference  samples the intermediate vertex and the far endpoint from the
-             exact cluster laws, then draws connecting paths from the stored
-             per-cluster flow solutions
-  tables     random-link walks over the precomputed augmented flows; endpoint
-             laws are exact by the absorption argument
-  cubes      a hypercube walk to the target border range (endpoint within a
-             factor-2 envelope) followed by a shuffle-cube walk that restores
-             the exact cluster law
+  to border  leave a cluster toward a border law: the cluster's own border
+             (index 0) or its k-th child's (index k)
+  spread     from a vertex on that border law, move onto the cluster law
 
-Expected edge loads are Monte-Carlo estimates: independent path draws per
-ordered pair, each pair on its own rng stream derived from the master seed, so
-results are reproducible and pair order is irrelevant.
+Each primitive comes as a sampler, which draws one path, and as an exact
+kernel, which maps a start law to the expected edge loads of the walk and the
+law of its end vertex. Backends:
+
+  reference  draws the far endpoint from the exact target law and a stored
+             path of the cluster's certification flow between the two
+  tables     random-link walks over the precomputed augmented flows, forward
+             to leave a cluster and backward to spread; end laws are exact by
+             the absorption argument
+  cubes      a main-cube walk to the target border range (end law within a
+             factor 2 of the border law), then a shuffle-cube walk that
+             restores the exact cluster law
+
+Every hop ends on the exact law of the cluster it enters, and a route starts
+on the point law of its source leaf. So the expected loads of a hop depend
+only on its tree edge and direction, not on the pair routed, and by linearity
+the expected edge loads of a demand set are the sum over hops of the demand
+crossing it times the loads of one hop. route_demands computes them that way,
+without sampling, and checks the end law of every hop.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from obroute.cmcf import CMCFSolution
-from obroute.decomposition import DecompositionTree
+from obroute.decomposition import Cluster, DecompositionTree
 from obroute.graph import CapacitatedGraph, DemandMatrix
-from obroute.impl_a import FlowTables, route_from_border, route_to_border
-from obroute.impl_b import CubeScheme, rerandomize, route_to_border_b
+from obroute.impl_a import FlowTables, route_from_border, route_to_border, walk_loads
+from obroute.impl_b import (CubeScheme, border_loads_b, rerandomize, rerandomize_loads,
+                            route_to_border_b)
 
 __all__ = ["SchemeBackend", "ReferenceBackend", "FlowTableBackend",
-           "HypercubeBackend", "LoadReport", "select_path", "route_demands",
-           "congestion"]
+           "HypercubeBackend", "LoadReport", "route_up", "route_down",
+           "select_path", "route_demands", "congestion"]
+
+Law = dict[int, float]                       # vertex -> probability
+Loads = dict[tuple[int, int], float]         # canonical edge (u < v) -> expected load
+Step = tuple[bool, int, int]                 # (spread, cluster id, target index)
+
+ESTIMATOR = "exact"    # how route_demands obtains loads; reports name it
+_LAW_TOL = 1e-9
 
 
 class SchemeBackend(Protocol):
-    """One hop across a tree edge; endpoint reported with the path."""
+    """The two hop primitives, each as a sampler and as an exact kernel.
 
-    def route_up(self, child_id: int, v: int,
-                 rng: np.random.Generator) -> tuple[list[int], int]: ...
+    Index 0 names the cluster itself and k >= 1 its k-th child. to_border
+    walks inside cluster_id toward the border law of the indexed cluster;
+    spread starts on that border law and walks inside cluster_id onto its
+    cluster law. Samplers return (path, end vertex); kernels return (expected
+    edge loads, end law) for a walk whose start vertex is drawn from `law`.
+    """
 
-    def route_down(self, parent_id: int, child_index: int, v: int,
-                   rng: np.random.Generator) -> tuple[list[int], int]: ...
+    def to_border(self, cluster_id: int, index: int, v: int,
+                  rng: np.random.Generator) -> tuple[list[int], int]: ...
+
+    def spread(self, cluster_id: int, index: int, v: int,
+               rng: np.random.Generator) -> tuple[list[int], int]: ...
+
+    def to_border_loads(self, cluster_id: int, index: int,
+                        law: Law) -> tuple[Loads, Law]: ...
+
+    def spread_loads(self, cluster_id: int, index: int,
+                     law: Law) -> tuple[Loads, Law]: ...
 
 
-def _join(first: list[int], *rest: list[int]) -> list[int]:
-    path = list(first)
-    for seg in rest:
-        assert seg[0] == path[-1], "hop segments do not share their junction"
-        path.extend(seg[1:])
-    return path
+def _normalized(weights: dict[int, int]) -> Law:
+    total = sum(w for w in weights.values() if w > 0)
+    if total <= 0:
+        raise ValueError("cannot route on an all-zero law")
+    return {v: w / total for v, w in sorted(weights.items()) if w > 0}
+
+
+def _extend(path: list[int], seg: list[int]) -> None:
+    if seg[0] != path[-1]:
+        raise RuntimeError(f"hop segment starts at {seg[0]}, not at the junction "
+                           f"{path[-1]}")
+    path.extend(seg[1:])
 
 
 class _LawSampler:
     """Cumulative-probability sampling of a fixed integer-weighted law."""
 
-    def __init__(self, law: dict[int, int]):
-        items = sorted((v, w) for v, w in law.items() if w > 0)
-        assert items, "cannot sample from an all-zero law"
-        self.values = np.array([v for v, _ in items])
-        w = np.array([w for _, w in items], dtype=float)
-        self.cum = np.cumsum(w / w.sum())
+    def __init__(self, weights: dict[int, int]):
+        law = _normalized(weights)
+        self.values = list(law)
+        self.cum = np.cumsum(list(law.values())).tolist()
 
     def draw(self, rng: np.random.Generator) -> int:
-        i = int(np.searchsorted(self.cum, rng.random(), side="right"))
-        return int(self.values[min(i, len(self.values) - 1)])
+        i = bisect_right(self.cum, rng.random())
+        return self.values[min(i, len(self.values) - 1)]
 
 
 class ReferenceBackend:
-    """Hops sampled directly from the certification flow solutions."""
+    """Hops drawn directly from the certification flow solutions."""
 
     def __init__(self, g: CapacitatedGraph, tree: DecompositionTree,
                  solutions: dict[int, CMCFSolution]):
@@ -80,6 +117,11 @@ class ReferenceBackend:
         self.solutions = solutions
         self._weight_laws: dict[int, _LawSampler] = {}
         self._border_laws: dict[int, _LawSampler] = {}
+        self._pair_loads: dict[tuple[int, int, int], Loads] = {}
+
+    def _target(self, cluster_id: int, index: int) -> Cluster:
+        cluster = self.tree.cluster(cluster_id)
+        return cluster if index == 0 else self.tree.cluster(cluster.children[index - 1])
 
     def sample_cluster_vertex(self, cluster_id: int, rng: np.random.Generator) -> int:
         if cluster_id not in self._weight_laws:
@@ -93,42 +135,59 @@ class ReferenceBackend:
                 self.tree.cluster(cluster_id).border_weight)
         return self._border_laws[cluster_id].draw(rng)
 
+    def _stored_paths(self, cluster_id: int, u: int,
+                      v: int) -> tuple[list[list[int]], np.ndarray]:
+        # solutions store each unordered pair once, sources below sinks
+        return self.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
+
     def _path_between(self, cluster_id: int, u: int, v: int,
                       rng: np.random.Generator) -> list[int]:
-        # solutions store each unordered pair once, sources below sinks
         if u == v:
             return [u]
-        sol = self.solutions[cluster_id]
-        paths, probs = sol.path_groups(min(u, v))[max(u, v)]
+        paths, probs = self._stored_paths(cluster_id, u, v)
         i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         path = paths[min(i, len(paths) - 1)]
         return path if u < v else path[::-1]
 
-    def route_up(self, child_id: int, v: int,
-                 rng: np.random.Generator) -> tuple[list[int], int]:
-        child = self.tree.cluster(child_id)
-        parent = self.tree.cluster(child.parent)
-        if parent.size == 1:
-            return [v], v
-        alpha = self._sample_border(child_id, rng)
-        lower = self._path_between(child_id, v, alpha, rng)
-        top = self.sample_cluster_vertex(parent.id, rng)
-        upper = self._path_between(parent.id, alpha, top, rng)
-        return _join(lower, upper), top
+    def _expected_path(self, cluster_id: int, u: int, v: int) -> Loads:
+        key = (cluster_id, min(u, v), max(u, v))
+        if key not in self._pair_loads:
+            loads: Loads = {}
+            for path, p in zip(*self._stored_paths(cluster_id, u, v)):
+                for a, b in zip(path, path[1:]):
+                    edge = (a, b) if a < b else (b, a)
+                    loads[edge] = loads.get(edge, 0.0) + float(p)
+            self._pair_loads[key] = loads
+        return self._pair_loads[key]
 
-    def route_down(self, parent_id: int, child_index: int, v: int,
-                   rng: np.random.Generator) -> tuple[list[int], int]:
-        parent = self.tree.cluster(parent_id)
-        if parent.size == 1:
-            return [v], v
-        child = self.tree.cluster(parent.children[child_index - 1])
-        alpha = self._sample_border(child.id, rng)
-        upper = self._path_between(parent_id, v, alpha, rng)
-        if child.size == 1:
-            return upper, alpha
-        bottom = self.sample_cluster_vertex(child.id, rng)
-        lower = self._path_between(child.id, alpha, bottom, rng)
-        return _join(upper, lower), bottom
+    def _between_loads(self, cluster_id: int, start: Law, end: Law) -> Loads:
+        """Expected loads of a stored path between independent draws from start and end."""
+        loads: Loads = {}
+        for u, p in start.items():
+            for v, q in end.items():
+                if u == v:
+                    continue
+                for edge, x in self._expected_path(cluster_id, u, v).items():
+                    loads[edge] = loads.get(edge, 0.0) + p * q * x
+        return loads
+
+    def to_border(self, cluster_id: int, index: int, v: int,
+                  rng: np.random.Generator) -> tuple[list[int], int]:
+        alpha = self._sample_border(self._target(cluster_id, index).id, rng)
+        return self._path_between(cluster_id, v, alpha, rng), alpha
+
+    def spread(self, cluster_id: int, index: int, v: int,
+               rng: np.random.Generator) -> tuple[list[int], int]:
+        top = self.sample_cluster_vertex(cluster_id, rng)
+        return self._path_between(cluster_id, v, top, rng), top
+
+    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        end = _normalized(self._target(cluster_id, index).border_weight)
+        return self._between_loads(cluster_id, law, end), end
+
+    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        end = _normalized(self.tree.cluster(cluster_id).cluster_weight)
+        return self._between_loads(cluster_id, law, end), end
 
 
 class FlowTableBackend:
@@ -139,31 +198,19 @@ class FlowTableBackend:
         self.tables = tables
         self.tree = tables.tree
 
-    def route_up(self, child_id: int, v: int,
-                 rng: np.random.Generator) -> tuple[list[int], int]:
-        child = self.tree.cluster(child_id)
-        parent = self.tree.cluster(child.parent)
-        if parent.size == 1:
-            return [v], v
-        if child.size == 1:
-            lower, alpha = [v], v
-        else:
-            lower, alpha = route_to_border(self.tables, child_id, 0, v, rng)
-        i = self.tree.child_index(parent.id, child_id) + 1
-        upper, top = route_from_border(self.tables, parent.id, i, alpha, rng)
-        return _join(lower, upper), top
+    def to_border(self, cluster_id: int, index: int, v: int,
+                  rng: np.random.Generator) -> tuple[list[int], int]:
+        return route_to_border(self.tables, cluster_id, index, v, rng)
 
-    def route_down(self, parent_id: int, child_index: int, v: int,
-                   rng: np.random.Generator) -> tuple[list[int], int]:
-        parent = self.tree.cluster(parent_id)
-        if parent.size == 1:
-            return [v], v
-        upper, alpha = route_to_border(self.tables, parent_id, child_index, v, rng)
-        child = self.tree.cluster(parent.children[child_index - 1])
-        if child.size == 1:
-            return upper, alpha
-        lower, bottom = route_from_border(self.tables, child.id, 0, alpha, rng)
-        return _join(upper, lower), bottom
+    def spread(self, cluster_id: int, index: int, v: int,
+               rng: np.random.Generator) -> tuple[list[int], int]:
+        return route_from_border(self.tables, cluster_id, index, v, rng)
+
+    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        return walk_loads(self.tables, cluster_id, index, law, "forward")
+
+    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        return walk_loads(self.tables, cluster_id, index, law, "backward")
 
 
 class HypercubeBackend:
@@ -174,28 +221,64 @@ class HypercubeBackend:
         self.scheme = scheme
         self.tree = scheme.tree
 
-    def route_up(self, child_id: int, v: int,
-                 rng: np.random.Generator) -> tuple[list[int], int]:
-        child = self.tree.cluster(child_id)
-        parent = self.tree.cluster(child.parent)
-        if parent.size == 1:
-            return [v], v
-        if child.size == 1:
-            lower, border = [v], v
-        else:
-            lower, border = route_to_border_b(self.scheme, child_id, 0, v, rng)
-        shuffle, top = rerandomize(self.scheme, parent.id, border, rng)
-        return _join(lower, shuffle), top
+    def to_border(self, cluster_id: int, index: int, v: int,
+                  rng: np.random.Generator) -> tuple[list[int], int]:
+        return route_to_border_b(self.scheme, cluster_id, index, v, rng)
 
-    def route_down(self, parent_id: int, child_index: int, v: int,
-                   rng: np.random.Generator) -> tuple[list[int], int]:
-        parent = self.tree.cluster(parent_id)
-        if parent.size == 1:
-            return [v], v
-        upper, border = route_to_border_b(self.scheme, parent_id, child_index, v, rng)
-        child_id = parent.children[child_index - 1]
-        shuffle, bottom = rerandomize(self.scheme, child_id, border, rng)
-        return _join(upper, shuffle), bottom
+    def spread(self, cluster_id: int, index: int, v: int,
+               rng: np.random.Generator) -> tuple[list[int], int]:
+        return rerandomize(self.scheme, cluster_id, v, rng)
+
+    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        return border_loads_b(self.scheme, cluster_id, index, law)
+
+    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        return rerandomize_loads(self.scheme, cluster_id, law)
+
+
+# ---------------------------------------------------------------------------
+# the hop skeleton, shared by the sampler and the exact evaluator
+# ---------------------------------------------------------------------------
+
+def route_up(tree: DecompositionTree, child_id: int) -> list[Step]:
+    """Steps of the hop from child_id into its parent: leave the child toward
+    its own border (a singleton is already there), then spread over the
+    parent. A unary parent needs no steps."""
+    child = tree.cluster(child_id)
+    parent = tree.cluster(child.parent)
+    if parent.size == 1:
+        return []
+    steps = [(False, child_id, 0)] if child.size > 1 else []
+    return steps + [(True, parent.id, tree.child_index(parent.id, child_id) + 1)]
+
+
+def route_down(tree: DecompositionTree, child_id: int) -> list[Step]:
+    """Steps of the hop from child_id's parent into child_id: leave the parent
+    toward the child's border, then spread over the child (a singleton is
+    already covered)."""
+    child = tree.cluster(child_id)
+    parent = tree.cluster(child.parent)
+    if parent.size == 1:
+        return []
+    steps = [(False, parent.id, tree.child_index(parent.id, child_id) + 1)]
+    return steps + ([(True, child_id, 0)] if child.size > 1 else [])
+
+
+def _hops(tree: DecompositionTree, s: int, t: int) -> list[tuple[bool, int]]:
+    """(downward, child cluster) per tree edge crossed: up from s's leaf to
+    the lowest common cluster, then down to t's leaf."""
+    up = tree.leaf_path(s)
+    down = tree.leaf_path(t)
+    shared = 0
+    while shared < len(up) and up[shared] == down[shared]:
+        shared += 1
+    return ([(False, c) for c in reversed(up[shared:])]
+            + [(True, c) for c in down[shared:]])
+
+
+def _steps(tree: DecompositionTree, hop: tuple[bool, int]) -> list[Step]:
+    downward, child_id = hop
+    return route_down(tree, child_id) if downward else route_up(tree, child_id)
 
 
 def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
@@ -204,34 +287,50 @@ def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
     down to t's leaf. s == t yields the empty path."""
     if s == t:
         return []
-    up = tree.leaf_path(s)
-    down = tree.leaf_path(t)
-    shared = 0
-    while shared < len(up) and up[shared] == down[shared]:
-        shared += 1
     path = [s]
     cur = s
-    for i in range(len(up) - 1, shared - 1, -1):
-        seg, cur = backend.route_up(up[i], cur, rng)
-        path = _join(path, seg)
-    for i in range(shared, len(down)):
-        k = tree.child_index(down[i - 1], down[i]) + 1
-        seg, cur = backend.route_down(down[i - 1], k, cur, rng)
-        path = _join(path, seg)
-    assert cur == t, f"route for ({s},{t}) ended at {cur}"
+    for hop in _hops(tree, s, t):
+        for spread, cluster_id, index in _steps(tree, hop):
+            sample = backend.spread if spread else backend.to_border
+            seg, cur = sample(cluster_id, index, cur, rng)
+            _extend(path, seg)
+    if cur != t or path[-1] != t:
+        raise RuntimeError(f"route for ({s},{t}) ended at {cur}")
     return path
+
+
+def _hop_loads(tree: DecompositionTree, backend: SchemeBackend,
+               hop: tuple[bool, int]) -> Loads:
+    """Exact expected loads of one hop started on the law of the cluster it
+    leaves; raises unless it ends on the law of the cluster it enters."""
+    downward, child_id = hop
+    parent_id = tree.cluster(child_id).parent
+    leaves, enters = (parent_id, child_id) if downward else (child_id, parent_id)
+    law = _normalized(tree.cluster(leaves).cluster_weight)
+    loads: Loads = {}
+    for spread, cluster_id, index in _steps(tree, hop):
+        kernel = backend.spread_loads if spread else backend.to_border_loads
+        part, law = kernel(cluster_id, index, law)
+        for edge, x in part.items():
+            loads[edge] = loads.get(edge, 0.0) + x
+    expect = _normalized(tree.cluster(enters).cluster_weight)
+    gap = max(abs(law.get(v, 0.0) - expect.get(v, 0.0))
+              for v in law.keys() | expect.keys())
+    if gap > _LAW_TOL:
+        raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
+                           f"ends {gap:.3g} away from the law of cluster {enters}")
+    return loads
 
 
 @dataclass
 class LoadReport:
-    """Expected per-edge loads from Monte-Carlo routing, plus scheme metadata."""
+    """Exact expected per-edge loads, plus scheme metadata. edge_stderr is kept
+    for readers of the load table; it is 0.0 for every loaded edge."""
 
     edge_loads: dict[tuple[int, int], float]
     edge_stderr: dict[tuple[int, int], float]
     edge_caps: dict[tuple[int, int], int]
     congestion: float
-    samples: int
-    seed: int
     c_opt: float | None = None
     ratio: float | None = None
     table_bits: dict[int, int] | None = None    # per vertex
@@ -242,8 +341,7 @@ class LoadReport:
     def to_json(self) -> str:
         payload = {
             "scheme": self.scheme,
-            "samples": self.samples,
-            "seed": self.seed,
+            "estimator": ESTIMATOR,
             "congestion": self.congestion,
             "c_opt": self.c_opt,
             "ratio": self.ratio,
@@ -266,51 +364,38 @@ class LoadReport:
 def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
                   backend: SchemeBackend, demands: DemandMatrix | dict,
                   samples: int = 1000, seed: int = 0) -> LoadReport:
-    """Estimate expected edge loads by sampling `samples` routes per pair.
+    """Exact expected edge loads of routing every demand pair obliviously.
 
-    The estimator is linear in the demands: each sampled traversal contributes
-    d/samples. Every sampled path is validated edge by edge.
+    Sums the demand crossing each tree edge in each direction, one pass over
+    every pair's leaf paths, then adds that times the exact loads of one hop
+    across the edge. No paths are sampled: `samples` and `seed` are ignored
+    and kept only so that existing callers still work.
     """
     entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
-    if samples < 1:
-        raise ValueError(f"need at least one sample per pair, got {samples}")
     for (s, t) in entries:
         if not (0 <= s < g.n and 0 <= t < g.n):
             raise ValueError(f"demand pair ({s},{t}) out of vertex range")
 
-    loads: dict[tuple[int, int], float] = {}
-    sq_err: dict[tuple[int, int], float] = {}
+    through: dict[tuple[bool, int], float] = {}
     for (s, t), d in sorted(entries.items()):
         if d <= 0 or s == t:
             continue
-        rng = np.random.default_rng(np.random.SeedSequence((seed, s, t)))
-        tot: dict[tuple[int, int], int] = {}
-        tot_sq: dict[tuple[int, int], int] = {}
-        for _ in range(samples):
-            path = select_path(s, t, tree, backend, rng)
-            assert path[0] == s and path[-1] == t
-            cnt: dict[tuple[int, int], int] = {}
-            for a, b in zip(path, path[1:]):
-                assert g.has_edge(a, b), f"sampled path uses missing edge ({a},{b})"
-                key = (a, b) if a < b else (b, a)
-                cnt[key] = cnt.get(key, 0) + 1
-            for key, c in cnt.items():
-                tot[key] = tot.get(key, 0) + c
-                tot_sq[key] = tot_sq.get(key, 0) + c * c
-        for key, total in tot.items():
-            mean = total / samples
-            loads[key] = loads.get(key, 0.0) + d * mean
-            spread = max(tot_sq[key] / samples - mean * mean, 0.0)
-            sq_err[key] = sq_err.get(key, 0.0) + d * d * spread / samples
+        for hop in _hops(tree, s, t):
+            through[hop] = through.get(hop, 0.0) + d
+
+    loads: Loads = {}
+    for hop, d in sorted(through.items()):
+        for edge, x in _hop_loads(tree, backend, hop).items():
+            if not g.has_edge(*edge):
+                raise RuntimeError(f"hop loads non-edge {edge}")
+            loads[edge] = loads.get(edge, 0.0) + d * x
 
     caps = {(u, v) if u < v else (v, u): c for u, v, c in g.edges}
-    worst = max((load / caps[key] for key, load in loads.items()), default=0.0)
+    worst = max((load / caps[edge] for edge, load in loads.items()), default=0.0)
     return LoadReport(edge_loads=loads,
-                      edge_stderr={k: v ** 0.5 for k, v in sq_err.items()},
+                      edge_stderr={edge: 0.0 for edge in loads},
                       edge_caps=caps,
-                      congestion=worst,
-                      samples=samples,
-                      seed=seed)
+                      congestion=worst)
 
 
 def congestion(report: LoadReport) -> float:

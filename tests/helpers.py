@@ -4,7 +4,10 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from obroute.graph import CapacitatedGraph
+import numpy as np
+
+from obroute.graph import CapacitatedGraph, DemandMatrix
+from obroute.routing import select_path
 
 
 def path_graph(n: int, cap: int = 1) -> CapacitatedGraph:
@@ -89,3 +92,42 @@ def path_edge_loads(g: CapacitatedGraph, weighted_paths: list[tuple[list[int], f
             idx = g.edge_index(a, b)
             loads[idx] = loads.get(idx, 0.0) + w
     return loads
+
+
+def sampled_loads(g: CapacitatedGraph, tree, backend, demands: DemandMatrix | dict,
+                  samples: int, seed: int) -> tuple[dict[tuple[int, int], float],
+                                                    dict[tuple[int, int], float]]:
+    """Monte-Carlo estimate of the expected edge loads and their standard errors.
+
+    Draws `samples` routes per ordered pair with select_path, each pair on its
+    own (seed, s, t) stream, so results are reproducible and pair order is
+    irrelevant. Every sampled path is validated edge by edge.
+    """
+    entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
+    if samples < 1:
+        raise ValueError(f"need at least one sample per pair, got {samples}")
+    loads: dict[tuple[int, int], float] = {}
+    sq_err: dict[tuple[int, int], float] = {}
+    for (s, t), d in sorted(entries.items()):
+        if d <= 0 or s == t:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence((seed, s, t)))
+        tot: dict[tuple[int, int], int] = {}
+        tot_sq: dict[tuple[int, int], int] = {}
+        for _ in range(samples):
+            path = select_path(s, t, tree, backend, rng)
+            assert path[0] == s and path[-1] == t
+            cnt: dict[tuple[int, int], int] = {}
+            for a, b in zip(path, path[1:]):
+                assert g.has_edge(a, b), f"sampled path uses missing edge ({a},{b})"
+                key = (a, b) if a < b else (b, a)
+                cnt[key] = cnt.get(key, 0) + 1
+            for key, c in cnt.items():
+                tot[key] = tot.get(key, 0) + c
+                tot_sq[key] = tot_sq.get(key, 0) + c * c
+        for key, total in tot.items():
+            mean = total / samples
+            loads[key] = loads.get(key, 0.0) + d * mean
+            spread = max(tot_sq[key] / samples - mean * mean, 0.0)
+            sq_err[key] = sq_err.get(key, 0.0) + d * d * spread / samples
+    return loads, {key: v ** 0.5 for key, v in sq_err.items()}

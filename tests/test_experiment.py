@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import path_graph, single_edge
+from obroute import cmcf
 from obroute.cli import main
 from obroute.decomposition import DecompositionTree
 from obroute.experiment import (SCHEMES, demand_battery, graph_from_config,
@@ -21,7 +23,7 @@ def test_parse_config_defaults():
     cfg = parse_config("")
     assert cfg["schemes"] == "reference"
     assert cfg["demands"] == "permutation"
-    assert cfg["samples"] == "1000"
+    assert "samples" not in cfg
     assert cfg["seed"] == "0"
     assert cfg["arity"] == "2"
     assert cfg["assert_audit"] == "on"
@@ -34,18 +36,20 @@ def test_parse_config_comments_and_spacing():
         "# a full-line comment",
         "seed = 7   # trailing comment",
         "",
-        "samples=50",
+        "arity=3",
         "schemes = reference , impl-a",
     ])
     cfg = parse_config(text)
     assert cfg["seed"] == "7"
-    assert cfg["samples"] == "50"
+    assert cfg["arity"] == "3"
     assert cfg["schemes"] == "reference , impl-a"
 
 
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ValueError, match="line 2.*unknown key 'sample'"):
         parse_config("seed = 1\nsample = 10")
+    with pytest.raises(ValueError, match="unknown key 'samples'"):
+        parse_config("samples = 10")
 
 
 def test_parse_config_rejects_bad_line():
@@ -166,8 +170,7 @@ def test_unknown_battery_kind():
 def grid_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("grid-run")
     cfg = parse_config("")
-    cfg.update({"generate": "grid:3x3", "schemes": ",".join(SCHEMES),
-                "samples": "150", "seed": "1"})
+    cfg.update({"generate": "grid:3x3", "schemes": ",".join(SCHEMES), "seed": "1"})
     code, failures = run_experiment(cfg, out)
     return out, code, failures
 
@@ -187,7 +190,7 @@ def test_run_experiment_report_fields(grid_run):
         assert data["tree"]["height"] >= 1
         assert data["certificate"]["int_value"] >= 1
         assert data["pairs"] == 9
-        assert data["samples"] == 150
+        assert data["estimator"] == "exact" and "samples" not in data
         assert data["c_opt"] > 0
         assert data["ratio"] == pytest.approx(data["congestion"] / data["c_opt"])
         assert "lower" in data["ratio_note"] or "battery" in data["ratio_note"]
@@ -206,6 +209,7 @@ def test_run_experiment_csv_shapes(grid_run):
         loads = (out / scheme / "loads.csv").read_text().splitlines()
         assert loads[0] == "u,v,cap,load,stderr"
         assert len(loads) == 1 + 12  # one row per grid edge
+        assert {row.split(",")[4] for row in loads[1:]} == {"0"}
         tables = (out / scheme / "tables.csv").read_text().splitlines()
         assert tables[0] == "vertex,bits"
         assert len(tables) == 1 + 9
@@ -239,12 +243,11 @@ def test_single_edge_ratios(tmp_path):
     # per unit of demand, so their measured ratio is exactly 1.  The cube
     # scheme walks through random intermediates and re-randomized targets,
     # which on this graph bounces across the edge twice per route in
-    # expectation, so its ratio concentrates near 2.
+    # expectation, so its ratio is 2.
     graph_file = tmp_path / "k2.graph"
     graph_file.write_text("2 1\n0 1 1\n")
     cfg = parse_config("")
-    cfg.update({"graph": str(graph_file), "schemes": ",".join(SCHEMES),
-                "samples": "3000", "seed": "3"})
+    cfg.update({"graph": str(graph_file), "schemes": ",".join(SCHEMES), "seed": "3"})
     code, failures = run_experiment(cfg, tmp_path / "out")
     assert code == 0 and failures == []
     ratios = {s: json.loads((tmp_path / "out" / s / "report.json").read_text())["ratio"]
@@ -261,8 +264,7 @@ def _strip_timestamp(path: Path) -> str:
 
 def test_reports_reproducible_modulo_timestamp(tmp_path):
     cfg = parse_config("")
-    cfg.update({"generate": "grid:2x2", "schemes": ",".join(SCHEMES),
-                "samples": "120", "seed": "4"})
+    cfg.update({"generate": "grid:2x2", "schemes": ",".join(SCHEMES), "seed": "4"})
     run_experiment(cfg, tmp_path / "a")
     run_experiment(cfg, tmp_path / "b")
     for scheme in SCHEMES:
@@ -287,7 +289,7 @@ def test_cli_build(tmp_path, capsys):
 def test_cli_route_with_config_and_overlay(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("generate = grid:2x2\nschemes = reference\n"
-                        f"samples = 80\nout_dir = {tmp_path / 'out'}\n")
+                        f"out_dir = {tmp_path / 'out'}\n")
     code = main(["route", "--config", str(cfg_file), "--scheme", "impl-a"])
     assert code == 0
     assert (tmp_path / "out" / "impl-a" / "report.json").exists()
@@ -308,6 +310,16 @@ def test_cli_route_rejects_cubes_on_weighted_graphs(tmp_path, capsys):
     assert "uniform unit edge capacities" in capsys.readouterr().err
 
 
+def test_cli_maps_solver_failure_to_exit_2(tmp_path, monkeypatch, capsys):
+    def failing_linprog(*args, **kwargs):
+        return SimpleNamespace(status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(cmcf, "linprog", failing_linprog)
+    assert main(["build", "--generate", "grid:2x2", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: LP solver failed (status 4): numerical difficulties"]
+
+
 def test_cli_audit(capsys):
     assert main(["audit", "--generate", "grid:2x2"]) == 0
     outp = capsys.readouterr().out
@@ -322,8 +334,7 @@ def test_cli_audit(capsys):
 
 def test_cli_report(tmp_path, capsys):
     cfg = parse_config("")
-    cfg.update({"generate": "grid:2x2", "schemes": "reference,impl-a",
-                "samples": "60", "seed": "0"})
+    cfg.update({"generate": "grid:2x2", "schemes": "reference,impl-a", "seed": "0"})
     run_experiment(cfg, tmp_path)
     capsys.readouterr()
     assert main(["report", "--out-dir", str(tmp_path)]) == 0

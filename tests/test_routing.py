@@ -1,10 +1,18 @@
-"""Path selection and load estimation across all three hop backends."""
+"""Path selection and exact expected loads across all three hop backends."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import cycle_graph, single_edge
+from helpers import cycle_graph, sampled_loads, single_edge
+from obroute import routing
 from obroute.decomposition import build_tree, certify_congestion, tree_from_spec
-from obroute.graph import DemandMatrix
+from obroute.experiment import SCHEMES, _build_backend, demand_battery
+from obroute.graph import DemandMatrix, grid_graph
 from obroute.impl_a import build_flow_tables
 from obroute.impl_b import build_cube_scheme
 from obroute.optimum import competitive_ratio, optimal_congestion
@@ -57,38 +65,32 @@ def test_single_edge_route_is_the_edge(k2):
             assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), name
 
 
-class _CountingBackend:
-    def __init__(self, inner):
-        self.inner = inner
-        self.ups = 0
-        self.downs = 0
-
-    def route_up(self, child_id, v, rng):
-        self.ups += 1
-        return self.inner.route_up(child_id, v, rng)
-
-    def route_down(self, parent_id, child_index, v, rng):
-        self.downs += 1
-        return self.inner.route_down(parent_id, child_index, v, rng)
-
-
-def test_tree_hop_counts(four_cycle):
+def test_tree_hop_counts(four_cycle, monkeypatch):
     # hops per direction = tree height + 1 - shared prefix of the leaf paths:
     # same level-1 cluster shares depth 2, opposite clusters only the root
     g, tree, cert, backends = four_cycle
+    calls = {"up": 0, "down": 0}
+
+    def counting(name, hop):
+        def counted(*args):
+            calls[name] += 1
+            return hop(*args)
+        return counted
+
+    monkeypatch.setattr(routing, "route_up", counting("up", routing.route_up))
+    monkeypatch.setattr(routing, "route_down", counting("down", routing.route_down))
     for s, t, expect in [(0, 1, 1), (0, 2, 2), (3, 0, 2)]:
-        counter = _CountingBackend(backends["reference"])
-        select_path(s, t, tree, counter, np.random.default_rng(1))
-        assert (counter.ups, counter.downs) == (expect, expect)
+        calls.update(up=0, down=0)
+        select_path(s, t, tree, backends["reference"], np.random.default_rng(1))
+        assert (calls["up"], calls["down"]) == (expect, expect)
 
 
 def test_single_edge_exact_loads(k2):
     g, tree, cert, backends = k2
     for name in ("reference", "tables"):
-        report = route_demands(g, tree, backends[name], {(0, 1): 3.0},
-                               samples=5, seed=11)
-        # the only path crosses the edge exactly once: load is exact at any
-        # sample count and the estimator spread collapses to zero
+        report = route_demands(g, tree, backends[name], {(0, 1): 3.0})
+        # the only path crosses the edge exactly once, and the exact
+        # estimator reports no spread
         assert report.edge_loads[(0, 1)] == pytest.approx(3.0, abs=1e-12)
         assert report.edge_stderr[(0, 1)] == pytest.approx(0.0, abs=1e-12)
         assert report.congestion == pytest.approx(3.0)
@@ -101,17 +103,15 @@ def test_single_edge_cube_backend_expectation(k2):
     # crossings with z,T uniform bits (mean 1), the descent to t's range node
     # costs another mean 1, so the expected load for demand 3 is 3*2 = 6
     g, tree, cert, backends = k2
-    report = route_demands(g, tree, backends["cubes"], {(0, 1): 3.0},
-                           samples=40_000, seed=2)
+    report = route_demands(g, tree, backends["cubes"], {(0, 1): 3.0})
     assert report.edge_loads[(0, 1)] == pytest.approx(6.0, abs=0.15)
 
 
 def test_zero_demands(four_cycle):
     g, tree, cert, backends = four_cycle
-    report = route_demands(g, tree, backends["reference"], {}, samples=3, seed=0)
+    report = route_demands(g, tree, backends["reference"], {})
     assert report.edge_loads == {} and report.congestion == 0.0
-    report = route_demands(g, tree, backends["reference"], {(0, 2): 0.0},
-                           samples=3, seed=0)
+    report = route_demands(g, tree, backends["reference"], {(0, 2): 0.0})
     assert report.edge_loads == {}
 
 
@@ -120,8 +120,8 @@ def test_scaling_linearity(four_cycle):
     base = {(0, 2): 1.0, (1, 3): 2.0}
     doubled = {p: 2 * d for p, d in base.items()}
     for backend in backends.values():
-        r1 = route_demands(g, tree, backend, base, samples=50, seed=9)
-        r2 = route_demands(g, tree, backend, doubled, samples=50, seed=9)
+        r1 = route_demands(g, tree, backend, base)
+        r2 = route_demands(g, tree, backend, doubled)
         assert set(r1.edge_loads) == set(r2.edge_loads)
         for key, load in r1.edge_loads.items():
             assert r2.edge_loads[key] == pytest.approx(2 * load, rel=1e-12)
@@ -132,15 +132,14 @@ def test_route_demands_validates_pairs(four_cycle):
     with pytest.raises(ValueError, match="out of vertex range"):
         route_demands(g, tree, backends["reference"], {(0, 9): 1.0})
     with pytest.raises(ValueError, match="at least one sample"):
-        route_demands(g, tree, backends["reference"], {(0, 1): 1.0}, samples=0)
+        sampled_loads(g, tree, backends["reference"], {(0, 1): 1.0}, samples=0, seed=0)
 
 
 def test_route_demands_accepts_demand_matrix(four_cycle):
     g, tree, cert, backends = four_cycle
     dm = DemandMatrix({(0, 2): 1.0})
-    r1 = route_demands(g, tree, backends["reference"], dm, samples=20, seed=4)
-    r2 = route_demands(g, tree, backends["reference"], {(0, 2): 1.0},
-                       samples=20, seed=4)
+    r1 = route_demands(g, tree, backends["reference"], dm)
+    r2 = route_demands(g, tree, backends["reference"], {(0, 2): 1.0})
     assert r1.edge_loads == r2.edge_loads
 
 
@@ -148,20 +147,20 @@ def test_reproducible_per_seed(four_cycle):
     g, tree, cert, backends = four_cycle
     d = {(0, 2): 1.0, (2, 0): 1.0, (1, 3): 1.0}
     for backend in backends.values():
-        r1 = route_demands(g, tree, backend, d, samples=30, seed=7)
-        r2 = route_demands(g, tree, backend, d, samples=30, seed=7)
-        r3 = route_demands(g, tree, backend, d, samples=30, seed=8)
-        assert r1.edge_loads == r2.edge_loads
-        assert r1.edge_loads != r3.edge_loads
+        r1 = sampled_loads(g, tree, backend, d, samples=30, seed=7)
+        r2 = sampled_loads(g, tree, backend, d, samples=30, seed=7)
+        r3 = sampled_loads(g, tree, backend, d, samples=30, seed=8)
+        assert r1 == r2
+        assert r1[0] != r3[0]
 
 
 def test_congestion_helper():
     report = LoadReport(edge_loads={(0, 1): 2.0, (1, 2): 1.0},
                         edge_stderr={}, edge_caps={(0, 1): 1, (1, 2): 2},
-                        congestion=2.0, samples=1, seed=0)
+                        congestion=2.0)
     assert congestion(report) == 2.0
     empty = LoadReport(edge_loads={}, edge_stderr={}, edge_caps={(0, 1): 1},
-                       congestion=0.0, samples=1, seed=0)
+                       congestion=0.0)
     assert congestion(empty) == 0.0
 
 
@@ -170,7 +169,7 @@ def test_congestion_uses_capacities():
     tree = tree_from_spec(g, [0, 1])
     cert = certify_congestion(g, tree, store_solutions=True)
     backend = ReferenceBackend(g, tree, cert.solutions)
-    report = route_demands(g, tree, backend, {(0, 1): 3.0}, samples=4, seed=0)
+    report = route_demands(g, tree, backend, {(0, 1): 3.0})
     assert report.congestion == pytest.approx(0.6)
     assert congestion(report) == pytest.approx(report.congestion)
 
@@ -187,18 +186,104 @@ def test_expected_load_bound_four_cycle(four_cycle):
               "tables": 2 * h * tree.degree * c * c_opt,
               "cubes": 16 * h * 3 ** 2 * c * c_opt}
     for name, backend in backends.items():
-        report = route_demands(g, tree, backend, demand, samples=3000, seed=5)
-        slack = 3 * max(report.edge_stderr.values(), default=0.0)
-        assert report.congestion <= bounds[name] + slack, name
+        report = route_demands(g, tree, backend, demand)
+        assert report.congestion <= bounds[name], name
 
 
 def test_report_json_stable(four_cycle):
     g, tree, cert, backends = four_cycle
-    report = route_demands(g, tree, backends["reference"], {(0, 2): 1.0},
-                           samples=10, seed=1)
+    report = route_demands(g, tree, backends["reference"], {(0, 2): 1.0})
     blob = report.to_json()
     assert blob == report.to_json()
-    import json
     parsed = json.loads(blob)
+    assert parsed["estimator"] == "exact" and "samples" not in parsed
     assert parsed["congestion"] == pytest.approx(report.congestion)
     assert len(parsed["edges"]) == g.m
+    assert all(e["stderr"] == 0.0 for e in parsed["edges"])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_exact_loads_match_monte_carlo(scheme):
+    # Every edge's exact load lies within 4 standard errors of a 4000-sample
+    # estimate, on 5 trees and batteries; fixed seeds make the test repeatable
+    g = grid_graph(4, 4)
+    for seed in range(5):
+        tree = build_tree(g, target_arity=2, seed=seed)
+        cert = certify_congestion(g, tree, store_solutions=True)
+        demands = demand_battery("permutation", g, seed)
+        backend = _build_backend(scheme, g, tree, cert, seed)[0]
+        exact = route_demands(g, tree, backend, demands).edge_loads
+        estimate, stderr = sampled_loads(g, tree, backend, demands, samples=4000,
+                                         seed=seed)
+        assert set(exact) == set(estimate), seed
+        for edge, load in exact.items():
+            assert abs(load - estimate[edge]) <= 4 * stderr[edge] + 1e-12, (seed, edge)
+
+
+class _Corrupted:
+    """A backend whose sampler or kernel breaks one routing invariant."""
+
+    def __init__(self, inner, g, fault):
+        self.inner, self.g, self.fault = inner, g, fault
+
+    def to_border(self, cluster_id, index, v, rng):
+        path, end = self.inner.to_border(cluster_id, index, v, rng)
+        if self.fault == "junction":
+            path = [next(u for u in range(self.g.n) if u != v)] + path
+        if self.fault == "end":
+            end = (end + 1) % self.g.n
+        return path, end
+
+    def spread(self, cluster_id, index, v, rng):
+        return self.inner.spread(cluster_id, index, v, rng)
+
+    def to_border_loads(self, cluster_id, index, law):
+        loads, end = self.inner.to_border_loads(cluster_id, index, law)
+        if self.fault == "non-edge":
+            loads = {**loads, (0, 2): 1.0}
+        if self.fault == "law":
+            end = {min(end): 1.0}
+        return loads, end
+
+    def spread_loads(self, cluster_id, index, law):
+        return self.inner.spread_loads(cluster_id, index, law)
+
+
+@pytest.mark.parametrize("fault, scheme, pair, match", [
+    ("junction", "reference", (0, 2), "not at the junction"),
+    ("end", "reference", (0, 1), "ended at"),
+    ("non-edge", "reference", (0, 2), "non-edge"),
+    ("law", "tables", (0, 2), "away from the law"),
+])
+def test_broken_invariants_raise(four_cycle, fault, scheme, pair, match):
+    g, tree, cert, backends = four_cycle
+    backend = _Corrupted(backends[scheme], g, fault)
+    with pytest.raises(RuntimeError, match=match):
+        if fault in ("junction", "end"):
+            select_path(*pair, tree, backend, np.random.default_rng(0))
+        else:
+            route_demands(g, tree, backend, {pair: 1.0})
+
+
+def test_invariants_hold_under_optimize_flag():
+    # `python -O` strips assert statements; the routing invariants must still raise
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import numpy as np\n"
+        "from helpers import cycle_graph\n"
+        "from test_routing import _Corrupted\n"
+        "from obroute.decomposition import certify_congestion, tree_from_spec\n"
+        "from obroute.routing import ReferenceBackend, select_path\n"
+        "assert False, 'asserts are live'\n"
+        "g = cycle_graph(4)\n"
+        "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
+        "cert = certify_congestion(g, tree, store_solutions=True)\n"
+        "backend = _Corrupted(ReferenceBackend(g, tree, cert.solutions), g, 'junction')\n"
+        "select_path(0, 2, tree, backend, np.random.default_rng(0))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                        str(root / "tests")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "RuntimeError: hop segment starts at" in proc.stderr, proc.stderr
