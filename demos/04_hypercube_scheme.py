@@ -3,9 +3,11 @@
 Scheme B (unit capacities only) gives every cluster two virtual hypercubes
 embedded into the real graph: a main cube whose node ranges stand in for the
 cluster's own border and each child's border, and a shuffle cube used to
-re-randomize a packet's position after every hop. Routing between cube nodes
-is two-phase bit fixing through a random intermediate, so each vertex only
-stores its node ids and one real path per incident cube edge.
+re-randomize a packet's position after every hop. Both cubes of a cluster are
+embedded by one min-congestion LP, since a hop walks one and then the other.
+Routing between cube nodes is two-phase bit fixing through a random
+intermediate, so each vertex only stores its node ids and one real path per
+incident cube edge.
 """
 import numpy as np
 
@@ -29,7 +31,8 @@ for layout, rounded in enumerate(sizes.children, start=1):
     print(f"  child {child.id} (out {child.total_border}) -> "
           f"{rounded} nodes, range [{lo}, {hi})")
 
-print(f"  fractional embedding congestion {maps.fractional_congestion:.3f}")
+print(f"  fractional congestion of the joint main + shuffle embedding "
+      f"{maps.fractional_congestion:.3f}")
 
 issues = audit_cube_scheme(scheme)
 print(f"\naudit: {len(issues)} issue(s)" + ("" if issues else

@@ -13,12 +13,16 @@ Every non-singleton cluster S carries two hypercubes embedded into G[S]:
                 every hop, stopping the skew from compounding level by level.
 
 Cube edges are realized as graph paths: every cube edge whose endpoints map to
-distinct vertices contributes a unit demand in both directions, fake traffic
-tops every vertex up to send/receive exactly 8d*w_S(v), the min-congestion LP
-routes the instance inside G[S], and each cube edge keeps one path sampled
-from its fractional flow (fake commodities are dropped). Cube routing picks a
-uniform intermediate node, fixes differing coordinates in ascending order to
-reach it, and repeats toward the target.
+distinct vertices contributes a unit demand in both directions, and fake
+traffic tops every vertex up to send/receive exactly 8d*w_S(v), with each
+cube's own d. Both cubes' instances are summed into one joint instance, the
+min-congestion LP routes it inside G[S] (one LP per cluster), and each cube
+edge keeps one path sampled from its pair's fractional flow, main-cube edges
+first (fake commodities are dropped). An impl-b hop walks the main cube and
+then the shuffle cube of the same cluster, so an edge carries the sum of both
+embeddings: the joint LP minimises exactly that sum's maximum. Cube routing
+picks a uniform intermediate node, fixes differing coordinates in ascending
+order to reach it, and repeats toward the target.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -41,11 +45,12 @@ any group)).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from obroute.cmcf import RoundedPaths, round_paths, solve_cmcf_min_congestion
+from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import Cluster, DecompositionTree
 from obroute.graph import CapacitatedGraph
 
@@ -108,8 +113,7 @@ class CubeMaps:
     node_owner: list[int]
     vertex_nodes: dict[int, list[int]]
     edge_paths: dict[tuple[int, int], list[int]]   # cube edge (x<y) -> graph path
-    fractional_congestion: float
-    rounding: RoundedPaths | None = field(default=None, repr=False)
+    fractional_congestion: float                   # of the cluster's joint instance
 
 
 @dataclass
@@ -132,7 +136,8 @@ def _fill_range(out_map: dict[int, int], size: int) -> dict[int, int]:
     support = sorted(v for v, o in out_map.items() if o > 0)
     counts = {v: out_map[v] for v in support}
     extras = size - sum(counts.values())
-    assert 0 <= extras <= sum(counts.values()), "rounded range size out of bounds"
+    if not 0 <= extras <= sum(counts.values()):
+        raise RuntimeError("rounded range size out of bounds")
     taken = {v: 0 for v in support}
     while extras > 0:
         progressed = False
@@ -144,7 +149,8 @@ def _fill_range(out_map: dict[int, int], size: int) -> dict[int, int]:
                 counts[v] += 1
                 extras -= 1
                 progressed = True
-        assert progressed, "range extras exceed the factor-2 headroom"
+        if not progressed:
+            raise RuntimeError("range extras exceed the factor-2 headroom")
     return counts
 
 
@@ -154,7 +160,8 @@ def _spread_leftovers(weights: dict[int, int], amount: int) -> dict[int, int]:
     heapq.heapify(heap)
     given: dict[int, int] = {}
     for _ in range(amount):
-        assert heap, "leftover nodes exceed the total 4*w quota"
+        if not heap:
+            raise RuntimeError("leftover nodes exceed the total 4*w quota")
         neg_quota, v = heapq.heappop(heap)
         given[v] = given.get(v, 0) + 1
         if neg_quota + 1 < 0:
@@ -175,26 +182,30 @@ def _layout_owners(sizes: RoundedSizes, out_maps: list[dict[int, int]],
     leftover = total_nodes - len(owners)
     for v, k in sorted(_spread_leftovers(weights, leftover).items()):
         owners.extend([v] * k)
-    assert len(owners) == total_nodes
+    if len(owners) != total_nodes:
+        raise RuntimeError(f"cube layout holds {len(owners)} nodes, expected {total_nodes}")
     return owners
 
 
 # ---------------------------------------------------------------------------
-# embedding a cube as graph paths
+# node maps, and embedding both cubes of a cluster as graph paths
 # ---------------------------------------------------------------------------
 
-def _cube_demands(node_owner: list[int], d: int) -> dict[tuple[int, int], float]:
-    demands: dict[tuple[int, int], float] = {}
+def _cube_edges(node_owner: list[int], d: int) -> Iterator[tuple[int, int, int, int]]:
+    """Cube edges (x, y), x < y, whose endpoints map to distinct vertices a, b,
+    as (x, y, a, b) in ascending x, then dimension."""
     for x in range(1 << d):
         for k in range(d):
             y = x ^ (1 << k)
-            if y < x:
-                continue
-            a, b = node_owner[x], node_owner[y]
-            if a == b:
-                continue
-            demands[(a, b)] = demands.get((a, b), 0.0) + 1.0
-            demands[(b, a)] = demands.get((b, a), 0.0) + 1.0
+            if y > x and node_owner[x] != node_owner[y]:
+                yield x, y, node_owner[x], node_owner[y]
+
+
+def _cube_demands(node_owner: list[int], d: int) -> dict[tuple[int, int], float]:
+    demands: dict[tuple[int, int], float] = {}
+    for _, _, a, b in _cube_edges(node_owner, d):
+        demands[(a, b)] = demands.get((a, b), 0.0) + 1.0
+        demands[(b, a)] = demands.get((b, a), 0.0) + 1.0
     return demands
 
 
@@ -212,7 +223,8 @@ def _add_fake_traffic(demands: dict[tuple[int, int], float], d: int,
     heap = []
     for v, w in sorted(weights.items()):
         deficit = 8 * d * w - int(sent.get(v, 0))
-        assert deficit >= 0, f"vertex {v} already sends more than its budget"
+        if deficit < 0:
+            raise RuntimeError(f"vertex {v} already sends more than its budget")
         if deficit > 0:
             heap.append((-deficit, v))
     heapq.heapify(heap)
@@ -228,48 +240,46 @@ def _add_fake_traffic(demands: dict[tuple[int, int], float], d: int,
             heapq.heappush(heap, (d2 + amount, v))
 
 
-def _embed_cube(g: CapacitatedGraph, members: set[int], node_owner: list[int],
-                d: int, weights: dict[int, int], rng: np.random.Generator,
-                solve_paths: bool) -> CubeMaps:
+def _embedding_demands(cluster: Cluster,
+                       cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], float]:
+    """Joint embedding instance of a cluster's cubes: the sum of each cube's
+    edge demands, each topped up to 8*d*w(v) with its own d."""
+    joint: dict[tuple[int, int], float] = {}
+    for maps in cubes:
+        demands = _cube_demands(maps.node_owner, maps.dimension)
+        _add_fake_traffic(demands, maps.dimension, cluster.cluster_weight)
+        for pair, amount in demands.items():
+            joint[pair] = joint.get(pair, 0.0) + amount
+    return joint
+
+
+def _embed_cubes(g: CapacitatedGraph, cluster: Cluster, cubes: tuple[CubeMaps, ...],
+                 rng: np.random.Generator) -> None:
+    """Solve the joint instance once and give every cube edge one rounded path
+    of its pair, in cube order."""
+    sol = solve_cmcf_min_congestion(g, _embedding_demands(cluster, cubes),
+                                    restrict=set(cluster.vertices))
+    paths = round_paths(sol, rng).paths
+    consumed: dict[tuple[int, int], int] = {}
+    for maps in cubes:
+        maps.fractional_congestion = sol.congestion
+        for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension):
+            pos = consumed.get((a, b), 0)
+            consumed[(a, b)] = pos + 1
+            maps.edge_paths[(x, y)] = paths[(a, b)][pos]
+
+
+def _node_map(node_owner: list[int], d: int) -> CubeMaps:
     vertex_nodes: dict[int, list[int]] = {}
     for node, v in enumerate(node_owner):
         vertex_nodes.setdefault(v, []).append(node)
-    maps = CubeMaps(dimension=d, node_owner=list(node_owner),
-                    vertex_nodes=vertex_nodes, edge_paths={},
-                    fractional_congestion=0.0)
-    if not solve_paths:
-        return maps
-    demands = _cube_demands(node_owner, d)
-    if not demands:
-        return maps
-    _add_fake_traffic(demands, d, weights)
-    sol = solve_cmcf_min_congestion(g, demands, restrict=members)
-    maps.fractional_congestion = sol.congestion
-    rounded = round_paths(sol, rng)
-    maps.rounding = rounded
-    consumed: dict[tuple[int, int], int] = {}
-    for x in range(1 << d):
-        for k in range(d):
-            y = x ^ (1 << k)
-            if y < x:
-                continue
-            a, b = node_owner[x], node_owner[y]
-            if a == b:
-                continue
-            pos = consumed.get((a, b), 0)
-            consumed[(a, b)] = pos + 1
-            maps.edge_paths[(x, y)] = rounded.paths[(a, b)][pos]
-    return maps
+    return CubeMaps(dimension=d, node_owner=node_owner, vertex_nodes=vertex_nodes,
+                    edge_paths={}, fractional_congestion=0.0)
 
 
-def build_embedding(g: CapacitatedGraph, tree: DecompositionTree, cluster: Cluster,
-                    c: int, rng: np.random.Generator,
-                    solve_paths: bool = True) -> tuple[RoundedSizes, CubeMaps]:
-    """Main cube of one cluster: rounded ranges, node map, one path per cube edge.
-
-    c is the certified congestion scale; it sizes the path id fields and is
-    recorded for accounting, the embedding itself is solved by the LP.
-    """
+def build_embedding(tree: DecompositionTree,
+                    cluster: Cluster) -> tuple[RoundedSizes, CubeMaps]:
+    """Main cube of one cluster: rounded ranges and node map, no paths yet."""
     child_totals = [tree.cluster(cid).total_border for cid in cluster.children]
     sizes = round_and_order(cluster, child_totals)
     d = sizes.dimension
@@ -281,15 +291,11 @@ def build_embedding(g: CapacitatedGraph, tree: DecompositionTree, cluster: Clust
     out_maps += [dict(tree.cluster(cluster.children[pos - 1]).border_weight)
                  for pos in sizes.layout_to_child]
     owners = _layout_owners(sizes, out_maps, cluster.cluster_weight)
-    maps = _embed_cube(g, set(cluster.vertices), owners, d,
-                       cluster.cluster_weight, rng, solve_paths)
-    return sizes, maps
+    return sizes, _node_map(owners, d)
 
 
-def build_rerand_cube(g: CapacitatedGraph, tree: DecompositionTree, cluster: Cluster,
-                      c: int, rng: np.random.Generator,
-                      solve_paths: bool = True) -> CubeMaps:
-    """Shuffle cube: first w_S(S) nodes hold exactly w_S(v) per vertex."""
+def build_rerand_cube(cluster: Cluster) -> CubeMaps:
+    """Shuffle cube node map: first w_S(S) nodes hold exactly w_S(v) per vertex."""
     total = cluster.total_weight
     d = _ceil_log2(total)
     owners: list[int] = []
@@ -301,23 +307,29 @@ def build_rerand_cube(g: CapacitatedGraph, tree: DecompositionTree, cluster: Clu
     while len(owners) < (1 << d):
         owners.append(support[k % len(support)])
         k += 1
-    assert rest == k
-    return _embed_cube(g, set(cluster.vertices), owners, d,
-                       cluster.cluster_weight, rng, solve_paths)
+    if rest != k:
+        raise RuntimeError(f"cluster {cluster.id}: vertex weights do not sum to w(S)")
+    return _node_map(owners, d)
 
 
 def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
-                      rng: np.random.Generator, solve_paths: bool = True) -> CubeScheme:
+                      rng: np.random.Generator) -> CubeScheme:
+    """Both cubes of every non-singleton cluster, embedded by one LP per cluster.
+
+    c is the certified congestion scale; it sizes the path id fields.
+    """
     if not g.uniform_capacities():
         raise ValueError("hypercube scheme requires uniform unit edge capacities")
     scheme = CubeScheme(graph=g, tree=tree, c=int(c), rounded={}, mains={}, shuffles={})
     for cluster in tree.clusters:
         if cluster.size == 1:
             continue
-        sizes, main = build_embedding(g, tree, cluster, c, rng, solve_paths)
+        sizes, main = build_embedding(tree, cluster)
+        shuffle = build_rerand_cube(cluster)
+        _embed_cubes(g, cluster, (main, shuffle), rng)
         scheme.rounded[cluster.id] = sizes
         scheme.mains[cluster.id] = main
-        scheme.shuffles[cluster.id] = build_rerand_cube(g, tree, cluster, c, rng, solve_paths)
+        scheme.shuffles[cluster.id] = shuffle
     return scheme
 
 
@@ -351,7 +363,8 @@ def hypercube_route(maps: CubeMaps, h_from: int, h_to: int,
             continue
         stored = maps.edge_paths[(x, y) if x < y else (y, x)]
         segment = stored if x < y else stored[::-1]
-        assert segment[0] == path[-1], "cube edge path does not continue the walk"
+        if segment[0] != path[-1]:
+            raise RuntimeError("cube edge path does not continue the walk")
         path.extend(segment[1:])
     return path
 

@@ -22,8 +22,8 @@ from obroute.graph import CapacitatedGraph, DemandMatrix, grid_graph, random_reg
 from obroute.impl_a import (build_flow_tables, endpoint_distribution,
                             header_bit_length, label_bit_length,
                             measure_table_bits_a, route_to_border)
-from obroute.impl_b import (_add_fake_traffic, _cube_demands, audit_cube_scheme,
-                            build_cube_scheme, build_embedding, measure_table_bits_b)
+from obroute.impl_b import (_embedding_demands, audit_cube_scheme, build_cube_scheme,
+                            build_embedding, build_rerand_cube, measure_table_bits_b)
 from obroute.optimum import brute_force_congestion, optimal_congestion
 from obroute.routing import (FlowTableBackend, HypercubeBackend, ReferenceBackend,
                              route_demands)
@@ -173,10 +173,9 @@ def test_criterion_4_chernoff_rounding():
     instances = [(g, tree, cert, root), (g, tree, cert, tree.cluster(root.children[0]))]
 
     for g, tree, cert, cluster in instances:
-        _, maps = build_embedding(g, tree, cluster, cert.int_value,
-                                  np.random.default_rng(0), solve_paths=False)
-        demands = _cube_demands(maps.node_owner, maps.dimension)
-        _add_fake_traffic(demands, maps.dimension, cluster.cluster_weight)
+        # the joint main + shuffle instance, as build_cube_scheme solves it
+        _, main = build_embedding(tree, cluster)
+        demands = _embedding_demands(cluster, (main, build_rerand_cube(cluster)))
         members = set(cluster.vertices)
         sol = solve_cmcf_min_congestion(g, demands, restrict=members)
         m = len(g.edges_inside(members))

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from helpers import cycle_graph
+from obroute import impl_b
+from obroute.cmcf import solve_cmcf_min_congestion
 from obroute.decomposition import (Cluster, build_tree, certify_congestion,
                                    tree_from_spec)
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
 from obroute.impl_b import (CubeScheme, RoundedSizes, _add_fake_traffic,
-                            _bit_fix, _cube_demands, _fill_range, audit_cube_scheme,
-                            build_cube_scheme, build_embedding, hypercube_route,
-                            measure_table_bits_b, rerandomize, round_and_order,
-                            route_to_border_b)
+                            _bit_fix, _cube_demands, _embedding_demands, _fill_range,
+                            audit_cube_scheme, build_cube_scheme, build_embedding,
+                            hypercube_route, measure_table_bits_b, rerandomize,
+                            round_and_order, route_to_border_b)
 
 
 def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
@@ -287,16 +289,39 @@ def test_fake_traffic_tops_up_budgets(grid_scheme):
         assert len(short) <= 1                 # lone odd remainder only
 
 
-def test_one_stored_path_per_cube_edge(four_cycle):
-    g, tree, scheme = four_cycle
-    for cid, maps in scheme.mains.items():
-        expect = set()
-        for x in range(1 << maps.dimension):
-            for k in range(maps.dimension):
-                y = x ^ (1 << k)
-                if x < y and maps.node_owner[x] != maps.node_owner[y]:
-                    expect.add((x, y))
-        assert set(maps.edge_paths) == expect
+def test_one_stored_path_per_cube_edge(four_cycle, grid_scheme):
+    for _, _, scheme in (four_cycle, grid_scheme):
+        for maps in (*scheme.mains.values(), *scheme.shuffles.values()):
+            expect = set()
+            for x in range(1 << maps.dimension):
+                for k in range(maps.dimension):
+                    y = x ^ (1 << k)
+                    if x < y and maps.node_owner[x] != maps.node_owner[y]:
+                        expect.add((x, y))
+            assert set(maps.edge_paths) == expect
+
+
+def test_one_joint_lp_per_cluster(monkeypatch):
+    # the main and shuffle cubes of a cluster share one min-congestion instance
+    calls = []
+
+    def counting(g, demands, restrict=None, method=None):
+        calls.append(frozenset(restrict))
+        return solve_cmcf_min_congestion(g, demands, restrict=restrict, method=method)
+
+    monkeypatch.setattr(impl_b, "solve_cmcf_min_congestion", counting)
+    g = grid_graph(4, 4)
+    tree = build_tree(g, target_arity=2, seed=0)
+    scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
+    expect = []
+    for cluster in tree.clusters:
+        if cluster.size == 1:
+            continue
+        cubes = (scheme.mains[cluster.id], scheme.shuffles[cluster.id])
+        if _embedding_demands(cluster, cubes):
+            expect.append(frozenset(cluster.vertices))
+    assert len(expect) > 4
+    assert calls == expect
 
 
 def test_build_is_deterministic():
@@ -321,11 +346,11 @@ def test_rejects_capacitated_graphs():
 
 
 def test_oversized_cube_signals_weight_bug(four_cycle):
-    g, tree, _ = four_cycle
+    _, tree, _ = four_cycle
     # border total 64 forces a 64-node cube against 8*w(S) = 16
     broken = _mock_cluster(64, [], weights={0: 1, 1: 1})
     with pytest.raises(RuntimeError, match="weight tables"):
-        build_embedding(g, tree, broken, 1, np.random.default_rng(0))
+        build_embedding(tree, broken)
 
 
 # ---------------------------------------------------------------------------

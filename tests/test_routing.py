@@ -1,4 +1,5 @@
 """Path selection and exact expected loads across all three hop backends."""
+import copy
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from obroute.decomposition import build_tree, certify_congestion, tree_from_spec
 from obroute.experiment import SCHEMES, _build_backend, demand_battery
 from obroute.graph import DemandMatrix, grid_graph
 from obroute.impl_a import build_flow_tables
-from obroute.impl_b import build_cube_scheme
+from obroute.impl_b import _add_fake_traffic, build_cube_scheme
 from obroute.optimum import competitive_ratio, optimal_congestion
 from obroute.routing import (FlowTableBackend, HypercubeBackend, LoadReport,
                              ReferenceBackend, congestion, route_demands,
@@ -224,6 +225,12 @@ class _Corrupted:
     """A backend whose sampler or kernel breaks one routing invariant."""
 
     def __init__(self, inner, g, fault):
+        if fault == "cube-path":
+            # every stored cube-edge path runs backwards, so no cube walk continues
+            scheme = copy.deepcopy(inner.scheme)
+            for maps in (*scheme.mains.values(), *scheme.shuffles.values()):
+                maps.edge_paths = {e: p[::-1] for e, p in maps.edge_paths.items()}
+            inner = HypercubeBackend(scheme)
         self.inner, self.g, self.fault = inner, g, fault
 
     def to_border(self, cluster_id, index, v, rng):
@@ -254,36 +261,45 @@ class _Corrupted:
     ("end", "reference", (0, 1), "ended at"),
     ("non-edge", "reference", (0, 2), "non-edge"),
     ("law", "tables", (0, 2), "away from the law"),
+    ("cube-path", "cubes", (0, 2), "does not continue the walk"),
+    ("over-budget", "cubes", (0, 1), "already sends more than its budget"),
 ])
 def test_broken_invariants_raise(four_cycle, fault, scheme, pair, match):
     g, tree, cert, backends = four_cycle
     backend = _Corrupted(backends[scheme], g, fault)
     with pytest.raises(RuntimeError, match=match):
-        if fault in ("junction", "end"):
+        if fault == "over-budget":
+            # a cube instance sending 9 units from a vertex whose 8*d*w is 8
+            _add_fake_traffic({pair: 9.0, pair[::-1]: 9.0}, 1, {0: 1, 1: 1})
+        elif fault in ("junction", "end", "cube-path"):
             select_path(*pair, tree, backend, np.random.default_rng(0))
         else:
             route_demands(g, tree, backend, {pair: 1.0})
 
 
 def test_invariants_hold_under_optimize_flag():
-    # `python -O` strips assert statements; the routing invariants must still raise
+    # `python -O` strips assert statements; the routing and cube-walk
+    # invariants must still raise
     root = Path(__file__).resolve().parent.parent
-    script = (
-        "import numpy as np\n"
-        "from helpers import cycle_graph\n"
-        "from test_routing import _Corrupted\n"
-        "from obroute.decomposition import certify_congestion, tree_from_spec\n"
-        "from obroute.routing import ReferenceBackend, select_path\n"
-        "assert False, 'asserts are live'\n"
-        "g = cycle_graph(4)\n"
-        "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
-        "cert = certify_congestion(g, tree, store_solutions=True)\n"
-        "backend = _Corrupted(ReferenceBackend(g, tree, cert.solutions), g, 'junction')\n"
-        "select_path(0, 2, tree, backend, np.random.default_rng(0))\n"
-    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                         str(root / "tests")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert "RuntimeError: hop segment starts at" in proc.stderr, proc.stderr
+    for scheme, fault, message in [
+            ("reference", "junction", "hop segment starts at"),
+            ("cubes", "cube-path", "cube edge path does not continue the walk")]:
+        script = (
+            "import numpy as np\n"
+            "from helpers import cycle_graph\n"
+            "from test_routing import _Corrupted, _backends\n"
+            "from obroute.decomposition import certify_congestion, tree_from_spec\n"
+            "from obroute.routing import select_path\n"
+            "assert False, 'asserts are live'\n"
+            "g = cycle_graph(4)\n"
+            "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
+            "cert = certify_congestion(g, tree, store_solutions=True)\n"
+            f"backend = _Corrupted(_backends(g, tree, cert)[{scheme!r}], g, {fault!r})\n"
+            "select_path(0, 2, tree, backend, np.random.default_rng(0))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert f"RuntimeError: {message}" in proc.stderr, proc.stderr
