@@ -17,11 +17,7 @@ from obroute.graph import (
 )
 from obroute.impl_a import build_flow_tables, measure_table_bits_a
 from obroute.impl_b import audit_cube_scheme, build_cube_scheme, measure_table_bits_b
-from obroute.optimum import (
-    brute_force_congestion,
-    competitive_ratio,
-    optimal_congestion,
-)
+from obroute.optimum import competitive_ratio, optimal_congestion
 from obroute.routing import (
     FlowTableBackend,
     HypercubeBackend,

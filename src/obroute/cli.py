@@ -6,14 +6,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from obroute.decomposition import audit_tree, build_tree, certify_congestion
-from obroute.experiment import (SCHEMES, graph_from_config, load_config,
+from obroute.experiment import (SCHEMES, _build_backend, graph_from_config, load_config,
                                 parse_config, run_experiment)
 from obroute.graph import graph_stats
-from obroute.impl_a import build_flow_tables
-from obroute.impl_b import audit_cube_scheme, build_cube_scheme
 
 
 def _add_graph_flags(p: argparse.ArgumentParser) -> None:
@@ -46,11 +42,17 @@ def _overlay(cfg: dict[str, str], args: argparse.Namespace) -> dict[str, str]:
     return cfg
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _certified_tree(args: argparse.Namespace):
+    """Graph, cluster tree, congestion certificate and master seed from the graph flags."""
     cfg = _overlay(parse_config(""), args)
     g = graph_from_config(cfg)
-    tree = build_tree(g, target_arity=int(cfg["arity"]), seed=int(cfg["seed"]))
-    cert = certify_congestion(g, tree, store_solutions=False)
+    seed = int(cfg["seed"])
+    tree = build_tree(g, target_arity=int(cfg["arity"]), seed=seed)
+    return g, tree, certify_congestion(g, tree), seed
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
+    g, tree, cert, _ = _certified_tree(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "tree.json").write_text(tree.to_json(cert))
@@ -83,26 +85,22 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _overlay(parse_config(""), args)
-    g = graph_from_config(cfg)
-    tree = build_tree(g, target_arity=int(cfg["arity"]), seed=int(cfg["seed"]))
-    cert = certify_congestion(g, tree, store_solutions=False)
+    g, tree, cert, seed = _certified_tree(args)
     failures = [f"tree: {m}" for m in audit_tree(g, tree)]
     print(f"tree structure and weight identities: "
           f"{'ok' if not failures else f'{len(failures)} issue(s)'} "
           f"({len(tree.clusters)} clusters, height {tree.height})")
     schemes = args.scheme or ["impl-a", "impl-b"]
     if "impl-a" in schemes:
-        tables = build_flow_tables(g, tree, cert.int_value)
-        note = f", scale raised: {len(tables.events)} cluster(s)" if tables.events else ""
-        print(f"impl-a flows: ok ({len(tables.flows)} saturated flows{note})")
+        backend, _, _, _, events, _ = _build_backend("impl-a", g, tree, cert, seed)
+        note = f", scale raised: {len(events)} cluster(s)" if events else ""
+        print(f"impl-a flows: ok ({len(backend.tables.flows)} saturated flows{note})")
     if "impl-b" in schemes:
         if g.uniform_capacities():
-            cubes = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(0))
-            bad = audit_cube_scheme(cubes)
+            backend, _, _, _, _, bad = _build_backend("impl-b", g, tree, cert, seed)
             failures += [f"impl-b: {m}" for m in bad]
             print(f"impl-b mappings: {'ok' if not bad else f'{len(bad)} issue(s)'} "
-                  f"({len(cubes.mains)} clusters)")
+                  f"({len(backend.scheme.mains)} clusters)")
         else:
             print("impl-b mappings: skipped (graph is not unit-capacity)")
     for msg in failures:

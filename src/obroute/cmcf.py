@@ -78,10 +78,9 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
         return CMCFSolution(vertices=verts, demands={}, source_flows={},
                             edge_loads={}, congestion=0.0, lp_objective=0.0)
 
-    edge_ids = g.edges_inside(vset)
-    edges = [(g.edges[i][0], g.edges[i][1], g.edges[i][2]) for i in edge_ids]
-    if not _restriction_connected(verts, edges):
+    if len(g.hop_distances(verts[:1], vset)) != len(verts):
         raise ValueError("vertex restriction induces a disconnected subgraph")
+    edges = [g.edges[i] for i in g.edges_inside(vset)]
     msub = len(edges)
     arcs = [(u, v) for u, v, _ in edges] + [(v, u) for u, v, _ in edges]
     n_arcs = len(arcs)
@@ -180,24 +179,6 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     if bad:
         raise RuntimeError(f"solver returned flows violating demands: {bad}")
     return sol
-
-
-def _restriction_connected(verts: list[int], edges: list[tuple[int, int, int]]) -> bool:
-    if len(verts) <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
 
 
 # ---------------------------------------------------------------------------

@@ -155,34 +155,18 @@ def build_tree(g: CapacitatedGraph, target_arity: int = 2, seed: int = 0) -> Dec
     if target_arity < 2:
         raise ValueError(f"target arity must be >= 2, got {target_arity}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD15EC7)))
-    clusters: list[Cluster] = []
 
-    def create(vertices: tuple[int, ...], level: int, parent: int | None) -> int:
-        cid = len(clusters)
-        clusters.append(Cluster(id=cid, level=level, vertices=vertices, parent=parent))
-        if parent is not None:
-            clusters[parent].children.append(cid)
-        return cid
-
-    def recurse(vertices: tuple[int, ...], level: int, parent: int | None):
-        cid = create(vertices, level, parent)
+    def split(vertices: tuple[int, ...]):
         if len(vertices) == 1:
-            return
-        for part in _split_cluster(g, list(vertices), target_arity, rng):
-            recurse(tuple(sorted(part)), level + 1, cid)
+            return vertices, []
+        parts = _split_cluster(g, list(vertices), target_arity, rng)
+        return vertices, [tuple(sorted(part)) for part in parts]
 
-    recurse(tuple(range(g.n)), 0, None)
-
-    height = max(c.level for c in clusters)
-    for cid in [c.id for c in clusters if c.size == 1 and not c.children]:
-        cur = cid
-        while clusters[cur].level < height:
-            cur = create(clusters[cur].vertices, clusters[cur].level + 1, cur)
-
-    tree = DecompositionTree(clusters, seed=seed, target_arity=target_arity)
+    tree = _assemble(g, tuple(range(g.n)), split, seed, target_arity)
     cap = math.ceil(2.5 * math.log2(max(g.n, 2))) + 2
-    assert tree.height <= cap, f"tree height {tree.height} exceeds {cap} for n={g.n}"
-    return compute_weights(g, tree)
+    if tree.height > cap:
+        raise RuntimeError(f"tree height {tree.height} exceeds {cap} for n={g.n}")
+    return tree
 
 
 def tree_from_spec(g: CapacitatedGraph, spec) -> DecompositionTree:
@@ -192,10 +176,27 @@ def tree_from_spec(g: CapacitatedGraph, spec) -> DecompositionTree:
     is a cluster whose children are those singletons. Branches are padded with
     unary clusters to uniform leaf depth, then weights are computed.
     """
-    clusters: list[Cluster] = []
-
     def collect(node) -> list[int]:
         return [node] if isinstance(node, int) else [v for sub in node for v in collect(sub)]
+
+    def split(node):
+        vertices = tuple(sorted(collect(node)))
+        if isinstance(node, int):
+            return vertices, []
+        return vertices, [vertices[0]] if len(vertices) == 1 else list(node)
+
+    if sorted(collect(spec)) != list(range(g.n)):
+        raise ValueError("spec must cover every vertex exactly once")
+    return _assemble(g, spec if not isinstance(spec, int) else [spec], split,
+                     seed=-1, target_arity=0)
+
+
+def _assemble(g: CapacitatedGraph, root, split, seed: int,
+              target_arity: int) -> DecompositionTree:
+    """Create clusters depth first from `root`, where split(node) gives a node's
+    sorted vertex tuple and its child nodes; then pad every singleton leaf with
+    unary clusters down to the deepest level and compute the weights."""
+    clusters: list[Cluster] = []
 
     def create(vertices: tuple[int, ...], level: int, parent: int | None) -> int:
         cid = len(clusters)
@@ -205,28 +206,18 @@ def tree_from_spec(g: CapacitatedGraph, spec) -> DecompositionTree:
         return cid
 
     def recurse(node, level: int, parent: int | None):
-        vertices = tuple(sorted(collect(node)))
+        vertices, children = split(node)
         cid = create(vertices, level, parent)
-        if isinstance(node, int):
-            return
-        if len(vertices) == 1:
-            recurse(vertices[0], level + 1, cid)
-            return
-        for sub in node:
-            recurse(sub, level + 1, cid)
+        for child in children:
+            recurse(child, level + 1, cid)
 
-    top = collect(spec)
-    if sorted(top) != list(range(g.n)):
-        raise ValueError("spec must cover every vertex exactly once")
-    recurse(spec if not isinstance(spec, int) else [spec], 0, None)
-
+    recurse(root, 0, None)
     height = max(c.level for c in clusters)
     for cid in [c.id for c in clusters if c.size == 1 and not c.children]:
         cur = cid
         while clusters[cur].level < height:
             cur = create(clusters[cur].vertices, clusters[cur].level + 1, cur)
-    tree = DecompositionTree(clusters, seed=-1, target_arity=0)
-    return compute_weights(g, tree)
+    return compute_weights(g, DecompositionTree(clusters, seed=seed, target_arity=target_arity))
 
 
 def _split_cluster(g: CapacitatedGraph, vertices: list[int], arity: int,
@@ -247,7 +238,7 @@ def _grow_parts(g: CapacitatedGraph, vertices: list[int], k: int,
     inside = set(vertices)
     seeds = [int(rng.choice(vertices))]
     while len(seeds) < k:
-        dist = _multi_bfs(g, inside, seeds)
+        dist = g.hop_distances(seeds, inside)
         far = max(((d, -v) for v, d in dist.items() if v not in seeds), default=None)
         if far is None:
             break
@@ -282,21 +273,10 @@ def _grow_parts(g: CapacitatedGraph, vertices: list[int], k: int,
                                      if u in inside and u not in owner)
             if not any(queues):
                 leftover = [v for v in vertices if v not in owner]
-                assert not leftover, f"grow stalled with {leftover} unassigned"
+                if leftover:
+                    raise RuntimeError(f"grow stalled with {leftover} unassigned")
                 break
     return parts
-
-
-def _multi_bfs(g: CapacitatedGraph, inside: set[int], sources: list[int]) -> dict[int, int]:
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u in inside and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 def _refine_parts(g: CapacitatedGraph, vertices: list[int], parts: list[set[int]],
@@ -324,7 +304,8 @@ def _refine_parts(g: CapacitatedGraph, vertices: list[int], parts: list[set[int]
                 continue
             if len(parts[best]) + 1 > size_limit:
                 continue
-            if not _connected_without(g, parts[p], v):
+            rest = parts[p] - {v}
+            if len(g.hop_distances([next(iter(rest))], rest)) != len(rest):
                 continue
             parts[p].discard(v)
             parts[best].add(v)
@@ -333,22 +314,6 @@ def _refine_parts(g: CapacitatedGraph, vertices: list[int], parts: list[set[int]
         if not moved:
             break
     return parts
-
-
-def _connected_without(g: CapacitatedGraph, part: set[int], v: int) -> bool:
-    rest = part - {v}
-    if len(rest) <= 1:
-        return True
-    start = next(iter(rest))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for u in g.neighbors(x):
-            if u in rest and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +387,7 @@ def certify_congestion(g: CapacitatedGraph, tree: DecompositionTree,
         if c.size == 1 or c.total_weight == 0:
             per_cluster[c.id] = 0.0
             continue
-        total = c.total_weight
-        half: dict[tuple[int, int], float] = {}
-        for i, u in enumerate(c.vertices):
-            wu = c.cluster_weight[u]
-            if wu == 0:
-                continue
-            for v in c.vertices[i + 1:]:
-                wv = c.cluster_weight[v]
-                if wv:
-                    half[(u, v)] = 2.0 * wu * wv / total
+        half = {(u, v): 2.0 * d for (u, v), d in cmcf_instance(c).entries.items() if u < v}
         sol = solve_cmcf_min_congestion(g, half, restrict=set(c.vertices), method=method)
         per_cluster[c.id] = sol.congestion
         if store_solutions:

@@ -23,9 +23,8 @@ import numpy as np
 
 from obroute.decomposition import (DecompositionTree, audit_tree, build_tree,
                                    certify_congestion)
-from obroute.graph import (CapacitatedGraph, DemandMatrix, graph_stats,
-                           grid_graph, hypercube_graph, parse_graph,
-                           random_regular_graph, torus_graph)
+from obroute.graph import (CapacitatedGraph, DemandMatrix, generate_graph,
+                           graph_stats, parse_graph)
 from obroute.impl_a import (build_flow_tables, header_bit_length,
                             label_bit_length, measure_table_bits_a)
 from obroute.impl_b import audit_cube_scheme, build_cube_scheme, measure_table_bits_b
@@ -71,28 +70,26 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 def _generated_graph(spec: str) -> CapacitatedGraph:
     kind, _, arg = spec.partition(":")
+    if kind not in ("grid", "torus", "hypercube", "random_regular"):
+        raise ValueError(f"unknown generator kind {kind!r} "
+                         "(grid, torus, hypercube, random_regular)")
     try:
-        if kind == "grid":
-            dims, _, caps = arg.partition(":")
+        if kind == "hypercube":
+            params = {"dim": int(arg)}
+        elif kind == "random_regular":
+            fields = [int(x) for x in arg.split(",")]
+            params = {"n": fields[0], "deg": fields[1],
+                      "seed": fields[2] if len(fields) > 2 else 0}
+        else:
+            dims, _, caps = arg.partition(":") if kind == "grid" else (arg, "", "")
             rows, cols = (int(x) for x in dims.split("x"))
+            params = {"rows": rows, "cols": cols}
             if caps:
                 lo, hi = (int(x) for x in caps.split("-"))
-                return grid_graph(rows, cols, cap_range=(lo, hi), seed=0)
-            return grid_graph(rows, cols)
-        if kind == "torus":
-            rows, cols = (int(x) for x in arg.split("x"))
-            return torus_graph(rows, cols)
-        if kind == "hypercube":
-            return hypercube_graph(int(arg))
-        if kind == "random_regular":
-            fields = [int(x) for x in arg.split(",")]
-            n, deg = fields[0], fields[1]
-            seed = fields[2] if len(fields) > 2 else 0
-            return random_regular_graph(n, deg, seed)
+                params.update(cap_range=(lo, hi), seed=0)
+        return generate_graph(kind, **params)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown generator kind {kind!r} "
-                     "(grid, torus, hypercube, random_regular)")
 
 
 def graph_from_config(cfg: dict[str, str]) -> CapacitatedGraph:

@@ -125,7 +125,8 @@ def max_flow_integral(arcs: list[tuple[int, int, int]], s: int, t: int) -> FlowA
     flows: dict[tuple[int, int], float] = {}
     for k, (iu, pos, cap0) in enumerate(arc_ref):
         f = cap0 - graph[iu][pos][1]
-        assert 0 <= f <= cap0, f"arc flow {f} outside [0,{cap0}]"
+        if not 0 <= f <= cap0:
+            raise RuntimeError(f"arc flow {f} outside [0,{cap0}]")
         if f > 0:
             u, v = arcs[k][0], arcs[k][1]
             flows[(u, v)] = flows.get((u, v), 0) + f

@@ -1,6 +1,7 @@
 """Capacitated undirected graphs: parsing, generation, validation, demand matrices."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,18 +18,6 @@ __all__ = [
 
 class GraphFormatError(ValueError):
     """Raised when a graph file or graph structure fails validation."""
-
-
-def _bfs_component(n: int, adj: list[list[tuple[int, int]]], start: int) -> set[int]:
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for u, _ in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
 
 
 class CapacitatedGraph:
@@ -67,11 +56,10 @@ class CapacitatedGraph:
             self.adj[v].append((u, idx))
             self._edge_index[(u, v)] = idx
             self._edge_index[(v, u)] = idx
-        if n > 1:
-            reached = _bfs_component(n, self.adj, 0)
-            if len(reached) != n:
-                missing = min(set(range(n)) - reached)
-                raise GraphFormatError(f"graph is disconnected (vertex {missing} unreachable from 0)")
+        reached = self.hop_distances([0])
+        if len(reached) != n:
+            missing = min(set(range(n)) - reached.keys())
+            raise GraphFormatError(f"graph is disconnected (vertex {missing} unreachable from 0)")
 
     @property
     def m(self) -> int:
@@ -99,6 +87,25 @@ class CapacitatedGraph:
 
     def neighbors(self, v: int) -> list[int]:
         return [u for u, _ in self.adj[v]]
+
+    def hop_distances(self, sources, within: set[int] | None = None) -> dict[int, int]:
+        """Breadth-first hop distance from the nearest source to every vertex
+        reachable inside `within` (default: the whole graph).
+
+        The sources count as reached even outside `within`; so the subgraph
+        induced by a nonempty `within` is connected exactly when
+        len(hop_distances([s], within)) == len(within) for any s in it.
+        """
+        dist = {s: 0 for s in sources}
+        queue = deque(dist)
+        while queue:
+            v = queue.popleft()
+            step = dist[v] + 1
+            for u, _ in self.adj[v]:
+                if u not in dist and (within is None or u in within):
+                    dist[u] = step
+                    queue.append(u)
+        return dist
 
     def uniform_capacities(self) -> bool:
         return all(c == 1 for _, _, c in self.edges)

@@ -30,6 +30,7 @@ the bit length of the largest capacity in that flow's augmented network.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,7 +238,8 @@ def _topological(fa: FlowAssignment, direction: str) -> list[int]:
             indeg[u] -= 1
             if indeg[u] == 0:
                 queue.append(u)
-    assert len(order) == len(verts), "flow has a residual cycle"
+    if len(order) != len(verts):
+        raise RuntimeError("flow has a residual cycle")
     return order
 
 
@@ -251,7 +253,8 @@ def assign_labels(tree: DecompositionTree) -> dict[int, tuple[int, ...]]:
     for v in sorted(tree.leaf_of):
         path = tree.leaf_path(v)
         labels[v] = tuple(tree.child_index(p, c) for p, c in zip(path, path[1:]))
-    assert len(set(labels.values())) == len(labels), "labels must be unique"
+    if len(set(labels.values())) != len(labels):
+        raise RuntimeError("labels must be unique")
     return labels
 
 
@@ -291,27 +294,37 @@ def _amount_width(tables: FlowTables, cluster_id: int, index: int) -> int:
     return max(1, biggest.bit_length())
 
 
-def _vertex_entries(tables: FlowTables, cluster_id: int, index: int,
-                    v: int) -> list[tuple[int, int]]:
-    """(slot, amount) pairs stored at v: in/out per incident edge, then source, sink."""
-    fa = tables.flows[(cluster_id, index)]
+def _table_fields(tables: FlowTables,
+                  vertices: Iterable[int]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Per vertex, the (value, width) fields of its table in the documented
+    layout, flows in (cluster id, target index) order."""
+    tree = tables.tree
     g = tables.graph
-    entries: list[tuple[int, int]] = []
-    for slot, (u, _) in enumerate(g.adj[v]):
-        fin = fa.arcs.get((u, v), 0)
-        fout = fa.arcs.get((v, u), 0)
-        if fin:
-            entries.append((2 * slot, int(fin)))
-        if fout:
-            entries.append((2 * slot + 1, int(fout)))
-    deg = g.degree(v)
-    fsrc = fa.arcs.get((SRC, v), 0)
-    fsnk = fa.arcs.get((v, SNK), 0)
-    if fsrc:
-        entries.append((2 * deg, int(fsrc)))
-    if fsnk:
-        entries.append((2 * deg + 1, int(fsnk)))
-    return entries
+    id_bits = max(1, math.ceil(math.log2(max(2, len(tree.clusters)))))
+    index_bits = max(1, math.ceil(math.log2(max(2, tree.degree + 1))))
+    widths: dict[tuple[int, int], int] = {}
+    for v in vertices:
+        deg = g.degree(v)
+        count_bits = max(1, math.ceil(math.log2(2 * deg + 3)))
+        slot_bits = max(1, math.ceil(math.log2(max(2, 2 * deg + 2))))
+        # slot order: in, out per incident edge, then source, sink
+        slot_arcs = [arc for u, _ in g.adj[v] for arc in ((u, v), (v, u))] + [(SRC, v), (v, SNK)]
+        fields: list[tuple[int, int]] = []
+        for cid in sorted(tree.leaf_path(v)):
+            for index in range(len(tree.cluster(cid).children) + 1):
+                fa = tables.flows.get((cid, index))
+                if fa is None:
+                    continue
+                entries = [(slot, int(fa.arcs[arc])) for slot, arc in enumerate(slot_arcs)
+                           if fa.arcs.get(arc, 0)]
+                if not entries:
+                    continue
+                if (cid, index) not in widths:
+                    widths[(cid, index)] = _amount_width(tables, cid, index)
+                fields += [(cid, id_bits), (index, index_bits), (len(entries), count_bits)]
+                for slot, amount in entries:
+                    fields += [(slot, slot_bits), (amount, widths[(cid, index)])]
+        yield v, fields
 
 
 @dataclass
@@ -323,55 +336,21 @@ class TableBits:
 
 def measure_table_bits_a(tables: FlowTables) -> TableBits:
     """Count the documented layout bit for bit; empty tables count zero."""
-    tree = tables.tree
-    g = tables.graph
-    id_bits = max(1, math.ceil(math.log2(max(2, len(tree.clusters)))))
-    index_bits = max(1, math.ceil(math.log2(max(2, tree.degree + 1))))
-    per_vertex: dict[int, int] = {v: 0 for v in range(g.n)}
-    for (cid, index), _ in tables.flows.items():
-        width = _amount_width(tables, cid, index)
-        for v in tree.cluster(cid).vertices:
-            entries = _vertex_entries(tables, cid, index, v)
-            if not entries:
-                continue
-            deg = g.degree(v)
-            count_bits = max(1, math.ceil(math.log2(2 * deg + 3)))
-            slot_bits = max(1, math.ceil(math.log2(max(2, 2 * deg + 2))))
-            per_vertex[v] += (id_bits + index_bits + count_bits
-                              + len(entries) * (slot_bits + width))
-    total = sum(per_vertex.values())
+    per_vertex = {v: sum(width for _, width in fields)
+                  for v, fields in _table_fields(tables, range(tables.graph.n))}
     return TableBits(per_vertex=per_vertex,
                      max_bits=max(per_vertex.values(), default=0),
-                     total_bits=total)
+                     total_bits=sum(per_vertex.values()))
 
 
 def serialize_vertex_table(tables: FlowTables, v: int) -> bytes:
     """Pack v's tables into the documented layout, padded to whole bytes."""
-    bits: list[tuple[int, int]] = []   # (value, width)
-    tree = tables.tree
-    g = tables.graph
-    id_bits = max(1, math.ceil(math.log2(max(2, len(tree.clusters)))))
-    index_bits = max(1, math.ceil(math.log2(max(2, tree.degree + 1))))
-    for (cid, index) in sorted(tables.flows):
-        if v not in tree.cluster(cid).cluster_weight:
-            continue
-        entries = _vertex_entries(tables, cid, index, v)
-        if not entries:
-            continue
-        deg = g.degree(v)
-        count_bits = max(1, math.ceil(math.log2(2 * deg + 3)))
-        slot_bits = max(1, math.ceil(math.log2(max(2, 2 * deg + 2))))
-        width = _amount_width(tables, cid, index)
-        bits.append((cid, id_bits))
-        bits.append((index, index_bits))
-        bits.append((len(entries), count_bits))
-        for slot, amount in entries:
-            bits.append((slot, slot_bits))
-            bits.append((amount, width))
     acc = 0
     nbits = 0
-    for value, width in bits:
-        assert 0 <= value < (1 << width), f"value {value} overflows {width} bits"
+    [(_, fields)] = _table_fields(tables, [v])
+    for value, width in fields:
+        if not 0 <= value < (1 << width):
+            raise RuntimeError(f"value {value} overflows {width} bits")
         acc = (acc << width) | value
         nbits += width
     pad = (-nbits) % 8

@@ -53,6 +53,7 @@ import numpy as np
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import Cluster, DecompositionTree
 from obroute.graph import CapacitatedGraph
+from obroute.impl_a import TableBits
 
 __all__ = ["RoundedSizes", "CubeMaps", "CubeScheme", "round_and_order",
            "build_embedding", "build_rerand_cube", "build_cube_scheme",
@@ -546,10 +547,8 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
     return bad
 
 
-def measure_table_bits_b(scheme: CubeScheme):
+def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
     """Bit count of the documented layout per vertex (see module docstring)."""
-    from obroute.impl_a import TableBits
-
     g = scheme.graph
     tree = scheme.tree
     weight_cap = 2 * g.m * max(1, g.max_capacity)   # no border total can exceed this

@@ -1,15 +1,11 @@
-"""Optimal-congestion oracle: LP lower bound for any routing scheme, plus an
-independent brute-force check for tiny instances."""
+"""Optimal-congestion oracle: the LP lower bound for any routing scheme, and
+the competitive ratio against it."""
 from __future__ import annotations
-
-from itertools import combinations
-
-import numpy as np
 
 from obroute.cmcf import solve_cmcf_min_congestion
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
-__all__ = ["optimal_congestion", "brute_force_congestion", "competitive_ratio"]
+__all__ = ["optimal_congestion", "competitive_ratio"]
 
 
 def optimal_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict) -> float:
@@ -25,102 +21,3 @@ def competitive_ratio(scheme_congestion: float, optimal: float) -> float:
         raise ValueError(f"positive scheme congestion {scheme_congestion} with zero "
                          "optimal congestion is inconsistent")
     return scheme_congestion / optimal
-
-
-def _all_simple_paths(g: CapacitatedGraph, s: int, t: int) -> list[list[int]]:
-    out: list[list[int]] = []
-    stack = [(s, [s], {s})]
-    while stack:
-        v, path, seen = stack.pop()
-        if v == t:
-            out.append(path)
-            continue
-        for u in g.neighbors(v):
-            if u not in seen:
-                stack.append((u, path + [u], seen | {u}))
-    return out
-
-
-def brute_force_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
-                           resolution: float = 1e-3, seed: int = 0) -> float:
-    """Optimal congestion by enumerating simple paths and searching path splits.
-
-    Grid search over pairwise weight transfers at decreasing resolutions with
-    random restarts; the final resolution is `resolution`. Limited to n <= 6
-    and at most 3 commodities so enumeration stays honest.
-    """
-    entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
-    entries = {p: float(d) for p, d in entries.items() if d > 0}
-    if g.n > 6:
-        raise ValueError(f"brute-force oracle handles n <= 6, got n = {g.n}")
-    if len(entries) > 3:
-        raise ValueError(f"brute-force oracle handles <= 3 commodities, got {len(entries)}")
-    if not entries:
-        return 0.0
-
-    caps = np.array([c for _, _, c in g.edges], dtype=float)
-    coms = []
-    for (s, t), d in sorted(entries.items()):
-        paths = _all_simple_paths(g, s, t)
-        if not paths:
-            raise ValueError(f"no path between {s} and {t}")
-        if len(paths) > 16:
-            raise ValueError("instance too large for the brute-force oracle")
-        inc = np.zeros((len(paths), g.m))
-        for i, p in enumerate(paths):
-            for a, b in zip(p, p[1:]):
-                inc[i, g.edge_index(a, b)] += 1.0
-        coms.append((d, inc))
-
-    def congestion(ws: list[np.ndarray]) -> float:
-        loads = np.zeros(g.m)
-        for (d, inc), w in zip(coms, ws):
-            loads += d * (w @ inc)
-        return float((loads / caps).max()) if g.m else 0.0
-
-    rng = np.random.default_rng(seed)
-    starts = [[np.full(inc.shape[0], 1.0 / inc.shape[0]) for _, inc in coms]]
-    for _ in range(5):
-        starts.append([rng.dirichlet(np.ones(inc.shape[0])) for _, inc in coms])
-
-    best = None
-    for ws in starts:
-        ws = [w.copy() for w in ws]
-        cur = congestion(ws)
-        for step in (0.05, 0.01, resolution):
-            improved = True
-            while improved:
-                improved = False
-                for k, w in enumerate(ws):
-                    npaths = len(w)
-                    for i, j in combinations(range(npaths), 2):
-                        moved = _best_transfer(congestion, ws, k, i, j, step, cur)
-                        if moved is not None:
-                            cur = moved
-                            improved = True
-        if best is None or cur < best:
-            best = cur
-    return best
-
-
-def _best_transfer(congestion, ws, k, i, j, step, cur) -> float | None:
-    """Try shifting weight between paths i and j of commodity k on a step grid."""
-    w = ws[k]
-    best_t, best_val = 0.0, cur
-    t = -w[j]
-    grid = np.arange(-int(w[j] / step), int(w[i] / step) + 1) * step
-    for t in grid:
-        if t == 0.0:
-            continue
-        w[i] -= t
-        w[j] += t
-        val = congestion(ws)
-        w[i] += t
-        w[j] -= t
-        if val < best_val - 1e-12:
-            best_val, best_t = val, t
-    if best_t != 0.0:
-        w[i] -= best_t
-        w[j] += best_t
-        return best_val
-    return None

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import single_edge, triangle
+from helpers import brute_force_congestion, single_edge, triangle
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import audit_tree, build_tree, certify_congestion
 from obroute.experiment import SCHEMES, demand_battery, parse_config, run_experiment
@@ -24,7 +24,7 @@ from obroute.impl_a import (build_flow_tables, endpoint_distribution,
                             measure_table_bits_a, route_to_border)
 from obroute.impl_b import (_embedding_demands, audit_cube_scheme, build_cube_scheme,
                             build_embedding, build_rerand_cube, measure_table_bits_b)
-from obroute.optimum import brute_force_congestion, optimal_congestion
+from obroute.optimum import optimal_congestion
 from obroute.routing import (FlowTableBackend, HypercubeBackend, ReferenceBackend,
                              route_demands)
 

@@ -8,12 +8,13 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import path_graph, single_edge
-from obroute import cmcf
+from obroute import cmcf, experiment
 from obroute.cli import main
-from obroute.decomposition import DecompositionTree
+from obroute.decomposition import DecompositionTree, build_tree, certify_congestion
 from obroute.experiment import (SCHEMES, demand_battery, graph_from_config,
                                 load_config, parse_config, run_experiment)
 from obroute.graph import grid_graph
+from obroute.impl_b import audit_cube_scheme
 
 
 # ---------------------------------------------------------------- config
@@ -330,6 +331,30 @@ def test_cli_audit(capsys):
     assert main(["audit", "--generate", "grid:2x2:2-4"]) == 0
     outp = capsys.readouterr().out
     assert "impl-b mappings: skipped" in outp
+
+
+def test_cli_audit_checks_the_cubes_route_builds(monkeypatch, capsys):
+    audited = []
+
+    def recording_audit(scheme):
+        audited.append(scheme)
+        return audit_cube_scheme(scheme)
+
+    monkeypatch.setattr(experiment, "audit_cube_scheme", recording_audit)
+    assert main(["audit", "--generate", "grid:4x4", "--seed", "3",
+                 "--scheme", "impl-b"]) == 0
+    assert "impl-b mappings: ok" in capsys.readouterr().out
+    monkeypatch.undo()
+
+    g = grid_graph(4, 4)
+    tree = build_tree(g, seed=3)
+    cert = certify_congestion(g, tree)
+    routed = experiment._build_backend("impl-b", g, tree, cert, seed=3)[0].scheme
+    (checked,) = audited
+    for cid in routed.mains:
+        for cubes in ("mains", "shuffles"):
+            assert (getattr(checked, cubes)[cid].edge_paths
+                    == getattr(routed, cubes)[cid].edge_paths)
 
 
 def test_cli_report(tmp_path, capsys):

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from obroute.graph import (
     CapacitatedGraph,
@@ -114,6 +116,43 @@ def test_serialize_parse_round_trip(g):
 @given(connected_graphs())
 def test_degree_sum_is_twice_m(g):
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    g = draw(connected_graphs())
+    within = draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    sources = draw(st.sets(st.sampled_from(sorted(within)), min_size=1))
+    return g, within, sources
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_subsets())
+def test_hop_distances_match_scipy_on_induced_subgraph(case):
+    g, within, sources = case
+    order = sorted(within)
+    pos = {v: i for i, v in enumerate(order)}
+    inside = [(pos[u], pos[v]) for u, v, _ in g.edges if u in within and v in within]
+    rows = [a for a, _ in inside]
+    cols = [b for _, b in inside]
+    adj = sp.csr_matrix((np.ones(len(inside)), (rows, cols)), shape=(len(order),) * 2)
+    hops = shortest_path(adj, directed=False, unweighted=True,
+                         indices=[pos[s] for s in sorted(sources)]).min(axis=0)
+    expected = {v: int(hops[pos[v]]) for v in order if np.isfinite(hops[pos[v]])}
+    assert g.hop_distances(sorted(sources), within) == expected
+
+    n_parts, _ = connected_components(adj, directed=False)
+    start = min(within)
+    assert (len(g.hop_distances([start], within)) == len(within)) == (n_parts == 1)
+
+
+def test_hop_distances_small_path():
+    g = CapacitatedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    assert g.hop_distances([0]) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert g.hop_distances([0, 3]) == {0: 0, 3: 0, 1: 1, 2: 1}
+    # path 0-1-2-3 without vertex 1: {0, 2, 3} falls apart, {2, 3} does not
+    assert len(g.hop_distances([0], {0, 2, 3})) != 3
+    assert len(g.hop_distances([2], {2, 3})) == 2
 
 
 def test_incident_capacity():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import path_graph, single_edge
+from obroute import impl_a
 from obroute.decomposition import certify_congestion, tree_from_spec, build_tree
 from obroute.flows import SNK, SRC
 from obroute.graph import CapacitatedGraph, generate_graph
@@ -233,6 +234,81 @@ def test_blob_round_matches_bit_count(four_cycle_tables):
         blob = serialize_vertex_table(tables, v)
         assert len(blob) == (bits + 7) // 8
     assert serialize_vertex_table(tables, 0) == serialize_vertex_table(tables, 0)
+
+
+def _decode_table(g, tree, tables, v, blob):
+    """Read v's blob back with the layout of the impl_a docstring, computing
+    every field width from the tree and the graph. Returns the decoded
+    (cluster, index, slot, amount) records and the bits they occupy."""
+    bits = "".join(f"{byte:08b}" for byte in blob)
+    pos = 0
+
+    def take(width):
+        nonlocal pos
+        pos += width
+        return int(bits[pos - width:pos], 2)
+
+    id_bits = max(1, math.ceil(math.log2(max(2, len(tree.clusters)))))
+    index_bits = max(1, math.ceil(math.log2(tree.degree + 1)))
+    deg = g.degree(v)
+    count_bits = math.ceil(math.log2(2 * deg + 3))
+    slot_bits = max(1, math.ceil(math.log2(2 * deg + 2)))
+    records = []
+    while len(bits) - pos >= 8:   # every table header is wider than the padding
+        cid, index, count = take(id_bits), take(index_bits), take(count_bits)
+        cluster = tree.cluster(cid)
+        out_map = (cluster.border_weight if index == 0
+                   else tree.cluster(cluster.children[index - 1]).border_weight)
+        caps = [cap for a, b, cap in g.edges if a in cluster.vertices and b in cluster.vertices]
+        biggest = max(max(caps, default=0) * cluster.total_weight * tables.cluster_c[cid],
+                      max(cluster.cluster_weight.values()) * sum(out_map.values()),
+                      max(out_map.values()) * cluster.total_weight)
+        for _ in range(count):
+            records.append((cid, index, take(slot_bits), take(biggest.bit_length())))
+    assert set(bits[pos:]) <= {"0"}, "padding must be zero bits"
+    return records, pos
+
+
+def test_blob_decodes_to_the_stored_flows():
+    g = generate_graph("grid", rows=4, cols=4)
+    tree, _, tables = build_all(g)
+    counts = measure_table_bits_a(tables)
+    for v in range(g.n):
+        records, used = _decode_table(g, tree, tables, v, serialize_vertex_table(tables, v))
+        assert used == counts.per_vertex[v]
+        nbrs = g.neighbors(v)
+        deg = len(nbrs)
+        arcs = {}
+        for cid, index, slot, amount in records:
+            if slot < 2 * deg:
+                u = nbrs[slot // 2]
+                arc = (u, v) if slot % 2 == 0 else (v, u)
+            else:
+                assert slot in (2 * deg, 2 * deg + 1)
+                arc = (SRC, v) if slot == 2 * deg else (v, SNK)
+            assert amount == tables.flows[(cid, index)].arcs.get(arc, 0) > 0
+            arcs[(cid, index, arc)] = amount
+        stored = {(cid, index, arc): f for (cid, index), fa in tables.flows.items()
+                  for arc, f in fa.arcs.items() if v in arc and f > 0}
+        assert arcs == stored
+
+
+def test_measure_computes_each_amount_width_once(monkeypatch):
+    g = generate_graph("grid", rows=4, cols=4)
+    _, _, tables = build_all(g)
+    calls = []
+    width = impl_a._amount_width
+    monkeypatch.setattr(impl_a, "_amount_width", lambda *key: calls.append(key) or width(*key))
+    measure_table_bits_a(tables)
+    assert sorted(key[1:] for key in calls) == sorted(tables.flows)
+
+
+def test_serializer_rejects_amount_too_wide_for_its_field():
+    g = single_edge()
+    _, _, tables = build_all(g, [0, 1])
+    tables.flows[(0, 1)].arcs[(SRC, 0)] = 1 << 40
+    with pytest.raises(RuntimeError, match="overflows"):
+        serialize_vertex_table(tables, 0)
 
 
 def test_build_rejects_bad_scale(four_cycle_tables):

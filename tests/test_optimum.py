@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from obroute.graph import CapacitatedGraph, DemandMatrix
-from obroute.optimum import brute_force_congestion, competitive_ratio, optimal_congestion
-from helpers import cycle_graph, single_edge, triangle
+from obroute.optimum import competitive_ratio, optimal_congestion
+from helpers import brute_force_congestion, cycle_graph, single_edge, triangle
 
 
 # oracle battery: values derived by hand from the two-path split argument
