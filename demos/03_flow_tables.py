@@ -11,8 +11,7 @@ import numpy as np
 
 from obroute import build_flow_tables, build_tree, certify_congestion, generate_graph
 from obroute.impl_a import (endpoint_distribution, label_bit_length,
-                            measure_table_bits_a, route_to_border,
-                            serialize_vertex_table)
+                            measure_table_bits_a, serialize_vertex_table)
 
 g = generate_graph("grid", rows=4, cols=4)
 tree = build_tree(g, target_arity=2, seed=0)
@@ -39,7 +38,7 @@ rng = np.random.default_rng(0)
 n = 20_000
 counts: dict[int, int] = {}
 for v in rng.choice(starts, size=n, p=np.array(weights) / total_w):
-    _, end = route_to_border(tables, root.id, 2, int(v), rng)
+    _, end = tables.to_border(root.id, 2, int(v), rng)
     counts[end] = counts.get(end, 0) + 1
 
 out_total = child.total_border

@@ -12,7 +12,7 @@ incident cube edge.
 import numpy as np
 
 from obroute import build_cube_scheme, build_tree, certify_congestion, generate_graph
-from obroute.impl_b import audit_cube_scheme, measure_table_bits_b, route_to_border_b
+from obroute.impl_b import audit_cube_scheme, measure_table_bits_b
 
 g = generate_graph("grid", rows=4, cols=4)
 tree = build_tree(g, target_arity=2, seed=0)
@@ -26,7 +26,7 @@ maps = scheme.mains[root.id]
 print(f"\nroot main cube: dimension {maps.dimension}, {1 << maps.dimension} nodes")
 print(f"  own border rounded to {sizes.own} node(s)")
 for layout, rounded in enumerate(sizes.children, start=1):
-    child = tree.cluster(root.children[sizes.layout_to_child[layout - 1] - 1])
+    child = tree.target(root.id, sizes.layout_to_child[layout - 1])
     lo, hi = sizes.range_of(layout)
     print(f"  child {child.id} (out {child.total_border}) -> "
           f"{rounded} nodes, range [{lo}, {hi})")
@@ -40,7 +40,7 @@ print(f"\naudit: {len(issues)} issue(s)" + ("" if issues else
 
 rng = np.random.default_rng(3)
 start = next(v for v in sorted(root.vertices) if root.cluster_weight[v] > 0)
-path, end = route_to_border_b(scheme, root.id, 1, start, rng)
+path, end = scheme.to_border(root.id, 1, start, rng)
 print(f"\ncube walk from vertex {start} toward the first child: "
       f"{len(path) - 1} edge(s), ends at {end}")
 

@@ -19,8 +19,6 @@ from obroute.impl_a import build_flow_tables, measure_table_bits_a
 from obroute.impl_b import audit_cube_scheme, build_cube_scheme, measure_table_bits_b
 from obroute.optimum import competitive_ratio, optimal_congestion
 from obroute.routing import (
-    FlowTableBackend,
-    HypercubeBackend,
     LoadReport,
     ReferenceBackend,
     route_demands,

@@ -94,13 +94,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if "impl-a" in schemes:
         backend, _, _, _, events, _ = _build_backend("impl-a", g, tree, cert, seed)
         note = f", scale raised: {len(events)} cluster(s)" if events else ""
-        print(f"impl-a flows: ok ({len(backend.tables.flows)} saturated flows{note})")
+        print(f"impl-a flows: ok ({len(backend.flows)} saturated flows{note})")
     if "impl-b" in schemes:
         if g.uniform_capacities():
             backend, _, _, _, _, bad = _build_backend("impl-b", g, tree, cert, seed)
             failures += [f"impl-b: {m}" for m in bad]
             print(f"impl-b mappings: {'ok' if not bad else f'{len(bad)} issue(s)'} "
-                  f"({len(backend.scheme.mains)} clusters)")
+                  f"({len(backend.mains)} clusters)")
         else:
             print("impl-b mappings: skipped (graph is not unit-capacity)")
     for msg in failures:

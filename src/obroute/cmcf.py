@@ -60,8 +60,7 @@ class CMCFSolution:
 
 
 def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
-                              restrict: set[int] | None = None,
-                              method: str | None = None) -> CMCFSolution:
+                              restrict: set[int] | None = None) -> CMCFSolution:
     """Solve min-congestion routing of `demands` inside G[restrict].
 
     Returns per-source cycle-free flows. Infeasibility is impossible on a
@@ -137,8 +136,7 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
 
     cost = np.zeros(nvar)
     cost[lam] = 1.0
-    if method is None:
-        method = "highs" if nvar <= _IPM_THRESHOLD else "highs-ipm"
+    method = "highs" if nvar <= _IPM_THRESHOLD else "highs-ipm"
     res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(msub), A_eq=A_eq, b_eq=b_eq,
                   bounds=(0, None), method=method)
     if res.status != 0:

@@ -88,6 +88,12 @@ class DecompositionTree:
     def child_index(self, parent_id: int, child_id: int) -> int:
         return self.clusters[parent_id].children.index(child_id)
 
+    def target(self, cluster_id: int, index: int) -> Cluster:
+        """Target `index` of a cluster: 0 is the cluster itself, k >= 1 its
+        k-th child (child_index + 1)."""
+        cluster = self.clusters[cluster_id]
+        return cluster if index == 0 else self.clusters[cluster.children[index - 1]]
+
     def ancestor_at(self, v: int, level: int) -> int:
         return self.leaf_path(v)[level]
 
@@ -373,8 +379,7 @@ class CongestionCertificate:
 
 
 def certify_congestion(g: CapacitatedGraph, tree: DecompositionTree,
-                       store_solutions: bool = False,
-                       method: str | None = None) -> CongestionCertificate:
+                       store_solutions: bool = False) -> CongestionCertificate:
     """Solve every cluster's product-demand instance and record the worst congestion.
 
     Symmetric pairs are solved once (u < v at doubled demand); reversing those
@@ -388,7 +393,7 @@ def certify_congestion(g: CapacitatedGraph, tree: DecompositionTree,
             per_cluster[c.id] = 0.0
             continue
         half = {(u, v): 2.0 * d for (u, v), d in cmcf_instance(c).entries.items() if u < v}
-        sol = solve_cmcf_min_congestion(g, half, restrict=set(c.vertices), method=method)
+        sol = solve_cmcf_min_congestion(g, half, restrict=set(c.vertices))
         per_cluster[c.id] = sol.congestion
         if store_solutions:
             solutions[c.id] = sol

@@ -18,6 +18,8 @@ import numpy as np
 SRC = -1
 SNK = -2
 
+_DECOMPOSE_REL_TOL = 1e-9   # decompose_paths drops residual below this share of the value
+
 __all__ = ["SRC", "SNK", "FlowAssignment", "max_flow_integral", "cancel_cycles",
            "sample_path", "decompose_paths", "decompose_by_sink"]
 
@@ -227,15 +229,13 @@ def cancel_cycles(fa: FlowAssignment, eps: float = 0.0) -> FlowAssignment:
     return out
 
 
-def sample_path(fa: FlowAssignment, start: int, direction: str = "forward",
-                rng: np.random.Generator | None = None) -> list[int]:
+def sample_path(fa: FlowAssignment, start: int, direction: str,
+                rng: np.random.Generator) -> list[int]:
     """Random walk along (or against) the flow, terminating at the super-terminal.
 
     Step probabilities are proportional to arc flow. The returned path contains
     graph vertices only. Requires an acyclic assignment.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     if not fa.is_acyclic():
@@ -281,18 +281,19 @@ def _widest_path(adj: dict[int, dict[int, float]], s: int, t: int) -> list[int] 
     return path[::-1]
 
 
-def decompose_paths(fa: FlowAssignment, rel_tol: float = 1e-9) -> list[tuple[list[int], float]]:
+def decompose_paths(fa: FlowAssignment) -> list[tuple[list[int], float]]:
     """Decompose into weighted source-to-sink paths by repeated widest-path extraction.
 
     Each extraction zeroes at least one arc, so at most |arcs| paths result.
-    Returned paths exclude the terminals. Residual below rel_tol * value is dropped.
+    Returned paths exclude the terminals. Residual below _DECOMPOSE_REL_TOL *
+    value is dropped.
     """
     if not fa.is_acyclic():
         raise ValueError("decompose_paths requires an acyclic flow")
     adj: dict[int, dict[int, float]] = {}
     for (a, b), f in fa.arcs.items():
         adj.setdefault(a, {})[b] = f
-    cutoff = max(rel_tol * max(fa.value, 1.0), 1e-15)
+    cutoff = max(_DECOMPOSE_REL_TOL * max(fa.value, 1.0), 1e-15)
     out: list[tuple[list[int], float]] = []
     while True:
         path = _widest_path(adj, fa.source, fa.sink)

@@ -38,9 +38,9 @@ import numpy as np
 from obroute.decomposition import DecompositionTree
 from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_integral, sample_path
 from obroute.graph import CapacitatedGraph
+from obroute.routing import Law, Loads
 
-__all__ = ["FlowTables", "build_flow_tables", "route_to_border", "route_from_border",
-           "endpoint_distribution", "walk_loads", "assign_labels",
+__all__ = ["FlowTables", "build_flow_tables", "endpoint_distribution", "assign_labels",
            "label_bit_length", "header_bit_length", "measure_table_bits_a",
            "serialize_vertex_table"]
 
@@ -49,6 +49,10 @@ _MAX_DOUBLINGS = 12
 
 @dataclass
 class FlowTables:
+    """The impl-a scheme, and its own hop backend (routing.SchemeBackend):
+    to_border walks the (cluster, index) flow forward from its source law,
+    spread walks it backward from its sink law."""
+
     graph: CapacitatedGraph
     tree: DecompositionTree
     base_c: int
@@ -58,6 +62,54 @@ class FlowTables:
 
     def flow(self, cluster_id: int, index: int) -> FlowAssignment:
         return self.flows[(cluster_id, index)]
+
+    def _start(self, cluster_id: int, index: int, starts: Iterable[int],
+               direction: str) -> FlowAssignment:
+        """The (cluster, index) flow, provided a walk in `direction` can start
+        at every vertex of `starts`."""
+        fa = self.flows[(cluster_id, index)]
+        for v in starts:
+            arc, end = ((SRC, v), "source") if direction == "forward" else ((v, SNK), "sink")
+            if fa.arcs.get(arc, 0) <= 0:
+                raise ValueError(
+                    f"vertex {v} carries no {end} flow in cluster {cluster_id} "
+                    f"target {index}; walk cannot start")
+        return fa
+
+    def _sample_walk(self, cluster_id: int, index: int, v: int, direction: str,
+                     rng: np.random.Generator) -> tuple[list[int], int]:
+        path = sample_path(self._start(cluster_id, index, (v,), direction), v, direction, rng)
+        return path, path[-1]
+
+    def _walk_kernel(self, cluster_id: int, index: int, law: Law,
+                     direction: str) -> tuple[Loads, Law]:
+        """Exact expected edge loads and end law of the walk from a start vertex
+        drawn from `law`. Started on the flow's source (forward) or sink
+        (backward) law, the walk crosses arc a->b f(a,b)/|f| times on average."""
+        fa = self._start(cluster_id, index, [v for v, p in law.items() if p > 0], direction)
+        crossed, end_law = _propagate(fa, law, direction)
+        loads: Loads = {}
+        for (a, b), x in crossed.items():
+            key = (a, b) if a < b else (b, a)
+            loads[key] = loads.get(key, 0.0) + x
+        return loads, end_law
+
+    def to_border(self, cluster_id: int, index: int, v: int,
+                  rng: np.random.Generator) -> tuple[list[int], int]:
+        """Walk random outgoing links of the flow until absorbed; started on the
+        cluster law, the end law is the target's border law exactly."""
+        return self._sample_walk(cluster_id, index, v, "forward", rng)
+
+    def spread(self, cluster_id: int, index: int, v: int,
+               rng: np.random.Generator) -> tuple[list[int], int]:
+        """Mirror walk along incoming links back to the super-source."""
+        return self._sample_walk(cluster_id, index, v, "backward", rng)
+
+    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        return self._walk_kernel(cluster_id, index, law, "forward")
+
+    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        return self._walk_kernel(cluster_id, index, law, "backward")
 
 
 def _cluster_flows(g: CapacitatedGraph, cluster, out_maps: list[dict[int, int]],
@@ -110,8 +162,8 @@ def build_flow_tables(g: CapacitatedGraph, tree: DecompositionTree, c: int) -> F
     for cluster in tree.clusters:
         if cluster.size == 1:
             continue
-        out_maps = [cluster.border_weight]
-        out_maps += [tree.cluster(cid).border_weight for cid in cluster.children]
+        out_maps = [tree.target(cluster.id, index).border_weight
+                    for index in range(len(cluster.children) + 1)]
         flows, c_eff, events = _cluster_flows(g, cluster, out_maps, int(c))
         for index, fa in flows.items():
             tables.flows[(cluster.id, index)] = fa
@@ -120,62 +172,11 @@ def build_flow_tables(g: CapacitatedGraph, tree: DecompositionTree, c: int) -> F
     return tables
 
 
-def route_to_border(tables: FlowTables, cluster_id: int, index: int, v: int,
-                    rng: np.random.Generator) -> tuple[list[int], int]:
-    """Walk random outgoing links of the (cluster, index) flow until absorbed.
-
-    Started from the cluster distribution, the endpoint law equals the border
-    distribution of the target exactly.
-    """
-    fa = tables.flows[(cluster_id, index)]
-    if fa.arcs.get((SRC, v), 0) <= 0:
-        raise ValueError(
-            f"vertex {v} carries no source flow in cluster {cluster_id} "
-            f"target {index}; walk cannot start")
-    path = sample_path(fa, v, "forward", rng)
-    return path, path[-1]
-
-
-def route_from_border(tables: FlowTables, cluster_id: int, index: int, v: int,
-                      rng: np.random.Generator) -> tuple[list[int], int]:
-    """Mirror walk along incoming links back to the super-source."""
-    fa = tables.flows[(cluster_id, index)]
-    if fa.arcs.get((v, SNK), 0) <= 0:
-        raise ValueError(
-            f"vertex {v} carries no sink flow in cluster {cluster_id} "
-            f"target {index}; walk cannot start")
-    path = sample_path(fa, v, "backward", rng)
-    return path, path[-1]
-
-
 def endpoint_distribution(tables: FlowTables, cluster_id: int, index: int,
                           start: int, direction: str = "forward") -> dict[int, float]:
     """Exact absorption law of the forwarding walk from a single start vertex."""
     fa = tables.flows[(cluster_id, index)]
     return _propagate(fa, {start: 1.0}, direction)[1]
-
-
-def walk_loads(tables: FlowTables, cluster_id: int, index: int,
-               start_law: dict[int, float],
-               direction: str) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
-    """Exact expected edge loads of the forward (route_to_border) or backward
-    (route_from_border) walk of one flow started on `start_law`, and the law
-    of its end vertex. Started on the flow's source (forward) or sink
-    (backward) law, the walk crosses arc a->b f(a,b)/|f| times on average.
-    """
-    fa = tables.flows[(cluster_id, index)]
-    for v, p in start_law.items():
-        arc = (SRC, v) if direction == "forward" else (v, SNK)
-        if p > 0 and fa.arcs.get(arc, 0) <= 0:
-            raise ValueError(
-                f"vertex {v} carries no {direction} terminal flow in cluster "
-                f"{cluster_id} target {index}; walk cannot start")
-    crossed, end_law = _propagate(fa, start_law, direction)
-    loads: dict[tuple[int, int], float] = {}
-    for (a, b), x in crossed.items():
-        key = (a, b) if a < b else (b, a)
-        loads[key] = loads.get(key, 0.0) + x
-    return loads, end_law
 
 
 def _propagate(fa: FlowAssignment, start_law: dict[int, float],
@@ -283,10 +284,7 @@ def _amount_width(tables: FlowTables, cluster_id: int, index: int) -> int:
     members = set(cluster.vertices)
     cap_max = max((tables.graph.edges[i][2] for i in tables.graph.edges_inside(members)),
                   default=0)
-    if index == 0:
-        out_map = cluster.border_weight
-    else:
-        out_map = tables.tree.cluster(cluster.children[index - 1]).border_weight
+    out_map = tables.tree.target(cluster_id, index).border_weight
     out_total = sum(out_map.values())
     biggest = max(cap_max * total_w * tables.cluster_c[cluster_id],
                   max((cluster.cluster_weight[v] for v in cluster.vertices), default=0) * out_total,

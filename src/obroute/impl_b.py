@@ -54,12 +54,12 @@ from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import Cluster, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits
+from obroute.routing import Law, Loads
 
 __all__ = ["RoundedSizes", "CubeMaps", "CubeScheme", "round_and_order",
            "build_embedding", "build_rerand_cube", "build_cube_scheme",
-           "hypercube_route", "hypercube_loads", "route_to_border_b",
-           "border_loads_b", "rerandomize", "rerandomize_loads",
-           "audit_cube_scheme", "measure_table_bits_b"]
+           "hypercube_route", "hypercube_loads", "audit_cube_scheme",
+           "measure_table_bits_b"]
 
 
 def _round_pow2(x: int) -> int:
@@ -119,12 +119,43 @@ class CubeMaps:
 
 @dataclass
 class CubeScheme:
+    """The impl-b scheme, and its own hop backend (routing.SchemeBackend):
+    to_border walks the main cube to a uniform node of the target's border
+    range; spread walks the shuffle cube to a uniform node among the first
+    w_S(S), so its end law is exactly the cluster law, whatever the start."""
+
     graph: CapacitatedGraph
     tree: DecompositionTree
     c: int
     rounded: dict[int, RoundedSizes]
     mains: dict[int, CubeMaps]
     shuffles: dict[int, CubeMaps]
+
+    def _border_range(self, cluster_id: int, index: int) -> tuple[int, int]:
+        """Main-cube node range of target `index` (layout order differs from tree order)."""
+        sizes = self.rounded[cluster_id]
+        lo, hi = sizes.range_of({0: 0, **sizes.child_to_layout}[index])
+        if hi == lo:
+            raise ValueError(f"cluster {cluster_id} target {index} has no border nodes")
+        return lo, hi
+
+    def to_border(self, cluster_id: int, index: int, v: int,
+                  rng: np.random.Generator) -> tuple[list[int], int]:
+        lo, hi = self._border_range(cluster_id, index)
+        return _cube_hop(self.mains[cluster_id], v, lo, hi, rng)
+
+    def spread(self, cluster_id: int, index: int, v: int,
+               rng: np.random.Generator) -> tuple[list[int], int]:
+        return _cube_hop(self.shuffles[cluster_id], v, 0,
+                         self.rounded[cluster_id].total_weight, rng)
+
+    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        lo, hi = self._border_range(cluster_id, index)
+        return hypercube_loads(self.mains[cluster_id], law, lo, hi)
+
+    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
+        return hypercube_loads(self.shuffles[cluster_id], law, 0,
+                               self.rounded[cluster_id].total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +319,8 @@ def build_embedding(tree: DecompositionTree,
         raise RuntimeError(
             f"cluster {cluster.id}: 2^{d} nodes exceed 8*w(S)={8 * cluster.total_weight}; "
             "weight tables are inconsistent")
-    out_maps = [dict(cluster.border_weight)]
-    out_maps += [dict(tree.cluster(cluster.children[pos - 1]).border_weight)
-                 for pos in sizes.layout_to_child]
+    out_maps = [dict(tree.target(cluster.id, index).border_weight)
+                for index in (0, *sizes.layout_to_child)]
     owners = _layout_owners(sizes, out_maps, cluster.cluster_weight)
     return sizes, _node_map(owners, d)
 
@@ -349,6 +379,23 @@ def _bit_fix(a: int, b: int, d: int) -> list[int]:
     return seq
 
 
+def _owned_nodes(maps: CubeMaps, v: int) -> list[int]:
+    nodes = maps.vertex_nodes.get(v)
+    if not nodes:
+        raise ValueError(f"vertex {v} owns no cube nodes")
+    return nodes
+
+
+def _cube_hop(maps: CubeMaps, v: int, lo: int, hi: int,
+              rng: np.random.Generator) -> tuple[list[int], int]:
+    """Cube walk from a uniform node of v to a uniform node of [lo, hi); the
+    owner of that node is the end vertex."""
+    nodes = _owned_nodes(maps, v)
+    start = nodes[int(rng.integers(len(nodes)))]
+    target = int(rng.integers(lo, hi))
+    return hypercube_route(maps, start, target, rng), maps.node_owner[target]
+
+
 def hypercube_route(maps: CubeMaps, h_from: int, h_to: int,
                     rng: np.random.Generator) -> list[int]:
     """Two-phase cube route through a uniform intermediate node, realized as a
@@ -370,11 +417,10 @@ def hypercube_route(maps: CubeMaps, h_from: int, h_to: int,
     return path
 
 
-def hypercube_loads(maps: CubeMaps, start_law: dict[int, float], lo: int,
-                    hi: int) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
-    """Exact expected graph-edge loads of hypercube_route from a uniform node of
-    a vertex drawn from start_law to a uniform node of [lo, hi), and the law of
-    the target node's owner.
+def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
+                    hi: int) -> tuple[Loads, Law]:
+    """Exact expected graph-edge loads of _cube_hop from a vertex drawn from
+    start_law to [lo, hi), and the law of its end vertex.
 
     With start node x, intermediate z and target t, bit fixing crosses
     dimension k out of node y in phase 1 iff x>>k = y>>k, z agrees with y below
@@ -387,9 +433,7 @@ def hypercube_loads(maps: CubeMaps, start_law: dict[int, float], lo: int,
     nodes = np.arange(1 << d)
     start = np.zeros(1 << d)
     for v, p in start_law.items():
-        owned = maps.vertex_nodes.get(v)
-        if not owned:
-            raise ValueError(f"vertex {v} owns no cube nodes")
+        owned = _owned_nodes(maps, v)
         start[owned] += p / len(owned)
     target = np.zeros(1 << d)
     target[lo:hi] = 1.0 / (hi - lo)
@@ -400,7 +444,7 @@ def hypercube_loads(maps: CubeMaps, start_law: dict[int, float], lo: int,
         out = (high[nodes >> k] / 2.0 ** (k + 1)
                + low[(nodes & ((1 << k) - 1)) | (~nodes & (1 << k))] / 2.0 ** (d - k))
         crossing[k] = out + out[nodes ^ (1 << k)]
-    loads: dict[tuple[int, int], float] = {}
+    loads: Loads = {}
     for (x, y), path in maps.edge_paths.items():
         p = float(crossing[(x ^ y).bit_length() - 1, x])
         if p == 0.0:
@@ -408,71 +452,11 @@ def hypercube_loads(maps: CubeMaps, start_law: dict[int, float], lo: int,
         for a, b in zip(path, path[1:]):
             key = (a, b) if a < b else (b, a)
             loads[key] = loads.get(key, 0.0) + p
-    end_law: dict[int, float] = {}
+    end_law: Law = {}
     for node in range(lo, hi):
         v = maps.node_owner[node]
         end_law[v] = end_law.get(v, 0.0) + 1.0 / (hi - lo)
     return loads, end_law
-
-
-def _target_range(scheme: CubeScheme, cluster_id: int, tree_index: int) -> tuple[int, int]:
-    sizes = scheme.rounded[cluster_id]
-    layout = 0 if tree_index == 0 else sizes.child_to_layout[tree_index]
-    lo, hi = sizes.range_of(layout)
-    if hi == lo:
-        raise ValueError(f"cluster {cluster_id} target {tree_index} has no border nodes")
-    return lo, hi
-
-
-def route_to_border_b(scheme: CubeScheme, cluster_id: int, tree_index: int,
-                      v_start: int, rng: np.random.Generator) -> tuple[list[int], int]:
-    """Cube hop to a uniform node of the target range; the owner is the endpoint.
-
-    tree_index 0 targets the cluster's own border, k >= 1 the k-th tree child.
-    """
-    lo, hi = _target_range(scheme, cluster_id, tree_index)
-    maps = scheme.mains[cluster_id]
-    nodes = maps.vertex_nodes.get(v_start)
-    if not nodes:
-        raise ValueError(f"vertex {v_start} owns no cube nodes in cluster {cluster_id}")
-    start = nodes[int(rng.integers(len(nodes)))]
-    target = int(rng.integers(lo, hi))
-    path = hypercube_route(maps, start, target, rng)
-    return path, maps.node_owner[target]
-
-
-def rerandomize(scheme: CubeScheme, cluster_id: int, v: int,
-                rng: np.random.Generator) -> tuple[list[int], int]:
-    """Walk the shuffle cube to a uniform node among the first w_S(S); the
-    endpoint law is exactly the cluster distribution, whatever v's law was."""
-    cluster = scheme.tree.cluster(cluster_id)
-    if cluster.size == 1:
-        return [v], v
-    maps = scheme.shuffles[cluster_id]
-    nodes = maps.vertex_nodes.get(v)
-    if not nodes:
-        raise ValueError(f"vertex {v} owns no shuffle nodes in cluster {cluster_id}")
-    start = nodes[int(rng.integers(len(nodes)))]
-    target = int(rng.integers(scheme.rounded[cluster_id].total_weight))
-    path = hypercube_route(maps, start, target, rng)
-    return path, maps.node_owner[target]
-
-
-def border_loads_b(scheme: CubeScheme, cluster_id: int, tree_index: int,
-                   start_law: dict[int, float]
-                   ) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
-    """Exact counterpart of route_to_border_b: expected edge loads and end law
-    of the cube hop from a start vertex drawn from start_law."""
-    lo, hi = _target_range(scheme, cluster_id, tree_index)
-    return hypercube_loads(scheme.mains[cluster_id], start_law, lo, hi)
-
-
-def rerandomize_loads(scheme: CubeScheme, cluster_id: int, start_law: dict[int, float]
-                      ) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
-    """Exact counterpart of rerandomize on a non-singleton cluster; the end law
-    is the cluster law."""
-    return hypercube_loads(scheme.shuffles[cluster_id], start_law, 0,
-                           scheme.rounded[cluster_id].total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +472,8 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
         maps = scheme.mains[cid]
         if (1 << sizes.dimension) > 8 * cluster.total_weight:
             bad.append(f"cluster {cid}: cube larger than 8*w(S)")
-        out_maps = [cluster.border_weight]
-        out_maps += [tree.cluster(cluster.children[pos - 1]).border_weight
-                     for pos in sizes.layout_to_child]
+        out_maps = [tree.target(cid, index).border_weight
+                    for index in (0, *sizes.layout_to_child)]
         ranged_nodes = 0
         ranged_count: dict[int, int] = {}
         for layout_index, out_map in enumerate(out_maps):

@@ -1,5 +1,6 @@
-"""Demand-oblivious routing over a cluster tree: path sampling and exact
-expected edge loads, for any hop backend.
+"""Demand-oblivious routing over a cluster tree: the hop skeleton, the
+reference backend, path sampling and exact expected edge loads, for any hop
+backend.
 
 A route for (s, t) walks the tree path between the two leaves and crosses
 every tree edge on it with one hop. A hop is made of at most two primitives,
@@ -13,14 +14,15 @@ Each primitive comes as a sampler, which draws one path, and as an exact
 kernel, which maps a start law to the expected edge loads of the walk and the
 law of its end vertex. Backends:
 
-  reference  draws the far endpoint from the exact target law and a stored
-             path of the cluster's certification flow between the two
-  tables     random-link walks over the precomputed augmented flows, forward
-             to leave a cluster and backward to spread; end laws are exact by
-             the absorption argument
-  cubes      a main-cube walk to the target border range (end law within a
-             factor 2 of the border law), then a shuffle-cube walk that
-             restores the exact cluster law
+  ReferenceBackend    draws the far endpoint from the exact target law and a
+                      stored path of the cluster's certification flow between
+                      the two
+  impl_a.FlowTables   random-link walks over the precomputed augmented flows,
+                      forward to leave a cluster and backward to spread; end
+                      laws are exact by the absorption argument
+  impl_b.CubeScheme   a main-cube walk to the target border range (end law
+                      within a factor 2 of the border law), then a shuffle-cube
+                      walk that restores the exact cluster law
 
 Every hop ends on the exact law of the cluster it enters, and a route starts
 on the point law of its source leaf. So the expected loads of a hop depend
@@ -39,15 +41,11 @@ from typing import Protocol
 import numpy as np
 
 from obroute.cmcf import CMCFSolution
-from obroute.decomposition import Cluster, DecompositionTree
+from obroute.decomposition import DecompositionTree
 from obroute.graph import CapacitatedGraph, DemandMatrix
-from obroute.impl_a import FlowTables, route_from_border, route_to_border, walk_loads
-from obroute.impl_b import (CubeScheme, border_loads_b, rerandomize, rerandomize_loads,
-                            route_to_border_b)
 
-__all__ = ["SchemeBackend", "ReferenceBackend", "FlowTableBackend",
-           "HypercubeBackend", "LoadReport", "route_up", "route_down",
-           "select_path", "route_demands", "congestion"]
+__all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "route_up",
+           "route_down", "select_path", "route_demands", "congestion"]
 
 Law = dict[int, float]                       # vertex -> probability
 Loads = dict[tuple[int, int], float]         # canonical edge (u < v) -> expected load
@@ -60,8 +58,9 @@ _LAW_TOL = 1e-9
 class SchemeBackend(Protocol):
     """The two hop primitives, each as a sampler and as an exact kernel.
 
-    Index 0 names the cluster itself and k >= 1 its k-th child. to_border
-    walks inside cluster_id toward the border law of the indexed cluster;
+    Implemented by ReferenceBackend, impl_a.FlowTables and impl_b.CubeScheme.
+    `index` names a target of cluster_id as DecompositionTree.target does.
+    to_border walks inside cluster_id toward the border law of that target;
     spread starts on that border law and walks inside cluster_id onto its
     cluster law. Samplers return (path, end vertex); kernels return (expected
     edge loads, end law) for a walk whose start vertex is drawn from `law`.
@@ -119,10 +118,6 @@ class ReferenceBackend:
         self._border_laws: dict[int, _LawSampler] = {}
         self._pair_loads: dict[tuple[int, int, int], Loads] = {}
 
-    def _target(self, cluster_id: int, index: int) -> Cluster:
-        cluster = self.tree.cluster(cluster_id)
-        return cluster if index == 0 else self.tree.cluster(cluster.children[index - 1])
-
     def sample_cluster_vertex(self, cluster_id: int, rng: np.random.Generator) -> int:
         if cluster_id not in self._weight_laws:
             self._weight_laws[cluster_id] = _LawSampler(
@@ -173,7 +168,7 @@ class ReferenceBackend:
 
     def to_border(self, cluster_id: int, index: int, v: int,
                   rng: np.random.Generator) -> tuple[list[int], int]:
-        alpha = self._sample_border(self._target(cluster_id, index).id, rng)
+        alpha = self._sample_border(self.tree.target(cluster_id, index).id, rng)
         return self._path_between(cluster_id, v, alpha, rng), alpha
 
     def spread(self, cluster_id: int, index: int, v: int,
@@ -182,58 +177,12 @@ class ReferenceBackend:
         return self._path_between(cluster_id, v, top, rng), top
 
     def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        end = _normalized(self._target(cluster_id, index).border_weight)
+        end = _normalized(self.tree.target(cluster_id, index).border_weight)
         return self._between_loads(cluster_id, law, end), end
 
     def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
         end = _normalized(self.tree.cluster(cluster_id).cluster_weight)
         return self._between_loads(cluster_id, law, end), end
-
-
-class FlowTableBackend:
-    """Hops walk the stored augmented flows: forward to leave a cluster,
-    backward to spread over the far one."""
-
-    def __init__(self, tables: FlowTables):
-        self.tables = tables
-        self.tree = tables.tree
-
-    def to_border(self, cluster_id: int, index: int, v: int,
-                  rng: np.random.Generator) -> tuple[list[int], int]:
-        return route_to_border(self.tables, cluster_id, index, v, rng)
-
-    def spread(self, cluster_id: int, index: int, v: int,
-               rng: np.random.Generator) -> tuple[list[int], int]:
-        return route_from_border(self.tables, cluster_id, index, v, rng)
-
-    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return walk_loads(self.tables, cluster_id, index, law, "forward")
-
-    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return walk_loads(self.tables, cluster_id, index, law, "backward")
-
-
-class HypercubeBackend:
-    """Hops cross via a border-range cube walk, then a shuffle-cube walk in the
-    destination cluster makes the endpoint law exact again."""
-
-    def __init__(self, scheme: CubeScheme):
-        self.scheme = scheme
-        self.tree = scheme.tree
-
-    def to_border(self, cluster_id: int, index: int, v: int,
-                  rng: np.random.Generator) -> tuple[list[int], int]:
-        return route_to_border_b(self.scheme, cluster_id, index, v, rng)
-
-    def spread(self, cluster_id: int, index: int, v: int,
-               rng: np.random.Generator) -> tuple[list[int], int]:
-        return rerandomize(self.scheme, cluster_id, v, rng)
-
-    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return border_loads_b(self.scheme, cluster_id, index, law)
-
-    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return rerandomize_loads(self.scheme, cluster_id, law)
 
 
 # ---------------------------------------------------------------------------

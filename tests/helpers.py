@@ -5,6 +5,7 @@ from collections import deque
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog
 
 from obroute.graph import CapacitatedGraph, DemandMatrix
 from obroute.routing import select_path
@@ -85,13 +86,14 @@ def all_simple_paths(g: CapacitatedGraph, s: int, t: int, limit: int = 10_000) -
     return out
 
 
-def brute_force_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
-                           resolution: float = 1e-3, seed: int = 0) -> float:
-    """Optimal congestion by enumerating simple paths and searching path splits.
+def brute_force_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict) -> float:
+    """Optimal congestion by enumerating simple paths and solving the path LP.
 
-    Grid search over pairwise weight transfers at decreasing resolutions with
-    random restarts; the final resolution is `resolution`. Limited to n <= 6
-    and at most 3 commodities so enumeration stays honest.
+    One variable per (commodity, simple path) gives the share of the commodity
+    on that path, plus the congestion lambda: minimise lambda subject to the
+    shares of each commodity summing to 1 and every edge's load being at most
+    lambda times its capacity. The optimum does not depend on path order.
+    Limited to n <= 6 and at most 3 commodities so enumeration stays honest.
     """
     entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
     entries = {p: float(d) for p, d in entries.items() if d > 0}
@@ -102,74 +104,32 @@ def brute_force_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     if not entries:
         return 0.0
 
-    caps = np.array([c for _, _, c in g.edges], dtype=float)
-    coms = []
-    for (s, t), d in sorted(entries.items()):
-        # the local search below depends on path order; reversed, this is
-        # the order its results were validated with (last neighbour first)
-        paths = all_simple_paths(g, s, t)[::-1]
+    columns: list[np.ndarray] = []        # per path variable: its load on each edge
+    commodity: list[int] = []
+    for k, ((s, t), d) in enumerate(sorted(entries.items())):
+        paths = all_simple_paths(g, s, t)
         if not paths:
             raise ValueError(f"no path between {s} and {t}")
         if len(paths) > 16:
             raise ValueError("instance too large for the brute-force oracle")
-        inc = np.zeros((len(paths), g.m))
-        for i, p in enumerate(paths):
+        for p in paths:
+            load = np.zeros(g.m)
             for a, b in zip(p, p[1:]):
-                inc[i, g.edge_index(a, b)] += 1.0
-        coms.append((d, inc))
-
-    def congestion(ws: list[np.ndarray]) -> float:
-        loads = np.zeros(g.m)
-        for (d, inc), w in zip(coms, ws):
-            loads += d * (w @ inc)
-        return float((loads / caps).max()) if g.m else 0.0
-
-    rng = np.random.default_rng(seed)
-    starts = [[np.full(inc.shape[0], 1.0 / inc.shape[0]) for _, inc in coms]]
-    for _ in range(5):
-        starts.append([rng.dirichlet(np.ones(inc.shape[0])) for _, inc in coms])
-
-    best = None
-    for ws in starts:
-        ws = [w.copy() for w in ws]
-        cur = congestion(ws)
-        for step in (0.05, 0.01, resolution):
-            improved = True
-            while improved:
-                improved = False
-                for k, w in enumerate(ws):
-                    npaths = len(w)
-                    for i, j in combinations(range(npaths), 2):
-                        moved = _best_transfer(congestion, ws, k, i, j, step, cur)
-                        if moved is not None:
-                            cur = moved
-                            improved = True
-        if best is None or cur < best:
-            best = cur
-    return best
-
-
-def _best_transfer(congestion, ws, k, i, j, step, cur) -> float | None:
-    """Try shifting weight between paths i and j of commodity k on a step grid."""
-    w = ws[k]
-    best_t, best_val = 0.0, cur
-    t = -w[j]
-    grid = np.arange(-int(w[j] / step), int(w[i] / step) + 1) * step
-    for t in grid:
-        if t == 0.0:
-            continue
-        w[i] -= t
-        w[j] += t
-        val = congestion(ws)
-        w[i] += t
-        w[j] -= t
-        if val < best_val - 1e-12:
-            best_val, best_t = val, t
-    if best_t != 0.0:
-        w[i] -= best_t
-        w[j] += best_t
-        return best_val
-    return None
+                load[g.edge_index(a, b)] += d
+            columns.append(load)
+            commodity.append(k)
+    npaths = len(columns)
+    caps = np.array([c for _, _, c in g.edges], dtype=float)
+    cost = np.zeros(npaths + 1)
+    cost[-1] = 1.0
+    a_ub = np.hstack([np.array(columns).T, -caps[:, None]])
+    a_eq = np.zeros((len(entries), npaths + 1))
+    a_eq[commodity, range(npaths)] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(g.m), A_eq=a_eq,
+                  b_eq=np.ones(len(entries)), bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"path LP failed: {res.message}")
+    return float(res.x[-1])
 
 
 def path_edge_loads(g: CapacitatedGraph, weighted_paths: list[tuple[list[int], float]]) -> dict[int, float]:

@@ -21,12 +21,11 @@ from obroute.experiment import SCHEMES, demand_battery, parse_config, run_experi
 from obroute.graph import CapacitatedGraph, DemandMatrix, grid_graph, random_regular_graph
 from obroute.impl_a import (build_flow_tables, endpoint_distribution,
                             header_bit_length, label_bit_length,
-                            measure_table_bits_a, route_to_border)
+                            measure_table_bits_a)
 from obroute.impl_b import (_embedding_demands, audit_cube_scheme, build_cube_scheme,
                             build_embedding, build_rerand_cube, measure_table_bits_b)
 from obroute.optimum import optimal_congestion
-from obroute.routing import (FlowTableBackend, HypercubeBackend, ReferenceBackend,
-                             route_demands)
+from obroute.routing import ReferenceBackend, route_demands
 
 
 def _verdict(num: int, title: str, started: float, limit_s: float,
@@ -130,7 +129,7 @@ def test_criterion_2_flow_tables():
         n_samples = 100_000
         counts: dict[int, int] = {}
         for v in mc_rng.choice(verts, size=n_samples, p=probs):
-            _, end = route_to_border(tables, root.id, 1, int(v), mc_rng)
+            _, end = tables.to_border(root.id, 1, int(v), mc_rng)
             counts[end] = counts.get(end, 0) + 1
         law = {v: w for v, w in child.border_weight.items() if w > 0}
         total = sum(law.values())
@@ -221,9 +220,9 @@ def test_criterion_5_congestion_bounds():
             d = max(m.dimension for m in cubes.mains.values())
             backends = {
                 "reference": (ReferenceBackend(g, tree, cert.solutions), 2.0 * h),
-                "impl-a": (FlowTableBackend(build_flow_tables(g, tree, c_int)),
+                "impl-a": (build_flow_tables(g, tree, c_int),
                            2.0 * h * tree.degree),
-                "impl-b": (HypercubeBackend(cubes), 16.0 * h * d * d),
+                "impl-b": (cubes, 16.0 * h * d * d),
             }
             for battery in ("permutation", "gravity"):
                 demands = demand_battery(battery, g, seed)

@@ -75,6 +75,20 @@ def test_tree_navigation(four_cycle_tree):
     assert [tree.cluster(i).vertices for i in left.children] == [(0,), (1,)]
 
 
+def test_target_inverts_child_index():
+    # index 0 is the cluster itself; index child_index + 1, the one route_up
+    # and route_down put in their steps, is that child
+    g = generate_graph("grid", rows=4, cols=4)
+    trees = [build_tree(g, seed=0),
+             tree_from_spec(cycle_graph(6), [[0, 1, 2], [[3, 4], 5]])]
+    for tree in trees:
+        for c in tree.clusters:
+            assert tree.target(c.id, 0) is c
+            if c.parent is not None:
+                index = tree.child_index(c.parent, c.id) + 1
+                assert tree.target(c.parent, index) is c
+
+
 # ---------------------------------------------------------------------------
 # product demands
 # ---------------------------------------------------------------------------

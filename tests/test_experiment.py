@@ -27,8 +27,7 @@ def test_parse_config_defaults():
     assert "samples" not in cfg
     assert cfg["seed"] == "0"
     assert cfg["arity"] == "2"
-    assert cfg["assert_audit"] == "on"
-    assert cfg["assert_bounds"] == "on"
+    assert "assert_audit" not in cfg and "assert_bounds" not in cfg
     assert "graph" not in cfg and "generate" not in cfg
 
 
@@ -51,6 +50,10 @@ def test_parse_config_rejects_unknown_key():
         parse_config("seed = 1\nsample = 10")
     with pytest.raises(ValueError, match="unknown key 'samples'"):
         parse_config("samples = 10")
+    with pytest.raises(ValueError, match="unknown key 'assert_audit'"):
+        parse_config("assert_audit = on")
+    with pytest.raises(ValueError, match="unknown key 'assert_bounds'"):
+        parse_config("assert_bounds = on")
 
 
 def test_parse_config_rejects_bad_line():
@@ -349,7 +352,7 @@ def test_cli_audit_checks_the_cubes_route_builds(monkeypatch, capsys):
     g = grid_graph(4, 4)
     tree = build_tree(g, seed=3)
     cert = certify_congestion(g, tree)
-    routed = experiment._build_backend("impl-b", g, tree, cert, seed=3)[0].scheme
+    routed = experiment._build_backend("impl-b", g, tree, cert, seed=3)[0]
     (checked,) = audited
     for cid in routed.mains:
         for cubes in ("mains", "shuffles"):

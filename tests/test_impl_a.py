@@ -17,8 +17,7 @@ from obroute.graph import CapacitatedGraph, generate_graph
 from obroute.impl_a import (FlowTables, _cluster_flows, assign_labels,
                             build_flow_tables, endpoint_distribution,
                             header_bit_length, label_bit_length,
-                            measure_table_bits_a, route_from_border,
-                            route_to_border, serialize_vertex_table)
+                            measure_table_bits_a, serialize_vertex_table)
 
 
 def build_all(g, spec=None, seed=0):
@@ -65,9 +64,9 @@ def test_unique_flow_path_is_deterministic(single_edge_tables):
     _, _, _, tables = single_edge_tables
     rng = np.random.default_rng(3)
     for _ in range(20):
-        path, end = route_to_border(tables, 0, 1, 1, rng)
+        path, end = tables.to_border(0, 1, 1, rng)
         assert (path, end) == ([1, 0], 0)
-        path, end = route_to_border(tables, 0, 1, 0, rng)
+        path, end = tables.to_border(0, 1, 0, rng)
         assert (path, end) == ([0], 0)
 
 
@@ -79,9 +78,9 @@ def test_zero_flow_start_errors():
     tables = build_flow_tables(g, tree, cert.int_value)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no source flow"):
-        route_to_border(tables, 0, 1, 0, rng)
+        tables.to_border(0, 1, 0, rng)
     with pytest.raises(ValueError, match="no sink flow"):
-        route_from_border(tables, 0, 1, 0, rng)
+        tables.spread(0, 1, 0, rng)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -161,7 +160,7 @@ def test_monte_carlo_tv_four_cycle_child(four_cycle_tables):
     weights = np.array([cluster.cluster_weight[v] for v in starts], dtype=float)
     picks = rng.choice(len(starts), size=samples, p=weights / weights.sum())
     for k in picks:
-        _, end = route_to_border(tables, 1, 0, starts[k], rng)
+        _, end = tables.to_border(1, 0, starts[k], rng)
         counts[end] += 1
     exact = mixture_law(tables, tree, 1, 0, "forward")
     tv = 0.5 * sum(abs(counts[v] / samples - exact.get(v, 0.0)) for v in cluster.vertices)

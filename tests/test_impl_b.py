@@ -17,8 +17,7 @@ from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
 from obroute.impl_b import (CubeScheme, RoundedSizes, _add_fake_traffic,
                             _bit_fix, _cube_demands, _embedding_demands, _fill_range,
                             audit_cube_scheme, build_cube_scheme, build_embedding,
-                            hypercube_route, measure_table_bits_b, rerandomize,
-                            round_and_order, route_to_border_b)
+                            hypercube_route, measure_table_bits_b, round_and_order)
 
 
 def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
@@ -219,7 +218,7 @@ def test_route_to_border_path_validity_and_law(four_cycle):
     counts = {0: 0, 1: 0}
     n = 20_000
     for _ in range(n):
-        path, end = route_to_border_b(scheme, tree.root, 1, 2, rng)
+        path, end = scheme.to_border(tree.root, 1, 2, rng)
         assert path[0] == 2 and path[-1] == end
         for a, b in zip(path, path[1:]):
             assert g.has_edge(a, b)
@@ -233,10 +232,10 @@ def test_route_to_border_errors(four_cycle):
     g, tree, scheme = four_cycle
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no border nodes"):
-        route_to_border_b(scheme, tree.root, 0, 0, rng)
+        scheme.to_border(tree.root, 0, 0, rng)
     left = tree.leaf_path(0)[1]
     with pytest.raises(ValueError, match="owns no cube nodes"):
-        route_to_border_b(scheme, left, 0, 2, rng)
+        scheme.to_border(left, 0, 2, rng)
 
 
 def test_rerandomize_exact_law(four_cycle):
@@ -246,7 +245,7 @@ def test_rerandomize_exact_law(four_cycle):
     n = 100_000
     hits = {0: 0, 1: 0}
     for _ in range(n):
-        path, end = rerandomize(scheme, left, 0, rng)
+        path, end = scheme.spread(left, 0, 0, rng)
         assert path[0] == 0 and path[-1] == end
         hits[end] += 1
     # w = {0:2, 1:2}: exactly uniform; binomial 4-sigma band
@@ -257,16 +256,10 @@ def test_rerandomize_exact_law(four_cycle):
     # w-distributed vertex and lands uniformly on the same first-block nodes
     twice = {0: 0, 1: 0}
     for _ in range(20_000):
-        _, mid = rerandomize(scheme, left, 1, rng)
-        _, end = rerandomize(scheme, left, mid, rng)
+        _, mid = scheme.spread(left, 0, 1, rng)
+        _, end = scheme.spread(left, 0, mid, rng)
         twice[end] += 1
     assert abs(twice[0] / 20_000 - 0.5) < 0.02
-
-
-def test_rerandomize_singleton_is_identity(four_cycle):
-    g, tree, scheme = four_cycle
-    leaf = tree.leaf_path(3)[-1]
-    assert rerandomize(scheme, leaf, 3, np.random.default_rng(0)) == ([3], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +298,9 @@ def test_one_joint_lp_per_cluster(monkeypatch):
     # the main and shuffle cubes of a cluster share one min-congestion instance
     calls = []
 
-    def counting(g, demands, restrict=None, method=None):
+    def counting(g, demands, restrict=None):
         calls.append(frozenset(restrict))
-        return solve_cmcf_min_congestion(g, demands, restrict=restrict, method=method)
+        return solve_cmcf_min_congestion(g, demands, restrict=restrict)
 
     monkeypatch.setattr(impl_b, "solve_cmcf_min_congestion", counting)
     g = grid_graph(4, 4)

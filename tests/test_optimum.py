@@ -5,6 +5,7 @@ import pytest
 
 from obroute.graph import CapacitatedGraph, DemandMatrix
 from obroute.optimum import competitive_ratio, optimal_congestion
+import helpers
 from helpers import brute_force_congestion, cycle_graph, single_edge, triangle
 
 
@@ -43,6 +44,17 @@ def test_brute_force_matches_lp_on_battery():
         lp = optimal_congestion(g, DemandMatrix(dict(demands)))
         brute = brute_force_congestion(g, DemandMatrix(dict(demands)))
         assert brute == pytest.approx(lp, abs=1e-3), (demands, lp, brute)
+
+
+def test_brute_force_is_exact_in_both_path_orders(monkeypatch):
+    # a search over path splits stopped above 1.0 here, by an amount that
+    # depended on the order of the enumerated paths; the path LP does not
+    demands = DemandMatrix({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
+    assert brute_force_congestion(triangle(), demands) == pytest.approx(1.0, abs=1e-9)
+    natural = helpers.all_simple_paths
+    monkeypatch.setattr(helpers, "all_simple_paths",
+                        lambda g, s, t: natural(g, s, t)[::-1])
+    assert brute_force_congestion(triangle(), demands) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_brute_force_rejects_big_instances():

@@ -17,18 +17,17 @@ from obroute.graph import DemandMatrix, grid_graph
 from obroute.impl_a import build_flow_tables
 from obroute.impl_b import _add_fake_traffic, build_cube_scheme
 from obroute.optimum import competitive_ratio, optimal_congestion
-from obroute.routing import (FlowTableBackend, HypercubeBackend, LoadReport,
-                             ReferenceBackend, congestion, route_demands,
+from obroute.routing import (LoadReport, ReferenceBackend, congestion, route_demands,
                              select_path)
 
 
 def _backends(g, tree, cert):
     ref = ReferenceBackend(g, tree, cert.solutions)
-    tab = FlowTableBackend(build_flow_tables(g, tree, cert.int_value))
+    tab = build_flow_tables(g, tree, cert.int_value)
     out = {"reference": ref, "tables": tab}
     if g.uniform_capacities():
         scheme = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(13))
-        out["cubes"] = HypercubeBackend(scheme)
+        out["cubes"] = scheme
     return out
 
 
@@ -227,10 +226,9 @@ class _Corrupted:
     def __init__(self, inner, g, fault):
         if fault == "cube-path":
             # every stored cube-edge path runs backwards, so no cube walk continues
-            scheme = copy.deepcopy(inner.scheme)
-            for maps in (*scheme.mains.values(), *scheme.shuffles.values()):
+            inner = copy.deepcopy(inner)
+            for maps in (*inner.mains.values(), *inner.shuffles.values()):
                 maps.edge_paths = {e: p[::-1] for e, p in maps.edge_paths.items()}
-            inner = HypercubeBackend(scheme)
         self.inner, self.g, self.fault = inner, g, fault
 
     def to_border(self, cluster_id, index, v, rng):

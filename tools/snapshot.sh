@@ -1,0 +1,111 @@
+#!/bin/sh
+# Byte-identity snapshot of an obroute checkout.
+#
+#   tools/snapshot.sh REPO OUT
+#
+# Runs the checkout at REPO (its src/ on PYTHONPATH) and writes into OUT:
+#   route-4x4-perm/   obroute route, grid:4x4, all schemes, permutation, seed 1
+#   route-8x8-grav/   obroute route, grid:8x8, all schemes, gravity, seed 0
+#                     (report.json timestamp lines stripped; stdout.txt)
+#   build-8x8/        obroute build --generate grid:8x8: tree.json, and
+#                     stdout.txt without its `wrote` line
+#   audit-*.txt       obroute audit stdout, grid:4x4 --seed 3 and grid:3x3:1-3
+#   demo-*.txt        stdout of demos/01-05
+#   impl-a-blobs.txt  serialize_vertex_table hex per vertex of the grid 4x4
+#                     impl-a build (tree seed 0), and measure_table_bits_a
+#   routes.txt        sha256 over select_path routes of every ordered pair of
+#                     grid 6x6, 3 draws each, tree seeds 0 and 1, all schemes
+#
+# Two checkouts give the same results when `diff -r OUT1 OUT2` is empty.
+set -eu
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 REPO OUT" >&2
+    exit 2
+fi
+repo=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+py=${PYTHON:-python3}
+export PYTHONPATH="$repo/src"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+obroute() {
+    "$py" -m obroute.cli "$@"
+}
+
+route() {
+    name=$1
+    shift
+    obroute route "$@" --scheme reference --scheme impl-a --scheme impl-b \
+        --out-dir "$work/$name" > "$work/$name.stdout" 2>&1 || echo "exit $?" >> "$work/$name.stdout"
+    mkdir -p "$out/$name"
+    for scheme in reference impl-a impl-b; do
+        grep -v '"timestamp"' "$work/$name/$scheme/report.json" > "$out/$name/$scheme-report.json"
+        cp "$work/$name/$scheme/loads.csv" "$out/$name/$scheme-loads.csv"
+        cp "$work/$name/$scheme/tables.csv" "$out/$name/$scheme-tables.csv"
+    done
+    cp "$work/$name.stdout" "$out/$name/stdout.txt"
+}
+
+route route-4x4-perm --generate grid:4x4 --demands permutation --seed 1
+route route-8x8-grav --generate grid:8x8 --demands gravity --seed 0
+
+mkdir -p "$out/build-8x8"
+obroute build --generate grid:8x8 --out-dir "$work/build" > "$work/build.stdout" 2>&1 \
+    || echo "exit $?" >> "$work/build.stdout"
+grep -v '^wrote ' "$work/build.stdout" > "$out/build-8x8/stdout.txt" || true
+cp "$work/build/tree.json" "$out/build-8x8/tree.json"
+
+obroute audit --generate grid:4x4 --seed 3 > "$out/audit-4x4-seed3.txt" 2>&1 \
+    || echo "exit $?" >> "$out/audit-4x4-seed3.txt"
+obroute audit --generate grid:3x3:1-3 > "$out/audit-3x3-caps.txt" 2>&1 \
+    || echo "exit $?" >> "$out/audit-3x3-caps.txt"
+
+for demo in "$repo"/demos/0[1-5]_*.py; do
+    "$py" "$demo" > "$out/demo-$(basename "$demo" .py).txt" 2>&1 \
+        || echo "exit $?" >> "$out/demo-$(basename "$demo" .py).txt"
+done
+
+"$py" - > "$out/impl-a-blobs.txt" <<'EOF'
+from obroute.decomposition import build_tree, certify_congestion
+from obroute.graph import grid_graph
+from obroute.impl_a import build_flow_tables, measure_table_bits_a, serialize_vertex_table
+
+g = grid_graph(4, 4)
+tree = build_tree(g, target_arity=2, seed=0)
+tables = build_flow_tables(g, tree, certify_congestion(g, tree).int_value)
+for v in range(g.n):
+    print(v, serialize_vertex_table(tables, v).hex())
+bits = measure_table_bits_a(tables)
+print("max", bits.max_bits, "total", bits.total_bits)
+print("per_vertex", sorted(bits.per_vertex.items()))
+EOF
+
+"$py" - > "$out/routes.txt" <<'EOF'
+import hashlib
+
+import numpy as np
+
+from obroute.decomposition import build_tree, certify_congestion
+from obroute.experiment import SCHEMES, _build_backend
+from obroute.graph import grid_graph
+from obroute.routing import select_path
+
+g = grid_graph(6, 6)
+for tree_seed in (0, 1):
+    tree = build_tree(g, target_arity=2, seed=tree_seed)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    for scheme in SCHEMES:
+        backend = _build_backend(scheme, g, tree, cert, tree_seed)[0]
+        rng = np.random.default_rng((tree_seed, SCHEMES.index(scheme)))
+        digest = hashlib.sha256()
+        for s in range(g.n):
+            for t in range(g.n):
+                if s != t:
+                    for _ in range(3):
+                        digest.update(repr(select_path(s, t, tree, backend, rng)).encode())
+        print(tree_seed, scheme, digest.hexdigest())
+EOF
