@@ -12,7 +12,9 @@ from scipy.optimize import linprog
 from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, decompose_by_sink
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
-# above this variable count the dual simplex stalls; interior point stays fast
+# above this variable count the dual simplex stalls; interior point stays fast.
+# Only certification and impl-b embedding LPs reach it: the optimum oracle
+# solves small master LPs of its own (obroute.optimum)
 _IPM_THRESHOLD = 60_000
 
 __all__ = ["CMCFSolution", "RoundedPaths", "solve_cmcf_min_congestion", "round_paths"]

@@ -199,7 +199,7 @@ def run_experiment(cfg: dict[str, str],
     tree = build_tree(g, target_arity=int(cfg["arity"]), seed=seed)
     cert = certify_congestion(g, tree, store_solutions=True)
     demands = demand_battery(cfg["demands"], g, seed)
-    c_opt = optimal_congestion(g, demands) if demands.entries else 0.0
+    c_opt = optimal_congestion(g, demands)
 
     failures = [f"tree audit: {msg}" for msg in audit_tree(g, tree)]
 

@@ -277,13 +277,17 @@ def header_bit_length(tree: DecompositionTree) -> int:
 # bit-exact table accounting
 # ---------------------------------------------------------------------------
 
-def _amount_width(tables: FlowTables, cluster_id: int, index: int) -> int:
-    """Bit length of the largest augmented-network capacity for this flow."""
+def _max_capacity_inside(tables: FlowTables, cluster_id: int) -> int:
+    members = set(tables.tree.cluster(cluster_id).vertices)
+    return max((tables.graph.edges[i][2] for i in tables.graph.edges_inside(members)),
+               default=0)
+
+
+def _amount_width(tables: FlowTables, cluster_id: int, index: int, cap_max: int) -> int:
+    """Bit length of the largest augmented-network capacity for this flow,
+    given the largest capacity inside the cluster."""
     cluster = tables.tree.cluster(cluster_id)
     total_w = cluster.total_weight
-    members = set(cluster.vertices)
-    cap_max = max((tables.graph.edges[i][2] for i in tables.graph.edges_inside(members)),
-                  default=0)
     out_map = tables.tree.target(cluster_id, index).border_weight
     out_total = sum(out_map.values())
     biggest = max(cap_max * total_w * tables.cluster_c[cluster_id],
@@ -300,6 +304,7 @@ def _table_fields(tables: FlowTables,
     g = tables.graph
     id_bits = max(1, math.ceil(math.log2(max(2, len(tree.clusters)))))
     index_bits = max(1, math.ceil(math.log2(max(2, tree.degree + 1))))
+    cap_max: dict[int, int] = {}
     widths: dict[tuple[int, int], int] = {}
     for v in vertices:
         deg = g.degree(v)
@@ -318,7 +323,9 @@ def _table_fields(tables: FlowTables,
                 if not entries:
                     continue
                 if (cid, index) not in widths:
-                    widths[(cid, index)] = _amount_width(tables, cid, index)
+                    if cid not in cap_max:
+                        cap_max[cid] = _max_capacity_inside(tables, cid)
+                    widths[(cid, index)] = _amount_width(tables, cid, index, cap_max[cid])
                 fields += [(cid, id_bits), (index, index_bits), (len(entries), count_bits)]
                 for slot, amount in entries:
                     fields += [(slot, slot_bits), (amount, widths[(cid, index)])]

@@ -5,6 +5,7 @@ from collections import deque
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from obroute.graph import CapacitatedGraph, DemandMatrix
@@ -31,6 +32,24 @@ def triangle(cap: int = 1) -> CapacitatedGraph:
 def diamond() -> CapacitatedGraph:
     # two vertex-disjoint 2-hop routes 0-1-3 and 0-2-3
     return CapacitatedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    # random spanning tree guarantees connectivity, then optional extras
+    edges = {}
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        edges[(u, v)] = draw(st.integers(min_value=1, max_value=9))
+    extras = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    for a, b in extras:
+        if a != b:
+            key = (min(a, b), max(a, b))
+            if key not in edges:
+                edges[key] = draw(st.integers(min_value=1, max_value=9))
+    return CapacitatedGraph(n, [(u, v, c) for (u, v), c in edges.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -372,3 +372,17 @@ def test_cli_report(tmp_path, capsys):
     assert " - " in outp  # reference has no table bits
 
     assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 1
+
+
+def test_empty_file_battery_has_zero_optimum(tmp_path):
+    empty = tmp_path / "none.txt"
+    empty.write_text("# no demands\n")
+    cfg = parse_config("")
+    cfg.update({"generate": "grid:2x2", "schemes": ",".join(SCHEMES),
+                "demands": f"file:{empty}"})
+    code, failures = run_experiment(cfg, tmp_path / "out")
+    assert code == 0 and failures == []
+    for scheme in SCHEMES:
+        report = json.loads((tmp_path / "out" / scheme / "report.json").read_text())
+        assert (report["pairs"], report["c_opt"], report["congestion"], report["ratio"]) == \
+            (0, 0.0, 0.0, 1.0)

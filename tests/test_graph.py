@@ -15,7 +15,7 @@ from obroute.graph import (
     graph_stats,
     parse_graph,
 )
-from helpers import single_edge
+from helpers import connected_graphs, single_edge
 
 
 def test_stats_2x3_grid():
@@ -86,24 +86,6 @@ def test_parse_accepts_comments_and_blanks():
 def test_single_vertex_graph():
     g = parse_graph("1 0\n")
     assert (g.n, g.m, g.max_capacity, g.max_degree) == (1, 0, 0, 0)
-
-
-@st.composite
-def connected_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    # random spanning tree guarantees connectivity, then optional extras
-    edges = {}
-    for v in range(1, n):
-        u = draw(st.integers(min_value=0, max_value=v - 1))
-        edges[(u, v)] = draw(st.integers(min_value=1, max_value=9))
-    extras = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
-    for a, b in extras:
-        if a != b:
-            key = (min(a, b), max(a, b))
-            if key not in edges:
-                edges[key] = draw(st.integers(min_value=1, max_value=9))
-    return CapacitatedGraph(n, [(u, v, c) for (u, v), c in edges.items()])
 
 
 @settings(max_examples=60, deadline=None)

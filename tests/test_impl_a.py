@@ -299,7 +299,17 @@ def test_measure_computes_each_amount_width_once(monkeypatch):
     width = impl_a._amount_width
     monkeypatch.setattr(impl_a, "_amount_width", lambda *key: calls.append(key) or width(*key))
     measure_table_bits_a(tables)
-    assert sorted(key[1:] for key in calls) == sorted(tables.flows)
+    assert sorted(key[1:3] for key in calls) == sorted(tables.flows)
+
+
+def test_measure_scans_each_cluster_edges_once(monkeypatch):
+    g = generate_graph("grid", rows=4, cols=4, cap_range=(1, 5), seed=2)
+    _, _, tables = build_all(g)
+    scans = []
+    inside = g.edges_inside
+    monkeypatch.setattr(g, "edges_inside", lambda members: scans.append(members) or inside(members))
+    measure_table_bits_a(tables)
+    assert 0 < len(scans) <= len({cid for cid, _ in tables.flows})
 
 
 def test_serializer_rejects_amount_too_wide_for_its_field():

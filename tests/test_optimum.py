@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from obroute.graph import CapacitatedGraph, DemandMatrix
+from obroute import optimum
+from obroute.cli import main
+from obroute.cmcf import solve_cmcf_min_congestion
+from obroute.experiment import demand_battery
+from obroute.graph import (CapacitatedGraph, DemandMatrix, grid_graph, hypercube_graph,
+                           torus_graph)
 from obroute.optimum import competitive_ratio, optimal_congestion
 import helpers
-from helpers import brute_force_congestion, cycle_graph, single_edge, triangle
+from helpers import brute_force_congestion, connected_graphs, cycle_graph, single_edge, triangle
 
 
 # oracle battery: values derived by hand from the two-path split argument
@@ -80,3 +87,92 @@ def test_competitive_ratio_conventions():
     assert competitive_ratio(4.0, 2.0) == 2.0
     with pytest.raises(ValueError, match="inconsistent"):
         competitive_ratio(1.0, 0.0)
+
+
+# column generation against the source-aggregated arc LP
+
+@pytest.mark.parametrize("g, battery", [
+    (grid_graph(8, 8), "gravity"),
+    (grid_graph(8, 8), "permutation"),
+    (grid_graph(10, 10), "uniform_pairs:24"),
+    (grid_graph(6, 6, cap_range=(1, 5), seed=0), "gravity"),
+    (torus_graph(6, 6), "gravity"),
+    (hypercube_graph(5), "gravity"),
+], ids=["grid8-gravity", "grid8-permutation", "grid10-uniform24", "grid6-caps1to5",
+        "torus6-gravity", "hypercube5-gravity"])
+def test_matches_arc_lp(g, battery):
+    demands = demand_battery(battery, g, 0)
+    arc = solve_cmcf_min_congestion(g, demands).congestion
+    assert optimal_congestion(g, demands) == pytest.approx(arc, rel=1e-9)
+
+
+@st.composite
+def graphs_with_two_way_demands(draw):
+    g = draw(connected_graphs().filter(lambda g: g.n >= 2))
+    vertex = st.integers(0, g.n - 1)
+    amount = st.floats(0.25, 8.0)
+    s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    entries = {(s, t): draw(amount), (t, s): draw(amount)}
+    for a, b, d in draw(st.lists(st.tuples(vertex, vertex, amount), max_size=10)):
+        if a != b:
+            entries[(a, b)] = d
+    return g, DemandMatrix(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_two_way_demands())
+def test_matches_arc_lp_on_random_graphs(case):
+    g, demands = case
+    arc = solve_cmcf_min_congestion(g, demands).congestion
+    assert optimal_congestion(g, demands) == pytest.approx(arc, rel=1e-9)
+
+
+def test_zero_dual_length_edge_stays_traversable(monkeypatch):
+    # the wide edge 1-2 has slack at the optimum, so its dual length is 0,
+    # yet every route from 0 to 2 crosses it
+    g = CapacitatedGraph(3, [(0, 1, 1), (1, 2, 100)])
+    lengths = []
+    solve = optimum._TreePool.solve_master
+
+    def recorded(pool, caps):
+        x, sigma, w = solve(pool, caps)
+        lengths.append(w.copy())
+        return x, sigma, w
+
+    monkeypatch.setattr(optimum._TreePool, "solve_master", recorded)
+    assert optimal_congestion(g, DemandMatrix({(0, 2): 1.0})) == pytest.approx(1.0, rel=1e-12)
+    assert lengths and lengths[-1][g.edge_index(1, 2)] == 0.0
+
+
+def test_empty_demands_cost_nothing():
+    g = grid_graph(3, 3)
+    assert optimal_congestion(g, DemandMatrix({})) == 0.0
+    assert optimal_congestion(g, {}) == 0.0
+    assert optimal_congestion(g, {(0, 4): 0.0}) == 0.0
+
+
+def test_rejects_pairs_outside_the_graph():
+    with pytest.raises(ValueError, match="outside"):
+        optimal_congestion(triangle(), {(0, 3): 1.0})
+
+
+def test_round_cap_raises(monkeypatch):
+    g = grid_graph(4, 4)
+    monkeypatch.setattr(optimum, "_MAX_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 master LPs"):
+        optimal_congestion(g, demand_battery("gravity", g, 0))
+
+
+def test_gap_to_dual_bound_raises(monkeypatch):
+    # a tie-break term as long as the duals themselves leaves the bound loose
+    g = grid_graph(4, 4)
+    monkeypatch.setattr(optimum, "_TIE", 1.0)
+    with pytest.raises(RuntimeError, match="not within relative gap"):
+        optimal_congestion(g, demand_battery("gravity", g, 0))
+
+
+def test_route_exits_2_when_the_oracle_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(optimum, "_MAX_ROUNDS", 1)
+    code = main(["route", "--generate", "grid:3x3", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "did not converge" in capsys.readouterr().err
