@@ -1,6 +1,6 @@
 """Minimum-congestion concurrent multicommodity flow, solved as one LP with
-commodities aggregated by source vertex, plus randomized rounding of unit
-flows to single paths."""
+commodities aggregated by source vertex, plus randomized rounding: one path
+per listed pair, drawn from that pair's fractional flow."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -17,7 +17,7 @@ from obroute.graph import CapacitatedGraph, DemandMatrix
 # solves small master LPs of its own (obroute.optimum)
 _IPM_THRESHOLD = 60_000
 
-__all__ = ["CMCFSolution", "RoundedPaths", "solve_cmcf_min_congestion", "round_paths"]
+__all__ = ["CMCFSolution", "solve_cmcf_min_congestion", "round_paths"]
 
 
 @dataclass
@@ -30,7 +30,6 @@ class CMCFSolution:
     """
 
     vertices: list[int]
-    demands: dict[tuple[int, int], float]
     source_flows: dict[int, FlowAssignment]
     edge_loads: dict[tuple[int, int], float]   # canonical (u < v), both directions summed
     congestion: float
@@ -51,15 +50,6 @@ class CMCFSolution:
             self._groups[source] = out
         return self._groups[source]
 
-    def demand_residuals(self) -> dict[tuple[int, int], float]:
-        """|net inflow at sink - demand| per commodity pair."""
-        res = {}
-        for (s, t), d in self.demands.items():
-            fa = self.source_flows[s]
-            got = fa.arcs.get((t, SNK), 0.0)
-            res[(s, t)] = abs(got - d)
-        return res
-
 
 def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
                               restrict: set[int] | None = None) -> CMCFSolution:
@@ -76,8 +66,8 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
             raise ValueError(f"demand pair ({s},{t}) lies outside the vertex restriction")
     entries = {p: float(d) for p, d in entries.items() if d > 0}
     if not entries:
-        return CMCFSolution(vertices=verts, demands={}, source_flows={},
-                            edge_loads={}, congestion=0.0, lp_objective=0.0)
+        return CMCFSolution(vertices=verts, source_flows={}, edge_loads={},
+                            congestion=0.0, lp_objective=0.0)
 
     if len(g.hop_distances(verts[:1], vset)) != len(verts):
         raise ValueError("vertex restriction induces a disconnected subgraph")
@@ -160,6 +150,9 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
                 total += d
         fa_arcs[(SRC, s)] = total
         fa = FlowAssignment(arcs=fa_arcs, source=SRC, sink=SNK, value=total)
+        bad = fa.conservation_violations(tol=1e-6 * max(1.0, total))
+        if bad:
+            raise RuntimeError(f"solver returned flows violating demands of source {s}: {bad}")
         source_flows[s] = cancel_cycles(fa, eps=1e-12)
 
     loads: dict[tuple[int, int], float] = {}
@@ -173,69 +166,23 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     for (u, v, c) in edges:
         congestion = max(congestion, loads.get((u, v), 0.0) / c)
 
-    sol = CMCFSolution(vertices=verts, demands=entries, source_flows=source_flows,
-                       edge_loads=loads, congestion=congestion, lp_objective=float(res.fun))
-    bad = {p: r for p, r in sol.demand_residuals().items() if r > 1e-6 * max(1.0, entries[p])}
-    if bad:
-        raise RuntimeError(f"solver returned flows violating demands: {bad}")
-    return sol
+    return CMCFSolution(vertices=verts, source_flows=source_flows, edge_loads=loads,
+                        congestion=congestion, lp_objective=float(res.fun))
 
 
 # ---------------------------------------------------------------------------
 # randomized rounding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RoundedPaths:
-    """One sampled path per unit commodity, with load bookkeeping."""
-
-    paths: dict[tuple[int, int], list[list[int]]]
-    edge_loads: dict[tuple[int, int], int]
-    frac_loads: dict[tuple[int, int], float]
-    mu: float                                   # max fractional edge load
-    max_load: int
-    load_variance: dict[tuple[int, int], float]  # sum of Bernoulli variances per edge
-
-
-def round_paths(sol: CMCFSolution, rng: np.random.Generator) -> RoundedPaths:
-    """Sample one path per unit commodity, proportional to its flow decomposition.
-
-    Each demand must be a positive integer: a demand of k is k parallel unit
-    commodities sharing the scaled pair flow. Expected rounded load per edge
-    equals the fractional load exactly.
-    """
-    frac: dict[tuple[int, int], float] = {}
-    variance: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
-    chosen: dict[tuple[int, int], list[list[int]]] = {}
-
-    for (s, t), d in sorted(sol.demands.items()):
-        k = round(d)
-        if abs(d - k) > 1e-6 or k < 1:
-            raise ValueError(f"commodity ({s},{t}) must ship an integral number of "
-                             f"unit flows, got demand {d}")
+def round_paths(sol: CMCFSolution, pairs: list[tuple[int, int]],
+                rng: np.random.Generator) -> list[list[int]]:
+    """Randomized rounding: one path per listed pair (s, t), drawn from the
+    decomposition of that pair's flow with one uniform number per pair. A pair
+    listed k times gets k independent draws, so its expected load on every
+    edge is k times its per-unit fractional load."""
+    picked = []
+    for (s, t), u in zip(pairs, rng.random(len(pairs))):
         paths, probs = sol.path_groups(s)[t]
-        edge_prob: dict[tuple[int, int], float] = {}
-        for path, p in zip(paths, probs):
-            for a, b in zip(path, path[1:]):
-                key = (a, b) if a < b else (b, a)
-                edge_prob[key] = edge_prob.get(key, 0.0) + p
-        for key, p in edge_prob.items():
-            frac[key] = frac.get(key, 0.0) + k * p
-            variance[key] = variance.get(key, 0.0) + k * p * (1.0 - p)
-        cum = np.cumsum(probs)
-        draws = np.searchsorted(cum, rng.random(k), side="right")
-        draws = np.minimum(draws, len(paths) - 1)
-        picked = [paths[i] for i in draws]
-        chosen[(s, t)] = picked
-        for path in picked:
-            for a, b in zip(path, path[1:]):
-                key = (a, b) if a < b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
-
-    return RoundedPaths(paths=chosen,
-                        edge_loads=counts,
-                        frac_loads=frac,
-                        mu=max(frac.values(), default=0.0),
-                        max_load=max(counts.values(), default=0),
-                        load_variance=variance)
+        i = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+        picked.append(paths[min(i, len(paths) - 1)])
+    return picked

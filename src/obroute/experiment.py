@@ -208,12 +208,6 @@ def run_experiment(cfg: dict[str, str],
             scheme, g, tree, cert, seed)
         failures += [f"{scheme} audit: {msg}" for msg in audits]
         report = route_demands(g, tree, backend, demands)
-        report.scheme = scheme
-        report.c_opt = c_opt
-        report.ratio = competitive_ratio(report.congestion, c_opt)
-        report.table_bits = bits
-        report.label_bits = label_bits
-        report.header_bits = header_bits
 
         if demands.entries:
             bound = _guarantee_factor(scheme, tree, backend) * cert.int_value * c_opt
@@ -234,7 +228,7 @@ def run_experiment(cfg: dict[str, str],
             "seed": seed,
             "congestion": report.congestion,
             "c_opt": c_opt,
-            "ratio": report.ratio,
+            "ratio": competitive_ratio(report.congestion, c_opt),
             "ratio_note": "measured against this demand battery only; the "
                           "worst case over all demand matrices can be larger",
             "label_bits": label_bits,

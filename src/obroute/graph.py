@@ -295,10 +295,6 @@ class DemandMatrix:
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.entries)
 
-    @property
-    def total(self) -> float:
-        return sum(self.entries.values())
-
     def scaled(self, factor: float) -> "DemandMatrix":
         return DemandMatrix({p: d * factor for p, d in self.entries.items()})
 

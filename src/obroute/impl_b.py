@@ -17,12 +17,12 @@ distinct vertices contributes a unit demand in both directions, and fake
 traffic tops every vertex up to send/receive exactly 8d*w_S(v), with each
 cube's own d. Both cubes' instances are summed into one joint instance, the
 min-congestion LP routes it inside G[S] (one LP per cluster), and each cube
-edge keeps one path sampled from its pair's fractional flow, main-cube edges
-first (fake commodities are dropped). An impl-b hop walks the main cube and
-then the shuffle cube of the same cluster, so an edge carries the sum of both
-embeddings: the joint LP minimises exactly that sum's maximum. Cube routing
-picks a uniform intermediate node, fixes differing coordinates in ascending
-order to reach it, and repeats toward the target.
+edge (x, y) gets one path drawn from the fractional flow of its pair
+(owner(x), owner(y)); nothing else is rounded. An impl-b hop walks the main
+cube and then the shuffle cube of the same cluster, so an edge carries the sum
+of both embeddings: the joint LP minimises exactly that sum's maximum. Cube
+routing picks a uniform intermediate node, fixes differing coordinates in
+ascending order to reach it, and repeats toward the target.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -287,18 +287,16 @@ def _embedding_demands(cluster: Cluster,
 
 def _embed_cubes(g: CapacitatedGraph, cluster: Cluster, cubes: tuple[CubeMaps, ...],
                  rng: np.random.Generator) -> None:
-    """Solve the joint instance once and give every cube edge one rounded path
-    of its pair, in cube order."""
+    """Solve the joint instance once, then give every cube edge, cube by cube,
+    one path drawn from the flow of its pair."""
     sol = solve_cmcf_min_congestion(g, _embedding_demands(cluster, cubes),
                                     restrict=set(cluster.vertices))
-    paths = round_paths(sol, rng).paths
-    consumed: dict[tuple[int, int], int] = {}
     for maps in cubes:
         maps.fractional_congestion = sol.congestion
-        for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension):
-            pos = consumed.get((a, b), 0)
-            consumed[(a, b)] = pos + 1
-            maps.edge_paths[(x, y)] = paths[(a, b)][pos]
+        edges = list(_cube_edges(maps.node_owner, maps.dimension))
+        paths = round_paths(sol, [(a, b) for _, _, a, b in edges], rng)
+        for (x, y, _, _), path in zip(edges, paths):
+            maps.edge_paths[(x, y)] = path
 
 
 def _node_map(node_owner: list[int], d: int) -> CubeMaps:

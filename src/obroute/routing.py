@@ -33,7 +33,6 @@ without sampling, and checks the end law of every hop.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol
@@ -45,7 +44,7 @@ from obroute.decomposition import DecompositionTree
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
 __all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "route_up",
-           "route_down", "select_path", "route_demands", "congestion"]
+           "route_down", "select_path", "route_demands"]
 
 Law = dict[int, float]                       # vertex -> probability
 Loads = dict[tuple[int, int], float]         # canonical edge (u < v) -> expected load
@@ -273,41 +272,13 @@ def _hop_loads(tree: DecompositionTree, backend: SchemeBackend,
 
 @dataclass
 class LoadReport:
-    """Exact expected per-edge loads, plus scheme metadata. edge_stderr is kept
-    for readers of the load table; it is 0.0 for every loaded edge."""
+    """Exact expected per-edge loads. edge_stderr is kept for readers of the
+    load table; it is 0.0 for every loaded edge."""
 
     edge_loads: dict[tuple[int, int], float]
     edge_stderr: dict[tuple[int, int], float]
     edge_caps: dict[tuple[int, int], int]
     congestion: float
-    c_opt: float | None = None
-    ratio: float | None = None
-    table_bits: dict[int, int] | None = None    # per vertex
-    label_bits: int | None = None
-    header_bits: int | None = None
-    scheme: str = ""
-
-    def to_json(self) -> str:
-        payload = {
-            "scheme": self.scheme,
-            "estimator": ESTIMATOR,
-            "congestion": self.congestion,
-            "c_opt": self.c_opt,
-            "ratio": self.ratio,
-            "label_bits": self.label_bits,
-            "header_bits": self.header_bits,
-            "max_table_bits": max(self.table_bits.values())
-            if self.table_bits else None,
-            "total_table_bits": sum(self.table_bits.values())
-            if self.table_bits else None,
-            "edges": [
-                {"u": u, "v": v, "cap": self.edge_caps[(u, v)],
-                 "load": self.edge_loads.get((u, v), 0.0),
-                 "stderr": self.edge_stderr.get((u, v), 0.0)}
-                for (u, v) in sorted(self.edge_caps)
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
@@ -346,8 +317,3 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
                       edge_caps=caps,
                       congestion=worst)
 
-
-def congestion(report: LoadReport) -> float:
-    """Max load over capacity, recomputed from the per-edge values."""
-    return max((load / report.edge_caps[key]
-                for key, load in report.edge_loads.items()), default=0.0)

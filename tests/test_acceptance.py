@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from obroute.graph import CapacitatedGraph, DemandMatrix, grid_graph, random_reg
 from obroute.impl_a import (build_flow_tables, endpoint_distribution,
                             header_bit_length, label_bit_length,
                             measure_table_bits_a)
-from obroute.impl_b import (_embedding_demands, audit_cube_scheme, build_cube_scheme,
-                            build_embedding, build_rerand_cube, measure_table_bits_b)
+from obroute.impl_b import (_cube_edges, _embedding_demands, audit_cube_scheme,
+                            build_cube_scheme, build_embedding, build_rerand_cube,
+                            measure_table_bits_b)
 from obroute.optimum import optimal_congestion
 from obroute.routing import ReferenceBackend, route_demands
 
@@ -172,26 +174,45 @@ def test_criterion_4_chernoff_rounding():
     instances = [(g, tree, cert, root), (g, tree, cert, tree.cluster(root.children[0]))]
 
     for g, tree, cert, cluster in instances:
-        # the joint main + shuffle instance, as build_cube_scheme solves it
+        # the joint main + shuffle instance, as build_cube_scheme solves it,
+        # and the draws it makes: one path per cube edge of either cube
         _, main = build_embedding(tree, cluster)
-        demands = _embedding_demands(cluster, (main, build_rerand_cube(cluster)))
+        cubes = (main, build_rerand_cube(cluster))
         members = set(cluster.vertices)
-        sol = solve_cmcf_min_congestion(g, demands, restrict=members)
+        sol = solve_cmcf_min_congestion(g, _embedding_demands(cluster, cubes),
+                                        restrict=members)
+        pairs = [(a, b) for maps in cubes
+                 for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension)]
+        # fractional loads and Bernoulli variances of those draws, from the
+        # pairs' path laws
+        frac: dict[tuple[int, int], float] = {}
+        variance: dict[tuple[int, int], float] = {}
+        for (a, b), k in Counter(pairs).items():
+            paths, probs = sol.path_groups(a)[b]
+            edge_prob: dict[tuple[int, int], float] = {}
+            for path, p in zip(paths, probs):
+                for e in zip(path, path[1:]):
+                    key = e if e[0] < e[1] else e[::-1]
+                    edge_prob[key] = edge_prob.get(key, 0.0) + p
+            for key, p in edge_prob.items():
+                frac[key] = frac.get(key, 0.0) + k * p
+                variance[key] = variance.get(key, 0.0) + k * p * (1.0 - p)
+        mu = max(frac.values())
         m = len(g.edges_inside(members))
         bound_slack = 3.0 * math.log(m)
 
         seeds = 50
         hits = 0
         loads: dict[tuple[int, int], np.ndarray] = {}
-        frac: dict[tuple[int, int], float] = {}
-        variance: dict[tuple[int, int], float] = {}
         for s in range(seeds):
-            rp = round_paths(sol, np.random.default_rng((404, s)))
-            if rp.max_load <= rp.mu + bound_slack:
+            counts: dict[tuple[int, int], int] = {}
+            for path in round_paths(sol, pairs, np.random.default_rng((404, s))):
+                for e in zip(path, path[1:]):
+                    key = e if e[0] < e[1] else e[::-1]
+                    counts[key] = counts.get(key, 0) + 1
+            if max(counts.values()) <= mu + bound_slack:
                 hits += 1
-            frac = rp.frac_loads
-            variance = rp.load_variance
-            for e, value in rp.edge_loads.items():
+            for e, value in counts.items():
                 loads.setdefault(e, np.zeros(seeds))[s] = value
         if hits < seeds // 2:
             violations.append(f"cluster {cluster.id} (n={g.n}): rounded max "

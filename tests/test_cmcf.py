@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from obroute import cmcf
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph
 from helpers import cycle_graph, diamond, path_graph, single_edge
@@ -12,7 +13,7 @@ def test_single_edge_both_directions():
     # demand 0.5 each way shares one unit edge: congestion exactly 1
     sol = solve_cmcf_min_congestion(single_edge(), {(0, 1): 0.5, (1, 0): 0.5})
     assert sol.congestion == pytest.approx(1.0, abs=1e-9)
-    assert all(r < 1e-9 for r in sol.demand_residuals().values())
+    assert all(fa.conservation_violations(tol=1e-9) == {} for fa in sol.source_flows.values())
 
 
 def test_congestion_matches_recomputation_and_lp():
@@ -63,14 +64,43 @@ def test_path_groups_normalized():
         assert p[0] == 0 and p[-1] == 2
 
 
-def test_round_paths_rejects_fractional_commodities():
-    sol = solve_cmcf_min_congestion(cycle_graph(4), {(0, 2): 0.5})
-    with pytest.raises(ValueError, match="integral number of unit flows"):
-        round_paths(sol, np.random.default_rng(0))
+def test_solver_flows_violating_demands_raise(monkeypatch):
+    # zeroing the largest arc flow of the real LP result breaks conservation
+    real = cmcf.linprog
+
+    def broken(*args, **kwargs):
+        res = real(*args, **kwargs)
+        x = res.x.copy()
+        x[int(np.argmax(x[:-1]))] = 0.0     # the last variable is lambda
+        res.x = x
+        return res
+
+    monkeypatch.setattr(cmcf, "linprog", broken)
+    with pytest.raises(RuntimeError, match="violating demands"):
+        solve_cmcf_min_congestion(cycle_graph(6), {(0, 3): 1.0, (1, 4): 0.5})
+
+
+def _edge_counts(paths: list[list[int]]) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            key = (a, b) if a < b else (b, a)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _pair_edge_probs(sol, pair: tuple[int, int]) -> dict[tuple[int, int], float]:
+    """Probability that one draw for `pair` uses each edge, from path_groups."""
+    paths, probs = sol.path_groups(pair[0])[pair[1]]
+    out: dict[tuple[int, int], float] = {}
+    for path, p in zip(paths, probs):
+        for key in _edge_counts([path]):
+            out[key] = out.get(key, 0.0) + p
+    return out
 
 
 def test_round_paths_binomial_means():
-    # 10 unit commodities split 50/50 over the two diamond routes:
+    # 10 draws of one pair split 50/50 over the two diamond routes:
     # each route edge load is Binomial(10, 0.5); mean over trials within 3 sigma of 5
     g = diamond()
     sol = solve_cmcf_min_congestion(g, {(0, 3): 10.0})
@@ -81,17 +111,17 @@ def test_round_paths_binomial_means():
     rng = np.random.default_rng(42)
     sums = {key: 0 for key in route_edges}
     for _ in range(trials):
-        rounded = round_paths(sol, rng)
-        assert rounded.max_load <= 10
+        counts = _edge_counts(round_paths(sol, [(0, 3)] * 10, rng))
+        assert max(counts.values()) <= 10
         for key in route_edges:
-            sums[key] += rounded.edge_loads.get(key, 0)
+            sums[key] += counts.get(key, 0)
     sigma_mean = np.sqrt(10 * 0.25 / trials)  # sd of the trial-mean of Binomial(10,.5)
     for key in route_edges:
         assert abs(sums[key] / trials - 5.0) <= 3 * sigma_mean
 
 
 def test_round_paths_chernoff_margin():
-    # fractional max load mu=8 on a 64-edge graph: 16 unit commodities split
+    # fractional max load mu=8 on a 64-edge graph: 16 draws of one pair split
     # over the diamond, padded with a 60-edge path so ln(m) matches the target
     edges = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]
     base = 4
@@ -100,14 +130,13 @@ def test_round_paths_chernoff_margin():
     g = CapacitatedGraph(64, edges)
     assert g.m == 64
     sol = solve_cmcf_min_congestion(g, {(0, 3): 16.0})
+    assert max(sol.edge_loads.values()) == pytest.approx(8.0, abs=1e-6)
     bound = 8 + 3 * np.log(g.m)
     assert bound == pytest.approx(20.477, abs=0.01)
     rng = np.random.default_rng(7)
     hits = 0
     for _ in range(50):
-        rounded = round_paths(sol, rng)
-        assert rounded.mu == pytest.approx(8.0, abs=1e-6)
-        if rounded.max_load <= bound:
+        if max(_edge_counts(round_paths(sol, [(0, 3)] * 16, rng)).values()) <= bound:
             hits += 1
     assert hits >= 25
 
@@ -115,14 +144,22 @@ def test_round_paths_chernoff_margin():
 def test_round_paths_unbiased_loads():
     g = cycle_graph(4)
     sol = solve_cmcf_min_congestion(g, {(0, 2): 2.0, (1, 3): 1.0})
+    pairs = [(0, 2)] * 2 + [(1, 3)]
+    frac: dict[tuple[int, int], float] = {}
+    variance: dict[tuple[int, int], float] = {}
+    for pair in pairs:
+        for key, p in _pair_edge_probs(sol, pair).items():
+            frac[key] = frac.get(key, 0.0) + p
+            variance[key] = variance.get(key, 0.0) + p * (1.0 - p)
+    for key, load in sol.edge_loads.items():
+        assert frac.get(key, 0.0) == pytest.approx(load, abs=1e-9)
     rng = np.random.default_rng(3)
     trials = 4000
     acc: dict[tuple[int, int], float] = {}
     for _ in range(trials):
-        rounded = round_paths(sol, rng)
-        for k, v in rounded.edge_loads.items():
+        for k, v in _edge_counts(round_paths(sol, pairs, rng)).items():
             acc[k] = acc.get(k, 0.0) + v
-    for key, frac in round_paths(sol, rng).frac_loads.items():
+    for key, expect in frac.items():
         mean = acc.get(key, 0.0) / trials
-        se = np.sqrt(round_paths(sol, rng).load_variance[key] / trials) + 1e-9
-        assert abs(mean - frac) <= 4 * se + 1e-6
+        se = np.sqrt(variance[key] / trials) + 1e-9
+        assert abs(mean - expect) <= 4 * se + 1e-6

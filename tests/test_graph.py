@@ -150,7 +150,7 @@ def test_demand_matrix_validation():
     with pytest.raises(ValueError, match="finite"):
         DemandMatrix({(0, 1): float("inf")})
     d = DemandMatrix({(0, 1): 2.0, (1, 0): 0.0})
-    assert d.pairs() == [(0, 1)] and d.total == 2.0
+    assert d.pairs() == [(0, 1)] and sum(d.entries.values()) == 2.0
     assert d.scaled(2.0)[(0, 1)] == 4.0
 
 

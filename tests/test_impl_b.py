@@ -10,14 +10,15 @@ import pytest
 
 from helpers import cycle_graph
 from obroute import impl_b
-from obroute.cmcf import solve_cmcf_min_congestion
+from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import (Cluster, build_tree, certify_congestion,
                                    tree_from_spec)
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
 from obroute.impl_b import (CubeScheme, RoundedSizes, _add_fake_traffic,
-                            _bit_fix, _cube_demands, _embedding_demands, _fill_range,
-                            audit_cube_scheme, build_cube_scheme, build_embedding,
-                            hypercube_route, measure_table_bits_b, round_and_order)
+                            _bit_fix, _cube_demands, _cube_edges, _embedding_demands,
+                            _fill_range, audit_cube_scheme, build_cube_scheme,
+                            build_embedding, hypercube_route, measure_table_bits_b,
+                            round_and_order)
 
 
 def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
@@ -315,6 +316,32 @@ def test_one_joint_lp_per_cluster(monkeypatch):
             expect.append(frozenset(cluster.vertices))
     assert len(expect) > 4
     assert calls == expect
+
+
+def test_one_draw_per_cube_edge(monkeypatch):
+    # the build rounds exactly the paths it stores: one draw per cube edge
+    # with distinct owners, from the flow of that edge's pair
+    drawn = []
+
+    def recording(sol, pairs, rng):
+        paths = round_paths(sol, pairs, rng)
+        drawn.extend((sol, pair, path) for pair, path in zip(pairs, paths))
+        return paths
+
+    monkeypatch.setattr(impl_b, "round_paths", recording)
+    g = grid_graph(4, 4)
+    tree = build_tree(g, target_arity=2, seed=0)
+    scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
+    expect = []
+    for cid in scheme.rounded:
+        for maps in (scheme.mains[cid], scheme.shuffles[cid]):
+            expect += [(maps, x, y, a, b)
+                       for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension)]
+    assert len(expect) == 538
+    assert [pair for _, pair, _ in drawn] == [(a, b) for *_, a, b in expect]
+    for (sol, _, path), (maps, x, y, a, b) in zip(drawn, expect):
+        assert maps.edge_paths[(x, y)] is path
+        assert path in sol.path_groups(a)[b][0]
 
 
 def test_build_is_deterministic():

@@ -15,6 +15,9 @@
 #                     impl-a build (tree seed 0), and measure_table_bits_a
 #   routes.txt        sha256 over select_path routes of every ordered pair of
 #                     grid 6x6, 3 draws each, tree seeds 0 and 1, all schemes
+#   impl-b-embedding.txt  for the impl-b builds of routes.txt, per tree seed
+#                     one sha256 over every cluster's RoundedSizes and both
+#                     node_owner maps (layout), one over all edge_paths (paths)
 #
 # Two checkouts give the same results when `diff -r OUT1 OUT2` is empty.
 set -eu
@@ -108,4 +111,27 @@ for tree_seed in (0, 1):
                     for _ in range(3):
                         digest.update(repr(select_path(s, t, tree, backend, rng)).encode())
         print(tree_seed, scheme, digest.hexdigest())
+EOF
+
+"$py" - > "$out/impl-b-embedding.txt" <<'EOF'
+import hashlib
+
+from obroute.decomposition import build_tree, certify_congestion
+from obroute.experiment import _build_backend
+from obroute.graph import grid_graph
+
+g = grid_graph(6, 6)
+for tree_seed in (0, 1):
+    tree = build_tree(g, target_arity=2, seed=tree_seed)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    cubes = _build_backend("impl-b", g, tree, cert, tree_seed)[0]
+    layout, paths = hashlib.sha256(), hashlib.sha256()
+    for cid in sorted(cubes.rounded):
+        cube_pair = (cubes.mains[cid], cubes.shuffles[cid])
+        layout.update(repr((cubes.rounded[cid],
+                            [maps.node_owner for maps in cube_pair])).encode())
+        paths.update(repr((cid, [sorted(maps.edge_paths.items())
+                                 for maps in cube_pair])).encode())
+    print(tree_seed, "layout", layout.hexdigest())
+    print(tree_seed, "paths", paths.hexdigest())
 EOF
