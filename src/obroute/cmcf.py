@@ -1,6 +1,9 @@
-"""Minimum-congestion concurrent multicommodity flow, solved as one LP with
-commodities aggregated by source vertex, plus randomized rounding: one path
-per listed pair, drawn from that pair's fractional flow."""
+"""Minimum-congestion concurrent multicommodity flow, plus randomized
+rounding: one path per listed pair, drawn from that pair's fractional flow.
+
+A restriction that induces a spanning tree gives every pair one simple path,
+so its routing is forced and needs no LP; any other restriction is solved as
+one LP with commodities aggregated by source vertex."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -57,6 +60,9 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
 
     Returns per-source cycle-free flows. Infeasibility is impossible on a
     connected restriction; a disconnected restriction is rejected up front.
+    When G[restrict] is a spanning tree every pair has exactly one simple
+    path, so the routing is forced and is built without an LP; any other
+    restriction is one LP.
     """
     entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
     verts = sorted(restrict) if restrict is not None else list(range(g.n))
@@ -64,14 +70,76 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     for (s, t) in entries:
         if s not in vset or t not in vset:
             raise ValueError(f"demand pair ({s},{t}) lies outside the vertex restriction")
-    entries = {p: float(d) for p, d in entries.items() if d > 0}
-    if not entries:
+    by_source: dict[int, list[tuple[int, float]]] = {}
+    for (s, t), d in entries.items():
+        if d > 0:
+            by_source.setdefault(s, []).append((t, float(d)))
+    if not by_source:
         return CMCFSolution(vertices=verts, source_flows={}, edge_loads={},
                             congestion=0.0, lp_objective=0.0)
 
     if len(g.hop_distances(verts[:1], vset)) != len(verts):
         raise ValueError("vertex restriction induces a disconnected subgraph")
     edges = [g.edges[i] for i in g.edges_inside(vset)]
+    sources = sorted(by_source)
+    tree = len(edges) == len(verts) - 1
+    if tree:
+        arc_flows = [_tree_arc_flows(g, s, by_source[s], vset) for s in sources]
+    else:
+        arc_flows, lp_objective = _lp_arc_flows(edges, verts, sources, by_source)
+
+    source_flows: dict[int, FlowAssignment] = {}
+    for s, fa_arcs in zip(sources, arc_flows):
+        total = 0.0
+        for t, d in by_source[s]:
+            fa_arcs[(t, SNK)] = fa_arcs.get((t, SNK), 0.0) + d
+            total += d
+        fa_arcs[(SRC, s)] = total
+        fa = FlowAssignment(arcs=fa_arcs, source=SRC, sink=SNK, value=total)
+        bad = fa.conservation_violations(tol=1e-6 * max(1.0, total))
+        if bad:
+            raise RuntimeError(f"solver returned flows violating demands of source {s}: {bad}")
+        source_flows[s] = cancel_cycles(fa, eps=1e-12)
+
+    loads: dict[tuple[int, int], float] = {}
+    for fa in source_flows.values():
+        for (a, b), f in fa.arcs.items():
+            if a < 0 or b < 0:
+                continue
+            key = (a, b) if a < b else (b, a)
+            loads[key] = loads.get(key, 0.0) + f
+    congestion = 0.0
+    for (u, v, c) in edges:
+        congestion = max(congestion, loads.get((u, v), 0.0) / c)
+
+    return CMCFSolution(vertices=verts, source_flows=source_flows, edge_loads=loads,
+                        congestion=congestion,
+                        lp_objective=congestion if tree else lp_objective)
+
+
+def _tree_arc_flows(g: CapacitatedGraph, s: int, sinks: list[tuple[int, float]],
+                    vset: set[int]) -> dict[tuple[int, int], float]:
+    """Arc flows of source s on the spanning tree G[vset]: each arc (parent, v)
+    carries the demand of every sink in v's subtree."""
+    dist = g.hop_distances([s], vset)
+    below = dict.fromkeys(dist, 0.0)
+    for t, d in sinks:
+        below[t] += d
+    arcs: dict[tuple[int, int], float] = {}
+    for v in reversed(dist):            # breadth-first order reversed: children first
+        if v == s or below[v] == 0.0:
+            continue
+        parent = next(u for u, _ in g.adj[v] if dist.get(u) == dist[v] - 1)
+        arcs[(parent, v)] = below[v]
+        below[parent] += below[v]
+    return arcs
+
+
+def _lp_arc_flows(edges: list[tuple[int, int, int]], verts: list[int], sources: list[int],
+                  by_source: dict[int, list[tuple[int, float]]]
+                  ) -> tuple[list[dict[tuple[int, int], float]], float]:
+    """One min-congestion LP over per-source arc flows; returns each source's
+    positive arc flows (in `sources` order) and the optimal congestion."""
     msub = len(edges)
     arcs = [(u, v) for u, v, _ in edges] + [(v, u) for u, v, _ in edges]
     n_arcs = len(arcs)
@@ -79,7 +147,6 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     nv = len(verts)
     caps = np.array([c for _, _, c in edges], dtype=float)
 
-    sources = sorted({s for (s, _) in entries})
     n_src = len(sources)
     nvar = n_src * n_arcs + 1
     lam = nvar - 1
@@ -99,10 +166,9 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
         cols.append(base + arange)
         vals.append(-np.ones(n_arcs))
         b = np.zeros(nv)
-        for (a, t), d in entries.items():
-            if a == s:
-                b[vidx[t]] -= d
-                b[vidx[s]] += d
+        for t, d in by_source[s]:
+            b[vidx[t]] -= d
+            b[vidx[s]] += d
         b_parts.append(b)
     A_eq = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -135,39 +201,11 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
 
     x = res.x
-    source_flows: dict[int, FlowAssignment] = {}
-    for si, s in enumerate(sources):
+    flows = []
+    for si in range(n_src):
         base = si * n_arcs
-        fa_arcs: dict[tuple[int, int], float] = {}
-        for k, (a, b) in enumerate(arcs):
-            f = x[base + k]
-            if f > 1e-11:
-                fa_arcs[(a, b)] = f
-        total = 0.0
-        for (a, t), d in entries.items():
-            if a == s:
-                fa_arcs[(t, SNK)] = fa_arcs.get((t, SNK), 0.0) + d
-                total += d
-        fa_arcs[(SRC, s)] = total
-        fa = FlowAssignment(arcs=fa_arcs, source=SRC, sink=SNK, value=total)
-        bad = fa.conservation_violations(tol=1e-6 * max(1.0, total))
-        if bad:
-            raise RuntimeError(f"solver returned flows violating demands of source {s}: {bad}")
-        source_flows[s] = cancel_cycles(fa, eps=1e-12)
-
-    loads: dict[tuple[int, int], float] = {}
-    for fa in source_flows.values():
-        for (a, b), f in fa.arcs.items():
-            if a < 0 or b < 0:
-                continue
-            key = (a, b) if a < b else (b, a)
-            loads[key] = loads.get(key, 0.0) + f
-    congestion = 0.0
-    for (u, v, c) in edges:
-        congestion = max(congestion, loads.get((u, v), 0.0) / c)
-
-    return CMCFSolution(vertices=verts, source_flows=source_flows, edge_loads=loads,
-                        congestion=congestion, lp_objective=float(res.fun))
+        flows.append({arc: x[base + k] for k, arc in enumerate(arcs) if x[base + k] > 1e-11})
+    return flows, float(res.fun)
 
 
 # ---------------------------------------------------------------------------

@@ -382,9 +382,11 @@ def certify_congestion(g: CapacitatedGraph, tree: DecompositionTree,
                        store_solutions: bool = False) -> CongestionCertificate:
     """Solve every cluster's product-demand instance and record the worst congestion.
 
-    Symmetric pairs are solved once (u < v at doubled demand); reversing those
-    flows restores the other direction with identical undirected loads, so the
-    congestion value is exact for the full instance.
+    Each non-singleton cluster costs one LP, unless it induces a tree, whose
+    routing is forced and built without one. Symmetric pairs are solved once
+    (u < v at doubled demand); reversing those flows restores the other
+    direction with identical undirected loads, so the congestion value is
+    exact for the full instance.
     """
     per_cluster: dict[int, float] = {}
     solutions: dict[int, CMCFSolution] = {}

@@ -16,11 +16,12 @@ Cube edges are realized as graph paths: every cube edge whose endpoints map to
 distinct vertices contributes a unit demand in both directions, and fake
 traffic tops every vertex up to send/receive exactly 8d*w_S(v), with each
 cube's own d. Both cubes' instances are summed into one joint instance, the
-min-congestion LP routes it inside G[S] (one LP per cluster), and each cube
+min-congestion CMCF routes it inside G[S] (one LP per cluster that does not
+induce a tree; a tree's routing is forced and needs none), and each cube
 edge (x, y) gets one path drawn from the fractional flow of its pair
 (owner(x), owner(y)); nothing else is rounded. An impl-b hop walks the main
 cube and then the shuffle cube of the same cluster, so an edge carries the sum
-of both embeddings: the joint LP minimises exactly that sum's maximum. Cube
+of both embeddings: the joint routing minimises exactly that sum's maximum. Cube
 routing picks a uniform intermediate node, fixes differing coordinates in
 ascending order to reach it, and repeats toward the target.
 
@@ -343,7 +344,7 @@ def build_rerand_cube(cluster: Cluster) -> CubeMaps:
 
 def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
                       rng: np.random.Generator) -> CubeScheme:
-    """Both cubes of every non-singleton cluster, embedded by one LP per cluster.
+    """Both cubes of every non-singleton cluster, embedded by one CMCF per cluster.
 
     c is the certified congestion scale; it sizes the path id fields.
     """

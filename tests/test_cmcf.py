@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obroute import cmcf
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
-from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph
-from helpers import cycle_graph, diamond, path_graph, single_edge
+from obroute.decomposition import build_tree, certify_congestion
+from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
+from obroute.impl_b import build_cube_scheme
+from obroute.optimum import optimal_congestion
+from helpers import all_simple_paths, cycle_graph, diamond, path_graph, single_edge
 
 
 def test_single_edge_both_directions():
@@ -14,6 +19,98 @@ def test_single_edge_both_directions():
     sol = solve_cmcf_min_congestion(single_edge(), {(0, 1): 0.5, (1, 0): 0.5})
     assert sol.congestion == pytest.approx(1.0, abs=1e-9)
     assert all(fa.conservation_violations(tol=1e-9) == {} for fa in sol.source_flows.values())
+
+
+def test_cycle_both_directions():
+    # 0.5 each way between neighbours of a unit 4-cycle: a quarter of each
+    # direction takes the 3-hop detour, so every edge carries 0.5
+    g = cycle_graph(4)
+    sol = solve_cmcf_min_congestion(g, {(0, 1): 0.5, (1, 0): 0.5})
+    assert sol.congestion == pytest.approx(0.5, abs=1e-9)
+    for u, v, _ in g.edges:
+        assert sol.edge_loads[(min(u, v), max(u, v))] == pytest.approx(0.5, abs=1e-9)
+    for fa in sol.source_flows.values():
+        assert fa.is_acyclic()
+        assert fa.conservation_violations(tol=1e-9) == {}
+
+
+@st.composite
+def tree_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[draw(st.integers(min_value=0, max_value=v - 1))], label[v],
+              draw(st.integers(min_value=1, max_value=5))) for v in range(1, n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=6))
+    amount = st.floats(min_value=0.1, max_value=5.0)
+    demands = {}
+    for a, b in pairs:
+        demands[(a, b)] = draw(amount)
+        demands[(b, a)] = draw(amount)
+    return CapacitatedGraph(n, edges), demands
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_instances())
+def test_tree_routing_is_forced_without_lp(case):
+    g, demands = case
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a spanning-tree restriction reached linprog")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmcf, "linprog", no_lp)
+        sol = solve_cmcf_min_congestion(g, demands)
+    expected: dict[tuple[int, int], float] = {}
+    for (s, t), d in demands.items():
+        (path,) = all_simple_paths(g, s, t)
+        for a, b in zip(path, path[1:]):
+            key = (min(a, b), max(a, b))
+            expected[key] = expected.get(key, 0.0) + d
+    assert set(sol.edge_loads) == set(expected)
+    for key, load in expected.items():
+        assert abs(sol.edge_loads[key] - load) <= 1e-12
+    assert sol.congestion == pytest.approx(optimal_congestion(g, demands), abs=1e-9)
+    assert sol.lp_objective == sol.congestion
+    for fa in sol.source_flows.values():
+        assert fa.is_acyclic()
+        assert fa.conservation_violations(tol=1e-9) == {}
+
+
+def _count_linprog(monkeypatch) -> list[int]:
+    calls = [0]
+    real = cmcf.linprog
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cmcf, "linprog", counting)
+    return calls
+
+
+def test_lp_only_off_trees(monkeypatch):
+    # grid 2x3: {0, 1, 3, 4} induces a 4-cycle, {0, 1, 2, 5} the path 0-1-2-5
+    g = generate_graph("grid", rows=2, cols=3)
+    calls = _count_linprog(monkeypatch)
+    cyc = solve_cmcf_min_congestion(g, {(0, 4): 1.0}, restrict={0, 1, 3, 4})
+    assert calls[0] == 1
+    assert cyc.congestion == pytest.approx(0.5, abs=1e-9)
+    path = solve_cmcf_min_congestion(g, {(0, 5): 1.0}, restrict={0, 1, 2, 5})
+    assert calls[0] == 1
+    assert path.edge_loads == {(0, 1): 1.0, (1, 2): 1.0, (2, 5): 1.0}
+
+
+def test_lp_calls_grid_8x8(monkeypatch):
+    # 35 of the 59 clusters that need a solve induce trees; the others take
+    # one LP each, in certification and again in the impl-b embedding
+    calls = _count_linprog(monkeypatch)
+    g = grid_graph(8, 8)
+    tree = build_tree(g, target_arity=2, seed=0)
+    cert = certify_congestion(g, tree)
+    assert calls[0] == 24
+    build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(0))
+    assert calls[0] == 48
 
 
 def test_congestion_matches_recomputation_and_lp():
