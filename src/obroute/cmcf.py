@@ -3,9 +3,17 @@ rounding: one path per listed pair, drawn from that pair's fractional flow.
 
 A restriction that induces a spanning tree gives every pair one simple path,
 so its routing is forced and needs no LP; any other restriction is solved as
-one LP with commodities aggregated by source vertex."""
+one LP with commodities aggregated by source vertex.
+
+`solve_cmcf_batch` solves independent instances, such as the per-cluster
+instances of one certification or impl-b embedding pass, concurrently on the
+usable CPUs. HiGHS releases the GIL while it solves, so threads overlap the
+LPs; each instance is solved exactly as on its own, so the results do not
+depend on the concurrency."""
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +28,7 @@ from obroute.graph import CapacitatedGraph, DemandMatrix
 # solves small master LPs of its own (obroute.optimum)
 _IPM_THRESHOLD = 60_000
 
-__all__ = ["CMCFSolution", "solve_cmcf_min_congestion", "round_paths"]
+__all__ = ["CMCFSolution", "solve_cmcf_min_congestion", "solve_cmcf_batch", "round_paths"]
 
 
 @dataclass
@@ -115,6 +123,40 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     return CMCFSolution(vertices=verts, source_flows=source_flows, edge_loads=loads,
                         congestion=congestion,
                         lp_objective=congestion if tree else lp_objective)
+
+
+def solve_cmcf_batch(g: CapacitatedGraph,
+                     instances: list[tuple[DemandMatrix | dict, set[int] | None]]
+                     ) -> list[CMCFSolution]:
+    """solve_cmcf_min_congestion of every (demands, restrict) pair, concurrently;
+    the solutions come back in input order, each exactly as solved on its own.
+
+    The calling thread solves the largest restriction itself while a pool of
+    one thread fewer than the usable CPUs (at least one) takes the rest in
+    input order. Measured, that peaks at less memory than a pool of one
+    thread per CPU beside an idle caller, at the same speed. A failure
+    cancels the solves not yet started and is raised once the running ones
+    have finished.
+    """
+    if not instances:
+        return []
+    own = max(range(len(instances)),
+              key=lambda i: g.n if instances[i][1] is None else len(instances[i][1]))
+    with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
+        futures = [None if i == own else pool.submit(solve_cmcf_min_congestion, g, *inst)
+                   for i, inst in enumerate(instances)]
+        try:
+            mine = solve_cmcf_min_congestion(g, *instances[own])
+            return [mine if f is None else f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _tree_arc_flows(g: CapacitatedGraph, s: int, sinks: list[tuple[int, float]],

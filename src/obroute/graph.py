@@ -114,8 +114,8 @@ class CapacitatedGraph:
         return sum(self.edges[idx][2] for _, idx in self.adj[v])
 
     def edges_inside(self, vertices: set[int]) -> list[int]:
-        """Indices of edges with both endpoints in `vertices`."""
-        return [idx for idx, (u, v, _) in enumerate(self.edges) if u in vertices and v in vertices]
+        """Indices of edges with both endpoints in `vertices`, ascending."""
+        return sorted({idx for v in vertices for u, idx in self.adj[v] if u in vertices})
 
     def serialize(self) -> str:
         lines = [f"{self.n} {self.m}"]

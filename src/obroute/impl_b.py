@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from obroute.cmcf import round_paths, solve_cmcf_min_congestion
+from obroute.cmcf import CMCFSolution, round_paths, solve_cmcf_batch
 from obroute.decomposition import Cluster, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits
@@ -286,12 +286,10 @@ def _embedding_demands(cluster: Cluster,
     return joint
 
 
-def _embed_cubes(g: CapacitatedGraph, cluster: Cluster, cubes: tuple[CubeMaps, ...],
+def _round_cubes(sol: CMCFSolution, cubes: tuple[CubeMaps, ...],
                  rng: np.random.Generator) -> None:
-    """Solve the joint instance once, then give every cube edge, cube by cube,
-    one path drawn from the flow of its pair."""
-    sol = solve_cmcf_min_congestion(g, _embedding_demands(cluster, cubes),
-                                    restrict=set(cluster.vertices))
+    """Give every cube edge, cube by cube, one path drawn from the flow of its
+    pair in the cluster's joint solution."""
     for maps in cubes:
         maps.fractional_congestion = sol.congestion
         edges = list(_cube_edges(maps.node_owner, maps.dimension))
@@ -346,20 +344,24 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
                       rng: np.random.Generator) -> CubeScheme:
     """Both cubes of every non-singleton cluster, embedded by one CMCF per cluster.
 
+    The clusters' joint instances are independent and are solved concurrently
+    on the usable CPUs (`solve_cmcf_batch`); the paths are then drawn cluster
+    by cluster, so `rng` is consumed as by solving one cluster after another
+    and the scheme does not depend on the concurrency.
     c is the certified congestion scale; it sizes the path id fields.
     """
     if not g.uniform_capacities():
         raise ValueError("hypercube scheme requires uniform unit edge capacities")
     scheme = CubeScheme(graph=g, tree=tree, c=int(c), rounded={}, mains={}, shuffles={})
-    for cluster in tree.clusters:
-        if cluster.size == 1:
-            continue
-        sizes, main = build_embedding(tree, cluster)
-        shuffle = build_rerand_cube(cluster)
-        _embed_cubes(g, cluster, (main, shuffle), rng)
-        scheme.rounded[cluster.id] = sizes
-        scheme.mains[cluster.id] = main
-        scheme.shuffles[cluster.id] = shuffle
+    clusters = [cluster for cluster in tree.clusters if cluster.size > 1]
+    for cluster in clusters:
+        scheme.rounded[cluster.id], scheme.mains[cluster.id] = build_embedding(tree, cluster)
+        scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
+    cubes = [(scheme.mains[cluster.id], scheme.shuffles[cluster.id]) for cluster in clusters]
+    solutions = solve_cmcf_batch(g, [(_embedding_demands(cluster, both), set(cluster.vertices))
+                                     for cluster, both in zip(clusters, cubes)])
+    for sol, both in zip(solutions, cubes):
+        _round_cubes(sol, both, rng)
     return scheme
 
 

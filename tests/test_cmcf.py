@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +12,7 @@ from hypothesis import strategies as st
 
 from obroute import cmcf
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
-from obroute.decomposition import build_tree, certify_congestion
+from obroute.decomposition import build_tree, certify_congestion, cmcf_instance
 from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
 from obroute.impl_b import build_cube_scheme
 from obroute.optimum import optimal_congestion
@@ -78,11 +83,13 @@ def test_tree_routing_is_forced_without_lp(case):
 
 
 def _count_linprog(monkeypatch) -> list[int]:
-    calls = [0]
+    # one entry per call, its variable count; list.append is atomic, and
+    # batches call from several threads
+    calls: list[int] = []
     real = cmcf.linprog
 
     def counting(*args, **kwargs):
-        calls[0] += 1
+        calls.append(len(args[0]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cmcf, "linprog", counting)
@@ -94,10 +101,10 @@ def test_lp_only_off_trees(monkeypatch):
     g = generate_graph("grid", rows=2, cols=3)
     calls = _count_linprog(monkeypatch)
     cyc = solve_cmcf_min_congestion(g, {(0, 4): 1.0}, restrict={0, 1, 3, 4})
-    assert calls[0] == 1
+    assert len(calls) == 1
     assert cyc.congestion == pytest.approx(0.5, abs=1e-9)
     path = solve_cmcf_min_congestion(g, {(0, 5): 1.0}, restrict={0, 1, 2, 5})
-    assert calls[0] == 1
+    assert len(calls) == 1
     assert path.edge_loads == {(0, 1): 1.0, (1, 2): 1.0, (2, 5): 1.0}
 
 
@@ -108,9 +115,116 @@ def test_lp_calls_grid_8x8(monkeypatch):
     g = grid_graph(8, 8)
     tree = build_tree(g, target_arity=2, seed=0)
     cert = certify_congestion(g, tree)
-    assert calls[0] == 24
+    assert len(calls) == 24
     build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(0))
-    assert calls[0] == 48
+    assert len(calls) == 48
+
+
+@pytest.fixture
+def scrambled(monkeypatch):
+    """Batch solves that finish out of order: each solve sleeps 0-2 ms by its
+    restriction, and the interpreter switches threads every 10 us."""
+    real = cmcf.solve_cmcf_min_congestion
+
+    def delayed(g, demands, restrict=None):
+        time.sleep(0.001 * (min(restrict) % 3))
+        return real(g, demands, restrict)
+
+    monkeypatch.setattr(cmcf, "solve_cmcf_min_congestion", delayed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _flows(sol):
+    return {s: (fa.arcs, fa.value) for s, fa in sol.source_flows.items()}
+
+
+@pytest.mark.parametrize("kind, side", [("grid", 8), ("torus", 6)])
+def test_certify_batch_matches_one_by_one(monkeypatch, scrambled, kind, side):
+    g = generate_graph(kind, rows=side, cols=side)
+    tree = build_tree(g, target_arity=2, seed=0)
+    expect = {}
+    for c in tree.clusters:
+        if c.size > 1 and c.total_weight > 0:
+            half = {(u, v): 2.0 * d for (u, v), d in cmcf_instance(c).entries.items() if u < v}
+            expect[c.id] = solve_cmcf_min_congestion(g, half, restrict=set(c.vertices))
+    per_cluster = [(c.id, expect[c.id].congestion if c.id in expect else 0.0)
+                   for c in tree.clusters]
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(cmcf, "_usable_cpus", lambda cpus=cpus: cpus)
+        cert = certify_congestion(g, tree, store_solutions=True)
+        assert list(cert.per_cluster.items()) == per_cluster
+        assert list(cert.solutions) == list(expect)
+        for cid, sol in expect.items():
+            assert cert.solutions[cid].edge_loads == sol.edge_loads
+            assert _flows(cert.solutions[cid]) == _flows(sol)
+
+
+@pytest.mark.parametrize("kind, side", [("grid", 8), ("torus", 6)])
+def test_cube_scheme_repeats_under_any_finishing_order(monkeypatch, scrambled, kind, side):
+    g = generate_graph(kind, rows=side, cols=side)
+    tree = build_tree(g, target_arity=2, seed=0)
+    builds = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(cmcf, "_usable_cpus", lambda cpus=cpus: cpus)
+        scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(5))
+        builds.append([(cid, maps.edge_paths, maps.fractional_congestion)
+                       for cubes in (scheme.mains, scheme.shuffles)
+                       for cid, maps in cubes.items()])
+    assert builds[0] == builds[1] == builds[2]
+
+
+@pytest.mark.parametrize("build", ["certify", "impl-b"])
+def test_failed_cluster_lp_raises_and_stops_the_pool(monkeypatch, build):
+    # the LP of a small cluster, solved on a pool thread, fails
+    g = grid_graph(6, 6)
+    tree = build_tree(g, target_arity=2, seed=0)
+
+    def run():
+        if build == "certify":
+            return certify_congestion(g, tree)
+        return build_cube_scheme(g, tree, 2, np.random.default_rng(0))
+
+    sizes = _count_linprog(monkeypatch)
+    run()
+    smallest = min(sizes)
+    assert smallest < max(sizes)
+    counting = cmcf.linprog
+
+    def failing(*args, **kwargs):
+        if len(args[0]) == smallest:
+            return SimpleNamespace(status=4, message="numerical difficulties")
+        return counting(*args, **kwargs)
+
+    monkeypatch.setattr(cmcf, "linprog", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="LP solver failed"):
+        run()
+    assert threading.active_count() == before
+
+
+def test_batch_failure_cancels_pending_solves(monkeypatch):
+    # the caller's own, largest instance fails at once, while the one pool
+    # thread is at most in its first 50 ms solve: the other 19 never start
+    started = []
+
+    def fake(g, demands, restrict=None):
+        started.append(len(restrict))
+        if len(restrict) == 3:
+            raise RuntimeError("LP solver failed")
+        time.sleep(0.05)
+
+    monkeypatch.setattr(cmcf, "solve_cmcf_min_congestion", fake)
+    monkeypatch.setattr(cmcf, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="LP solver failed"):
+        cmcf.solve_cmcf_batch(path_graph(3), [({}, {0, 1})] * 20 + [({}, {0, 1, 2})])
+    assert threading.active_count() == before
+    assert 3 in started and len(started) <= 2
 
 
 def test_congestion_matches_recomputation_and_lp():

@@ -160,6 +160,14 @@ def test_edges_inside():
     assert [g.edges[i][:2] for i in inside] == [(0, 1)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.data())
+def test_edges_inside_matches_full_edge_scan(g, data):
+    members = data.draw(st.sets(st.integers(0, g.n - 1)))
+    scan = [idx for idx, (u, v, _) in enumerate(g.edges) if u in members and v in members]
+    assert g.edges_inside(members) == scan
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(GraphFormatError, match="unknown"):
         generate_graph("petersen")
