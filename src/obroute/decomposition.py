@@ -272,16 +272,10 @@ def _grow_parts(g: CapacitatedGraph, vertices: list[int], k: int,
             if progressed:
                 break
         if not progressed:
-            # refresh frontiers; the induced subgraph is connected so this succeeds
-            for i, part in enumerate(parts):
-                for v in part:
-                    queues[i].extend(u for u in g.neighbors(v)
-                                     if u in inside and u not in owner)
-            if not any(queues):
-                leftover = [v for v in vertices if v not in owner]
-                if leftover:
-                    raise RuntimeError(f"grow stalled with {leftover} unassigned")
-                break
+            # every unassigned neighbour of a part waits in its queue, so empty
+            # queues mean the vertex set is not connected
+            leftover = [v for v in vertices if v not in owner]
+            raise RuntimeError(f"grow stalled with {leftover} unassigned")
     return parts
 
 

@@ -25,7 +25,9 @@ serializer): for every (cluster, target index) pair with stored amounts at v,
   [entry count: ceil(log2 (2 deg(v)+3))]
   then per entry [slot: ceil(log2 (2 deg(v)+2))] [amount: B bits]
 where slots enumerate in/out per incident edge plus source and sink, and B is
-the bit length of the largest capacity in that flow's augmented network.
+the bit length of the largest capacity that flow's augmented network would
+have at the cluster's final scale cluster_c[S]. A later target of the same
+cluster can double the scale, so B can exceed what the flow was built with.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ class FlowTables:
 
     graph: CapacitatedGraph
     tree: DecompositionTree
-    base_c: int
     flows: dict[tuple[int, int], FlowAssignment]   # (cluster id, target index)
     cluster_c: dict[int, int]                      # effective C after any doubling
     events: list[str] = field(default_factory=list)
@@ -158,7 +159,7 @@ def build_flow_tables(g: CapacitatedGraph, tree: DecompositionTree, c: int) -> F
     """One integral flow per (cluster, target index); singletons store nothing."""
     if c < 1 or int(c) != c:
         raise ValueError(f"scale constant must be a positive integer, got {c}")
-    tables = FlowTables(graph=g, tree=tree, base_c=int(c), flows={}, cluster_c={})
+    tables = FlowTables(graph=g, tree=tree, flows={}, cluster_c={})
     for cluster in tree.clusters:
         if cluster.size == 1:
             continue
@@ -284,8 +285,8 @@ def _max_capacity_inside(tables: FlowTables, cluster_id: int) -> int:
 
 
 def _amount_width(tables: FlowTables, cluster_id: int, index: int, cap_max: int) -> int:
-    """Bit length of the largest augmented-network capacity for this flow,
-    given the largest capacity inside the cluster."""
+    """Bit length of the largest capacity of this flow's augmented network at
+    the cluster's final scale, given the largest capacity inside the cluster."""
     cluster = tables.tree.cluster(cluster_id)
     total_w = cluster.total_weight
     out_map = tables.tree.target(cluster_id, index).border_weight

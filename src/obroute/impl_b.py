@@ -13,9 +13,8 @@ Every non-singleton cluster S carries two hypercubes embedded into G[S]:
                 every hop, stopping the skew from compounding level by level.
 
 Cube edges are realized as graph paths: every cube edge whose endpoints map to
-distinct vertices contributes a unit demand in both directions, and fake
-traffic tops every vertex up to send/receive exactly 8d*w_S(v), with each
-cube's own d. Both cubes' instances are summed into one joint instance, the
+distinct vertices contributes a unit demand in both directions, and nothing
+else does. Both cubes' instances are summed into one joint instance, the
 min-congestion CMCF routes it inside G[S] (one LP per cluster that does not
 induce a tree; a tree's routing is forced and needs none), and each cube
 edge (x, y) gets one path drawn from the fractional flow of its pair
@@ -234,55 +233,14 @@ def _cube_edges(node_owner: list[int], d: int) -> Iterator[tuple[int, int, int, 
                 yield x, y, node_owner[x], node_owner[y]
 
 
-def _cube_demands(node_owner: list[int], d: int) -> dict[tuple[int, int], float]:
-    demands: dict[tuple[int, int], float] = {}
-    for _, _, a, b in _cube_edges(node_owner, d):
-        demands[(a, b)] = demands.get((a, b), 0.0) + 1.0
-        demands[(b, a)] = demands.get((b, a), 0.0) + 1.0
-    return demands
-
-
-def _add_fake_traffic(demands: dict[tuple[int, int], float], d: int,
-                      weights: dict[int, int]) -> None:
-    """Top every vertex up to send (and receive) exactly 8*d*w(v).
-
-    The base instance is symmetric, so symmetric fake pairs preserve the
-    send/receive balance. Vertices are paired greedily largest deficit first;
-    a lone odd remainder would be a zero-cost self commodity and is dropped.
-    """
-    sent: dict[int, float] = {}
-    for (a, _), amount in demands.items():
-        sent[a] = sent.get(a, 0.0) + amount
-    heap = []
-    for v, w in sorted(weights.items()):
-        deficit = 8 * d * w - int(sent.get(v, 0))
-        if deficit < 0:
-            raise RuntimeError(f"vertex {v} already sends more than its budget")
-        if deficit > 0:
-            heap.append((-deficit, v))
-    heapq.heapify(heap)
-    while len(heap) >= 2:
-        d1, u = heapq.heappop(heap)
-        d2, v = heapq.heappop(heap)
-        amount = float(min(-d1, -d2))
-        demands[(u, v)] = demands.get((u, v), 0.0) + amount
-        demands[(v, u)] = demands.get((v, u), 0.0) + amount
-        if -d1 - amount > 0:
-            heapq.heappush(heap, (d1 + amount, u))
-        if -d2 - amount > 0:
-            heapq.heappush(heap, (d2 + amount, v))
-
-
-def _embedding_demands(cluster: Cluster,
-                       cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], float]:
-    """Joint embedding instance of a cluster's cubes: the sum of each cube's
-    edge demands, each topped up to 8*d*w(v) with its own d."""
+def _embedding_demands(cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], float]:
+    """Joint embedding instance of a cluster's cubes: one unit in each
+    direction per cube edge of either cube whose endpoints have distinct owners."""
     joint: dict[tuple[int, int], float] = {}
     for maps in cubes:
-        demands = _cube_demands(maps.node_owner, maps.dimension)
-        _add_fake_traffic(demands, maps.dimension, cluster.cluster_weight)
-        for pair, amount in demands.items():
-            joint[pair] = joint.get(pair, 0.0) + amount
+        for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension):
+            joint[(a, b)] = joint.get((a, b), 0.0) + 1.0
+            joint[(b, a)] = joint.get((b, a), 0.0) + 1.0
     return joint
 
 
@@ -358,7 +316,7 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
         scheme.rounded[cluster.id], scheme.mains[cluster.id] = build_embedding(tree, cluster)
         scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
     cubes = [(scheme.mains[cluster.id], scheme.shuffles[cluster.id]) for cluster in clusters]
-    solutions = solve_cmcf_batch(g, [(_embedding_demands(cluster, both), set(cluster.vertices))
+    solutions = solve_cmcf_batch(g, [(_embedding_demands(both), set(cluster.vertices))
                                      for cluster, both in zip(clusters, cubes)])
     for sol, both in zip(solutions, cubes):
         _round_cubes(sol, both, rng)
@@ -519,7 +477,8 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
                            f"{first.get(v, 0)} of the first nodes, "
                            f"expected {cluster.cluster_weight[v]}")
 
-        for maps_ in (maps, shuffle):
+        for cube, maps_ in (("main", maps), ("shuffle", shuffle)):
+            crossings: dict[tuple[int, int], int] = {}
             for (x, y), path in maps_.edge_paths.items():
                 if path[0] != maps_.node_owner[x] or path[-1] != maps_.node_owner[y]:
                     bad.append(f"cluster {cid}: stored path endpoints disagree "
@@ -528,7 +487,18 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
                     if not scheme.graph.has_edge(a, b):
                         bad.append(f"cluster {cid}: stored path uses missing edge "
                                    f"({a},{b})")
+                    crossings[(a, b)] = crossings.get((a, b), 0) + 1
+            path_bits = _path_id_bits(maps_, scheme.c)
+            for (a, b), k in sorted(crossings.items()):
+                if k > 1 << path_bits:
+                    bad.append(f"cluster {cid} {cube} cube: {k} stored paths leave "
+                               f"{a} for {b}, more than {path_bits}-bit path ids can number")
     return bad
+
+
+def _path_id_bits(maps: CubeMaps, c: int) -> int:
+    """Width of the id that numbers a stored path on its outgoing edge."""
+    return max(1, _ceil_log2(max(2, maps.dimension * c)))
 
 
 def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
@@ -559,9 +529,8 @@ def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
     for (v, cid, flag), paths in hits.items():
         maps = scheme.mains[cid] if flag == 0 else scheme.shuffles[cid]
         edge_bits = max(1, _ceil_log2(max(2, g.degree(v))))
-        path_id_bits = max(1, _ceil_log2(max(2, maps.dimension * scheme.c)))
         header = id_bits + 1 + count_bits
-        per_vertex[v] += header + paths * (edge_bits + path_id_bits)
+        per_vertex[v] += header + paths * (edge_bits + _path_id_bits(maps, scheme.c))
     return TableBits(per_vertex=per_vertex,
                      max_bits=max(per_vertex.values(), default=0),
                      total_bits=sum(per_vertex.values()))

@@ -179,7 +179,7 @@ def test_criterion_4_chernoff_rounding():
         _, main = build_embedding(tree, cluster)
         cubes = (main, build_rerand_cube(cluster))
         members = set(cluster.vertices)
-        sol = solve_cmcf_min_congestion(g, _embedding_demands(cluster, cubes),
+        sol = solve_cmcf_min_congestion(g, _embedding_demands(cubes),
                                         restrict=members)
         pairs = [(a, b) for maps in cubes
                  for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension)]

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from helpers import cycle_graph, path_graph, single_edge
-from obroute.decomposition import (audit_tree, build_tree, certify_congestion,
-                                   cmcf_instance, tree_from_spec)
+from obroute.decomposition import (_grow_parts, audit_tree, build_tree,
+                                   certify_congestion, cmcf_instance, tree_from_spec)
 from obroute.graph import CapacitatedGraph, generate_graph
 
 
@@ -275,6 +275,13 @@ def test_star_escalates_arity():
     root = tree.cluster(0)
     biggest = max(tree.cluster(i).size for i in root.children)
     assert biggest <= 0.75 * n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grow_parts_rejects_disconnected_vertex_set(seed):
+    # in the path 0-1-2-3, the set {0, 1, 3} leaves 3 unreachable from 0 and 1
+    with pytest.raises(RuntimeError, match="grow stalled"):
+        _grow_parts(path_graph(4), [0, 1, 3], 2, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ deterministic construction rules. Distribution checks compare Monte-Carlo
 counts against laws computed exactly from node ownership, never against the
 sampler itself.
 """
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,10 @@ from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import (Cluster, build_tree, certify_congestion,
                                    tree_from_spec)
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
-from obroute.impl_b import (CubeScheme, RoundedSizes, _add_fake_traffic,
-                            _bit_fix, _cube_demands, _cube_edges, _embedding_demands,
-                            _fill_range, audit_cube_scheme, build_cube_scheme,
-                            build_embedding, hypercube_route, measure_table_bits_b,
-                            round_and_order)
+from obroute.impl_b import (CubeScheme, RoundedSizes, _bit_fix, _cube_edges,
+                            _embedding_demands, _fill_range, audit_cube_scheme,
+                            build_cube_scheme, build_embedding, hypercube_route,
+                            measure_table_bits_b, round_and_order)
 
 
 def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
@@ -123,6 +124,29 @@ def test_four_cycle_node_layout(four_cycle):
 def test_audit_clean(four_cycle, grid_scheme):
     for _, _, scheme in (four_cycle, grid_scheme):
         assert audit_cube_scheme(scheme) == []
+
+
+def test_audit_flags_a_vertex_over_8w_nodes(grid_scheme):
+    # hand the lightest vertex of a cluster every main-cube node
+    _, tree, scheme = grid_scheme
+    scheme = copy.deepcopy(scheme)
+    cid = next(iter(scheme.rounded))
+    weights = tree.cluster(cid).cluster_weight
+    v = min(weights, key=weights.get)
+    maps = scheme.mains[cid]
+    maps.node_owner = [v] * len(maps.node_owner)
+    assert len(maps.node_owner) > 8 * weights[v]
+    assert (f"cluster {cid}: vertex {v} holds {len(maps.node_owner)} nodes "
+            f"> 8*w = {8 * weights[v]}") in audit_cube_scheme(scheme)
+
+
+def test_audit_flags_path_ids_too_narrow(grid_scheme):
+    # path ids sized for C = 1, below the certified C = 5 of this tree
+    g, tree, scheme = grid_scheme
+    assert scheme.c == 5
+    narrow = build_cube_scheme(g, tree, 1, np.random.default_rng(7))
+    bad = audit_cube_scheme(narrow)
+    assert bad and all("path ids can number" in line for line in bad)
 
 
 @pytest.mark.parametrize("g", [hypercube_graph(3), random_regular_graph(16, 3, seed=5)])
@@ -267,20 +291,23 @@ def test_rerandomize_exact_law(four_cycle):
 # embedding instance
 # ---------------------------------------------------------------------------
 
-def test_fake_traffic_tops_up_budgets(grid_scheme):
-    g, tree, scheme = grid_scheme
-    for cid, maps in scheme.mains.items():
-        d = maps.dimension
-        weights = tree.cluster(cid).cluster_weight
-        demands = _cube_demands(maps.node_owner, d)
-        _add_fake_traffic(demands, d, weights)
-        assert all(demands[(a, b)] == demands[(b, a)] for (a, b) in demands)
-        sent: dict[int, float] = {}
-        for (a, _), amount in demands.items():
-            sent[a] = sent.get(a, 0.0) + amount
-        short = [v for v, w in weights.items() if w > 0
-                 and sent.get(v, 0.0) != 8 * d * w]
-        assert len(short) <= 1                 # lone odd remainder only
+def test_instance_is_the_cube_edges(grid_scheme):
+    # per ordered pair (a, b), the number of cube edges of either cube with
+    # one endpoint owned by a and the other by b; no other pair
+    _, _, scheme = grid_scheme
+    for cid in scheme.rounded:
+        cubes = (scheme.mains[cid], scheme.shuffles[cid])
+        expect: dict[tuple[int, int], int] = {}
+        for maps in cubes:
+            owner = maps.node_owner
+            for x in range(1 << maps.dimension):
+                for k in range(maps.dimension):
+                    y = x ^ (1 << k)
+                    if x < y and owner[x] != owner[y]:
+                        for pair in ((owner[x], owner[y]), (owner[y], owner[x])):
+                            expect[pair] = expect.get(pair, 0) + 1
+        assert expect
+        assert _embedding_demands(cubes) == expect
 
 
 def test_one_stored_path_per_cube_edge(four_cycle, grid_scheme):
@@ -313,7 +340,7 @@ def test_one_joint_lp_per_cluster(monkeypatch):
         if cluster.size == 1:
             continue
         cubes = (scheme.mains[cluster.id], scheme.shuffles[cluster.id])
-        if _embedding_demands(cluster, cubes):
+        if _embedding_demands(cubes):
             expect.append(tuple(sorted(cluster.vertices)))
     assert len(expect) > 4
     assert sorted(calls) == sorted(expect)
