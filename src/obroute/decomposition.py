@@ -94,9 +94,6 @@ class DecompositionTree:
         cluster = self.clusters[cluster_id]
         return cluster if index == 0 else self.clusters[cluster.children[index - 1]]
 
-    def ancestor_at(self, v: int, level: int) -> int:
-        return self.leaf_path(v)[level]
-
     def to_json(self, certificate: "CongestionCertificate | None" = None) -> str:
         payload = {
             "seed": self.seed,

@@ -109,7 +109,9 @@ def demand_battery(kind: str, g: CapacitatedGraph, seed: int) -> DemandMatrix:
             perm = rng.permutation(g.n)
         return DemandMatrix({(i, int(perm[i])): 1.0 for i in range(g.n)})
     if name == "uniform_pairs":
-        k = int(arg) if arg else 0
+        if not (arg or "0").isdecimal():
+            raise ValueError(f"demand battery {kind!r}: k must be a non-negative integer")
+        k = int(arg or "0")
         total = g.n * (g.n - 1)
         if k > total:
             raise ValueError(f"asked for {k} distinct pairs, only {total} exist")

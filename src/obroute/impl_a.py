@@ -42,7 +42,7 @@ from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_inte
 from obroute.graph import CapacitatedGraph
 from obroute.routing import Law, Loads
 
-__all__ = ["FlowTables", "build_flow_tables", "endpoint_distribution", "assign_labels",
+__all__ = ["FlowTables", "build_flow_tables", "endpoint_distribution",
            "label_bit_length", "header_bit_length", "measure_table_bits_a",
            "serialize_vertex_table"]
 
@@ -248,17 +248,6 @@ def _topological(fa: FlowAssignment, direction: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # labels and headers
 # ---------------------------------------------------------------------------
-
-def assign_labels(tree: DecompositionTree) -> dict[int, tuple[int, ...]]:
-    """Leaf labels: the child-index sequence along the root-to-leaf path."""
-    labels: dict[int, tuple[int, ...]] = {}
-    for v in sorted(tree.leaf_of):
-        path = tree.leaf_path(v)
-        labels[v] = tuple(tree.child_index(p, c) for p, c in zip(path, path[1:]))
-    if len(set(labels.values())) != len(labels):
-        raise RuntimeError("labels must be unique")
-    return labels
-
 
 def _index_bits(tree: DecompositionTree) -> int:
     return max(1, math.ceil(math.log2(max(2, tree.degree))))

@@ -12,17 +12,21 @@ Every non-singleton cluster S carries two hypercubes embedded into G[S]:
                 node among them restores the exact cluster distribution after
                 every hop, stopping the skew from compounding level by level.
 
-Cube edges are realized as graph paths: every cube edge whose endpoints map to
-distinct vertices contributes a unit demand in both directions, and nothing
-else does. Both cubes' instances are summed into one joint instance, the
+Cube edges are realized as graph paths. The cube edges of both cubes whose
+endpoints map to distinct vertices are counted per unordered owner pair
+{a, b}, and each pair is routed one way only, two units per cube edge,
+oriented out of a greedy vertex cover of the pair graph, so the instance has
+few sources. A path reversed loads the same edges, so this one-way instance
+has the optimum of one unit in each direction per cube edge. The
 min-congestion CMCF routes it inside G[S] (one LP per cluster that does not
 induce a tree; a tree's routing is forced and needs none), and each cube
-edge (x, y) gets one path drawn from the fractional flow of its pair
-(owner(x), owner(y)); nothing else is rounded. An impl-b hop walks the main
-cube and then the shuffle cube of the same cluster, so an edge carries the sum
-of both embeddings: the joint routing minimises exactly that sum's maximum. Cube
-routing picks a uniform intermediate node, fixes differing coordinates in
-ascending order to reach it, and repeats toward the target.
+edge (x, y) gets one path drawn from the fractional flow of its oriented
+pair, reversed where needed to run from owner(x) to owner(y); nothing else
+is rounded. An impl-b hop walks the main cube and then the shuffle cube of
+the same cluster, so an edge carries the sum of both embeddings: the joint
+routing minimises exactly that sum's maximum. Cube routing picks a uniform
+intermediate node, fixes differing coordinates in ascending order to reach
+it, and repeats toward the target.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -233,27 +237,59 @@ def _cube_edges(node_owner: list[int], d: int) -> Iterator[tuple[int, int, int, 
                 yield x, y, node_owner[x], node_owner[y]
 
 
-def _embedding_demands(cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], float]:
-    """Joint embedding instance of a cluster's cubes: one unit in each
-    direction per cube edge of either cube whose endpoints have distinct owners."""
-    joint: dict[tuple[int, int], float] = {}
+def _oriented_pairs(cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], int]:
+    """Cube edges of a cluster's cubes per owner pair, each unordered pair
+    {a, b} oriented once, out of a greedy vertex cover of the pair graph:
+    the vertex with the most uncovered pairs (ties to the smaller id) takes
+    every pair it still shares, as (it, other)."""
+    counts: dict[tuple[int, int], int] = {}
     for maps in cubes:
         for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension):
-            joint[(a, b)] = joint.get((a, b), 0.0) + 1.0
-            joint[(b, a)] = joint.get((b, a), 0.0) + 1.0
-    return joint
+            key = (a, b) if a < b else (b, a)
+            counts[key] = counts.get(key, 0) + 1
+    uncovered: dict[int, set[int]] = {}
+    for a, b in counts:
+        uncovered.setdefault(a, set()).add(b)
+        uncovered.setdefault(b, set()).add(a)
+    oriented: dict[tuple[int, int], int] = {}
+    while uncovered:
+        v = min(uncovered, key=lambda u: (-len(uncovered[u]), u))
+        for u in sorted(uncovered.pop(v)):
+            oriented[(v, u)] = counts[(v, u) if v < u else (u, v)]
+            uncovered[u].discard(v)
+            if not uncovered[u]:
+                del uncovered[u]
+    return oriented
+
+
+def _embedding_demands(cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], float]:
+    """Joint embedding instance of a cluster's cubes, routed one way: two units
+    per cube edge of either cube on its owner pair's oriented direction. In an
+    undirected graph a flow reversed has the same loads, so this instance has
+    the optimum of one unit in each direction per cube edge."""
+    return {pair: 2.0 * k for pair, k in _oriented_pairs(cubes).items()}
+
+
+def _cube_draws(cubes: tuple[CubeMaps, ...]
+                ) -> list[tuple[CubeMaps, int, int, tuple[int, int]]]:
+    """One draw per cube edge (x, y) with distinct owners, cube by cube in
+    `_cube_edges` order, with the oriented owner pair it is drawn from."""
+    oriented = _oriented_pairs(cubes)
+    return [(maps, x, y, (a, b) if (a, b) in oriented else (b, a))
+            for maps in cubes
+            for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension)]
 
 
 def _round_cubes(sol: CMCFSolution, cubes: tuple[CubeMaps, ...],
                  rng: np.random.Generator) -> None:
-    """Give every cube edge, cube by cube, one path drawn from the flow of its
-    pair in the cluster's joint solution."""
+    """Give every cube edge (x, y) one path drawn from the flow of its oriented
+    owner pair in the cluster's joint solution, stored from owner(x) to owner(y)."""
+    draws = _cube_draws(cubes)
+    paths = round_paths(sol, [pair for *_, pair in draws], rng)
+    for (maps, x, y, (s, _)), path in zip(draws, paths):
+        maps.edge_paths[(x, y)] = path if s == maps.node_owner[x] else path[::-1]
     for maps in cubes:
         maps.fractional_congestion = sol.congestion
-        edges = list(_cube_edges(maps.node_owner, maps.dimension))
-        paths = round_paths(sol, [(a, b) for _, _, a, b in edges], rng)
-        for (x, y, _, _), path in zip(edges, paths):
-            maps.edge_paths[(x, y)] = path
 
 
 def _node_map(node_owner: list[int], d: int) -> CubeMaps:

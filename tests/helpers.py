@@ -197,3 +197,23 @@ def sampled_loads(g: CapacitatedGraph, tree, backend, demands: DemandMatrix | di
             spread = max(tot_sq[key] / samples - mean * mean, 0.0)
             sq_err[key] = sq_err.get(key, 0.0) + d * d * spread / samples
     return loads, {key: v ** 0.5 for key, v in sq_err.items()}
+
+
+# ---------------------------------------------------------------------------
+# decomposition-tree navigation
+# ---------------------------------------------------------------------------
+
+def ancestor_at(tree, v: int, level: int) -> int:
+    """Cluster id of v's ancestor at `level` (0 is the root)."""
+    return tree.leaf_path(v)[level]
+
+
+def assign_labels(tree) -> dict[int, tuple[int, ...]]:
+    """Leaf labels: the child-index sequence along the root-to-leaf path."""
+    labels: dict[int, tuple[int, ...]] = {}
+    for v in sorted(tree.leaf_of):
+        path = tree.leaf_path(v)
+        labels[v] = tuple(tree.child_index(p, c) for p, c in zip(path, path[1:]))
+    if len(set(labels.values())) != len(labels):
+        raise RuntimeError("labels must be unique")
+    return labels

@@ -23,7 +23,7 @@ from obroute.graph import CapacitatedGraph, DemandMatrix, grid_graph, random_reg
 from obroute.impl_a import (build_flow_tables, endpoint_distribution,
                             header_bit_length, label_bit_length,
                             measure_table_bits_a)
-from obroute.impl_b import (_cube_edges, _embedding_demands, audit_cube_scheme,
+from obroute.impl_b import (_cube_draws, _embedding_demands, audit_cube_scheme,
                             build_cube_scheme, build_embedding, build_rerand_cube,
                             measure_table_bits_b)
 from obroute.optimum import optimal_congestion
@@ -175,14 +175,14 @@ def test_criterion_4_chernoff_rounding():
 
     for g, tree, cert, cluster in instances:
         # the joint main + shuffle instance, as build_cube_scheme solves it,
-        # and the draws it makes: one path per cube edge of either cube
+        # and the draws it makes: one path per cube edge of either cube, from
+        # the flow of that edge's oriented owner pair
         _, main = build_embedding(tree, cluster)
         cubes = (main, build_rerand_cube(cluster))
         members = set(cluster.vertices)
         sol = solve_cmcf_min_congestion(g, _embedding_demands(cubes),
                                         restrict=members)
-        pairs = [(a, b) for maps in cubes
-                 for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension)]
+        pairs = [pair for *_, pair in _cube_draws(cubes)]
         # fractional loads and Bernoulli variances of those draws, from the
         # pairs' path laws
         frac: dict[tuple[int, int], float] = {}

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import cycle_graph, path_graph, single_edge
+from helpers import ancestor_at, cycle_graph, path_graph, single_edge
 from obroute.decomposition import (_grow_parts, audit_tree, build_tree,
                                    certify_congestion, cmcf_instance, tree_from_spec)
 from obroute.graph import CapacitatedGraph, generate_graph
@@ -68,7 +68,7 @@ def test_tree_navigation(four_cycle_tree):
     assert tree.height == 2
     assert tree.degree == 2
     assert tree.leaf_path(0) == [0, 1, tree.leaf_of[0]]
-    assert tree.ancestor_at(2, 1) == 4
+    assert ancestor_at(tree, 2, 1) == 4
     assert tree.child_index(0, 1) == 0
     assert tree.child_index(0, 4) == 1
     left = tree.cluster(1)

@@ -143,6 +143,16 @@ def test_uniform_pairs_battery():
         demand_battery("uniform_pairs:13", g, 1)
 
 
+@pytest.mark.parametrize("k", ["-1", "1.5", "two"])
+def test_uniform_pairs_rejects_bad_k(k, capsys):
+    with pytest.raises(ValueError, match=f"demand battery 'uniform_pairs:{k}'"):
+        demand_battery(f"uniform_pairs:{k}", grid_graph(2, 2), 1)
+    assert main(["route", "--generate", "grid:2x2", "--scheme", "reference",
+                 "--demands", f"uniform_pairs:{k}"]) == 2
+    assert (f"error: demand battery 'uniform_pairs:{k}': k must be a non-negative "
+            "integer") in capsys.readouterr().err
+
+
 def test_gravity_battery():
     assert dict(demand_battery("gravity", single_edge(), 0).entries) == {(0, 1): 1.0}
     # path on 3 vertices: degree products 1*2, 1*1, 2*1 for the u < v pairs

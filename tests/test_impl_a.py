@@ -9,15 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import path_graph, single_edge
+from helpers import ancestor_at, assign_labels, path_graph, single_edge
 from obroute import impl_a
 from obroute.decomposition import certify_congestion, tree_from_spec, build_tree
 from obroute.flows import SNK, SRC
 from obroute.graph import CapacitatedGraph, generate_graph
-from obroute.impl_a import (FlowTables, _cluster_flows, assign_labels,
-                            build_flow_tables, endpoint_distribution,
-                            header_bit_length, label_bit_length,
-                            measure_table_bits_a, serialize_vertex_table)
+from obroute.impl_a import (FlowTables, _cluster_flows, build_flow_tables,
+                            endpoint_distribution, header_bit_length,
+                            label_bit_length, measure_table_bits_a,
+                            serialize_vertex_table)
 
 
 def build_all(g, spec=None, seed=0):
@@ -197,7 +197,7 @@ def test_labels_binary_and_ternary(four_cycle_tables):
     assert len(set(labels3.values())) == 9
     # the first label coordinate identifies the level-1 ancestor
     for v, lab in labels3.items():
-        assert t3.ancestor_at(v, 1) == t3.cluster(0).children[lab[0]]
+        assert ancestor_at(t3, v, 1) == t3.cluster(0).children[lab[0]]
 
 
 def test_header_bits_formula(four_cycle_tables):

@@ -15,11 +15,11 @@ from obroute import cmcf, impl_b
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import (Cluster, build_tree, certify_congestion,
                                    tree_from_spec)
-from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
-from obroute.impl_b import (CubeScheme, RoundedSizes, _bit_fix, _cube_edges,
+from obroute.graph import grid_graph, hypercube_graph, random_regular_graph, torus_graph
+from obroute.impl_b import (CubeScheme, RoundedSizes, _bit_fix, _cube_draws,
                             _embedding_demands, _fill_range, audit_cube_scheme,
-                            build_cube_scheme, build_embedding, hypercube_route,
-                            measure_table_bits_b, round_and_order)
+                            build_cube_scheme, build_embedding, build_rerand_cube,
+                            hypercube_route, measure_table_bits_b, round_and_order)
 
 
 def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
@@ -291,23 +291,42 @@ def test_rerandomize_exact_law(four_cycle):
 # embedding instance
 # ---------------------------------------------------------------------------
 
-def test_instance_is_the_cube_edges(grid_scheme):
-    # per ordered pair (a, b), the number of cube edges of either cube with
-    # one endpoint owned by a and the other by b; no other pair
-    _, _, scheme = grid_scheme
-    for cid in scheme.rounded:
-        cubes = (scheme.mains[cid], scheme.shuffles[cid])
-        expect: dict[tuple[int, int], int] = {}
+@pytest.mark.parametrize("g", [grid_graph(4, 4), torus_graph(6, 6)],
+                         ids=["grid-4x4", "torus-6x6"])
+def test_instance_orients_each_owner_pair_once(g):
+    # every unordered owner pair {a, b} of a cube edge appears once, with two
+    # units per cube edge of either cube; its sources cover every pair; and
+    # its optimum is that of one unit each way per cube edge
+    tree = build_tree(g, target_arity=2, seed=0)
+    checked = 0
+    for cluster in tree.clusters:
+        if cluster.size == 1:
+            continue
+        cubes = (build_embedding(tree, cluster)[1], build_rerand_cube(cluster))
+        edges: dict[frozenset, int] = {}
+        two_way: dict[tuple[int, int], float] = {}
         for maps in cubes:
             owner = maps.node_owner
             for x in range(1 << maps.dimension):
                 for k in range(maps.dimension):
                     y = x ^ (1 << k)
                     if x < y and owner[x] != owner[y]:
-                        for pair in ((owner[x], owner[y]), (owner[y], owner[x])):
-                            expect[pair] = expect.get(pair, 0) + 1
-        assert expect
-        assert _embedding_demands(cubes) == expect
+                        pair = frozenset((owner[x], owner[y]))
+                        edges[pair] = edges.get(pair, 0) + 1
+                        for st in ((owner[x], owner[y]), (owner[y], owner[x])):
+                            two_way[st] = two_way.get(st, 0.0) + 1.0
+        demands = _embedding_demands(cubes)
+        assert len(demands) == len(edges)
+        assert {frozenset(st): d for st, d in demands.items()} == \
+            {pair: 2.0 * k for pair, k in edges.items()}
+        sources = {s for s, _ in demands}
+        assert all(pair & sources for pair in edges)
+        members = set(cluster.vertices)
+        one = solve_cmcf_min_congestion(g, demands, restrict=members).lp_objective
+        both = solve_cmcf_min_congestion(g, two_way, restrict=members).lp_objective
+        assert one == pytest.approx(both, rel=1e-9)
+        checked += 1
+    assert checked > 4
 
 
 def test_one_stored_path_per_cube_edge(four_cycle, grid_scheme):
@@ -324,31 +343,31 @@ def test_one_stored_path_per_cube_edge(four_cycle, grid_scheme):
 
 def test_one_joint_lp_per_cluster(monkeypatch):
     # the main and shuffle cubes of a cluster share one min-congestion
-    # instance; the batch solves the clusters concurrently, so in any order
+    # instance, its oriented owner pairs; the batch solves the clusters
+    # concurrently, so in any order
     calls = []
 
     def counting(g, demands, restrict=None):
-        calls.append(tuple(sorted(restrict)))
+        calls.append((tuple(sorted(restrict)), dict(demands)))
         return solve_cmcf_min_congestion(g, demands, restrict=restrict)
 
     monkeypatch.setattr(cmcf, "solve_cmcf_min_congestion", counting)
     g = grid_graph(4, 4)
     tree = build_tree(g, target_arity=2, seed=0)
     scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
-    expect = []
+    expect = {}
     for cluster in tree.clusters:
         if cluster.size == 1:
             continue
-        cubes = (scheme.mains[cluster.id], scheme.shuffles[cluster.id])
-        if _embedding_demands(cubes):
-            expect.append(tuple(sorted(cluster.vertices)))
+        demands = _embedding_demands((scheme.mains[cluster.id], scheme.shuffles[cluster.id]))
+        if demands:
+            expect[tuple(sorted(cluster.vertices))] = demands
     assert len(expect) > 4
-    assert sorted(calls) == sorted(expect)
+    assert len(calls) == len(expect)
+    assert dict(calls) == expect
 
 
-def test_one_draw_per_cube_edge(monkeypatch):
-    # the build rounds exactly the paths it stores: one draw per cube edge
-    # with distinct owners, from the flow of that edge's pair
+def _recorded_draws(monkeypatch) -> list:
     drawn = []
 
     def recording(sol, pairs, rng):
@@ -357,19 +376,48 @@ def test_one_draw_per_cube_edge(monkeypatch):
         return paths
 
     monkeypatch.setattr(impl_b, "round_paths", recording)
+    return drawn
+
+
+def test_one_draw_per_cube_edge(monkeypatch):
+    # the build rounds exactly the paths it stores: one draw per cube edge
+    # with distinct owners, from the flow of that edge's oriented owner pair,
+    # stored from owner(x) to owner(y)
+    drawn = _recorded_draws(monkeypatch)
     g = grid_graph(4, 4)
     tree = build_tree(g, target_arity=2, seed=0)
     scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
     expect = []
     for cid in scheme.rounded:
-        for maps in (scheme.mains[cid], scheme.shuffles[cid]):
-            expect += [(maps, x, y, a, b)
-                       for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension)]
+        expect += _cube_draws((scheme.mains[cid], scheme.shuffles[cid]))
     assert len(expect) == 538
-    assert [pair for _, pair, _ in drawn] == [(a, b) for *_, a, b in expect]
-    for (sol, _, path), (maps, x, y, a, b) in zip(drawn, expect):
-        assert maps.edge_paths[(x, y)] is path
-        assert path in sol.path_groups(a)[b][0]
+    assert [pair for _, pair, _ in drawn] == [pair for *_, pair in expect]
+    for (sol, _, path), (maps, x, y, (s, t)) in zip(drawn, expect):
+        stored = maps.edge_paths[(x, y)]
+        assert stored == (path if s == maps.node_owner[x] else path[::-1])
+        assert (stored[0], stored[-1]) == (maps.node_owner[x], maps.node_owner[y])
+        assert path in sol.path_groups(s)[t][0]
+
+
+def test_every_decomposed_group_is_drawn(monkeypatch):
+    # path_groups decomposes a source's flow to every sink, and every such
+    # (source, sink) group is a pair the build draws from
+    drawn = _recorded_draws(monkeypatch)
+    g = grid_graph(4, 4)
+    tree = build_tree(g, target_arity=2, seed=0)
+    build_cube_scheme(g, tree, 2, np.random.default_rng(7))
+    pairs: dict[int, set] = {}
+    solutions = {}
+    for sol, pair, _ in drawn:
+        pairs.setdefault(id(sol), set()).add(pair)
+        solutions[id(sol)] = sol
+    decomposed = 0
+    for key, sol in solutions.items():
+        for s, groups in sol._groups.items():
+            for t in groups:
+                assert (s, t) in pairs[key]
+                decomposed += 1
+    assert decomposed == sum(len(p) for p in pairs.values()) > 4
 
 
 def test_build_is_deterministic():
