@@ -13,8 +13,10 @@ depend on the concurrency."""
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,18 +48,21 @@ class CMCFSolution:
     congestion: float
     lp_objective: float
 
-    _groups: dict[int, dict[int, tuple[list[list[int]], np.ndarray]]] = field(
+    _groups: dict[int, dict[int, tuple[list[list[int]], np.ndarray, list[float]]]] = field(
         default_factory=dict, repr=False)
 
-    def path_groups(self, source: int) -> dict[int, tuple[list[list[int]], np.ndarray]]:
-        """Per sink: decomposed paths and their normalized sampling probabilities."""
+    def path_groups(self, source: int
+                    ) -> dict[int, tuple[list[list[int]], np.ndarray, list[float]]]:
+        """Per sink: decomposed paths, their normalized sampling probabilities,
+        and the cumulative sums of those probabilities that draws search."""
         if source not in self._groups:
             grouped = decompose_by_sink(self.source_flows[source])
             out = {}
             for sink, entries in grouped.items():
                 paths = [p for p, _ in entries]
                 w = np.array([x for _, x in entries], dtype=float)
-                out[sink] = (paths, w / w.sum())
+                probs = w / w.sum()
+                out[sink] = (paths, probs, list(accumulate(probs.tolist())))
             self._groups[source] = out
         return self._groups[source]
 
@@ -262,7 +267,6 @@ def round_paths(sol: CMCFSolution, pairs: list[tuple[int, int]],
     edge is k times its per-unit fractional load."""
     picked = []
     for (s, t), u in zip(pairs, rng.random(len(pairs))):
-        paths, probs = sol.path_groups(s)[t]
-        i = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        picked.append(paths[min(i, len(paths) - 1)])
+        paths, _, cum = sol.path_groups(s)[t]
+        picked.append(paths[min(bisect_right(cum, u), len(paths) - 1)])
     return picked

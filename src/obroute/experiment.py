@@ -197,10 +197,12 @@ def run_experiment(cfg: dict[str, str],
             raise ValueError(f"unknown scheme {scheme!r}, expected one of "
                              f"{', '.join(SCHEMES)}")
     out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "runs"))
+    # the battery has its own stream, so building it first rejects a bad
+    # battery before the tree and its certificate are paid for
+    demands = demand_battery(cfg["demands"], g, seed)
 
     tree = build_tree(g, target_arity=int(cfg["arity"]), seed=seed)
     cert = certify_congestion(g, tree, store_solutions=True)
-    demands = demand_battery(cfg["demands"], g, seed)
     c_opt = optimal_congestion(g, demands)
 
     failures = [f"tree audit: {msg}" for msg in audit_tree(g, tree)]

@@ -258,21 +258,26 @@ def sample_path(fa: FlowAssignment, start: int, direction: str,
 
 
 def _widest_path(adj: dict[int, dict[int, float]], s: int, t: int) -> list[int] | None:
+    """Path from s to t whose narrowest arc is widest (Dijkstra on bottleneck
+    width); ties go to the vertex reached first, as heap order decides."""
+    pop, push = heapq.heappop, heapq.heappush
+    no_arcs: dict[int, float] = {}
     best: dict[int, float] = {s: float("inf")}
     prev: dict[int, int] = {}
     heap = [(-float("inf"), s)]
     while heap:
-        negw, v = heapq.heappop(heap)
-        if -negw < best.get(v, 0.0):
+        negw, v = pop(heap)
+        width = -negw
+        if width < best[v]:
             continue
         if v == t:
             break
-        for u, f in adj.get(v, {}).items():
-            w = min(-negw, f)
-            if w > best.get(u, 0.0):
+        for u, f in adj.get(v, no_arcs).items():
+            w = f if f < width else width
+            if w > (best[u] if u in best else 0.0):
                 best[u] = w
                 prev[u] = v
-                heapq.heappush(heap, (-w, u))
+                push(heap, (-w, u))
     if t not in best:
         return None
     path = [t]

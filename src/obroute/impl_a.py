@@ -88,12 +88,7 @@ class FlowTables:
         drawn from `law`. Started on the flow's source (forward) or sink
         (backward) law, the walk crosses arc a->b f(a,b)/|f| times on average."""
         fa = self._start(cluster_id, index, [v for v, p in law.items() if p > 0], direction)
-        crossed, end_law = _propagate(fa, law, direction)
-        loads: Loads = {}
-        for (a, b), x in crossed.items():
-            key = (a, b) if a < b else (b, a)
-            loads[key] = loads.get(key, 0.0) + x
-        return loads, end_law
+        return _propagate(fa, law, direction)
 
     def to_border(self, cluster_id: int, index: int, v: int,
                   rng: np.random.Generator) -> tuple[list[int], int]:
@@ -181,11 +176,12 @@ def endpoint_distribution(tables: FlowTables, cluster_id: int, index: int,
 
 
 def _propagate(fa: FlowAssignment, start_law: dict[int, float],
-               direction: str) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
+               direction: str) -> tuple[Loads, dict[int, float]]:
     """Push the start law through the acyclic flow in topological order, each
     vertex splitting its mass over its links in proportion to their flow; no
-    sampling involved. Returns the mass crossing each graph arc (as walked)
-    and the mass absorbed at each vertex."""
+    sampling involved. Returns the mass crossing each graph edge, both
+    directions binned under the canonical edge as they are crossed, and the
+    mass absorbed at each vertex."""
     if not fa.is_acyclic():
         raise ValueError("absorption law requires an acyclic flow")
     if direction == "forward":
@@ -201,7 +197,7 @@ def _propagate(fa: FlowAssignment, start_law: dict[int, float],
         if v not in position:
             raise ValueError(f"vertex {v} carries no {direction} flow")
     mass = dict(start_law)
-    crossed: dict[tuple[int, int], float] = {}
+    loads: Loads = {}
     absorbed: dict[int, float] = {}
     first = min((position[v] for v in mass), default=len(order))
     for v in order[first:]:
@@ -216,8 +212,9 @@ def _propagate(fa: FlowAssignment, start_law: dict[int, float],
                 absorbed[v] = absorbed.get(v, 0.0) + share
             else:
                 mass[u] = mass.get(u, 0.0) + share
-                crossed[(v, u)] = crossed.get((v, u), 0.0) + share
-    return crossed, absorbed
+                edge = (v, u) if v < u else (u, v)
+                loads[edge] = loads.get(edge, 0.0) + share
+    return loads, absorbed
 
 
 def _topological(fa: FlowAssignment, direction: str) -> list[int]:

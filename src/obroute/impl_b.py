@@ -48,9 +48,10 @@ any group)).
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,12 +114,46 @@ def round_and_order(cluster: Cluster, child_border_totals: list[int]) -> Rounded
 
 
 @dataclass
+class _PathSlots:
+    """A cube's stored paths as arrays, for the exact kernel: one slot per
+    graph edge of every path, in edge_paths order, holding the (dimension,
+    node) cell of the slot's cube edge, flattened as k * 2^d + x, and the
+    slot's graph edge under a local id; and the node owners."""
+
+    edge_paths: dict[tuple[int, int], list[int]]   # the dict the slots were built from
+    cells: np.ndarray
+    edge_ids: np.ndarray
+    edges: list[tuple[int, int]]                   # local id -> canonical graph edge
+    owners: np.ndarray                             # node_owner as an array
+    owned: np.ndarray                              # vertex -> number of nodes it owns
+
+
+@dataclass
 class CubeMaps:
     dimension: int
     node_owner: list[int]
     vertex_nodes: dict[int, list[int]]
     edge_paths: dict[tuple[int, int], list[int]]   # cube edge (x<y) -> graph path
     fractional_congestion: float                   # of the cluster's joint instance
+    _slots: _PathSlots | None = field(default=None, repr=False, compare=False)
+
+    def path_slots(self) -> _PathSlots:
+        """The slot arrays of edge_paths, rebuilt when edge_paths is replaced."""
+        if self._slots is None or self._slots.edge_paths is not self.edge_paths:
+            side = 1 << self.dimension
+            local: dict[tuple[int, int], int] = {}
+            cells: list[int] = []
+            edge_ids: list[int] = []
+            for (x, y), path in self.edge_paths.items():
+                cell = ((x ^ y).bit_length() - 1) * side + x
+                for a, b in zip(path, path[1:]):
+                    cells.append(cell)
+                    edge_ids.append(local.setdefault((a, b) if a < b else (b, a), len(local)))
+            owners = np.array(self.node_owner, dtype=np.intp)
+            self._slots = _PathSlots(self.edge_paths, np.array(cells, dtype=np.intp),
+                                     np.array(edge_ids, dtype=np.intp), list(local),
+                                     owners, np.bincount(owners))
+        return self._slots
 
 
 @dataclass
@@ -412,6 +447,39 @@ def hypercube_route(maps: CubeMaps, h_from: int, h_to: int,
     return path
 
 
+@dataclass(frozen=True)
+class _WalkIndices:
+    """Index arrays that evaluate, for every dimension k of a d-cube at once,
+    hypercube_loads' per-k terms; row k of a (d, 2^d) array is dimension k."""
+
+    high_at: np.ndarray     # (d, 2^d): offset of k's block sums + y >> k
+    high_div: np.ndarray    # (d, 1): 2^(k+1)
+    low_bins: np.ndarray    # (d * 2^d,): offset of k's residues + y mod 2^(k+1)
+    low_size: int
+    low_at: np.ndarray      # (d, 2^d): offset of k's residues + y_<k + (1 - y_k) 2^k
+    low_div: np.ndarray     # (d, 1): 2^(d-k)
+    flip: np.ndarray        # (d * 2^d,): k * 2^d + (y ^ 2^k)
+
+
+@functools.cache
+def _walk_indices(d: int) -> _WalkIndices:
+    nodes = np.arange(1 << d)
+    ks = np.arange(d)[:, None]
+    high_offsets = np.concatenate([[0], np.cumsum([1 << (d - k) for k in range(d)])])
+    low_offsets = np.concatenate([[0], np.cumsum([2 << k for k in range(d)])])
+    bit = 1 << ks
+    arrays = dict(
+        high_at=high_offsets[:-1, None] + (nodes >> ks),
+        high_div=2.0 ** (ks + 1),
+        low_bins=(low_offsets[:-1, None] + (nodes & ((2 << ks) - 1))).ravel(),
+        low_at=low_offsets[:-1, None] + ((nodes & (bit - 1)) | (~nodes & bit)),
+        low_div=2.0 ** (d - ks),
+        flip=(ks * (1 << d) + (nodes ^ bit)).ravel())
+    for a in arrays.values():
+        a.setflags(write=False)     # shared by every cube of dimension d
+    return _WalkIndices(low_size=int(low_offsets[-1]), **arrays)
+
+
 def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
                     hi: int) -> tuple[Loads, Law]:
     """Exact expected graph-edge loads of _cube_hop from a vertex drawn from
@@ -422,36 +490,35 @@ def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
     k and z_k != y_k, with probability 2^-(k+1) P(x>>k = y>>k); in phase 2 iff
     t agrees with y below k, t_k != y_k and z>>k = y>>k, with probability
     P(t mod 2^(k+1) = y_<k + (1 - y_k) 2^k) 2^-(d-k). Each crossing of a cube
-    edge loads the edges of its stored graph path. O(d 2^d) with numpy.
+    edge loads the edges of its stored graph path: one bincount over the
+    cube's path slots (CubeMaps.path_slots) sums every graph edge's crossings
+    in edge_paths order. The per-k terms are evaluated for every k at once
+    (_walk_indices), with the same operations on the same values as one k at
+    a time. O(d 2^d) with numpy.
     """
     d = maps.dimension
-    nodes = np.arange(1 << d)
-    start = np.zeros(1 << d)
-    for v, p in start_law.items():
-        owned = _owned_nodes(maps, v)
-        start[owned] += p / len(owned)
+    slots = maps.path_slots()
+    for v in start_law:
+        _owned_nodes(maps, v)    # raises for a vertex that owns no node
+    vs = np.fromiter(start_law, np.intp, len(start_law))
+    share = np.zeros(len(slots.owned))    # each node gets p(v) / #nodes of its owner v
+    share[vs] = np.fromiter(start_law.values(), float, len(vs)) / slots.owned[vs]
+    start = share[slots.owners]
     target = np.zeros(1 << d)
     target[lo:hi] = 1.0 / (hi - lo)
-    crossing = np.zeros((d, 1 << d))    # [k, y]: either direction of edge {y, y ^ 2^k}
-    for k in range(d):
-        high = start.reshape(-1, 1 << k).sum(axis=1)
-        low = np.bincount(nodes & ((2 << k) - 1), weights=target, minlength=2 << k)
-        out = (high[nodes >> k] / 2.0 ** (k + 1)
-               + low[(nodes & ((1 << k) - 1)) | (~nodes & (1 << k))] / 2.0 ** (d - k))
-        crossing[k] = out + out[nodes ^ (1 << k)]
-    loads: Loads = {}
-    for (x, y), path in maps.edge_paths.items():
-        p = float(crossing[(x ^ y).bit_length() - 1, x])
-        if p == 0.0:
-            continue
-        for a, b in zip(path, path[1:]):
-            key = (a, b) if a < b else (b, a)
-            loads[key] = loads.get(key, 0.0) + p
-    end_law: Law = {}
-    for node in range(lo, hi):
-        v = maps.node_owner[node]
-        end_law[v] = end_law.get(v, 0.0) + 1.0 / (hi - lo)
-    return loads, end_law
+    walk = _walk_indices(d)
+    high = np.concatenate([start.reshape(-1, 1 << k).sum(axis=1) for k in range(d)])
+    low = np.bincount(walk.low_bins, np.tile(target, d), minlength=walk.low_size)
+    out = (high[walk.high_at] / walk.high_div
+           + low[walk.low_at] / walk.low_div).ravel()
+    crossing = out + out[walk.flip]    # [k * 2^d + y]: either direction of edge {y, y ^ 2^k}
+    totals = np.bincount(slots.edge_ids, crossing[slots.cells],
+                         minlength=len(slots.edges))
+    hit = np.flatnonzero(totals)
+    loads = dict(zip(map(slots.edges.__getitem__, hit.tolist()), totals[hit].tolist()))
+    ends = np.bincount(slots.owners[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)))
+    hit = np.flatnonzero(ends)
+    return loads, dict(zip(hit.tolist(), ends[hit].tolist()))
 
 
 # ---------------------------------------------------------------------------

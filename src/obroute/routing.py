@@ -30,6 +30,15 @@ only on its tree edge and direction, not on the pair routed, and by linearity
 the expected edge loads of a demand set are the sum over hops of the demand
 crossing it times the loads of one hop. route_demands computes them that way,
 without sampling, and checks the end law of every hop.
+
+Those sums are array arithmetic that adds in the order of the plain dict
+loops, so every load is the same to the last bit: the demand through each
+hop is one np.bincount per direction over an n x (height + 1) array of leaf
+paths, the pairs in sorted order; each kernel returns its loads from a
+bincount over graph edges (ReferenceBackend over cached per-pair edge-id and
+per-unit-load arrays, impl_b over cached cube path slots; impl_a bins its
+crossed arcs by edge as it propagates); and the edge loads are one bincount
+of demand times hop load over the hops in sorted order.
 """
 from __future__ import annotations
 
@@ -115,7 +124,9 @@ class ReferenceBackend:
         self.solutions = solutions
         self._weight_laws: dict[int, _LawSampler] = {}
         self._border_laws: dict[int, _LawSampler] = {}
-        self._pair_loads: dict[tuple[int, int, int], Loads] = {}
+        self._edges = [(u, v) for u, v, _ in g.edges]
+        # per cluster, (u, v) -> the edge ids and per-unit loads of one stored path
+        self._pair_loads: dict[int, dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = {}
 
     def sample_cluster_vertex(self, cluster_id: int, rng: np.random.Generator) -> int:
         if cluster_id not in self._weight_laws:
@@ -130,7 +141,7 @@ class ReferenceBackend:
         return self._border_laws[cluster_id].draw(rng)
 
     def _stored_paths(self, cluster_id: int, u: int,
-                      v: int) -> tuple[list[list[int]], np.ndarray]:
+                      v: int) -> tuple[list[list[int]], np.ndarray, list[float]]:
         # solutions store each unordered pair once, sources below sinks
         return self.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
 
@@ -138,32 +149,49 @@ class ReferenceBackend:
                       rng: np.random.Generator) -> list[int]:
         if u == v:
             return [u]
-        paths, probs = self._stored_paths(cluster_id, u, v)
-        i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        path = paths[min(i, len(paths) - 1)]
+        paths, _, cum = self._stored_paths(cluster_id, u, v)
+        path = paths[min(bisect_right(cum, rng.random()), len(paths) - 1)]
         return path if u < v else path[::-1]
 
-    def _expected_path(self, cluster_id: int, u: int, v: int) -> Loads:
-        key = (cluster_id, min(u, v), max(u, v))
-        if key not in self._pair_loads:
-            loads: Loads = {}
-            for path, p in zip(*self._stored_paths(cluster_id, u, v)):
-                for a, b in zip(path, path[1:]):
-                    edge = (a, b) if a < b else (b, a)
-                    loads[edge] = loads.get(edge, 0.0) + float(p)
-            self._pair_loads[key] = loads
-        return self._pair_loads[key]
+    def _add_pair(self, cluster_id: int, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Graph edge ids, and the expected load on each, of one stored path
+        drawn between u and v, each edge's load summed over its paths in
+        stored order; cached under (u, v) and (v, u)."""
+        edge_index = self.graph.edge_index
+        loads: dict[int, float] = {}
+        paths, probs, _ = self._stored_paths(cluster_id, u, v)
+        for path, p in zip(paths, probs.tolist()):
+            for a, b in zip(path, path[1:]):
+                try:
+                    e = edge_index(a, b)
+                except KeyError:
+                    raise RuntimeError(f"cluster {cluster_id}: stored path steps off "
+                                       f"the graph at ({a},{b})") from None
+                loads[e] = loads.get(e, 0.0) + p
+        arrays = (np.fromiter(loads, np.intp, len(loads)),
+                  np.fromiter(loads.values(), float, len(loads)))
+        pairs = self._pair_loads.setdefault(cluster_id, {})
+        pairs[(u, v)] = pairs[(v, u)] = arrays
+        return arrays
 
     def _between_loads(self, cluster_id: int, start: Law, end: Law) -> Loads:
-        """Expected loads of a stored path between independent draws from start and end."""
-        loads: Loads = {}
+        """Expected loads of a stored path between independent draws from start
+        and end: one bincount of p·q·x over the (u, v) pairs in law order."""
+        pairs = self._pair_loads.setdefault(cluster_id, {})
+        ids, units, scales = [], [], []
         for u, p in start.items():
             for v, q in end.items():
-                if u == v:
-                    continue
-                for edge, x in self._expected_path(cluster_id, u, v).items():
-                    loads[edge] = loads.get(edge, 0.0) + p * q * x
-        return loads
+                if u != v:
+                    e, x = pairs.get((u, v)) or self._add_pair(cluster_id, u, v)
+                    ids.append(e)
+                    units.append(x)
+                    scales.append(p * q)
+        if not ids:
+            return {}
+        weights = np.repeat(scales, [len(e) for e in ids]) * np.concatenate(units)
+        totals = np.bincount(np.concatenate(ids), weights, minlength=len(self._edges))
+        hit = np.flatnonzero(totals)
+        return dict(zip(map(self._edges.__getitem__, hit.tolist()), totals[hit].tolist()))
 
     def to_border(self, cluster_id: int, index: int, v: int,
                   rng: np.random.Generator) -> tuple[list[int], int]:
@@ -248,26 +276,53 @@ def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
 
 
 def _hop_loads(tree: DecompositionTree, backend: SchemeBackend,
-               hop: tuple[bool, int]) -> Loads:
+               hop: tuple[bool, int], laws: dict[int, Law]) -> Loads:
     """Exact expected loads of one hop started on the law of the cluster it
-    leaves; raises unless it ends on the law of the cluster it enters."""
+    leaves; raises unless it ends on the law of the cluster it enters. `laws`
+    caches each cluster's normalised law across the hops of one call."""
     downward, child_id = hop
     parent_id = tree.cluster(child_id).parent
     leaves, enters = (parent_id, child_id) if downward else (child_id, parent_id)
-    law = _normalized(tree.cluster(leaves).cluster_weight)
+    for cid in (leaves, enters):
+        if cid not in laws:
+            laws[cid] = _normalized(tree.cluster(cid).cluster_weight)
+    law = laws[leaves]
     loads: Loads = {}
     for spread, cluster_id, index in _steps(tree, hop):
         kernel = backend.spread_loads if spread else backend.to_border_loads
         part, law = kernel(cluster_id, index, law)
         for edge, x in part.items():
             loads[edge] = loads.get(edge, 0.0) + x
-    expect = _normalized(tree.cluster(enters).cluster_weight)
+    expect = laws[enters]
     gap = max(abs(law.get(v, 0.0) - expect.get(v, 0.0))
               for v in law.keys() | expect.keys())
     if gap > _LAW_TOL:
         raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
                            f"ends {gap:.3g} away from the law of cluster {enters}")
     return loads
+
+
+def _through(tree: DecompositionTree, n: int,
+             entries: dict[tuple[int, int], float]) -> dict[tuple[bool, int], float]:
+    """Demand crossing each tree edge per direction, keyed (downward, child
+    cluster) in sorted order. A pair (s, t) crosses upward the clusters of s's
+    leaf path below the deepest one it shares with t's, and downward those of
+    t's; each sum runs over the pairs in sorted order, one bincount per
+    direction over an n x (height + 1) array of leaf paths."""
+    kept = [(s, t, d) for (s, t), d in sorted(entries.items()) if not (d <= 0 or s == t)]
+    if not kept:
+        return {}
+    sources, sinks, demand = zip(*kept)
+    paths = np.array([tree.leaf_path(v) for v in range(n)])
+    up, down = paths[list(sources)], paths[list(sinks)]
+    crossed = np.arange(paths.shape[1]) >= (up == down).sum(axis=1, keepdims=True)
+    weight = np.broadcast_to(np.array(demand, dtype=float)[:, None], up.shape)[crossed]
+    through: dict[tuple[bool, int], float] = {}
+    for downward, side in ((False, up), (True, down)):
+        sums = np.bincount(side[crossed], weight, minlength=len(tree.clusters))
+        hit = np.flatnonzero(sums)
+        through.update(zip(((downward, c) for c in hit.tolist()), sums[hit].tolist()))
+    return through
 
 
 @dataclass
@@ -286,29 +341,33 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
                   samples: int = 1000, seed: int = 0) -> LoadReport:
     """Exact expected edge loads of routing every demand pair obliviously.
 
-    Sums the demand crossing each tree edge in each direction, one pass over
-    every pair's leaf paths, then adds that times the exact loads of one hop
-    across the edge. No paths are sampled: `samples` and `seed` are ignored
-    and kept only so that existing callers still work.
+    Sums the demand crossing each tree edge in each direction (_through), then
+    adds that times the exact loads of one hop across the edge, hop by hop in
+    sorted order, in one bincount over the graph's edges. No paths are
+    sampled: `samples` and `seed` are ignored and kept only so that existing
+    callers still work.
     """
     entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
     for (s, t) in entries:
         if not (0 <= s < g.n and 0 <= t < g.n):
             raise ValueError(f"demand pair ({s},{t}) out of vertex range")
 
-    through: dict[tuple[bool, int], float] = {}
-    for (s, t), d in sorted(entries.items()):
-        if d <= 0 or s == t:
-            continue
-        for hop in _hops(tree, s, t):
-            through[hop] = through.get(hop, 0.0) + d
-
-    loads: Loads = {}
-    for hop, d in sorted(through.items()):
-        for edge, x in _hop_loads(tree, backend, hop).items():
-            if not g.has_edge(*edge):
-                raise RuntimeError(f"hop loads non-edge {edge}")
-            loads[edge] = loads.get(edge, 0.0) + d * x
+    edge_id = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+    laws: dict[int, Law] = {}
+    edge_ids: list[int] = []
+    weights: list[float] = []
+    for hop, d in _through(tree, g.n, entries).items():
+        part = _hop_loads(tree, backend, hop, laws)
+        try:
+            edge_ids += [edge_id[edge] for edge in part]
+        except KeyError as exc:
+            raise RuntimeError(f"hop loads non-edge {exc.args[0]}") from None
+        weights += [d * x for x in part.values()]
+    at = np.array(edge_ids, dtype=np.intp)
+    totals = np.bincount(at, np.array(weights, dtype=float), minlength=g.m).tolist()
+    loaded = np.zeros(g.m, dtype=bool)
+    loaded[at] = True
+    loads: Loads = {g.edges[i][:2]: totals[i] for i in np.flatnonzero(loaded).tolist()}
 
     caps = {(u, v) if u < v else (v, u): c for u, v, c in g.edges}
     worst = max((load / caps[edge] for edge, load in loads.items()), default=0.0)

@@ -8,8 +8,12 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from obroute import routing
+from obroute.flows import SNK, SRC
 from obroute.graph import CapacitatedGraph, DemandMatrix
-from obroute.routing import select_path
+from obroute.impl_a import FlowTables, _topological
+from obroute.impl_b import CubeScheme
+from obroute.routing import LoadReport, ReferenceBackend, select_path
 
 
 def path_graph(n: int, cap: int = 1) -> CapacitatedGraph:
@@ -197,6 +201,144 @@ def sampled_loads(g: CapacitatedGraph, tree, backend, demands: DemandMatrix | di
             spread = max(tot_sq[key] / samples - mean * mean, 0.0)
             sq_err[key] = sq_err.get(key, 0.0) + d * d * spread / samples
     return loads, {key: v ** 0.5 for key, v in sq_err.items()}
+
+
+# ---------------------------------------------------------------------------
+# exact loads, one dict entry at a time: the oracle of the array kernels
+# ---------------------------------------------------------------------------
+
+def dict_through(tree, entries: dict) -> dict[tuple[bool, int], float]:
+    """Demand crossing each tree edge per direction, summed pair by pair in
+    sorted order over every pair's hops, in sorted hop order."""
+    through: dict[tuple[bool, int], float] = {}
+    for (s, t), d in sorted(entries.items()):
+        if d <= 0 or s == t:
+            continue
+        for hop in routing._hops(tree, s, t):
+            through[hop] = through.get(hop, 0.0) + d
+    return dict(sorted(through.items()))
+
+
+def _dict_reference(backend: ReferenceBackend, cluster_id: int, start: dict,
+                    end: dict) -> dict:
+    loads: dict = {}
+    for u, p in start.items():
+        for v, q in end.items():
+            if u == v:
+                continue
+            paths, probs, _ = backend.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
+            pair: dict = {}
+            for path, w in zip(paths, probs):
+                for a, b in zip(path, path[1:]):
+                    edge = (a, b) if a < b else (b, a)
+                    pair[edge] = pair.get(edge, 0.0) + float(w)
+            for edge, x in pair.items():
+                loads[edge] = loads.get(edge, 0.0) + p * q * x
+    return loads
+
+
+def _dict_flow_walk(tables: FlowTables, cluster_id: int, index: int, law: dict,
+                    direction: str) -> tuple[dict, dict]:
+    fa = tables.flow(cluster_id, index)
+    links, terminal = (fa.outgoing, SNK) if direction == "forward" else (fa.incoming, SRC)
+    order = _topological(fa, direction)
+    mass = dict(law)
+    crossed: dict = {}
+    absorbed: dict = {}
+    for v in order[min(order.index(v) for v in mass):]:
+        mv = mass.pop(v, 0.0)
+        if mv == 0.0:
+            continue
+        options = links(v)
+        total = sum(f for _, f in options)
+        for u, f in options:
+            share = mv * f / total
+            if u == terminal:
+                absorbed[v] = absorbed.get(v, 0.0) + share
+            else:
+                mass[u] = mass.get(u, 0.0) + share
+                crossed[(v, u)] = crossed.get((v, u), 0.0) + share
+    loads: dict = {}
+    for (a, b), x in crossed.items():
+        edge = (a, b) if a < b else (b, a)
+        loads[edge] = loads.get(edge, 0.0) + x
+    return loads, absorbed
+
+
+def _dict_cube_walk(maps, start_law: dict, lo: int, hi: int) -> tuple[dict, dict]:
+    d = maps.dimension
+    nodes = np.arange(1 << d)
+    start = np.zeros(1 << d)
+    for v, p in start_law.items():
+        owned = maps.vertex_nodes[v]
+        start[owned] += p / len(owned)
+    target = np.zeros(1 << d)
+    target[lo:hi] = 1.0 / (hi - lo)
+    crossing = np.zeros((d, 1 << d))
+    for k in range(d):
+        high = start.reshape(-1, 1 << k).sum(axis=1)
+        low = np.bincount(nodes & ((2 << k) - 1), weights=target, minlength=2 << k)
+        out = (high[nodes >> k] / 2.0 ** (k + 1)
+               + low[(nodes & ((1 << k) - 1)) | (~nodes & (1 << k))] / 2.0 ** (d - k))
+        crossing[k] = out + out[nodes ^ (1 << k)]
+    loads: dict = {}
+    for (x, y), path in maps.edge_paths.items():
+        p = float(crossing[(x ^ y).bit_length() - 1, x])
+        if p == 0.0:
+            continue
+        for a, b in zip(path, path[1:]):
+            edge = (a, b) if a < b else (b, a)
+            loads[edge] = loads.get(edge, 0.0) + p
+    end: dict = {}
+    for node in range(lo, hi):
+        v = maps.node_owner[node]
+        end[v] = end.get(v, 0.0) + 1.0 / (hi - lo)
+    return loads, end
+
+
+def _dict_kernel(backend, spread: bool, cluster_id: int, index: int,
+                 law: dict) -> tuple[dict, dict]:
+    tree = backend.tree
+    if isinstance(backend, ReferenceBackend):
+        weights = (tree.cluster(cluster_id).cluster_weight if spread
+                   else tree.target(cluster_id, index).border_weight)
+        end = routing._normalized(weights)
+        return _dict_reference(backend, cluster_id, law, end), end
+    if isinstance(backend, FlowTables):
+        return _dict_flow_walk(backend, cluster_id, index, law,
+                               "backward" if spread else "forward")
+    if isinstance(backend, CubeScheme):
+        if spread:
+            return _dict_cube_walk(backend.shuffles[cluster_id], law, 0,
+                                   backend.rounded[cluster_id].total_weight)
+        return _dict_cube_walk(backend.mains[cluster_id], law,
+                               *backend._border_range(cluster_id, index))
+    raise TypeError(f"no dict kernel for {type(backend).__name__}")
+
+
+def dict_route_demands(g: CapacitatedGraph, tree, backend,
+                       demands: DemandMatrix | dict) -> LoadReport:
+    """route_demands with every sum a dict accumulation: the demand through
+    each hop pair by pair (dict_through), each hop's loads kernel step by
+    kernel step, and the edge loads hop by hop in sorted hop order. The
+    array code sums in the same order, so it must agree to the last bit."""
+    entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
+    loads: dict = {}
+    for (downward, child_id), d in dict_through(tree, entries).items():
+        parent_id = tree.cluster(child_id).parent
+        leaves = parent_id if downward else child_id
+        law = routing._normalized(tree.cluster(leaves).cluster_weight)
+        hop_loads: dict = {}
+        for spread, cluster_id, index in routing._steps(tree, (downward, child_id)):
+            part, law = _dict_kernel(backend, spread, cluster_id, index, law)
+            for edge, x in part.items():
+                hop_loads[edge] = hop_loads.get(edge, 0.0) + x
+        for edge, x in hop_loads.items():
+            loads[edge] = loads.get(edge, 0.0) + d * x
+    caps = {(u, v): c for u, v, c in g.edges}
+    return LoadReport(edge_loads=loads, edge_stderr={edge: 0.0 for edge in loads},
+                      edge_caps=caps,
+                      congestion=max((x / caps[e] for e, x in loads.items()), default=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_criterion_4_chernoff_rounding():
         frac: dict[tuple[int, int], float] = {}
         variance: dict[tuple[int, int], float] = {}
         for (a, b), k in Counter(pairs).items():
-            paths, probs = sol.path_groups(a)[b]
+            paths, probs, _ = sol.path_groups(a)[b]
             edge_prob: dict[tuple[int, int], float] = {}
             for path, p in zip(paths, probs):
                 for e in zip(path, path[1:]):

@@ -269,7 +269,7 @@ def test_flows_are_cycle_free_and_conserved():
 def test_path_groups_normalized():
     sol = solve_cmcf_min_congestion(cycle_graph(4), {(0, 2): 1.0})
     groups = sol.path_groups(0)
-    paths, probs = groups[2]
+    paths, probs, _ = groups[2]
     assert probs.sum() == pytest.approx(1.0)
     for p in paths:
         assert p[0] == 0 and p[-1] == 2
@@ -302,7 +302,7 @@ def _edge_counts(paths: list[list[int]]) -> dict[tuple[int, int], int]:
 
 def _pair_edge_probs(sol, pair: tuple[int, int]) -> dict[tuple[int, int], float]:
     """Probability that one draw for `pair` uses each edge, from path_groups."""
-    paths, probs = sol.path_groups(pair[0])[pair[1]]
+    paths, probs, _ = sol.path_groups(pair[0])[pair[1]]
     out: dict[tuple[int, int], float] = {}
     for path, p in zip(paths, probs):
         for key in _edge_counts([path]):

@@ -153,6 +153,19 @@ def test_uniform_pairs_rejects_bad_k(k, capsys):
             "integer") in capsys.readouterr().err
 
 
+def test_bad_battery_fails_before_the_tree(monkeypatch):
+    # the battery needs only the graph and the seed; a bad one is rejected
+    # before any tree is built or certified
+    def never(*args, **kwargs):
+        raise AssertionError("called before the battery was checked")
+
+    monkeypatch.setattr(experiment, "build_tree", never)
+    monkeypatch.setattr(experiment, "certify_congestion", never)
+    cfg = parse_config("generate = grid:3x3\ndemands = uniform_pairs:-1\n")
+    with pytest.raises(ValueError, match="k must be a non-negative integer"):
+        run_experiment(cfg, out_dir="unused")
+
+
 def test_gravity_battery():
     assert dict(demand_battery("gravity", single_edge(), 0).entries) == {(0, 1): 1.0}
     # path on 3 vertices: degree products 1*2, 1*1, 2*1 for the u < v pairs

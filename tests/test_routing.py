@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import cycle_graph, sampled_loads, single_edge
+from helpers import (connected_graphs, cycle_graph, dict_route_demands, dict_through,
+                     sampled_loads, single_edge)
 from obroute import routing
 from obroute.decomposition import build_tree, certify_congestion, tree_from_spec
 from obroute.experiment import SCHEMES, _build_backend, demand_battery
-from obroute.graph import DemandMatrix, grid_graph
+from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
 from obroute.impl_a import build_flow_tables
 from obroute.impl_b import build_cube_scheme
 from obroute.optimum import competitive_ratio, optimal_congestion
@@ -195,6 +197,49 @@ def test_exact_loads_match_monte_carlo(scheme):
             assert abs(load - estimate[edge]) <= 4 * stderr[edge] + 1e-12, (seed, edge)
 
 
+_ORACLE_CASES = {
+    "grid-4x4-permutation": (lambda: grid_graph(4, 4), "permutation", 1),
+    "grid-8x8-gravity": (lambda: grid_graph(8, 8), "gravity", 0),
+    "torus-6x6-gravity": (lambda: generate_graph("torus", rows=6, cols=6), "gravity", 0),
+    "random-regular-32-3-permutation": (
+        lambda: generate_graph("random_regular", n=32, deg=3, seed=0), "permutation", 0),
+}
+
+
+def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
+    through = routing._through(tree, g.n, demands.entries)
+    assert list(through.items()) == list(dict_through(tree, demands.entries).items())
+    for scheme in schemes:
+        backend = _build_backend(scheme, g, tree, cert, seed)[0]
+        report = route_demands(g, tree, backend, demands)
+        oracle = dict_route_demands(g, tree, backend, demands)
+        assert report.edge_loads == oracle.edge_loads, scheme
+        assert report.congestion == oracle.congestion, scheme
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_exact_loads_equal_the_dict_oracle(case):
+    # the array kernels add in the loop version's order, so every load and
+    # the congestion agree to the last bit
+    make, battery, seed = _ORACLE_CASES[case]
+    g = make()
+    tree = build_tree(g, target_arity=2, seed=seed)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    _assert_equals_dict_oracle(g, tree, cert, demand_battery(battery, g, seed), SCHEMES, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(connected_graphs())
+def test_exact_loads_equal_the_dict_oracle_on_random_graphs(g):
+    # impl-b needs unit capacities, so it routes a unit copy of the graph
+    unit = CapacitatedGraph(g.n, [(u, v, 1) for u, v, _ in g.edges])
+    for graph, schemes in ((g, ("reference", "impl-a")), (unit, ("impl-b",))):
+        tree = build_tree(graph, target_arity=2, seed=0)
+        cert = certify_congestion(graph, tree, store_solutions=True)
+        _assert_equals_dict_oracle(graph, tree, cert, demand_battery("gravity", graph, 0),
+                                   schemes, 0)
+
+
 class _Corrupted:
     """A backend whose sampler or kernel breaks one routing invariant."""
 
@@ -272,3 +317,38 @@ def test_invariants_hold_under_optimize_flag():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert f"RuntimeError: {message}" in proc.stderr, proc.stderr
+
+
+def test_stored_path_off_the_graph_raises():
+    # a stored path that steps between two non-adjacent vertices is caught by
+    # a raise, so it still fires under `python -O`
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                        str(root / "tests")]))
+    script = (
+        "from helpers import cycle_graph\n"
+        "from test_routing import _backends\n"
+        "from obroute.decomposition import certify_congestion, tree_from_spec\n"
+        "from obroute.routing import route_demands\n"
+        "assert False, 'asserts are live'\n"
+        "g = cycle_graph(4)\n"
+        "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
+        "cert = certify_congestion(g, tree, store_solutions=True)\n"
+        "backends = _backends(g, tree, cert)\n"
+        "paths = cert.solutions[tree.root].path_groups(0)[2][0]\n"
+        "paths[0] = [0, 2]\n"
+        "maps = backends['cubes'].mains[tree.root]\n"
+        "maps.edge_paths = {e: [p[0], (p[0] + 2) % 4, p[-1]]\n"
+        "                   for e, p in maps.edge_paths.items()}\n"
+        "for name in ('reference', 'cubes'):\n"
+        "    try:\n"
+        "        route_demands(g, tree, backends[name], {(0, 2): 1.0})\n"
+        "    except RuntimeError as exc:\n"
+        "        print(name, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "reference cluster 0: stored path steps off the graph at (0,2)",
+        "cubes hop loads non-edge (0, 2)"]

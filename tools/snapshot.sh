@@ -6,7 +6,10 @@
 # Runs the checkout at REPO (its src/ on PYTHONPATH) and writes into OUT:
 #   route-4x4-perm/   obroute route, grid:4x4, all schemes, permutation, seed 1
 #   route-8x8-grav/   obroute route, grid:8x8, all schemes, gravity, seed 0
-#                     (report.json timestamp lines stripped; stdout.txt)
+#                     (report.json timestamp lines stripped; stdout.txt), and
+#                     loads-sha256.txt: per scheme, a sha256 over the repr of
+#                     its full-precision edge loads and congestion, which
+#                     loads.csv rounds to 9 significant digits
 #   build-8x8/        obroute build --generate grid:8x8: tree.json, and
 #                     stdout.txt without its `wrote` line
 #   audit-*.txt       obroute audit stdout, grid:4x4 --seed 3 and grid:3x3:1-3
@@ -53,8 +56,33 @@ route() {
     cp "$work/$name.stdout" "$out/$name/stdout.txt"
 }
 
+loads_hash() {
+    name=$1
+    shift
+    "$py" - "$@" > "$out/$name/loads-sha256.txt" <<'EOF'
+import hashlib
+import sys
+
+from obroute.decomposition import build_tree, certify_congestion
+from obroute.experiment import SCHEMES, _build_backend, demand_battery, graph_from_config
+from obroute.routing import route_demands
+
+spec, battery, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+g = graph_from_config({"generate": spec})
+tree = build_tree(g, target_arity=2, seed=seed)
+cert = certify_congestion(g, tree, store_solutions=True)
+demands = demand_battery(battery, g, seed)
+for scheme in SCHEMES:
+    report = route_demands(g, tree, _build_backend(scheme, g, tree, cert, seed)[0], demands)
+    text = repr((sorted(report.edge_loads.items()), report.congestion))
+    print(scheme, hashlib.sha256(text.encode()).hexdigest())
+EOF
+}
+
 route route-4x4-perm --generate grid:4x4 --demands permutation --seed 1
+loads_hash route-4x4-perm grid:4x4 permutation 1
 route route-8x8-grav --generate grid:8x8 --demands gravity --seed 0
+loads_hash route-8x8-grav grid:8x8 gravity 0
 
 mkdir -p "$out/build-8x8"
 obroute build --generate grid:8x8 --out-dir "$work/build" > "$work/build.stdout" 2>&1 \
