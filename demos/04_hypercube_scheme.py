@@ -5,9 +5,10 @@ embedded into the real graph: a main cube whose node ranges stand in for the
 cluster's own border and each child's border, and a shuffle cube used to
 re-randomize a packet's position after every hop. Both cubes of a cluster are
 embedded by one min-congestion LP, since a hop walks one and then the other.
-Routing between cube nodes is two-phase bit fixing through a random
-intermediate, so each vertex only stores its node ids and one real path per
-incident cube edge.
+Routing between cube nodes is one-phase bit fixing straight to the target
+node (the paper routes two-phase, through a random intermediate node first),
+so each vertex only stores its node ids and one real path per incident cube
+edge.
 """
 import numpy as np
 

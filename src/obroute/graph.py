@@ -76,9 +76,6 @@ class CapacitatedGraph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def capacity(self, u: int, v: int) -> int:
-        return self.edges[self._edge_index[(u, v)]][2]
-
     def edge_index(self, u: int, v: int) -> int:
         return self._edge_index[(u, v)]
 
@@ -109,9 +106,6 @@ class CapacitatedGraph:
 
     def uniform_capacities(self) -> bool:
         return all(c == 1 for _, _, c in self.edges)
-
-    def incident_capacity(self, v: int) -> int:
-        return sum(self.edges[idx][2] for _, idx in self.adj[v])
 
     def edges_inside(self, vertices: set[int]) -> list[int]:
         """Indices of edges with both endpoints in `vertices`, ascending."""
@@ -291,9 +285,6 @@ class DemandMatrix:
             if d > 0:
                 clean[(s, t)] = d
         self.entries = clean
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
 
     def scaled(self, factor: float) -> "DemandMatrix":
         return DemandMatrix({p: d * factor for p, d in self.entries.items()})

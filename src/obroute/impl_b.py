@@ -24,9 +24,12 @@ edge (x, y) gets one path drawn from the fractional flow of its oriented
 pair, reversed where needed to run from owner(x) to owner(y); nothing else
 is rounded. An impl-b hop walks the main cube and then the shuffle cube of
 the same cluster, so an edge carries the sum of both embeddings: the joint
-routing minimises exactly that sum's maximum. Cube routing picks a uniform
-intermediate node, fixes differing coordinates in ascending order to reach
-it, and repeats toward the target.
+routing minimises exactly that sum's maximum. Cube routing is one-phase: it
+fixes the coordinates in which the start node and the target differ, in
+ascending order. This departs from the paper's two-phase routing through a
+uniform intermediate node (Valiant & Brebner): a hop's start law is already
+the exact cluster law and its target is already uniform on its range, so
+the detour only lengthens the walk.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -418,22 +421,20 @@ def _owned_nodes(maps: CubeMaps, v: int) -> list[int]:
 
 def _cube_hop(maps: CubeMaps, v: int, lo: int, hi: int,
               rng: np.random.Generator) -> tuple[list[int], int]:
-    """Cube walk from a uniform node of v to a uniform node of [lo, hi); the
-    owner of that node is the end vertex."""
+    """One-phase cube walk from a uniform node of v straight to a uniform node
+    of [lo, hi), with no intermediate node (unlike the paper's two-phase
+    routing); the owner of that node is the end vertex."""
     nodes = _owned_nodes(maps, v)
     start = nodes[int(rng.integers(len(nodes)))]
     target = int(rng.integers(lo, hi))
-    return hypercube_route(maps, start, target, rng), maps.node_owner[target]
+    return hypercube_route(maps, start, target), maps.node_owner[target]
 
 
-def hypercube_route(maps: CubeMaps, h_from: int, h_to: int,
-                    rng: np.random.Generator) -> list[int]:
-    """Two-phase cube route through a uniform intermediate node, realized as a
-    graph walk by splicing the stored path of every traversed cube edge."""
-    d = maps.dimension
-    z = int(rng.integers(1 << d))
-    hops = _bit_fix(h_from, z, d)
-    hops += _bit_fix(z, h_to, d)[1:]
+def hypercube_route(maps: CubeMaps, h_from: int, h_to: int) -> list[int]:
+    """One-phase cube route, bit fixing from h_from straight to h_to (the
+    paper's routing goes through a uniform intermediate node first), realized
+    as a graph walk by splicing the stored path of every traversed cube edge."""
+    hops = _bit_fix(h_from, h_to, maps.dimension)
     path = [maps.node_owner[h_from]]
     for x, y in zip(hops, hops[1:]):
         a, b = maps.node_owner[x], maps.node_owner[y]
@@ -453,11 +454,9 @@ class _WalkIndices:
     hypercube_loads' per-k terms; row k of a (d, 2^d) array is dimension k."""
 
     high_at: np.ndarray     # (d, 2^d): offset of k's block sums + y >> k
-    high_div: np.ndarray    # (d, 1): 2^(k+1)
     low_bins: np.ndarray    # (d * 2^d,): offset of k's residues + y mod 2^(k+1)
     low_size: int
     low_at: np.ndarray      # (d, 2^d): offset of k's residues + y_<k + (1 - y_k) 2^k
-    low_div: np.ndarray     # (d, 1): 2^(d-k)
     flip: np.ndarray        # (d * 2^d,): k * 2^d + (y ^ 2^k)
 
 
@@ -470,10 +469,8 @@ def _walk_indices(d: int) -> _WalkIndices:
     bit = 1 << ks
     arrays = dict(
         high_at=high_offsets[:-1, None] + (nodes >> ks),
-        high_div=2.0 ** (ks + 1),
         low_bins=(low_offsets[:-1, None] + (nodes & ((2 << ks) - 1))).ravel(),
         low_at=low_offsets[:-1, None] + ((nodes & (bit - 1)) | (~nodes & bit)),
-        low_div=2.0 ** (d - ks),
         flip=(ks * (1 << d) + (nodes ^ bit)).ravel())
     for a in arrays.values():
         a.setflags(write=False)     # shared by every cube of dimension d
@@ -485,16 +482,14 @@ def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
     """Exact expected graph-edge loads of _cube_hop from a vertex drawn from
     start_law to [lo, hi), and the law of its end vertex.
 
-    With start node x, intermediate z and target t, bit fixing crosses
-    dimension k out of node y in phase 1 iff x>>k = y>>k, z agrees with y below
-    k and z_k != y_k, with probability 2^-(k+1) P(x>>k = y>>k); in phase 2 iff
-    t agrees with y below k, t_k != y_k and z>>k = y>>k, with probability
-    P(t mod 2^(k+1) = y_<k + (1 - y_k) 2^k) 2^-(d-k). Each crossing of a cube
-    edge loads the edges of its stored graph path: one bincount over the
-    cube's path slots (CubeMaps.path_slots) sums every graph edge's crossings
-    in edge_paths order. The per-k terms are evaluated for every k at once
-    (_walk_indices), with the same operations on the same values as one k at
-    a time. O(d 2^d) with numpy.
+    With independent start node x and target t, bit fixing crosses dimension
+    k out of node y iff x>>k = y>>k, t agrees with y below k and t_k != y_k,
+    with probability P(x>>k = y>>k) P(t mod 2^(k+1) = y_<k + (1 - y_k) 2^k).
+    Each crossing of a cube edge loads the edges of its stored graph path:
+    one bincount over the cube's path slots (CubeMaps.path_slots) sums every
+    graph edge's crossings in edge_paths order. The per-k terms are
+    evaluated for every k at once (_walk_indices), with the same operations
+    on the same values as one k at a time. O(d 2^d) with numpy.
     """
     d = maps.dimension
     slots = maps.path_slots()
@@ -509,8 +504,7 @@ def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
     walk = _walk_indices(d)
     high = np.concatenate([start.reshape(-1, 1 << k).sum(axis=1) for k in range(d)])
     low = np.bincount(walk.low_bins, np.tile(target, d), minlength=walk.low_size)
-    out = (high[walk.high_at] / walk.high_div
-           + low[walk.low_at] / walk.low_div).ravel()
+    out = (high[walk.high_at] * low[walk.low_at]).ravel()
     crossing = out + out[walk.flip]    # [k * 2^d + y]: either direction of edge {y, y ^ 2^k}
     totals = np.bincount(slots.edge_ids, crossing[slots.cells],
                          minlength=len(slots.edges))

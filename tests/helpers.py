@@ -278,8 +278,7 @@ def _dict_cube_walk(maps, start_law: dict, lo: int, hi: int) -> tuple[dict, dict
     for k in range(d):
         high = start.reshape(-1, 1 << k).sum(axis=1)
         low = np.bincount(nodes & ((2 << k) - 1), weights=target, minlength=2 << k)
-        out = (high[nodes >> k] / 2.0 ** (k + 1)
-               + low[(nodes & ((1 << k) - 1)) | (~nodes & (1 << k))] / 2.0 ** (d - k))
+        out = high[nodes >> k] * low[(nodes & ((1 << k) - 1)) | (~nodes & (1 << k))]
         crossing[k] = out + out[nodes ^ (1 << k)]
     loads: dict = {}
     for (x, y), path in maps.edge_paths.items():

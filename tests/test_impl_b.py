@@ -19,7 +19,8 @@ from obroute.graph import grid_graph, hypercube_graph, random_regular_graph, tor
 from obroute.impl_b import (CubeScheme, RoundedSizes, _bit_fix, _cube_draws,
                             _embedding_demands, _fill_range, audit_cube_scheme,
                             build_cube_scheme, build_embedding, build_rerand_cube,
-                            hypercube_route, measure_table_bits_b, round_and_order)
+                            hypercube_loads, hypercube_route, measure_table_bits_b,
+                            round_and_order)
 
 
 def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
@@ -211,30 +212,30 @@ def _identity_cube_maps(dim):
 
 
 def test_valiant_route_hop_counts():
+    # one-phase: on the identity cube the route is the bit-fixing node
+    # sequence itself, exactly Hamming(a, b) hops, for every ordered pair
     maps = _identity_cube_maps(3)
-    rng = np.random.default_rng(11)
-    hops = []
-    for _ in range(10_000):
-        a, b = rng.integers(8, size=2)
-        path = hypercube_route(maps, int(a), int(b), rng)
-        assert path[0] == a and path[-1] == b
-        # hop count = Hamming(a,z)+Hamming(z,b), same parity as Hamming(a,b)
-        assert (len(path) - 1 - bin(a ^ b).count("1")) % 2 == 0
-        assert len(path) - 1 <= 6
-        hops.append(len(path) - 1)
-    # each phase fixes Hamming(-, z) bits, d/2 expected -> mean 2*(d/2) = 3
-    assert abs(np.mean(hops) - 3.0) < 0.05
+    for a in range(8):
+        for b in range(8):
+            path = hypercube_route(maps, a, b)
+            assert path == _bit_fix(a, b, 3), (a, b)
+            assert len(path) - 1 == bin(a ^ b).count("1")
 
 
 def test_valiant_degenerate_pair():
+    assert hypercube_route(_identity_cube_maps(3), 5, 5) == [5]
+
+
+def test_hypercube_loads_point_to_point_is_the_bit_fix_path():
+    # a point start law and a one-node range leave no randomness: the exact
+    # kernel loads the cube edges of the bit-fixing path once each, and
+    # nothing else
     maps = _identity_cube_maps(3)
-    lengths = set()
-    for seed in range(100):
-        path = hypercube_route(maps, 5, 5, np.random.default_rng(seed))
-        assert path[0] == path[-1] == 5
-        assert len(path) - 1 <= 6
-        lengths.add(len(path))
-    assert 1 in lengths                      # z == h_from gives the empty route
+    for a, b in [(0, 7), (5, 2), (6, 1), (3, 3), (1, 5)]:
+        loads, end = hypercube_loads(maps, {a: 1.0}, b, b + 1)
+        seq = _bit_fix(a, b, 3)
+        assert loads == {(min(x, y), max(x, y)): 1.0 for x, y in zip(seq, seq[1:])}, (a, b)
+        assert end == {b: 1.0}
 
 
 def test_route_to_border_path_validity_and_law(four_cycle):

@@ -99,12 +99,12 @@ def test_single_edge_exact_loads(k2):
 
 
 def test_single_edge_cube_backend_expectation(k2):
-    # cube hops may bounce: rerandomizing in the root costs Ham(0,z)+Ham(z,T)
-    # crossings with z,T uniform bits (mean 1), the descent to t's range node
-    # costs another mean 1, so the expected load for demand 3 is 3*2 = 6
+    # one-phase cube hops never bounce: the spread in the root crosses the
+    # edge iff it draws 1's node, and the descent to t's range crosses it iff
+    # the spread stayed at 0, so every unit crosses exactly once: load 3
     g, tree, cert, backends = k2
     report = route_demands(g, tree, backends["cubes"], {(0, 1): 3.0})
-    assert report.edge_loads[(0, 1)] == pytest.approx(6.0, abs=0.15)
+    assert report.edge_loads[(0, 1)] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_zero_demands(four_cycle):
@@ -207,14 +207,18 @@ _ORACLE_CASES = {
 
 
 def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
+    """Checks every scheme's loads against the dict oracle; returns the
+    backends by scheme."""
     through = routing._through(tree, g.n, demands.entries)
     assert list(through.items()) == list(dict_through(tree, demands.entries).items())
+    backends = {}
     for scheme in schemes:
-        backend = _build_backend(scheme, g, tree, cert, seed)[0]
+        backend = backends[scheme] = _build_backend(scheme, g, tree, cert, seed)[0]
         report = route_demands(g, tree, backend, demands)
         oracle = dict_route_demands(g, tree, backend, demands)
         assert report.edge_loads == oracle.edge_loads, scheme
         assert report.congestion == oracle.congestion, scheme
+    return backends
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -231,13 +235,22 @@ def test_exact_loads_equal_the_dict_oracle(case):
 @settings(max_examples=20, deadline=None)
 @given(connected_graphs())
 def test_exact_loads_equal_the_dict_oracle_on_random_graphs(g):
-    # impl-b needs unit capacities, so it routes a unit copy of the graph
+    # impl-b needs unit capacities, so it routes a unit copy of the graph;
+    # the first battery pair (if n > 1) also samples a path from every
+    # scheme, which must run from s to t along real edges
     unit = CapacitatedGraph(g.n, [(u, v, 1) for u, v, _ in g.edges])
     for graph, schemes in ((g, ("reference", "impl-a")), (unit, ("impl-b",))):
         tree = build_tree(graph, target_arity=2, seed=0)
         cert = certify_congestion(graph, tree, store_solutions=True)
-        _assert_equals_dict_oracle(graph, tree, cert, demand_battery("gravity", graph, 0),
-                                   schemes, 0)
+        battery = demand_battery("gravity", graph, 0)
+        backends = _assert_equals_dict_oracle(graph, tree, cert, battery, schemes, 0)
+        if not battery.entries:
+            continue
+        s, t = min(battery.entries)
+        for scheme, backend in backends.items():
+            path = select_path(s, t, tree, backend, np.random.default_rng(0))
+            assert path[0] == s and path[-1] == t, scheme
+            assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:])), scheme
 
 
 class _Corrupted:
