@@ -10,8 +10,7 @@ whose bit sizes are printed below.
 import numpy as np
 
 from obroute import build_flow_tables, build_tree, certify_congestion, generate_graph
-from obroute.impl_a import (endpoint_distribution, label_bit_length,
-                            measure_table_bits_a, serialize_vertex_table)
+from obroute.impl_a import label_bit_length, measure_table_bits_a, serialize_vertex_table
 
 g = generate_graph("grid", rows=4, cols=4)
 tree = build_tree(g, target_arity=2, seed=0)
@@ -31,7 +30,7 @@ total_w = sum(weights)
 # child's border distribution; compute it exactly, then sample it
 law: dict[int, float] = {}
 for v, w in zip(starts, weights):
-    for x, p in endpoint_distribution(tables, root.id, 2, v).items():
+    for x, p in tables.to_border_loads(root.id, 2, {v: 1.0})[1].items():
         law[x] = law.get(x, 0.0) + p * w / total_w
 
 rng = np.random.default_rng(0)

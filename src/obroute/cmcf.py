@@ -42,7 +42,6 @@ class CMCFSolution:
     matches the stored loads exactly.
     """
 
-    vertices: list[int]
     source_flows: dict[int, FlowAssignment]
     edge_loads: dict[tuple[int, int], float]   # canonical (u < v), both directions summed
     congestion: float
@@ -88,7 +87,7 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
         if d > 0:
             by_source.setdefault(s, []).append((t, float(d)))
     if not by_source:
-        return CMCFSolution(vertices=verts, source_flows={}, edge_loads={},
+        return CMCFSolution(source_flows={}, edge_loads={},
                             congestion=0.0, lp_objective=0.0)
 
     if len(g.hop_distances(verts[:1], vset)) != len(verts):
@@ -125,7 +124,7 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     for (u, v, c) in edges:
         congestion = max(congestion, loads.get((u, v), 0.0) / c)
 
-    return CMCFSolution(vertices=verts, source_flows=source_flows, edge_loads=loads,
+    return CMCFSolution(source_flows=source_flows, edge_loads=loads,
                         congestion=congestion,
                         lp_objective=congestion if tree else lp_objective)
 

@@ -440,13 +440,4 @@ def audit_tree(g: CapacitatedGraph, tree: DecompositionTree) -> list[str]:
         for v in c.vertices:
             if c.border_weight.get(v, 0) > c.cluster_weight.get(v, 0):
                 bad.append(f"cluster {c.id}: border weight of {v} exceeds cluster weight")
-
-    # each edge's endpoints may share clusters along one root-leaf path only
-    for u, v, _ in g.edges:
-        pu, pv = tree.leaf_path(u), tree.leaf_path(v)
-        shared = 0
-        while shared < len(pu) and shared < len(pv) and pu[shared] == pv[shared]:
-            shared += 1
-        if shared > tree.height + 1:
-            bad.append(f"edge ({u},{v}) contained in {shared} > h+1 clusters")
     return bad

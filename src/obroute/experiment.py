@@ -132,9 +132,20 @@ def demand_battery(kind: str, g: CapacitatedGraph, seed: int) -> DemandMatrix:
             if not line:
                 continue
             fields = line.split()
+            where = f"demand file line {lineno}"
             if len(fields) != 3:
-                raise ValueError(f"demand file line {lineno}: expected 's t d'")
-            entries[(int(fields[0]), int(fields[1]))] = float(fields[2])
+                raise ValueError(f"{where}: expected 's t d'")
+            try:
+                s, t, d = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {line!r}") from None
+            if not (0 <= s < g.n and 0 <= t < g.n):
+                raise ValueError(f"{where}: vertex outside 0..{g.n - 1} in {line!r}")
+            if s == t:
+                raise ValueError(f"{where}: demand from {s} to itself")
+            if (s, t) in entries:
+                raise ValueError(f"{where}: duplicate pair ({s},{t})")
+            entries[(s, t)] = d
         return DemandMatrix(entries)
     raise ValueError(f"unknown demand battery {name!r} "
                      "(permutation, uniform_pairs:k, gravity, file:path)")

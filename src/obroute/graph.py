@@ -188,8 +188,6 @@ def grid_graph(rows: int, cols: int, cap_range: tuple[int, int] | None = None,
     """Axis-aligned grid. Optional seeded random integer capacities in cap_range."""
     if rows < 1 or cols < 1:
         raise GraphFormatError(f"grid dimensions must be >= 1, got {rows}x{cols}")
-    if rows * cols < 1:
-        raise GraphFormatError("empty grid")
     pairs = _grid_edges(rows, cols, wrap=False)
     if cap_range is None:
         caps = [1] * len(pairs)

@@ -42,9 +42,8 @@ from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_inte
 from obroute.graph import CapacitatedGraph
 from obroute.routing import Law, Loads
 
-__all__ = ["FlowTables", "build_flow_tables", "endpoint_distribution",
-           "label_bit_length", "header_bit_length", "measure_table_bits_a",
-           "serialize_vertex_table"]
+__all__ = ["FlowTables", "build_flow_tables", "label_bit_length", "header_bit_length",
+           "measure_table_bits_a", "serialize_vertex_table"]
 
 _MAX_DOUBLINGS = 12
 
@@ -60,9 +59,6 @@ class FlowTables:
     flows: dict[tuple[int, int], FlowAssignment]   # (cluster id, target index)
     cluster_c: dict[int, int]                      # effective C after any doubling
     events: list[str] = field(default_factory=list)
-
-    def flow(self, cluster_id: int, index: int) -> FlowAssignment:
-        return self.flows[(cluster_id, index)]
 
     def _start(self, cluster_id: int, index: int, starts: Iterable[int],
                direction: str) -> FlowAssignment:
@@ -87,8 +83,8 @@ class FlowTables:
         """Exact expected edge loads and end law of the walk from a start vertex
         drawn from `law`. Started on the flow's source (forward) or sink
         (backward) law, the walk crosses arc a->b f(a,b)/|f| times on average."""
-        fa = self._start(cluster_id, index, [v for v, p in law.items() if p > 0], direction)
-        return _propagate(fa, law, direction)
+        fa = self._start(cluster_id, index, law, direction)
+        return _propagate(self.graph, fa, law, direction)
 
     def to_border(self, cluster_id: int, index: int, v: int,
                   rng: np.random.Generator) -> tuple[list[int], int]:
@@ -168,20 +164,14 @@ def build_flow_tables(g: CapacitatedGraph, tree: DecompositionTree, c: int) -> F
     return tables
 
 
-def endpoint_distribution(tables: FlowTables, cluster_id: int, index: int,
-                          start: int, direction: str = "forward") -> dict[int, float]:
-    """Exact absorption law of the forwarding walk from a single start vertex."""
-    fa = tables.flows[(cluster_id, index)]
-    return _propagate(fa, {start: 1.0}, direction)[1]
-
-
-def _propagate(fa: FlowAssignment, start_law: dict[int, float],
+def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: dict[int, float],
                direction: str) -> tuple[Loads, dict[int, float]]:
     """Push the start law through the acyclic flow in topological order, each
     vertex splitting its mass over its links in proportion to their flow; no
-    sampling involved. Returns the mass crossing each graph edge, both
-    directions binned under the canonical edge as they are crossed, and the
-    mass absorbed at each vertex."""
+    sampling involved. The caller has checked that every start vertex can
+    start a walk (FlowTables._start). Returns the mass crossing each graph
+    edge, both directions binned by edge id in the order they are crossed,
+    and the mass absorbed at each vertex."""
     if not fa.is_acyclic():
         raise ValueError("absorption law requires an acyclic flow")
     if direction == "forward":
@@ -193,11 +183,10 @@ def _propagate(fa: FlowAssignment, start_law: dict[int, float],
 
     order = _topological(fa, direction)
     position = {v: k for k, v in enumerate(order)}
-    for v in start_law:
-        if v not in position:
-            raise ValueError(f"vertex {v} carries no {direction} flow")
     mass = dict(start_law)
-    loads: Loads = {}
+    edge_index = g.edge_index
+    crossed: list[int] = []
+    shares: list[float] = []
     absorbed: dict[int, float] = {}
     first = min((position[v] for v in mass), default=len(order))
     for v in order[first:]:
@@ -212,9 +201,10 @@ def _propagate(fa: FlowAssignment, start_law: dict[int, float],
                 absorbed[v] = absorbed.get(v, 0.0) + share
             else:
                 mass[u] = mass.get(u, 0.0) + share
-                edge = (v, u) if v < u else (u, v)
-                loads[edge] = loads.get(edge, 0.0) + share
-    return loads, absorbed
+                crossed.append(edge_index(v, u))
+                shares.append(share)
+    # astype: a bincount of nothing is an int array
+    return np.bincount(crossed, shares, minlength=g.m).astype(float, copy=False), absorbed
 
 
 def _topological(fa: FlowAssignment, direction: str) -> list[int]:

@@ -121,12 +121,11 @@ class _PathSlots:
     """A cube's stored paths as arrays, for the exact kernel: one slot per
     graph edge of every path, in edge_paths order, holding the (dimension,
     node) cell of the slot's cube edge, flattened as k * 2^d + x, and the
-    slot's graph edge under a local id; and the node owners."""
+    slot's graph edge id; and the node owners."""
 
     edge_paths: dict[tuple[int, int], list[int]]   # the dict the slots were built from
     cells: np.ndarray
     edge_ids: np.ndarray
-    edges: list[tuple[int, int]]                   # local id -> canonical graph edge
     owners: np.ndarray                             # node_owner as an array
     owned: np.ndarray                              # vertex -> number of nodes it owns
 
@@ -140,21 +139,25 @@ class CubeMaps:
     fractional_congestion: float                   # of the cluster's joint instance
     _slots: _PathSlots | None = field(default=None, repr=False, compare=False)
 
-    def path_slots(self) -> _PathSlots:
-        """The slot arrays of edge_paths, rebuilt when edge_paths is replaced."""
+    def path_slots(self, g: CapacitatedGraph) -> _PathSlots:
+        """The slot arrays of edge_paths in g, rebuilt when edge_paths is
+        replaced; raises on a stored path that steps off g."""
         if self._slots is None or self._slots.edge_paths is not self.edge_paths:
             side = 1 << self.dimension
-            local: dict[tuple[int, int], int] = {}
             cells: list[int] = []
             edge_ids: list[int] = []
             for (x, y), path in self.edge_paths.items():
                 cell = ((x ^ y).bit_length() - 1) * side + x
                 for a, b in zip(path, path[1:]):
+                    try:
+                        edge_ids.append(g.edge_index(a, b))
+                    except KeyError:
+                        raise RuntimeError(f"stored path of cube edge ({x},{y}) steps off "
+                                           f"the graph at ({a},{b})") from None
                     cells.append(cell)
-                    edge_ids.append(local.setdefault((a, b) if a < b else (b, a), len(local)))
             owners = np.array(self.node_owner, dtype=np.intp)
             self._slots = _PathSlots(self.edge_paths, np.array(cells, dtype=np.intp),
-                                     np.array(edge_ids, dtype=np.intp), list(local),
+                                     np.array(edge_ids, dtype=np.intp),
                                      owners, np.bincount(owners))
         return self._slots
 
@@ -193,10 +196,10 @@ class CubeScheme:
 
     def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
         lo, hi = self._border_range(cluster_id, index)
-        return hypercube_loads(self.mains[cluster_id], law, lo, hi)
+        return hypercube_loads(self.graph, self.mains[cluster_id], law, lo, hi)
 
     def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return hypercube_loads(self.shuffles[cluster_id], law, 0,
+        return hypercube_loads(self.graph, self.shuffles[cluster_id], law, 0,
                                self.rounded[cluster_id].total_weight)
 
 
@@ -477,10 +480,11 @@ def _walk_indices(d: int) -> _WalkIndices:
     return _WalkIndices(low_size=int(low_offsets[-1]), **arrays)
 
 
-def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
+def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int,
                     hi: int) -> tuple[Loads, Law]:
-    """Exact expected graph-edge loads of _cube_hop from a vertex drawn from
-    start_law to [lo, hi), and the law of its end vertex.
+    """Exact expected loads on the edges of g (a vector indexed by edge id)
+    of _cube_hop from a vertex drawn from start_law to [lo, hi), and the law
+    of its end vertex.
 
     With independent start node x and target t, bit fixing crosses dimension
     k out of node y iff x>>k = y>>k, t agrees with y below k and t_k != y_k,
@@ -492,7 +496,7 @@ def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
     on the same values as one k at a time. O(d 2^d) with numpy.
     """
     d = maps.dimension
-    slots = maps.path_slots()
+    slots = maps.path_slots(g)
     for v in start_law:
         _owned_nodes(maps, v)    # raises for a vertex that owns no node
     vs = np.fromiter(start_law, np.intp, len(start_law))
@@ -506,10 +510,9 @@ def hypercube_loads(maps: CubeMaps, start_law: Law, lo: int,
     low = np.bincount(walk.low_bins, np.tile(target, d), minlength=walk.low_size)
     out = (high[walk.high_at] * low[walk.low_at]).ravel()
     crossing = out + out[walk.flip]    # [k * 2^d + y]: either direction of edge {y, y ^ 2^k}
-    totals = np.bincount(slots.edge_ids, crossing[slots.cells],
-                         minlength=len(slots.edges))
-    hit = np.flatnonzero(totals)
-    loads = dict(zip(map(slots.edges.__getitem__, hit.tolist()), totals[hit].tolist()))
+    # astype: a bincount of nothing (a cube with no stored path) is an int array
+    loads = np.bincount(slots.edge_ids, crossing[slots.cells],
+                        minlength=g.m).astype(float, copy=False)
     ends = np.bincount(slots.owners[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)))
     hit = np.flatnonzero(ends)
     return loads, dict(zip(hit.tolist(), ends[hit].tolist()))

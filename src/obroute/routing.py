@@ -31,14 +31,17 @@ the expected edge loads of a demand set are the sum over hops of the demand
 crossing it times the loads of one hop. route_demands computes them that way,
 without sampling, and checks the end law of every hop.
 
-Those sums are array arithmetic that adds in the order of the plain dict
-loops, so every load is the same to the last bit: the demand through each
-hop is one np.bincount per direction over an n x (height + 1) array of leaf
-paths, the pairs in sorted order; each kernel returns its loads from a
-bincount over graph edges (ReferenceBackend over cached per-pair edge-id and
-per-unit-load arrays, impl_b over cached cube path slots; impl_a bins its
-crossed arcs by edge as it propagates); and the edge loads are one bincount
-of demand times hop load over the hops in sorted order.
+Loads are float64 vectors of length g.m indexed by graph edge id; laws are
+{vertex: probability} dicts. The sums are array arithmetic that adds in the
+order of the plain dict loops, so every load is the same to the last bit (an
+edge a term does not touch adds an exact +0.0): the demand through each hop
+is one np.bincount per direction over an n x (height + 1) array of leaf
+paths, the pairs in sorted order; each kernel's loads are one bincount over
+graph edge ids (ReferenceBackend over cached per-pair edge-id and
+per-unit-load arrays, impl_b over cached cube path slots, impl_a over the
+arcs it crosses as it propagates); a hop's loads are the sum of its step
+vectors, and the edge loads add demand times hop loads over the hops in
+sorted order.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ __all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "route_up",
            "route_down", "select_path", "route_demands"]
 
 Law = dict[int, float]                       # vertex -> probability
-Loads = dict[tuple[int, int], float]         # canonical edge (u < v) -> expected load
+Loads = np.ndarray                           # float64, graph edge id -> expected load
 Step = tuple[bool, int, int]                 # (spread, cluster id, target index)
 
 ESTIMATOR = "exact"    # how route_demands obtains loads; reports name it
@@ -71,7 +74,8 @@ class SchemeBackend(Protocol):
     to_border walks inside cluster_id toward the border law of that target;
     spread starts on that border law and walks inside cluster_id onto its
     cluster law. Samplers return (path, end vertex); kernels return (expected
-    edge loads, end law) for a walk whose start vertex is drawn from `law`.
+    edge loads, end law) for a walk whose start vertex is drawn from `law`,
+    the loads as a float vector of length g.m indexed by graph edge id.
     """
 
     def to_border(self, cluster_id: int, index: int, v: int,
@@ -124,7 +128,6 @@ class ReferenceBackend:
         self.solutions = solutions
         self._weight_laws: dict[int, _LawSampler] = {}
         self._border_laws: dict[int, _LawSampler] = {}
-        self._edges = [(u, v) for u, v, _ in g.edges]
         # per cluster, (u, v) -> the edge ids and per-unit loads of one stored path
         self._pair_loads: dict[int, dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -187,11 +190,9 @@ class ReferenceBackend:
                     units.append(x)
                     scales.append(p * q)
         if not ids:
-            return {}
+            return np.zeros(self.graph.m)
         weights = np.repeat(scales, [len(e) for e in ids]) * np.concatenate(units)
-        totals = np.bincount(np.concatenate(ids), weights, minlength=len(self._edges))
-        hit = np.flatnonzero(totals)
-        return dict(zip(map(self._edges.__getitem__, hit.tolist()), totals[hit].tolist()))
+        return np.bincount(np.concatenate(ids), weights, minlength=self.graph.m)
 
     def to_border(self, cluster_id: int, index: int, v: int,
                   rng: np.random.Generator) -> tuple[list[int], int]:
@@ -275,11 +276,12 @@ def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
     return path
 
 
-def _hop_loads(tree: DecompositionTree, backend: SchemeBackend,
+def _hop_loads(tree: DecompositionTree, backend: SchemeBackend, m: int,
                hop: tuple[bool, int], laws: dict[int, Law]) -> Loads:
     """Exact expected loads of one hop started on the law of the cluster it
-    leaves; raises unless it ends on the law of the cluster it enters. `laws`
-    caches each cluster's normalised law across the hops of one call."""
+    leaves, the sum of its step vectors; raises unless it ends on the law of
+    the cluster it enters. `laws` caches each cluster's normalised law across
+    the hops of one call."""
     downward, child_id = hop
     parent_id = tree.cluster(child_id).parent
     leaves, enters = (parent_id, child_id) if downward else (child_id, parent_id)
@@ -287,12 +289,11 @@ def _hop_loads(tree: DecompositionTree, backend: SchemeBackend,
         if cid not in laws:
             laws[cid] = _normalized(tree.cluster(cid).cluster_weight)
     law = laws[leaves]
-    loads: Loads = {}
+    loads = np.zeros(m)
     for spread, cluster_id, index in _steps(tree, hop):
         kernel = backend.spread_loads if spread else backend.to_border_loads
         part, law = kernel(cluster_id, index, law)
-        for edge, x in part.items():
-            loads[edge] = loads.get(edge, 0.0) + x
+        loads += part
     expect = laws[enters]
     gap = max(abs(law.get(v, 0.0) - expect.get(v, 0.0))
               for v in law.keys() | expect.keys())
@@ -343,7 +344,7 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
 
     Sums the demand crossing each tree edge in each direction (_through), then
     adds that times the exact loads of one hop across the edge, hop by hop in
-    sorted order, in one bincount over the graph's edges. No paths are
+    sorted order. Edges no hop loads are left out of edge_loads. No paths are
     sampled: `samples` and `seed` are ignored and kept only so that existing
     callers still work.
     """
@@ -352,22 +353,12 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
         if not (0 <= s < g.n and 0 <= t < g.n):
             raise ValueError(f"demand pair ({s},{t}) out of vertex range")
 
-    edge_id = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
     laws: dict[int, Law] = {}
-    edge_ids: list[int] = []
-    weights: list[float] = []
+    totals = np.zeros(g.m)
     for hop, d in _through(tree, g.n, entries).items():
-        part = _hop_loads(tree, backend, hop, laws)
-        try:
-            edge_ids += [edge_id[edge] for edge in part]
-        except KeyError as exc:
-            raise RuntimeError(f"hop loads non-edge {exc.args[0]}") from None
-        weights += [d * x for x in part.values()]
-    at = np.array(edge_ids, dtype=np.intp)
-    totals = np.bincount(at, np.array(weights, dtype=float), minlength=g.m).tolist()
-    loaded = np.zeros(g.m, dtype=bool)
-    loaded[at] = True
-    loads: Loads = {g.edges[i][:2]: totals[i] for i in np.flatnonzero(loaded).tolist()}
+        totals += d * _hop_loads(tree, backend, g.m, hop, laws)
+    hit = np.flatnonzero(totals)
+    loads = {g.edges[i][:2]: x for i, x in zip(hit.tolist(), totals[hit].tolist())}
 
     caps = {(u, v) if u < v else (v, u): c for u, v, c in g.edges}
     worst = max((load / caps[edge] for edge, load in loads.items()), default=0.0)

@@ -239,7 +239,7 @@ def _dict_reference(backend: ReferenceBackend, cluster_id: int, start: dict,
 
 def _dict_flow_walk(tables: FlowTables, cluster_id: int, index: int, law: dict,
                     direction: str) -> tuple[dict, dict]:
-    fa = tables.flow(cluster_id, index)
+    fa = tables.flows[(cluster_id, index)]
     links, terminal = (fa.outgoing, SNK) if direction == "forward" else (fa.incoming, SRC)
     order = _topological(fa, direction)
     mass = dict(law)

@@ -20,8 +20,7 @@ from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import audit_tree, build_tree, certify_congestion
 from obroute.experiment import SCHEMES, demand_battery, parse_config, run_experiment
 from obroute.graph import CapacitatedGraph, DemandMatrix, grid_graph, random_regular_graph
-from obroute.impl_a import (build_flow_tables, endpoint_distribution,
-                            header_bit_length, label_bit_length,
+from obroute.impl_a import (build_flow_tables, header_bit_length, label_bit_length,
                             measure_table_bits_a)
 from obroute.impl_b import (_cube_draws, _embedding_demands, audit_cube_scheme,
                             build_cube_scheme, build_embedding, build_rerand_cube,
@@ -113,7 +112,7 @@ def test_criterion_2_flow_tables():
             for v, w in cluster.cluster_weight.items():
                 if w == 0:
                     continue
-                for x, p in endpoint_distribution(tables, cid, index, v).items():
+                for x, p in tables.to_border_loads(cid, index, {v: 1.0})[1].items():
                     mix[x] = mix.get(x, 0.0) + p * w / cluster.total_weight
             for v in cluster.vertices:
                 expect = out_map.get(v, 0) / out_total

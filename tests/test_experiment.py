@@ -153,7 +153,7 @@ def test_uniform_pairs_rejects_bad_k(k, capsys):
             "integer") in capsys.readouterr().err
 
 
-def test_bad_battery_fails_before_the_tree(monkeypatch):
+def test_bad_battery_fails_before_the_tree(monkeypatch, tmp_path):
     # the battery needs only the graph and the seed; a bad one is rejected
     # before any tree is built or certified
     def never(*args, **kwargs):
@@ -163,6 +163,11 @@ def test_bad_battery_fails_before_the_tree(monkeypatch):
     monkeypatch.setattr(experiment, "certify_congestion", never)
     cfg = parse_config("generate = grid:3x3\ndemands = uniform_pairs:-1\n")
     with pytest.raises(ValueError, match="k must be a non-negative integer"):
+        run_experiment(cfg, out_dir="unused")
+    far = tmp_path / "far.txt"
+    far.write_text("0 1 1\n0 9 1\n")
+    cfg["demands"] = f"file:{far}"
+    with pytest.raises(ValueError, match="line 2: vertex outside 0..8"):
         run_experiment(cfg, out_dir="unused")
 
 
@@ -179,10 +184,17 @@ def test_file_battery(tmp_path):
     d = demand_battery(f"file:{path}", grid_graph(2, 2), 0)
     assert dict(d.entries) == {(0, 2): 1.5, (1, 3): 2.0}
 
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0 1 1\n0 2\n")
-    with pytest.raises(ValueError, match="line 2.*expected 's t d'"):
-        demand_battery(f"file:{bad}", grid_graph(2, 2), 0)
+    for text, match in [("0 1 1\n0 2\n", "line 2: expected 's t d'"),
+                        ("0 1 1\n\n0 4 1\n", "line 3: vertex outside 0..3"),
+                        ("-1 1 1\n", "line 1: vertex outside 0..3"),
+                        ("0 1 1\n0 1 5\n", r"line 2: duplicate pair \(0,1\)"),
+                        ("2 2 1\n", "line 1: demand from 2 to itself"),
+                        ("0 1 x\n", "line 1: non-numeric field"),
+                        ("0 1.5 1\n", "line 1: non-numeric field")]:
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            demand_battery(f"file:{bad}", grid_graph(2, 2), 0)
 
 
 def test_unknown_battery_kind():

@@ -15,9 +15,8 @@ from obroute.decomposition import certify_congestion, tree_from_spec, build_tree
 from obroute.flows import SNK, SRC
 from obroute.graph import CapacitatedGraph, generate_graph
 from obroute.impl_a import (FlowTables, _cluster_flows, build_flow_tables,
-                            endpoint_distribution, header_bit_length,
-                            label_bit_length, measure_table_bits_a,
-                            serialize_vertex_table)
+                            header_bit_length, label_bit_length,
+                            measure_table_bits_a, serialize_vertex_table)
 
 
 def build_all(g, spec=None, seed=0):
@@ -40,11 +39,11 @@ def four_cycle_tables():
 
 def test_single_edge_worked_example(single_edge_tables):
     g, tree, cert, tables = single_edge_tables
-    fa = tables.flow(0, 1)
+    fa = tables.flows[(0, 1)]
     assert fa.arcs == {(SRC, 0): 1, (SRC, 1): 1, (1, 0): 1, (0, SNK): 2}
     assert fa.value == 2
     # the mirror target saturates symmetrically
-    assert tables.flow(0, 2).value == 2
+    assert tables.flows[(0, 2)].value == 2
     assert tables.events == []
     # singleton clusters store nothing, and the root's own border is empty
     assert set(tables.flows) == {(0, 1), (0, 2)}
@@ -53,10 +52,10 @@ def test_single_edge_worked_example(single_edge_tables):
 def test_single_edge_endpoint_laws(single_edge_tables):
     _, _, _, tables = single_edge_tables
     # forward: all mass is absorbed at the unique border vertex
-    assert endpoint_distribution(tables, 0, 1, 0) == {0: 1.0}
-    assert endpoint_distribution(tables, 0, 1, 1) == {0: 1.0}
+    assert tables.to_border_loads(0, 1, {0: 1.0})[1] == {0: 1.0}
+    assert tables.to_border_loads(0, 1, {1: 1.0})[1] == {0: 1.0}
     # backward from the border: exactly the cluster distribution
-    law = endpoint_distribution(tables, 0, 1, 0, "backward")
+    law = tables.spread_loads(0, 1, {0: 1.0})[1]
     assert law == pytest.approx({0: 0.5, 1: 0.5})
 
 
@@ -117,11 +116,12 @@ def mixture_law(tables, tree, cid, index, direction):
         else:
             weights = tree.cluster(cluster.children[index - 1]).border_weight
     total = sum(weights.values())
+    kernel = tables.to_border_loads if direction == "forward" else tables.spread_loads
     mix: dict[int, float] = {}
     for v, w in weights.items():
         if w == 0:
             continue
-        for x, p in endpoint_distribution(tables, cid, index, v, direction).items():
+        for x, p in kernel(cid, index, {v: 1.0})[1].items():
             mix[x] = mix.get(x, 0.0) + p * w / total
     return mix
 

@@ -230,11 +230,14 @@ def test_hypercube_loads_point_to_point_is_the_bit_fix_path():
     # a point start law and a one-node range leave no randomness: the exact
     # kernel loads the cube edges of the bit-fixing path once each, and
     # nothing else
+    g = hypercube_graph(3)
     maps = _identity_cube_maps(3)
     for a, b in [(0, 7), (5, 2), (6, 1), (3, 3), (1, 5)]:
-        loads, end = hypercube_loads(maps, {a: 1.0}, b, b + 1)
+        loads, end = hypercube_loads(g, maps, {a: 1.0}, b, b + 1)
         seq = _bit_fix(a, b, 3)
-        assert loads == {(min(x, y), max(x, y)): 1.0 for x, y in zip(seq, seq[1:])}, (a, b)
+        expect = np.zeros(g.m)
+        expect[[g.edge_index(x, y) for x, y in zip(seq, seq[1:])]] = 1.0
+        assert loads.dtype == np.float64 and np.array_equal(loads, expect), (a, b)
         assert end == {b: 1.0}
 
 

@@ -206,15 +206,35 @@ _ORACLE_CASES = {
 }
 
 
+class _VectorChecked:
+    """A backend whose exact kernels check that their loads are a float
+    vector of length m, indexed by graph edge id, with no negative entry."""
+
+    def __init__(self, inner, m):
+        self.inner, self.m = inner, m
+
+    def _checked(self, out):
+        loads, _ = out
+        assert loads.dtype == np.float64 and loads.shape == (self.m,)
+        assert not (loads < 0).any()
+        return out
+
+    def to_border_loads(self, cluster_id, index, law):
+        return self._checked(self.inner.to_border_loads(cluster_id, index, law))
+
+    def spread_loads(self, cluster_id, index, law):
+        return self._checked(self.inner.spread_loads(cluster_id, index, law))
+
+
 def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
-    """Checks every scheme's loads against the dict oracle; returns the
-    backends by scheme."""
+    """Checks every scheme's loads against the dict oracle, and the format of
+    every kernel's loads; returns the backends by scheme."""
     through = routing._through(tree, g.n, demands.entries)
     assert list(through.items()) == list(dict_through(tree, demands.entries).items())
     backends = {}
     for scheme in schemes:
         backend = backends[scheme] = _build_backend(scheme, g, tree, cert, seed)[0]
-        report = route_demands(g, tree, backend, demands)
+        report = route_demands(g, tree, _VectorChecked(backend, g.m), demands)
         oracle = dict_route_demands(g, tree, backend, demands)
         assert report.edge_loads == oracle.edge_loads, scheme
         assert report.congestion == oracle.congestion, scheme
@@ -277,8 +297,6 @@ class _Corrupted:
 
     def to_border_loads(self, cluster_id, index, law):
         loads, end = self.inner.to_border_loads(cluster_id, index, law)
-        if self.fault == "non-edge":
-            loads = {**loads, (0, 2): 1.0}
         if self.fault == "law":
             end = {min(end): 1.0}
         return loads, end
@@ -290,7 +308,6 @@ class _Corrupted:
 @pytest.mark.parametrize("fault, scheme, pair, match", [
     ("junction", "reference", (0, 2), "not at the junction"),
     ("end", "reference", (0, 1), "ended at"),
-    ("non-edge", "reference", (0, 2), "non-edge"),
     ("law", "tables", (0, 2), "away from the law"),
     ("cube-path", "cubes", (0, 2), "does not continue the walk"),
 ])
@@ -364,4 +381,4 @@ def test_stored_path_off_the_graph_raises():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "reference cluster 0: stored path steps off the graph at (0,2)",
-        "cubes hop loads non-edge (0, 2)"]
+        "cubes stored path of cube edge (0,1) steps off the graph at (0,2)"]
