@@ -28,10 +28,9 @@ total_w = sum(weights)
 
 # the walk's endpoint law, mixed over weight-sampled starts, must equal the
 # child's border distribution; compute it exactly, then sample it
-law: dict[int, float] = {}
+law = np.zeros(g.n)
 for v, w in zip(starts, weights):
-    for x, p in tables.to_border_loads(root.id, 2, {v: 1.0})[1].items():
-        law[x] = law.get(x, 0.0) + p * w / total_w
+    law += tables.to_border_loads(root.id, 2, np.eye(g.n)[v])[1] * w / total_w
 
 rng = np.random.default_rng(0)
 n = 20_000
@@ -42,7 +41,7 @@ for v in rng.choice(starts, size=n, p=np.array(weights) / total_w):
 
 out_total = child.total_border
 print(f"\nendpoint law toward child {child.id} (border / exact mix / {n} walks):")
-for v in sorted(law):
+for v in np.flatnonzero(law).tolist():
     target = child.border_weight.get(v, 0) / out_total
     print(f"  end at {v}: {target:.4f} / {law[v]:.4f} / {counts.get(v, 0) / n:.4f}")
 

@@ -65,6 +65,7 @@ class DecompositionTree:
         self.leaf_of = {c.vertices[0]: c.id for c in clusters
                         if c.level == self.height and c.size == 1}
         self._paths: dict[int, list[int]] = {}
+        self._laws: dict[tuple[int, bool], np.ndarray] = {}
 
     def cluster(self, cid: int) -> Cluster:
         return self.clusters[cid]
@@ -84,6 +85,23 @@ class DecompositionTree:
                 path.append(cid)
             self._paths[v] = path[::-1]
         return self._paths[v]
+
+    def law(self, cluster_id: int, border: bool = False) -> np.ndarray:
+        """The cluster law of a cluster, or its border law: its weights over
+        their total, as a read-only float64 vector indexed by vertex."""
+        key = (cluster_id, border)
+        if key not in self._laws:
+            cluster = self.clusters[cluster_id]
+            weights = cluster.border_weight if border else cluster.cluster_weight
+            total = sum(weights.values())
+            if total <= 0:
+                raise ValueError(f"cluster {cluster_id} has an all-zero "
+                                 f"{'border' if border else 'cluster'} law")
+            law = np.bincount(list(weights), list(weights.values()),
+                              minlength=len(self.clusters[self.root].vertices)) / total
+            law.setflags(write=False)
+            self._laws[key] = law
+        return self._laws[key]
 
     def child_index(self, parent_id: int, child_id: int) -> int:
         return self.clusters[parent_id].children.index(child_id)

@@ -83,7 +83,7 @@ class FlowTables:
         """Exact expected edge loads and end law of the walk from a start vertex
         drawn from `law`. Started on the flow's source (forward) or sink
         (backward) law, the walk crosses arc a->b f(a,b)/|f| times on average."""
-        fa = self._start(cluster_id, index, law, direction)
+        fa = self._start(cluster_id, index, law.nonzero()[0].tolist(), direction)
         return _propagate(self.graph, fa, law, direction)
 
     def to_border(self, cluster_id: int, index: int, v: int,
@@ -164,14 +164,14 @@ def build_flow_tables(g: CapacitatedGraph, tree: DecompositionTree, c: int) -> F
     return tables
 
 
-def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: dict[int, float],
-               direction: str) -> tuple[Loads, dict[int, float]]:
+def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: Law,
+               direction: str) -> tuple[Loads, Law]:
     """Push the start law through the acyclic flow in topological order, each
     vertex splitting its mass over its links in proportion to their flow; no
     sampling involved. The caller has checked that every start vertex can
     start a walk (FlowTables._start). Returns the mass crossing each graph
     edge, both directions binned by edge id in the order they are crossed,
-    and the mass absorbed at each vertex."""
+    and the mass absorbed at each vertex, as vectors."""
     if not fa.is_acyclic():
         raise ValueError("absorption law requires an acyclic flow")
     if direction == "forward":
@@ -183,7 +183,8 @@ def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: dict[int, flo
 
     order = _topological(fa, direction)
     position = {v: k for k, v in enumerate(order)}
-    mass = dict(start_law)
+    support = start_law.nonzero()[0]
+    mass = dict(zip(support.tolist(), start_law[support].tolist()))
     edge_index = g.edge_index
     crossed: list[int] = []
     shares: list[float] = []
@@ -203,8 +204,11 @@ def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: dict[int, flo
                 mass[u] = mass.get(u, 0.0) + share
                 crossed.append(edge_index(v, u))
                 shares.append(share)
+    end = np.zeros(g.n)
+    for v, p in absorbed.items():
+        end[v] = p
     # astype: a bincount of nothing is an int array
-    return np.bincount(crossed, shares, minlength=g.m).astype(float, copy=False), absorbed
+    return np.bincount(crossed, shares, minlength=g.m).astype(float, copy=False), end
 
 
 def _topological(fa: FlowAssignment, direction: str) -> list[int]:

@@ -91,9 +91,9 @@ class RoundedSizes:
     def dimension(self) -> int:
         return _ceil_log2(self.own + sum(self.children))
 
-    @property
-    def child_to_layout(self) -> dict[int, int]:
-        return {tree_pos: k + 1 for k, tree_pos in enumerate(self.layout_to_child)}
+    def layout_index(self, index: int) -> int:
+        """Layout position of target `index`: 0 is the own border, k the k-th child."""
+        return self.layout_to_child.index(index) + 1 if index else 0
 
     def range_of(self, layout_index: int) -> tuple[int, int]:
         sizes = [self.own] + self.children
@@ -179,7 +179,7 @@ class CubeScheme:
     def _border_range(self, cluster_id: int, index: int) -> tuple[int, int]:
         """Main-cube node range of target `index` (layout order differs from tree order)."""
         sizes = self.rounded[cluster_id]
-        lo, hi = sizes.range_of({0: 0, **sizes.child_to_layout}[index])
+        lo, hi = sizes.range_of(sizes.layout_index(index))
         if hi == lo:
             raise ValueError(f"cluster {cluster_id} target {index} has no border nodes")
         return lo, hi
@@ -303,29 +303,29 @@ def _oriented_pairs(cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], int]:
     return oriented
 
 
-def _embedding_demands(cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], float]:
+def _embedding_demands(oriented: dict[tuple[int, int], int]
+                       ) -> dict[tuple[int, int], float]:
     """Joint embedding instance of a cluster's cubes, routed one way: two units
-    per cube edge of either cube on its owner pair's oriented direction. In an
-    undirected graph a flow reversed has the same loads, so this instance has
-    the optimum of one unit in each direction per cube edge."""
-    return {pair: 2.0 * k for pair, k in _oriented_pairs(cubes).items()}
+    per cube edge of either cube on its owner pair's `oriented` direction. In
+    an undirected graph a flow reversed has the same loads, so this instance
+    has the optimum of one unit in each direction per cube edge."""
+    return {pair: 2.0 * k for pair, k in oriented.items()}
 
 
-def _cube_draws(cubes: tuple[CubeMaps, ...]
+def _cube_draws(cubes: tuple[CubeMaps, ...], oriented: dict[tuple[int, int], int]
                 ) -> list[tuple[CubeMaps, int, int, tuple[int, int]]]:
     """One draw per cube edge (x, y) with distinct owners, cube by cube in
-    `_cube_edges` order, with the oriented owner pair it is drawn from."""
-    oriented = _oriented_pairs(cubes)
+    `_cube_edges` order, with the `oriented` owner pair it is drawn from."""
     return [(maps, x, y, (a, b) if (a, b) in oriented else (b, a))
             for maps in cubes
             for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension)]
 
 
 def _round_cubes(sol: CMCFSolution, cubes: tuple[CubeMaps, ...],
-                 rng: np.random.Generator) -> None:
+                 oriented: dict[tuple[int, int], int], rng: np.random.Generator) -> None:
     """Give every cube edge (x, y) one path drawn from the flow of its oriented
     owner pair in the cluster's joint solution, stored from owner(x) to owner(y)."""
-    draws = _cube_draws(cubes)
+    draws = _cube_draws(cubes, oriented)
     paths = round_paths(sol, [pair for *_, pair in draws], rng)
     for (maps, x, y, (s, _)), path in zip(draws, paths):
         maps.edge_paths[(x, y)] = path if s == maps.node_owner[x] else path[::-1]
@@ -393,10 +393,11 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
         scheme.rounded[cluster.id], scheme.mains[cluster.id] = build_embedding(tree, cluster)
         scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
     cubes = [(scheme.mains[cluster.id], scheme.shuffles[cluster.id]) for cluster in clusters]
-    solutions = solve_cmcf_batch(g, [(_embedding_demands(both), set(cluster.vertices))
-                                     for cluster, both in zip(clusters, cubes)])
-    for sol, both in zip(solutions, cubes):
-        _round_cubes(sol, both, rng)
+    oriented = [_oriented_pairs(both) for both in cubes]
+    solutions = solve_cmcf_batch(g, [(_embedding_demands(pairs), set(cluster.vertices))
+                                     for cluster, pairs in zip(clusters, oriented)])
+    for sol, both, pairs in zip(solutions, cubes, oriented):
+        _round_cubes(sol, both, pairs, rng)
     return scheme
 
 
@@ -484,7 +485,7 @@ def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int
                     hi: int) -> tuple[Loads, Law]:
     """Exact expected loads on the edges of g (a vector indexed by edge id)
     of _cube_hop from a vertex drawn from start_law to [lo, hi), and the law
-    of its end vertex.
+    of its end vertex (a vector indexed by vertex).
 
     With independent start node x and target t, bit fixing crosses dimension
     k out of node y iff x>>k = y>>k, t agrees with y below k and t_k != y_k,
@@ -497,12 +498,10 @@ def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int
     """
     d = maps.dimension
     slots = maps.path_slots(g)
-    for v in start_law:
+    for v in start_law.nonzero()[0].tolist():
         _owned_nodes(maps, v)    # raises for a vertex that owns no node
-    vs = np.fromiter(start_law, np.intp, len(start_law))
-    share = np.zeros(len(slots.owned))    # each node gets p(v) / #nodes of its owner v
-    share[vs] = np.fromiter(start_law.values(), float, len(vs)) / slots.owned[vs]
-    start = share[slots.owners]
+    # each node gets p(v) / #nodes of its owner v
+    start = start_law[slots.owners] / slots.owned[slots.owners]
     target = np.zeros(1 << d)
     target[lo:hi] = 1.0 / (hi - lo)
     walk = _walk_indices(d)
@@ -513,9 +512,8 @@ def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int
     # astype: a bincount of nothing (a cube with no stored path) is an int array
     loads = np.bincount(slots.edge_ids, crossing[slots.cells],
                         minlength=g.m).astype(float, copy=False)
-    ends = np.bincount(slots.owners[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)))
-    hit = np.flatnonzero(ends)
-    return loads, dict(zip(hit.tolist(), ends[hit].tolist()))
+    ends = np.bincount(slots.owners[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)), minlength=g.n)
+    return loads, ends
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,17 @@ the expected edge loads of a demand set are the sum over hops of the demand
 crossing it times the loads of one hop. route_demands computes them that way,
 without sampling, and checks the end law of every hop.
 
-Loads are float64 vectors of length g.m indexed by graph edge id; laws are
-{vertex: probability} dicts. The sums are array arithmetic that adds in the
-order of the plain dict loops, so every load is the same to the last bit (an
-edge a term does not touch adds an exact +0.0): the demand through each hop
-is one np.bincount per direction over an n x (height + 1) array of leaf
-paths, the pairs in sorted order; each kernel's loads are one bincount over
-graph edge ids (ReferenceBackend over cached per-pair edge-id and
-per-unit-load arrays, impl_b over cached cube path slots, impl_a over the
-arcs it crosses as it propagates); a hop's loads are the sum of its step
-vectors, and the edge loads add demand times hop loads over the hops in
-sorted order.
+Loads are float64 vectors over graph edge ids (length g.m) and laws over
+vertices (length g.n), a cluster's laws cached by DecompositionTree.law. The
+sums are array arithmetic that adds in the order of the plain dict loops, so
+every load is the same to the last bit (an edge a term does not touch adds
+an exact +0.0): the demand through each hop is one np.bincount per direction
+over an n x (height + 1) array of leaf paths, the pairs in sorted order;
+each kernel's loads are one bincount over graph edge ids (ReferenceBackend
+over cached per-pair edge-id and per-unit-load arrays, impl_b over cached
+cube path slots, impl_a over the arcs it crosses as it propagates); a hop's
+loads are the sum of its step vectors, and the edge loads add demand times
+hop loads over the hops in sorted order.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ from obroute.graph import CapacitatedGraph, DemandMatrix
 __all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "route_up",
            "route_down", "select_path", "route_demands"]
 
-Law = dict[int, float]                       # vertex -> probability
+Law = np.ndarray                             # float64, vertex -> probability
 Loads = np.ndarray                           # float64, graph edge id -> expected load
 Step = tuple[bool, int, int]                 # (spread, cluster id, target index)
 
@@ -74,8 +74,8 @@ class SchemeBackend(Protocol):
     to_border walks inside cluster_id toward the border law of that target;
     spread starts on that border law and walks inside cluster_id onto its
     cluster law. Samplers return (path, end vertex); kernels return (expected
-    edge loads, end law) for a walk whose start vertex is drawn from `law`,
-    the loads as a float vector of length g.m indexed by graph edge id.
+    edge loads, end law) for a walk whose start vertex is drawn from `law`:
+    float vectors indexed by graph edge id (length g.m) and by vertex (g.n).
     """
 
     def to_border(self, cluster_id: int, index: int, v: int,
@@ -91,31 +91,11 @@ class SchemeBackend(Protocol):
                      law: Law) -> tuple[Loads, Law]: ...
 
 
-def _normalized(weights: dict[int, int]) -> Law:
-    total = sum(w for w in weights.values() if w > 0)
-    if total <= 0:
-        raise ValueError("cannot route on an all-zero law")
-    return {v: w / total for v, w in sorted(weights.items()) if w > 0}
-
-
 def _extend(path: list[int], seg: list[int]) -> None:
     if seg[0] != path[-1]:
         raise RuntimeError(f"hop segment starts at {seg[0]}, not at the junction "
                            f"{path[-1]}")
     path.extend(seg[1:])
-
-
-class _LawSampler:
-    """Cumulative-probability sampling of a fixed integer-weighted law."""
-
-    def __init__(self, weights: dict[int, int]):
-        law = _normalized(weights)
-        self.values = list(law)
-        self.cum = np.cumsum(list(law.values())).tolist()
-
-    def draw(self, rng: np.random.Generator) -> int:
-        i = bisect_right(self.cum, rng.random())
-        return self.values[min(i, len(self.values) - 1)]
 
 
 class ReferenceBackend:
@@ -126,22 +106,20 @@ class ReferenceBackend:
         self.graph = g
         self.tree = tree
         self.solutions = solutions
-        self._weight_laws: dict[int, _LawSampler] = {}
-        self._border_laws: dict[int, _LawSampler] = {}
+        # per (cluster, border), the support of tree.law and its cumulative sums
+        self._draws: dict[tuple[int, bool], tuple[list[int], list[float]]] = {}
         # per cluster, (u, v) -> the edge ids and per-unit loads of one stored path
         self._pair_loads: dict[int, dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = {}
 
-    def sample_cluster_vertex(self, cluster_id: int, rng: np.random.Generator) -> int:
-        if cluster_id not in self._weight_laws:
-            self._weight_laws[cluster_id] = _LawSampler(
-                self.tree.cluster(cluster_id).cluster_weight)
-        return self._weight_laws[cluster_id].draw(rng)
-
-    def _sample_border(self, cluster_id: int, rng: np.random.Generator) -> int:
-        if cluster_id not in self._border_laws:
-            self._border_laws[cluster_id] = _LawSampler(
-                self.tree.cluster(cluster_id).border_weight)
-        return self._border_laws[cluster_id].draw(rng)
+    def _draw(self, cluster_id: int, border: bool, rng: np.random.Generator) -> int:
+        """A vertex drawn from tree.law(cluster_id, border) by its cumulative sums."""
+        key = (cluster_id, border)
+        if key not in self._draws:
+            law = self.tree.law(cluster_id, border)
+            support = law.nonzero()[0]
+            self._draws[key] = support.tolist(), np.cumsum(law[support]).tolist()
+        values, cum = self._draws[key]
+        return values[min(bisect_right(cum, rng.random()), len(values) - 1)]
 
     def _stored_paths(self, cluster_id: int, u: int,
                       v: int) -> tuple[list[list[int]], np.ndarray, list[float]]:
@@ -179,11 +157,13 @@ class ReferenceBackend:
 
     def _between_loads(self, cluster_id: int, start: Law, end: Law) -> Loads:
         """Expected loads of a stored path between independent draws from start
-        and end: one bincount of p·q·x over the (u, v) pairs in law order."""
+        and end: one bincount of p·q·x over the (u, v) pairs in vertex order."""
         pairs = self._pair_loads.setdefault(cluster_id, {})
         ids, units, scales = [], [], []
-        for u, p in start.items():
-            for v, q in end.items():
+        us, vs = start.nonzero()[0], end.nonzero()[0]
+        ends = list(zip(vs.tolist(), end[vs].tolist()))
+        for u, p in zip(us.tolist(), start[us].tolist()):
+            for v, q in ends:
                 if u != v:
                     e, x = pairs.get((u, v)) or self._add_pair(cluster_id, u, v)
                     ids.append(e)
@@ -196,20 +176,20 @@ class ReferenceBackend:
 
     def to_border(self, cluster_id: int, index: int, v: int,
                   rng: np.random.Generator) -> tuple[list[int], int]:
-        alpha = self._sample_border(self.tree.target(cluster_id, index).id, rng)
+        alpha = self._draw(self.tree.target(cluster_id, index).id, True, rng)
         return self._path_between(cluster_id, v, alpha, rng), alpha
 
     def spread(self, cluster_id: int, index: int, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
-        top = self.sample_cluster_vertex(cluster_id, rng)
+        top = self._draw(cluster_id, False, rng)
         return self._path_between(cluster_id, v, top, rng), top
 
     def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        end = _normalized(self.tree.target(cluster_id, index).border_weight)
+        end = self.tree.law(self.tree.target(cluster_id, index).id, border=True)
         return self._between_loads(cluster_id, law, end), end
 
     def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        end = _normalized(self.tree.cluster(cluster_id).cluster_weight)
+        end = self.tree.law(cluster_id)
         return self._between_loads(cluster_id, law, end), end
 
 
@@ -277,26 +257,20 @@ def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
 
 
 def _hop_loads(tree: DecompositionTree, backend: SchemeBackend, m: int,
-               hop: tuple[bool, int], laws: dict[int, Law]) -> Loads:
+               hop: tuple[bool, int]) -> Loads:
     """Exact expected loads of one hop started on the law of the cluster it
     leaves, the sum of its step vectors; raises unless it ends on the law of
-    the cluster it enters. `laws` caches each cluster's normalised law across
-    the hops of one call."""
+    the cluster it enters."""
     downward, child_id = hop
     parent_id = tree.cluster(child_id).parent
     leaves, enters = (parent_id, child_id) if downward else (child_id, parent_id)
-    for cid in (leaves, enters):
-        if cid not in laws:
-            laws[cid] = _normalized(tree.cluster(cid).cluster_weight)
-    law = laws[leaves]
+    law = tree.law(leaves)
     loads = np.zeros(m)
     for spread, cluster_id, index in _steps(tree, hop):
         kernel = backend.spread_loads if spread else backend.to_border_loads
         part, law = kernel(cluster_id, index, law)
         loads += part
-    expect = laws[enters]
-    gap = max(abs(law.get(v, 0.0) - expect.get(v, 0.0))
-              for v in law.keys() | expect.keys())
+    gap = np.abs(law - tree.law(enters)).max()
     if gap > _LAW_TOL:
         raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
                            f"ends {gap:.3g} away from the law of cluster {enters}")
@@ -309,11 +283,11 @@ def _through(tree: DecompositionTree, n: int,
     cluster) in sorted order. A pair (s, t) crosses upward the clusters of s's
     leaf path below the deepest one it shares with t's, and downward those of
     t's; each sum runs over the pairs in sorted order, one bincount per
-    direction over an n x (height + 1) array of leaf paths."""
-    kept = [(s, t, d) for (s, t), d in sorted(entries.items()) if not (d <= 0 or s == t)]
-    if not kept:
+    direction over an n x (height + 1) array of leaf paths. `entries` are a
+    DemandMatrix's."""
+    if not entries:
         return {}
-    sources, sinks, demand = zip(*kept)
+    sources, sinks, demand = zip(*((s, t, d) for (s, t), d in sorted(entries.items())))
     paths = np.array([tree.leaf_path(v) for v in range(n)])
     up, down = paths[list(sources)], paths[list(sinks)]
     crossed = np.arange(paths.shape[1]) >= (up == down).sum(axis=1, keepdims=True)
@@ -342,8 +316,10 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
                   samples: int = 1000, seed: int = 0) -> LoadReport:
     """Exact expected edge loads of routing every demand pair obliviously.
 
-    Sums the demand crossing each tree edge in each direction (_through), then
-    adds that times the exact loads of one hop across the edge, hop by hop in
+    A plain dict is checked as a DemandMatrix: a negative or non-finite
+    demand, or a pair from a vertex to itself, raises ValueError. Sums the
+    demand crossing each tree edge in each direction (_through), then adds
+    that times the exact loads of one hop across the edge, hop by hop in
     sorted order. Edges no hop loads are left out of edge_loads. No paths are
     sampled: `samples` and `seed` are ignored and kept only so that existing
     callers still work.
@@ -352,11 +328,12 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
     for (s, t) in entries:
         if not (0 <= s < g.n and 0 <= t < g.n):
             raise ValueError(f"demand pair ({s},{t}) out of vertex range")
+    if not isinstance(demands, DemandMatrix):
+        demands = DemandMatrix(entries)
 
-    laws: dict[int, Law] = {}
     totals = np.zeros(g.m)
-    for hop, d in _through(tree, g.n, entries).items():
-        totals += d * _hop_loads(tree, backend, g.m, hop, laws)
+    for hop, d in _through(tree, g.n, demands.entries).items():
+        totals += d * _hop_loads(tree, backend, g.m, hop)
     hit = np.flatnonzero(totals)
     loads = {g.edges[i][:2]: x for i, x in zip(hit.tolist(), totals[hit].tolist())}
 

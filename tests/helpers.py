@@ -219,6 +219,11 @@ def dict_through(tree, entries: dict) -> dict[tuple[bool, int], float]:
     return dict(sorted(through.items()))
 
 
+def _normalized(weights: dict[int, int]) -> dict:
+    total = sum(w for w in weights.values() if w > 0)
+    return {v: w / total for v, w in sorted(weights.items()) if w > 0}
+
+
 def _dict_reference(backend: ReferenceBackend, cluster_id: int, start: dict,
                     end: dict) -> dict:
     loads: dict = {}
@@ -301,7 +306,7 @@ def _dict_kernel(backend, spread: bool, cluster_id: int, index: int,
     if isinstance(backend, ReferenceBackend):
         weights = (tree.cluster(cluster_id).cluster_weight if spread
                    else tree.target(cluster_id, index).border_weight)
-        end = routing._normalized(weights)
+        end = _normalized(weights)
         return _dict_reference(backend, cluster_id, law, end), end
     if isinstance(backend, FlowTables):
         return _dict_flow_walk(backend, cluster_id, index, law,
@@ -326,7 +331,7 @@ def dict_route_demands(g: CapacitatedGraph, tree, backend,
     for (downward, child_id), d in dict_through(tree, entries).items():
         parent_id = tree.cluster(child_id).parent
         leaves = parent_id if downward else child_id
-        law = routing._normalized(tree.cluster(leaves).cluster_weight)
+        law = _normalized(tree.cluster(leaves).cluster_weight)
         hop_loads: dict = {}
         for spread, cluster_id, index in routing._steps(tree, (downward, child_id)):
             part, law = _dict_kernel(backend, spread, cluster_id, index, law)

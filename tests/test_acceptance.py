@@ -22,9 +22,9 @@ from obroute.experiment import SCHEMES, demand_battery, parse_config, run_experi
 from obroute.graph import CapacitatedGraph, DemandMatrix, grid_graph, random_regular_graph
 from obroute.impl_a import (build_flow_tables, header_bit_length, label_bit_length,
                             measure_table_bits_a)
-from obroute.impl_b import (_cube_draws, _embedding_demands, audit_cube_scheme,
-                            build_cube_scheme, build_embedding, build_rerand_cube,
-                            measure_table_bits_b)
+from obroute.impl_b import (_cube_draws, _embedding_demands, _oriented_pairs,
+                            audit_cube_scheme, build_cube_scheme, build_embedding,
+                            build_rerand_cube, measure_table_bits_b)
 from obroute.optimum import optimal_congestion
 from obroute.routing import ReferenceBackend, route_demands
 
@@ -94,6 +94,7 @@ def test_criterion_2_flow_tables():
         tree = build_tree(g, target_arity=2, seed=0)
         cert = certify_congestion(g, tree)
         tables = build_flow_tables(g, tree, cert.int_value)
+        point_laws = np.eye(g.n)
 
         for (cid, index), fa in tables.flows.items():
             cluster = tree.cluster(cid)
@@ -112,8 +113,9 @@ def test_criterion_2_flow_tables():
             for v, w in cluster.cluster_weight.items():
                 if w == 0:
                     continue
-                for x, p in tables.to_border_loads(cid, index, {v: 1.0})[1].items():
-                    mix[x] = mix.get(x, 0.0) + p * w / cluster.total_weight
+                end = tables.to_border_loads(cid, index, point_laws[v])[1]
+                for x in np.flatnonzero(end).tolist():
+                    mix[x] = mix.get(x, 0.0) + end[x] * w / cluster.total_weight
             for v in cluster.vertices:
                 expect = out_map.get(v, 0) / out_total
                 if abs(mix.get(v, 0.0) - expect) > 1e-9:
@@ -179,9 +181,10 @@ def test_criterion_4_chernoff_rounding():
         _, main = build_embedding(tree, cluster)
         cubes = (main, build_rerand_cube(cluster))
         members = set(cluster.vertices)
-        sol = solve_cmcf_min_congestion(g, _embedding_demands(cubes),
+        oriented = _oriented_pairs(cubes)
+        sol = solve_cmcf_min_congestion(g, _embedding_demands(oriented),
                                         restrict=members)
-        pairs = [pair for *_, pair in _cube_draws(cubes)]
+        pairs = [pair for *_, pair in _cube_draws(cubes, oriented)]
         # fractional loads and Bernoulli variances of those draws, from the
         # pairs' path laws
         frac: dict[tuple[int, int], float] = {}

@@ -63,6 +63,28 @@ def test_weight_identities_match_edge_scan(four_cycle_tree):
     assert all(w == 0 for w in tree.cluster(0).border_weight.values())
 
 
+def test_law_is_weights_over_their_total():
+    # every cluster and border law is its weight table over its total, to
+    # the last bit, as one cached read-only vector indexed by vertex; the
+    # root's border law is all zero and cannot be a law
+    g = generate_graph("grid", rows=3, cols=3, cap_range=(1, 3), seed=2)
+    tree = build_tree(g, seed=0)
+    for c in tree.clusters:
+        for border, weights in ((False, c.cluster_weight), (True, c.border_weight)):
+            if border and c.parent is None:
+                continue
+            expect = [0.0] * g.n
+            for v, w in weights.items():
+                expect[v] = w / sum(weights.values())
+            law = tree.law(c.id, border)
+            assert law.dtype == np.float64 and law.tolist() == expect
+            assert tree.law(c.id, border) is law
+            with pytest.raises(ValueError, match="read-only"):
+                law[c.vertices[0]] = 0.5
+    with pytest.raises(ValueError, match="all-zero border law"):
+        tree.law(tree.root, border=True)
+
+
 def test_tree_navigation(four_cycle_tree):
     _, tree = four_cycle_tree
     assert tree.height == 2

@@ -17,10 +17,10 @@ from obroute.decomposition import (Cluster, build_tree, certify_congestion,
                                    tree_from_spec)
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph, torus_graph
 from obroute.impl_b import (CubeScheme, RoundedSizes, _bit_fix, _cube_draws,
-                            _embedding_demands, _fill_range, audit_cube_scheme,
-                            build_cube_scheme, build_embedding, build_rerand_cube,
-                            hypercube_loads, hypercube_route, measure_table_bits_b,
-                            round_and_order)
+                            _embedding_demands, _fill_range, _oriented_pairs,
+                            audit_cube_scheme, build_cube_scheme, build_embedding,
+                            build_rerand_cube, hypercube_loads, hypercube_route,
+                            measure_table_bits_b, round_and_order)
 
 
 def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
@@ -59,7 +59,7 @@ def test_rounding_rule_and_ordering():
     assert sizes.own == 1
     assert sizes.children == [4, 4]
     assert sizes.layout_to_child == [1, 2]
-    assert sizes.child_to_layout == {1: 1, 2: 2}
+    assert [sizes.layout_index(i) for i in (0, 1, 2)] == [0, 1, 2]
 
     assert round_and_order(_mock_cluster(1, [1]), [1]).children == [1]
     assert round_and_order(_mock_cluster(1, [5]), [5]).children == [8]
@@ -68,6 +68,7 @@ def test_rounding_rule_and_ordering():
     sizes = round_and_order(_mock_cluster(1, [5, 2, 4]), [5, 2, 4])
     assert sizes.children == [2, 4, 8]
     assert sizes.layout_to_child == [2, 3, 1]
+    assert [sizes.layout_index(i) for i in (0, 1, 2, 3)] == [0, 3, 1, 2]
 
 
 def test_dimension_is_ceil_log2_of_total():
@@ -233,12 +234,12 @@ def test_hypercube_loads_point_to_point_is_the_bit_fix_path():
     g = hypercube_graph(3)
     maps = _identity_cube_maps(3)
     for a, b in [(0, 7), (5, 2), (6, 1), (3, 3), (1, 5)]:
-        loads, end = hypercube_loads(g, maps, {a: 1.0}, b, b + 1)
+        loads, end = hypercube_loads(g, maps, np.eye(g.n)[a], b, b + 1)
         seq = _bit_fix(a, b, 3)
         expect = np.zeros(g.m)
         expect[[g.edge_index(x, y) for x, y in zip(seq, seq[1:])]] = 1.0
         assert loads.dtype == np.float64 and np.array_equal(loads, expect), (a, b)
-        assert end == {b: 1.0}
+        assert end.tolist() == np.eye(g.n)[b].tolist()
 
 
 def test_route_to_border_path_validity_and_law(four_cycle):
@@ -319,7 +320,7 @@ def test_instance_orients_each_owner_pair_once(g):
                         edges[pair] = edges.get(pair, 0) + 1
                         for st in ((owner[x], owner[y]), (owner[y], owner[x])):
                             two_way[st] = two_way.get(st, 0.0) + 1.0
-        demands = _embedding_demands(cubes)
+        demands = _embedding_demands(_oriented_pairs(cubes))
         assert len(demands) == len(edges)
         assert {frozenset(st): d for st, d in demands.items()} == \
             {pair: 2.0 * k for pair, k in edges.items()}
@@ -363,7 +364,8 @@ def test_one_joint_lp_per_cluster(monkeypatch):
     for cluster in tree.clusters:
         if cluster.size == 1:
             continue
-        demands = _embedding_demands((scheme.mains[cluster.id], scheme.shuffles[cluster.id]))
+        cubes = (scheme.mains[cluster.id], scheme.shuffles[cluster.id])
+        demands = _embedding_demands(_oriented_pairs(cubes))
         if demands:
             expect[tuple(sorted(cluster.vertices))] = demands
     assert len(expect) > 4
@@ -393,7 +395,8 @@ def test_one_draw_per_cube_edge(monkeypatch):
     scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
     expect = []
     for cid in scheme.rounded:
-        expect += _cube_draws((scheme.mains[cid], scheme.shuffles[cid]))
+        cubes = (scheme.mains[cid], scheme.shuffles[cid])
+        expect += _cube_draws(cubes, _oriented_pairs(cubes))
     assert len(expect) == 538
     assert [pair for _, pair, _ in drawn] == [pair for *_, pair in expect]
     for (sol, _, path), (maps, x, y, (s, t)) in zip(drawn, expect):

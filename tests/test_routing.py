@@ -135,6 +135,20 @@ def test_route_demands_validates_pairs(four_cycle):
         sampled_loads(g, tree, backends["reference"], {(0, 1): 1.0}, samples=0, seed=0)
 
 
+def test_route_demands_validates_plain_dict_values():
+    # a plain dict is checked as a DemandMatrix is: a negative or NaN demand
+    # and a pair from a vertex to itself raise, rather than loading nothing
+    g = grid_graph(3, 3)
+    tree = build_tree(g, target_arity=2, seed=0)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    backend = ReferenceBackend(g, tree, cert.solutions)
+    for demands, match in [({(0, 8): -5.0, (1, 1): 3.0}, "must be finite and >= 0"),
+                           ({(0, 8): float("nan")}, "must be finite and >= 0"),
+                           ({(1, 1): 3.0}, "to itself")]:
+        with pytest.raises(ValueError, match=match):
+            route_demands(g, tree, backend, demands)
+
+
 def test_route_demands_accepts_demand_matrix(four_cycle):
     g, tree, cert, backends = four_cycle
     dm = DemandMatrix({(0, 2): 1.0})
@@ -208,15 +222,19 @@ _ORACLE_CASES = {
 
 class _VectorChecked:
     """A backend whose exact kernels check that their loads are a float
-    vector of length m, indexed by graph edge id, with no negative entry."""
+    vector of length m, indexed by graph edge id, with no negative entry, and
+    their end law a float vector of length n, indexed by vertex, with no
+    negative entry and total 1."""
 
-    def __init__(self, inner, m):
-        self.inner, self.m = inner, m
+    def __init__(self, inner, g):
+        self.inner, self.g = inner, g
 
     def _checked(self, out):
-        loads, _ = out
-        assert loads.dtype == np.float64 and loads.shape == (self.m,)
+        loads, law = out
+        assert loads.dtype == np.float64 and loads.shape == (self.g.m,)
         assert not (loads < 0).any()
+        assert law.dtype == np.float64 and law.shape == (self.g.n,)
+        assert not (law < 0).any() and abs(law.sum() - 1.0) <= 1e-9
         return out
 
     def to_border_loads(self, cluster_id, index, law):
@@ -234,7 +252,7 @@ def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
     backends = {}
     for scheme in schemes:
         backend = backends[scheme] = _build_backend(scheme, g, tree, cert, seed)[0]
-        report = route_demands(g, tree, _VectorChecked(backend, g.m), demands)
+        report = route_demands(g, tree, _VectorChecked(backend, g), demands)
         oracle = dict_route_demands(g, tree, backend, demands)
         assert report.edge_loads == oracle.edge_loads, scheme
         assert report.congestion == oracle.congestion, scheme
@@ -298,7 +316,7 @@ class _Corrupted:
     def to_border_loads(self, cluster_id, index, law):
         loads, end = self.inner.to_border_loads(cluster_id, index, law)
         if self.fault == "law":
-            end = {min(end): 1.0}
+            end = np.eye(len(end))[np.flatnonzero(end)[0]]
         return loads, end
 
     def spread_loads(self, cluster_id, index, law):
