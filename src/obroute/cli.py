@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 from obroute.decomposition import audit_tree, build_tree, certify_congestion
-from obroute.experiment import (SCHEMES, _build_backend, graph_from_config, load_config,
-                                parse_config, run_experiment)
+from obroute.experiment import (SCHEMES, _build_backend, _master_seed, graph_from_config,
+                                load_config, parse_config, run_experiment)
 from obroute.graph import graph_stats
 
 
@@ -46,7 +46,7 @@ def _certified_tree(args: argparse.Namespace):
     """Graph, cluster tree, congestion certificate and master seed from the graph flags."""
     cfg = _overlay(parse_config(""), args)
     g = graph_from_config(cfg)
-    seed = int(cfg["seed"])
+    seed = _master_seed(cfg)
     tree = build_tree(g, target_arity=int(cfg["arity"]), seed=seed)
     return g, tree, certify_congestion(g, tree), seed
 

@@ -70,22 +70,22 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
                               restrict: set[int] | None = None) -> CMCFSolution:
     """Solve min-congestion routing of `demands` inside G[restrict].
 
-    Returns per-source cycle-free flows. Infeasibility is impossible on a
-    connected restriction; a disconnected restriction is rejected up front.
+    Returns per-source cycle-free flows. `demands` must pass g.check_demands
+    and lie inside the restriction, or ValueError is raised. Infeasibility is
+    impossible on a connected restriction; a disconnected restriction is
+    rejected up front.
     When G[restrict] is a spanning tree every pair has exactly one simple
     path, so the routing is forced and is built without an LP; any other
     restriction is one LP.
     """
-    entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
+    entries = g.check_demands(demands).entries
     verts = sorted(restrict) if restrict is not None else list(range(g.n))
     vset = set(verts)
-    for (s, t) in entries:
-        if s not in vset or t not in vset:
-            raise ValueError(f"demand pair ({s},{t}) lies outside the vertex restriction")
     by_source: dict[int, list[tuple[int, float]]] = {}
     for (s, t), d in entries.items():
-        if d > 0:
-            by_source.setdefault(s, []).append((t, float(d)))
+        if s not in vset or t not in vset:
+            raise ValueError(f"demand pair ({s},{t}) lies outside the vertex restriction")
+        by_source.setdefault(s, []).append((t, d))
     if not by_source:
         return CMCFSolution(source_flows={}, edge_loads={},
                             congestion=0.0, lp_objective=0.0)
@@ -111,7 +111,7 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
         bad = fa.conservation_violations(tol=1e-6 * max(1.0, total))
         if bad:
             raise RuntimeError(f"solver returned flows violating demands of source {s}: {bad}")
-        source_flows[s] = cancel_cycles(fa, eps=1e-12)
+        source_flows[s] = cancel_cycles(fa)
 
     loads: dict[tuple[int, int], float] = {}
     for fa in source_flows.values():

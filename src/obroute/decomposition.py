@@ -24,7 +24,7 @@ from obroute.cmcf import CMCFSolution, solve_cmcf_batch
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
 __all__ = ["Cluster", "DecompositionTree", "CongestionCertificate",
-           "build_tree", "tree_from_spec", "compute_weights", "cmcf_instance",
+           "build_tree", "compute_weights", "cmcf_instance",
            "certify_congestion", "audit_tree"]
 
 # escalation acceptance: largest part may hold at most this fraction of the cluster
@@ -113,6 +113,8 @@ class DecompositionTree:
         return cluster if index == 0 else self.clusters[cluster.children[index - 1]]
 
     def to_json(self, certificate: "CongestionCertificate | None" = None) -> str:
+        """The tree.json text: every cluster with its weights, plus the
+        certificate if given. It is written for readers; nothing reads it back."""
         payload = {
             "seed": self.seed,
             "target_arity": self.target_arity,
@@ -137,28 +139,6 @@ class DecompositionTree:
                 "per_cluster": {str(k): v for k, v in sorted(certificate.per_cluster.items())},
             }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> tuple["DecompositionTree", "CongestionCertificate | None"]:
-        data = json.loads(text)
-        clusters = [
-            Cluster(
-                id=c["id"], level=c["level"], vertices=tuple(c["vertices"]),
-                parent=c["parent"], children=list(c["children"]),
-                cluster_weight={int(v): w for v, w in c["cluster_weight"].items()},
-                border_weight={int(v): w for v, w in c["border_weight"].items()},
-            )
-            for c in sorted(data["clusters"], key=lambda c: c["id"])
-        ]
-        tree = cls(clusters, seed=data["seed"], target_arity=data["target_arity"])
-        cert = None
-        if "certificate" in data:
-            raw = data["certificate"]
-            cert = CongestionCertificate(
-                value=raw["value"], int_value=raw["int_value"],
-                per_cluster={int(k): v for k, v in raw["per_cluster"].items()},
-                solutions=None)
-        return tree, cert
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +168,6 @@ def build_tree(g: CapacitatedGraph, target_arity: int = 2, seed: int = 0) -> Dec
     if tree.height > cap:
         raise RuntimeError(f"tree height {tree.height} exceeds {cap} for n={g.n}")
     return tree
-
-
-def tree_from_spec(g: CapacitatedGraph, spec) -> DecompositionTree:
-    """Build a tree from an explicit nesting, for fixtures and worked examples.
-
-    A spec node is either a vertex id or a list of spec nodes; a list of ints
-    is a cluster whose children are those singletons. Branches are padded with
-    unary clusters to uniform leaf depth, then weights are computed.
-    """
-    def collect(node) -> list[int]:
-        return [node] if isinstance(node, int) else [v for sub in node for v in collect(sub)]
-
-    def split(node):
-        vertices = tuple(sorted(collect(node)))
-        if isinstance(node, int):
-            return vertices, []
-        return vertices, [vertices[0]] if len(vertices) == 1 else list(node)
-
-    if sorted(collect(spec)) != list(range(g.n)):
-        raise ValueError("spec must cover every vertex exactly once")
-    return _assemble(g, spec if not isinstance(spec, int) else [spec], split,
-                     seed=-1, target_arity=0)
 
 
 def _assemble(g: CapacitatedGraph, root, split, seed: int,

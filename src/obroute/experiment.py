@@ -97,6 +97,14 @@ def graph_from_config(cfg: dict[str, str]) -> CapacitatedGraph:
     return _generated_graph(cfg["generate"])
 
 
+def _master_seed(cfg: dict[str, str]) -> int:
+    """The config's master seed; ValueError unless it is an integer >= 0."""
+    seed = int(cfg["seed"])
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def demand_battery(kind: str, g: CapacitatedGraph, seed: int) -> DemandMatrix:
     """Deterministic demand sets; approximates a worst case by variety, not search."""
     name, _, arg = kind.partition(":")
@@ -199,9 +207,7 @@ def run_experiment(cfg: dict[str, str],
                    out_dir: str | Path | None = None) -> tuple[int, list[str]]:
     """Full run per the config; returns (exit code, assertion failures)."""
     g = graph_from_config(cfg)
-    seed = int(cfg["seed"])
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _master_seed(cfg)
     schemes = [s.strip() for s in cfg["schemes"].split(",") if s.strip()]
     for scheme in schemes:
         if scheme not in SCHEMES:

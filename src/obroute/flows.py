@@ -19,6 +19,7 @@ SRC = -1
 SNK = -2
 
 _DECOMPOSE_REL_TOL = 1e-9   # decompose_paths drops residual below this share of the value
+_CANCEL_EPS = 1e-12         # cancel_cycles drops arcs with at most this much flow
 
 __all__ = ["SRC", "SNK", "FlowAssignment", "max_flow_integral", "cancel_cycles",
            "sample_path", "decompose_paths", "decompose_by_sink"]
@@ -53,13 +54,6 @@ class FlowAssignment:
             self._in = inc
         return self._in.get(v, [])
 
-    def vertices(self) -> set[int]:
-        verts = set()
-        for a, b in self.arcs:
-            verts.add(a)
-            verts.add(b)
-        return verts
-
     def conservation_violations(self, tol: float = 1e-9) -> dict[int, float]:
         """Net imbalance per non-terminal vertex; empty when conserved."""
         net: dict[int, float] = {}
@@ -76,7 +70,7 @@ class FlowAssignment:
 
     def is_acyclic(self) -> bool:
         if self._acyclic is None:
-            self._acyclic = not _find_cycle(self.arcs, eps=0.0)
+            self._acyclic = not _find_cycle(self.arcs)
         return self._acyclic
 
 
@@ -166,11 +160,11 @@ def _dinic_augment(graph, level, iters, s, t) -> int:
         v = a
 
 
-def _find_cycle(arcs: dict[tuple[int, int], float], eps: float) -> list[int] | None:
-    """A directed cycle among arcs with flow > eps, or None."""
+def _find_cycle(arcs: dict[tuple[int, int], float]) -> list[int] | None:
+    """A directed cycle among arcs with positive flow, or None."""
     adj: dict[int, list[int]] = {}
     for (a, b), f in arcs.items():
-        if f > eps:
+        if f > 0:
             adj.setdefault(a, []).append(b)
     color: dict[int, int] = {}  # 0 active-path, 1 done
     for root in adj:
@@ -201,10 +195,12 @@ def _find_cycle(arcs: dict[tuple[int, int], float], eps: float) -> list[int] | N
     return None
 
 
-def cancel_cycles(fa: FlowAssignment, eps: float = 0.0) -> FlowAssignment:
+def cancel_cycles(fa: FlowAssignment) -> FlowAssignment:
     """Remove opposite-arc flow and directed cycles; terminals and value unchanged.
 
-    Per-arc flow never increases, so capacity feasibility is preserved.
+    Arcs left with flow at most _CANCEL_EPS are dropped, so LP round-off does
+    not keep a cycle alive; integral flows lose only their zero arcs. Per-arc
+    flow never increases, so capacity feasibility is preserved.
     """
     arcs = dict(fa.arcs)
     for (a, b) in list(arcs):
@@ -214,16 +210,16 @@ def cancel_cycles(fa: FlowAssignment, eps: float = 0.0) -> FlowAssignment:
             if x > 0:
                 arcs[(a, b)] -= x
                 arcs[rev] -= x
-    arcs = {k: f for k, f in arcs.items() if f > eps}
+    arcs = {k: f for k, f in arcs.items() if f > _CANCEL_EPS}
     while True:
-        cycle = _find_cycle(arcs, eps)
+        cycle = _find_cycle(arcs)
         if cycle is None:
             break
         hops = list(zip(cycle, cycle[1:]))
         x = min(arcs[h] for h in hops)
         for h in hops:
             arcs[h] -= x
-        arcs = {k: f for k, f in arcs.items() if f > eps}
+        arcs = {k: f for k, f in arcs.items() if f > _CANCEL_EPS}
     out = FlowAssignment(arcs=arcs, source=fa.source, sink=fa.sink, value=fa.value)
     out._acyclic = True
     return out

@@ -1,6 +1,7 @@
 """Capacitated undirected graphs: parsing, generation, validation, demand matrices."""
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -103,6 +104,18 @@ class CapacitatedGraph:
                     dist[u] = step
                     queue.append(u)
         return dist
+
+    def check_demands(self, demands: "DemandMatrix | dict") -> "DemandMatrix":
+        """`demands` as a DemandMatrix on this graph. Every endpoint must be a
+        vertex, and a plain dict is checked as a DemandMatrix (no negative or
+        non-finite demand, no pair from a vertex to itself); ValueError
+        otherwise. The one check of route_demands, optimal_congestion and
+        solve_cmcf_min_congestion."""
+        entries = demands.entries if isinstance(demands, DemandMatrix) else demands
+        for (s, t) in entries:
+            if not (0 <= s < self.n and 0 <= t < self.n):
+                raise ValueError(f"demand pair ({s},{t}) out of vertex range 0..{self.n - 1}")
+        return demands if isinstance(demands, DemandMatrix) else DemandMatrix(entries)
 
     def uniform_capacities(self) -> bool:
         return all(c == 1 for _, _, c in self.edges)
@@ -278,17 +291,11 @@ class DemandMatrix:
             if s == t:
                 raise ValueError(f"demand from {s} to itself is not allowed")
             d = float(d)
-            if not np.isfinite(d) or d < 0:
+            if not math.isfinite(d) or d < 0:
                 raise ValueError(f"demand ({s},{t}) must be finite and >= 0, got {d}")
             if d > 0:
                 clean[(s, t)] = d
         self.entries = clean
 
-    def scaled(self, factor: float) -> "DemandMatrix":
-        return DemandMatrix({p: d * factor for p, d in self.entries.items()})
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        return self.entries.get(pair, 0.0)

@@ -216,7 +216,7 @@ def _topological(fa: FlowAssignment, direction: str) -> list[int]:
             if f > 0 and a not in (SRC, SNK) and b not in (SRC, SNK)]
     if direction == "backward":
         arcs = [(b, a) for a, b in arcs]
-    verts = {v for v in fa.vertices() if v not in (SRC, SNK)}
+    verts = {v for arc in fa.arcs for v in arc} - {SRC, SNK}
     indeg = {v: 0 for v in verts}
     succ: dict[int, list[int]] = {v: [] for v in verts}
     for a, b in arcs:

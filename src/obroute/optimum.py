@@ -44,13 +44,10 @@ def optimal_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict) -> flo
 
     Returns max_e load_e / c_e of the master's final routing, a feasible
     routing within relative gap 1e-7 of the dual lower bound. Raises
-    RuntimeError when the gap is larger or the round cap is reached.
+    ValueError unless `demands` pass g.check_demands, and RuntimeError when
+    the gap is larger or the round cap is reached.
     """
-    entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
-    for (s, t) in entries:
-        if not (0 <= s < g.n and 0 <= t < g.n):
-            raise ValueError(f"demand pair ({s},{t}) lies outside the graph's vertices")
-    entries = {(s, t): float(d) for (s, t), d in entries.items() if d > 0 and s != t}
+    entries = g.check_demands(demands).entries
     if not entries:
         return 0.0
 

@@ -316,21 +316,14 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
                   samples: int = 1000, seed: int = 0) -> LoadReport:
     """Exact expected edge loads of routing every demand pair obliviously.
 
-    A plain dict is checked as a DemandMatrix: a negative or non-finite
-    demand, or a pair from a vertex to itself, raises ValueError. Sums the
+    `demands` must pass g.check_demands, or ValueError is raised. Sums the
     demand crossing each tree edge in each direction (_through), then adds
     that times the exact loads of one hop across the edge, hop by hop in
     sorted order. Edges no hop loads are left out of edge_loads. No paths are
     sampled: `samples` and `seed` are ignored and kept only so that existing
     callers still work.
     """
-    entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
-    for (s, t) in entries:
-        if not (0 <= s < g.n and 0 <= t < g.n):
-            raise ValueError(f"demand pair ({s},{t}) out of vertex range")
-    if not isinstance(demands, DemandMatrix):
-        demands = DemandMatrix(entries)
-
+    demands = g.check_demands(demands)
     totals = np.zeros(g.m)
     for hop, d in _through(tree, g.n, demands.entries).items():
         totals += d * _hop_loads(tree, backend, g.m, hop)

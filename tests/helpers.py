@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from obroute import routing
+from obroute.decomposition import DecompositionTree, _assemble
 from obroute.flows import SNK, SRC
 from obroute.graph import CapacitatedGraph, DemandMatrix
 from obroute.impl_a import FlowTables, _topological
@@ -36,6 +37,28 @@ def triangle(cap: int = 1) -> CapacitatedGraph:
 def diamond() -> CapacitatedGraph:
     # two vertex-disjoint 2-hop routes 0-1-3 and 0-2-3
     return CapacitatedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+
+
+def tree_from_spec(g: CapacitatedGraph, spec) -> DecompositionTree:
+    """Build a tree from an explicit nesting, for fixtures and worked examples.
+
+    A spec node is either a vertex id or a list of spec nodes; a list of ints
+    is a cluster whose children are those singletons. Branches are padded with
+    unary clusters to uniform leaf depth, then weights are computed.
+    """
+    def collect(node) -> list[int]:
+        return [node] if isinstance(node, int) else [v for sub in node for v in collect(sub)]
+
+    def split(node):
+        vertices = tuple(sorted(collect(node)))
+        if isinstance(node, int):
+            return vertices, []
+        return vertices, [vertices[0]] if len(vertices) == 1 else list(node)
+
+    if sorted(collect(spec)) != list(range(g.n)):
+        raise ValueError("spec must cover every vertex exactly once")
+    return _assemble(g, spec if not isinstance(spec, int) else [spec], split,
+                     seed=-1, target_arity=0)
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from helpers import path_graph, single_edge
 from obroute import cmcf, experiment
 from obroute.cli import main
-from obroute.decomposition import DecompositionTree, build_tree, certify_congestion
+from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import (SCHEMES, demand_battery, graph_from_config,
                                 load_config, parse_config, run_experiment)
 from obroute.graph import grid_graph
@@ -321,9 +321,9 @@ def test_cli_build(tmp_path, capsys):
     assert main(["build", "--generate", "grid:3x3", "--out-dir", str(tmp_path)]) == 0
     outp = capsys.readouterr().out
     assert "tree: height=" in outp and "certificate: value=" in outp
-    tree, cert = DecompositionTree.from_json((tmp_path / "tree.json").read_text())
-    assert sorted(tree.cluster(tree.root).vertices) == list(range(9))
-    assert cert is not None and cert.int_value >= 1
+    data = json.loads((tmp_path / "tree.json").read_text())
+    assert data["clusters"][0]["vertices"] == list(range(9))
+    assert data["certificate"]["int_value"] >= 1
 
 
 def test_cli_route_with_config_and_overlay(tmp_path, capsys):
@@ -348,6 +348,14 @@ def test_cli_route_rejects_cubes_on_weighted_graphs(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "uniform unit edge capacities" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "route", "audit"])
+def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
+    out = [] if command == "audit" else ["--out-dir", str(tmp_path)]
+    assert main([command, "--generate", "grid:2x2", "--seed", "-1", *out]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_maps_solver_failure_to_exit_2(tmp_path, monkeypatch, capsys):

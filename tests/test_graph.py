@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, shortest_path
 
+from obroute.cmcf import solve_cmcf_min_congestion
+from obroute.decomposition import build_tree, certify_congestion
 from obroute.graph import (
     CapacitatedGraph,
     DemandMatrix,
     GraphFormatError,
     generate_graph,
     graph_stats,
+    grid_graph,
     parse_graph,
 )
+from obroute.optimum import optimal_congestion
+from obroute.routing import ReferenceBackend, route_demands
 from helpers import connected_graphs, single_edge
 
 
@@ -146,7 +151,39 @@ def test_demand_matrix_validation():
         DemandMatrix({(0, 1): float("inf")})
     d = DemandMatrix({(0, 1): 2.0, (1, 0): 0.0})
     assert d.entries == {(0, 1): 2.0}          # the zero entry is dropped
-    assert d.scaled(2.0)[(0, 1)] == 4.0
+
+
+@pytest.fixture(scope="module")
+def entry_points():
+    """Congestion of a demand set on grid 3x3 from each entry point that
+    takes demands."""
+    g = grid_graph(3, 3)
+    tree = build_tree(g, seed=0)
+    backend = ReferenceBackend(g, tree, certify_congestion(g, tree, store_solutions=True).solutions)
+    return {"route_demands": lambda d: route_demands(g, tree, backend, d).congestion,
+            "optimal_congestion": lambda d: optimal_congestion(g, d),
+            "solve_cmcf_min_congestion": lambda d: solve_cmcf_min_congestion(g, d).congestion}
+
+
+@pytest.mark.parametrize("name", ["route_demands", "optimal_congestion",
+                                  "solve_cmcf_min_congestion"])
+@pytest.mark.parametrize("demands, match", [
+    ({(0, 8): 1.0, (1, 2): -5.0}, "must be finite and >= 0"),
+    ({(0, 8): float("nan")}, "must be finite and >= 0"),
+    ({(0, 8): float("inf")}, "must be finite and >= 0"),
+    ({(0, 8): 1.0, (1, 1): 3.0}, "to itself"),
+    ({(0, 9): 1.0}, "out of vertex range 0..8"),
+    ({(-1, 4): 1.0}, "out of vertex range 0..8"),
+])
+def test_entry_points_reject_the_same_bad_demands(entry_points, name, demands, match):
+    with pytest.raises(ValueError, match=match):
+        entry_points[name](demands)
+
+
+def test_entry_points_read_a_plain_dict_as_its_demand_matrix(entry_points):
+    demands = {(0, 8): 1.0, (2, 6): 2, (1, 2): 0.0}
+    for name, congestion in entry_points.items():
+        assert congestion(demands) == congestion(DemandMatrix(demands)) > 0, name
 
 
 def test_edges_inside():

@@ -8,13 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import ancestor_at, assign_labels, path_graph, single_edge
+from helpers import (ancestor_at, assign_labels, connected_graphs, path_graph, single_edge,
+                     tree_from_spec)
 from obroute import impl_a
-from obroute.decomposition import certify_congestion, tree_from_spec, build_tree
+from obroute.decomposition import certify_congestion, build_tree
 from obroute.flows import SNK, SRC
 from obroute.graph import CapacitatedGraph, generate_graph
-from obroute.impl_a import (FlowTables, _cluster_flows, build_flow_tables,
+from obroute.impl_a import (FlowTables, _cluster_flows, _topological, build_flow_tables,
                             header_bit_length, label_bit_length,
                             measure_table_bits_a, serialize_vertex_table)
 
@@ -328,3 +330,26 @@ def test_build_rejects_bad_scale(four_cycle_tables):
         build_flow_tables(g, tree, 0)
     with pytest.raises(ValueError, match="positive integer"):
         build_flow_tables(g, tree, 1.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+def test_stored_flows_conserve_saturate_and_order_on_random_graphs(g):
+    # every stored flow conserves, saturates its terminals (value w(S) times
+    # the target's border total), and has a topological order in which every
+    # positive arc points forward, walked either way
+    tree, _, tables = build_all(g)
+    for (cid, index), fa in tables.flows.items():
+        cluster, target = tree.cluster(cid), tree.target(cid, index)
+        assert fa.conservation_violations(tol=0.0) == {}
+        assert fa.value == cluster.total_weight * target.total_border
+        assert {v: f for (a, v), f in fa.arcs.items() if a == SRC} == {
+            v: w * target.total_border for v, w in cluster.cluster_weight.items() if w}
+        assert {v: f for (v, b), f in fa.arcs.items() if b == SNK} == {
+            v: w * cluster.total_weight for v, w in target.border_weight.items() if w}
+        for direction in ("forward", "backward"):
+            position = {v: k for k, v in enumerate(_topological(fa, direction))}
+            for (a, b), f in fa.arcs.items():
+                if f > 0 and SRC not in (a, b) and SNK not in (a, b):
+                    tail, head = (a, b) if direction == "forward" else (b, a)
+                    assert position[tail] < position[head]

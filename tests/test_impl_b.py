@@ -10,11 +10,10 @@ import copy
 import numpy as np
 import pytest
 
-from helpers import cycle_graph
+from helpers import cycle_graph, tree_from_spec
 from obroute import cmcf, impl_b
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
-from obroute.decomposition import (Cluster, build_tree, certify_congestion,
-                                   tree_from_spec)
+from obroute.decomposition import Cluster, build_tree, certify_congestion
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph, torus_graph
 from obroute.impl_b import (CubeScheme, RoundedSizes, _bit_fix, _cube_draws,
                             _embedding_demands, _fill_range, _oriented_pairs,

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (connected_graphs, cycle_graph, dict_route_demands, dict_through,
-                     sampled_loads, single_edge)
+                     sampled_loads, single_edge, tree_from_spec)
 from obroute import routing
-from obroute.decomposition import build_tree, certify_congestion, tree_from_spec
+from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import SCHEMES, _build_backend, demand_battery
 from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
 from obroute.impl_a import build_flow_tables
@@ -350,9 +350,9 @@ def test_invariants_hold_under_optimize_flag():
             ("cubes", "cube-path", "cube edge path does not continue the walk")]:
         script = (
             "import numpy as np\n"
-            "from helpers import cycle_graph\n"
+            "from helpers import cycle_graph, tree_from_spec\n"
             "from test_routing import _Corrupted, _backends\n"
-            "from obroute.decomposition import certify_congestion, tree_from_spec\n"
+            "from obroute.decomposition import certify_congestion\n"
             "from obroute.routing import select_path\n"
             "assert False, 'asserts are live'\n"
             "g = cycle_graph(4)\n"
@@ -374,9 +374,9 @@ def test_stored_path_off_the_graph_raises():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                         str(root / "tests")]))
     script = (
-        "from helpers import cycle_graph\n"
+        "from helpers import cycle_graph, tree_from_spec\n"
         "from test_routing import _backends\n"
-        "from obroute.decomposition import certify_congestion, tree_from_spec\n"
+        "from obroute.decomposition import certify_congestion\n"
         "from obroute.routing import route_demands\n"
         "assert False, 'asserts are live'\n"
         "g = cycle_graph(4)\n"

@@ -6,6 +6,7 @@
 # Runs the checkout at REPO (its src/ on PYTHONPATH) and writes into OUT:
 #   route-4x4-perm/   obroute route, grid:4x4, all schemes, permutation, seed 1
 #   route-8x8-grav/   obroute route, grid:8x8, all schemes, gravity, seed 0
+#   route-torus-6x6-grav/  the same on torus:6x6
 #                     (report.json timestamp lines stripped; stdout.txt), and
 #                     loads-sha256.txt: per scheme, a sha256 over the repr of
 #                     its full-precision edge loads and congestion, which
@@ -83,6 +84,8 @@ route route-4x4-perm --generate grid:4x4 --demands permutation --seed 1
 loads_hash route-4x4-perm grid:4x4 permutation 1
 route route-8x8-grav --generate grid:8x8 --demands gravity --seed 0
 loads_hash route-8x8-grav grid:8x8 gravity 0
+route route-torus-6x6-grav --generate torus:6x6 --demands gravity --seed 0
+loads_hash route-torus-6x6-grav torus:6x6 gravity 0
 
 mkdir -p "$out/build-8x8"
 obroute build --generate grid:8x8 --out-dir "$work/build" > "$work/build.stdout" 2>&1 \
