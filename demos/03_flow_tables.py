@@ -30,13 +30,13 @@ total_w = sum(weights)
 # child's border distribution; compute it exactly, then sample it
 law = np.zeros(g.n)
 for v, w in zip(starts, weights):
-    law += tables.to_border_loads(root.id, 2, np.eye(g.n)[v])[1] * w / total_w
+    law += tables.loads((False, root.id, 2), np.eye(g.n)[v])[1] * w / total_w
 
 rng = np.random.default_rng(0)
 n = 20_000
 counts: dict[int, int] = {}
 for v in rng.choice(starts, size=n, p=np.array(weights) / total_w):
-    _, end = tables.to_border(root.id, 2, int(v), rng)
+    _, end = tables.sample((False, root.id, 2), int(v), rng)
     counts[end] = counts.get(end, 0) + 1
 
 out_total = child.total_border

@@ -41,7 +41,7 @@ print(f"\naudit: {len(issues)} issue(s)" + ("" if issues else
 
 rng = np.random.default_rng(3)
 start = next(v for v in sorted(root.vertices) if root.cluster_weight[v] > 0)
-path, end = scheme.to_border(root.id, 1, start, rng)
+path, end = scheme.sample((False, root.id, 1), start, rng)
 print(f"\ncube walk from vertex {start} toward the first child: "
       f"{len(path) - 1} edge(s), ends at {end}")
 

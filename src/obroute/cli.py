@@ -121,9 +121,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
           f"{'max bits':>9} {'label':>6} {'header':>7}")
     for path in paths:
         d = json.loads(path.read_text())
-        print(f"{d['scheme']:<10} {d['congestion']:>11.5g} {d['c_opt']:>9.4g} "
-              f"{d['ratio']:>8.4g} " + cell(d['max_table_bits'], 9) + " "
-              + cell(d['label_bits'], 6) + " " + cell(d['header_bits'], 7))
+        try:
+            print(f"{d['scheme']:<10} {d['congestion']:>11.5g} {d['c_opt']:>9.4g} "
+                  f"{d['ratio']:>8.4g} " + cell(d['max_table_bits'], 9) + " "
+                  + cell(d['label_bits'], 6) + " " + cell(d['header_bits'], 7))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
     return 0
 
 
@@ -160,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ line.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -147,6 +148,8 @@ def demand_battery(kind: str, g: CapacitatedGraph, seed: int) -> DemandMatrix:
                 s, t, d = int(fields[0]), int(fields[1]), float(fields[2])
             except ValueError:
                 raise ValueError(f"{where}: non-numeric field in {line!r}") from None
+            if not math.isfinite(d) or d < 0:
+                raise ValueError(f"{where}: amount must be finite and >= 0, got {d}")
             if not (0 <= s < g.n and 0 <= t < g.n):
                 raise ValueError(f"{where}: vertex outside 0..{g.n - 1} in {line!r}")
             if s == t:

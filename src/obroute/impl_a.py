@@ -40,7 +40,7 @@ import numpy as np
 from obroute.decomposition import DecompositionTree
 from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_integral, sample_path
 from obroute.graph import CapacitatedGraph
-from obroute.routing import Law, Loads
+from obroute.routing import Law, Loads, Step
 
 __all__ = ["FlowTables", "build_flow_tables", "label_bit_length", "header_bit_length",
            "measure_table_bits_a", "serialize_vertex_table"]
@@ -51,8 +51,8 @@ _MAX_DOUBLINGS = 12
 @dataclass
 class FlowTables:
     """The impl-a scheme, and its own hop backend (routing.SchemeBackend):
-    to_border walks the (cluster, index) flow forward from its source law,
-    spread walks it backward from its sink law."""
+    a step walks the (cluster, index) flow, forward from its source law along
+    random outgoing links to leave, backward from its sink law to spread."""
 
     graph: CapacitatedGraph
     tree: DecompositionTree
@@ -60,48 +60,32 @@ class FlowTables:
     cluster_c: dict[int, int]                      # effective C after any doubling
     events: list[str] = field(default_factory=list)
 
-    def _start(self, cluster_id: int, index: int, starts: Iterable[int],
-               direction: str) -> FlowAssignment:
-        """The (cluster, index) flow, provided a walk in `direction` can start
-        at every vertex of `starts`."""
+    def _walk(self, step: Step, starts: Iterable[int]) -> tuple[FlowAssignment, str]:
+        """The flow and direction a step walks, provided a walk can start at
+        every vertex of `starts`."""
+        spread, cluster_id, index = step
         fa = self.flows[(cluster_id, index)]
         for v in starts:
-            arc, end = ((SRC, v), "source") if direction == "forward" else ((v, SNK), "sink")
+            arc, end = ((v, SNK), "sink") if spread else ((SRC, v), "source")
             if fa.arcs.get(arc, 0) <= 0:
                 raise ValueError(
                     f"vertex {v} carries no {end} flow in cluster {cluster_id} "
                     f"target {index}; walk cannot start")
-        return fa
+        return fa, "backward" if spread else "forward"
 
-    def _sample_walk(self, cluster_id: int, index: int, v: int, direction: str,
-                     rng: np.random.Generator) -> tuple[list[int], int]:
-        path = sample_path(self._start(cluster_id, index, (v,), direction), v, direction, rng)
+    def sample(self, step: Step, v: int,
+               rng: np.random.Generator) -> tuple[list[int], int]:
+        """Walk random links of the flow until absorbed; started on the
+        matching terminal law, the end law is the opposite one exactly."""
+        fa, direction = self._walk(step, (v,))
+        path = sample_path(fa, v, direction, rng)
         return path, path[-1]
 
-    def _walk_kernel(self, cluster_id: int, index: int, law: Law,
-                     direction: str) -> tuple[Loads, Law]:
-        """Exact expected edge loads and end law of the walk from a start vertex
-        drawn from `law`. Started on the flow's source (forward) or sink
-        (backward) law, the walk crosses arc a->b f(a,b)/|f| times on average."""
-        fa = self._start(cluster_id, index, law.nonzero()[0].tolist(), direction)
+    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]:
+        """Started on the flow's source (forward) or sink (backward) law, the
+        walk crosses arc a->b f(a,b)/|f| times on average."""
+        fa, direction = self._walk(step, law.nonzero()[0].tolist())
         return _propagate(self.graph, fa, law, direction)
-
-    def to_border(self, cluster_id: int, index: int, v: int,
-                  rng: np.random.Generator) -> tuple[list[int], int]:
-        """Walk random outgoing links of the flow until absorbed; started on the
-        cluster law, the end law is the target's border law exactly."""
-        return self._sample_walk(cluster_id, index, v, "forward", rng)
-
-    def spread(self, cluster_id: int, index: int, v: int,
-               rng: np.random.Generator) -> tuple[list[int], int]:
-        """Mirror walk along incoming links back to the super-source."""
-        return self._sample_walk(cluster_id, index, v, "backward", rng)
-
-    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return self._walk_kernel(cluster_id, index, law, "forward")
-
-    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return self._walk_kernel(cluster_id, index, law, "backward")
 
 
 def _cluster_flows(g: CapacitatedGraph, cluster, out_maps: list[dict[int, int]],
@@ -169,7 +153,7 @@ def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: Law,
     """Push the start law through the acyclic flow in topological order, each
     vertex splitting its mass over its links in proportion to their flow; no
     sampling involved. The caller has checked that every start vertex can
-    start a walk (FlowTables._start). Returns the mass crossing each graph
+    start a walk (FlowTables._walk). Returns the mass crossing each graph
     edge, both directions binned by edge id in the order they are crossed,
     and the mass absorbed at each vertex, as vectors."""
     if not fa.is_acyclic():

@@ -62,7 +62,7 @@ from obroute.cmcf import CMCFSolution, round_paths, solve_cmcf_batch
 from obroute.decomposition import Cluster, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits
-from obroute.routing import Law, Loads
+from obroute.routing import Law, Loads, Step
 
 __all__ = ["RoundedSizes", "CubeMaps", "CubeScheme", "round_and_order",
            "build_embedding", "build_rerand_cube", "build_cube_scheme",
@@ -164,10 +164,10 @@ class CubeMaps:
 
 @dataclass
 class CubeScheme:
-    """The impl-b scheme, and its own hop backend (routing.SchemeBackend):
-    to_border walks the main cube to a uniform node of the target's border
-    range; spread walks the shuffle cube to a uniform node among the first
-    w_S(S), so its end law is exactly the cluster law, whatever the start."""
+    """The impl-b scheme, and its own hop backend (routing.SchemeBackend): a
+    step walks the main cube to a uniform node of the target's border range
+    to leave, the shuffle cube to a uniform node among the first w_S(S) to
+    spread, so a spread ends exactly on the cluster law, whatever the start."""
 
     graph: CapacitatedGraph
     tree: DecompositionTree
@@ -176,31 +176,26 @@ class CubeScheme:
     mains: dict[int, CubeMaps]
     shuffles: dict[int, CubeMaps]
 
-    def _border_range(self, cluster_id: int, index: int) -> tuple[int, int]:
-        """Main-cube node range of target `index` (layout order differs from tree order)."""
+    def _cube(self, step: Step) -> tuple[CubeMaps, int, int]:
+        """The cube a step walks and its target node range [lo, hi) (main-cube
+        layout order differs from tree order)."""
+        spread, cluster_id, index = step
         sizes = self.rounded[cluster_id]
+        if spread:
+            return self.shuffles[cluster_id], 0, sizes.total_weight
         lo, hi = sizes.range_of(sizes.layout_index(index))
         if hi == lo:
             raise ValueError(f"cluster {cluster_id} target {index} has no border nodes")
-        return lo, hi
+        return self.mains[cluster_id], lo, hi
 
-    def to_border(self, cluster_id: int, index: int, v: int,
-                  rng: np.random.Generator) -> tuple[list[int], int]:
-        lo, hi = self._border_range(cluster_id, index)
-        return _cube_hop(self.mains[cluster_id], v, lo, hi, rng)
-
-    def spread(self, cluster_id: int, index: int, v: int,
+    def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
-        return _cube_hop(self.shuffles[cluster_id], v, 0,
-                         self.rounded[cluster_id].total_weight, rng)
+        maps, lo, hi = self._cube(step)
+        return _cube_hop(maps, v, lo, hi, rng)
 
-    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        lo, hi = self._border_range(cluster_id, index)
-        return hypercube_loads(self.graph, self.mains[cluster_id], law, lo, hi)
-
-    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        return hypercube_loads(self.graph, self.shuffles[cluster_id], law, 0,
-                               self.rounded[cluster_id].total_weight)
+    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]:
+        maps, lo, hi = self._cube(step)
+        return hypercube_loads(self.graph, maps, law, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,27 @@ reference backend, path sampling and exact expected edge loads, for any hop
 backend.
 
 A route for (s, t) walks the tree path between the two leaves and crosses
-every tree edge on it with one hop. A hop is made of at most two primitives,
-which every backend provides:
+every tree edge on it with one hop. A hop is made of at most two steps, each
+a Step (spread, cluster id, target index) that walks inside that cluster:
 
-  to border  leave a cluster toward a border law: the cluster's own border
-             (index 0) or its k-th child's (index k)
-  spread     from a vertex on that border law, move onto the cluster law
+  leave   (False, c, k)  toward the border law of target k of c: c's own
+                         border (k = 0) or its k-th child's
+  spread  (True, c, k)   from a vertex on that border law onto c's cluster law
 
-Each primitive comes as a sampler, which draws one path, and as an exact
-kernel, which maps a start law to the expected edge loads of the walk and the
-law of its end vertex. Backends:
+Every backend has two methods over a step: sample(step, v, rng) draws one
+walk from v, its path and end vertex, and the exact kernel loads(step, law)
+gives the expected edge loads of the walk from a start drawn from law, and
+the law of its end vertex. Both call one private resolver of the step:
 
-  ReferenceBackend    draws the far endpoint from the exact target law and a
-                      stored path of the cluster's certification flow between
-                      the two
-  impl_a.FlowTables   random-link walks over the precomputed augmented flows,
-                      forward to leave a cluster and backward to spread; end
-                      laws are exact by the absorption argument
-  impl_b.CubeScheme   a main-cube walk to the target border range (end law
-                      within a factor 2 of the border law), then a shuffle-cube
-                      walk that restores the exact cluster law
+  ReferenceBackend    _end: the law of the far endpoint, the target's border
+                      law or the cluster law; a stored path of the cluster's
+                      certification flow joins the start to it
+  impl_a.FlowTables   _walk: the (cluster, index) flow, walked forward along
+                      random links to leave, backward to spread; end laws
+                      are exact by the absorption argument
+  impl_b.CubeScheme   _cube: the main cube and the target's border range to
+                      leave (end law within a factor 2 of the border law),
+                      the shuffle cube and its first w_S(S) nodes to spread
 
 Every hop ends on the exact law of the cluster it enters, and a route starts
 on the point law of its source leaf. So the expected loads of a hop depend
@@ -55,8 +56,8 @@ from obroute.cmcf import CMCFSolution
 from obroute.decomposition import DecompositionTree
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
-__all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "route_up",
-           "route_down", "select_path", "route_demands"]
+__all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "select_path",
+           "route_demands"]
 
 Law = np.ndarray                             # float64, vertex -> probability
 Loads = np.ndarray                           # float64, graph edge id -> expected load
@@ -67,28 +68,17 @@ _LAW_TOL = 1e-9
 
 
 class SchemeBackend(Protocol):
-    """The two hop primitives, each as a sampler and as an exact kernel.
+    """A scheme's hop steps, each as a sampler and as an exact kernel;
+    implemented by ReferenceBackend, impl_a.FlowTables and impl_b.CubeScheme.
+    A step's index names a target as DecompositionTree.target does. sample
+    returns (path, end vertex) of one walk from v; loads returns (expected
+    edge loads, end law) of a walk whose start vertex is drawn from `law`:
+    float vectors indexed by graph edge id (length g.m) and by vertex (g.n)."""
 
-    Implemented by ReferenceBackend, impl_a.FlowTables and impl_b.CubeScheme.
-    `index` names a target of cluster_id as DecompositionTree.target does.
-    to_border walks inside cluster_id toward the border law of that target;
-    spread starts on that border law and walks inside cluster_id onto its
-    cluster law. Samplers return (path, end vertex); kernels return (expected
-    edge loads, end law) for a walk whose start vertex is drawn from `law`:
-    float vectors indexed by graph edge id (length g.m) and by vertex (g.n).
-    """
-
-    def to_border(self, cluster_id: int, index: int, v: int,
-                  rng: np.random.Generator) -> tuple[list[int], int]: ...
-
-    def spread(self, cluster_id: int, index: int, v: int,
+    def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]: ...
 
-    def to_border_loads(self, cluster_id: int, index: int,
-                        law: Law) -> tuple[Loads, Law]: ...
-
-    def spread_loads(self, cluster_id: int, index: int,
-                     law: Law) -> tuple[Loads, Law]: ...
+    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]: ...
 
 
 def _extend(path: list[int], seg: list[int]) -> None:
@@ -174,52 +164,27 @@ class ReferenceBackend:
         weights = np.repeat(scales, [len(e) for e in ids]) * np.concatenate(units)
         return np.bincount(np.concatenate(ids), weights, minlength=self.graph.m)
 
-    def to_border(self, cluster_id: int, index: int, v: int,
-                  rng: np.random.Generator) -> tuple[list[int], int]:
-        alpha = self._draw(self.tree.target(cluster_id, index).id, True, rng)
-        return self._path_between(cluster_id, v, alpha, rng), alpha
+    def _end(self, step: Step) -> tuple[int, bool]:
+        """(cluster id, border) of the law a step's far endpoint is drawn
+        from: the target's border law to leave, the cluster law to spread."""
+        spread, cluster_id, index = step
+        if spread:
+            return cluster_id, False
+        return self.tree.target(cluster_id, index).id, True
 
-    def spread(self, cluster_id: int, index: int, v: int,
+    def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
-        top = self._draw(cluster_id, False, rng)
-        return self._path_between(cluster_id, v, top, rng), top
+        end = self._draw(*self._end(step), rng)
+        return self._path_between(step[1], v, end, rng), end
 
-    def to_border_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        end = self.tree.law(self.tree.target(cluster_id, index).id, border=True)
-        return self._between_loads(cluster_id, law, end), end
-
-    def spread_loads(self, cluster_id: int, index: int, law: Law) -> tuple[Loads, Law]:
-        end = self.tree.law(cluster_id)
-        return self._between_loads(cluster_id, law, end), end
+    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]:
+        end = self.tree.law(*self._end(step))
+        return self._between_loads(step[1], law, end), end
 
 
 # ---------------------------------------------------------------------------
 # the hop skeleton, shared by the sampler and the exact evaluator
 # ---------------------------------------------------------------------------
-
-def route_up(tree: DecompositionTree, child_id: int) -> list[Step]:
-    """Steps of the hop from child_id into its parent: leave the child toward
-    its own border (a singleton is already there), then spread over the
-    parent. A unary parent needs no steps."""
-    child = tree.cluster(child_id)
-    parent = tree.cluster(child.parent)
-    if parent.size == 1:
-        return []
-    steps = [(False, child_id, 0)] if child.size > 1 else []
-    return steps + [(True, parent.id, tree.child_index(parent.id, child_id) + 1)]
-
-
-def route_down(tree: DecompositionTree, child_id: int) -> list[Step]:
-    """Steps of the hop from child_id's parent into child_id: leave the parent
-    toward the child's border, then spread over the child (a singleton is
-    already covered)."""
-    child = tree.cluster(child_id)
-    parent = tree.cluster(child.parent)
-    if parent.size == 1:
-        return []
-    steps = [(False, parent.id, tree.child_index(parent.id, child_id) + 1)]
-    return steps + ([(True, child_id, 0)] if child.size > 1 else [])
-
 
 def _hops(tree: DecompositionTree, s: int, t: int) -> list[tuple[bool, int]]:
     """(downward, child cluster) per tree edge crossed: up from s's leaf to
@@ -234,8 +199,19 @@ def _hops(tree: DecompositionTree, s: int, t: int) -> list[tuple[bool, int]]:
 
 
 def _steps(tree: DecompositionTree, hop: tuple[bool, int]) -> list[Step]:
+    """Steps of the hop across the tree edge above child_id. Upward: leave
+    the child toward its own border, then spread over the parent. Downward:
+    leave the parent toward the child's border, then spread over the child.
+    A singleton child takes no step of its own (it is its own border and its
+    own cluster law), and a unary parent needs no steps."""
     downward, child_id = hop
-    return route_down(tree, child_id) if downward else route_up(tree, child_id)
+    child = tree.cluster(child_id)
+    parent = tree.cluster(child.parent)
+    if parent.size == 1:
+        return []
+    in_child = [(downward, child_id, 0)] if child.size > 1 else []
+    in_parent = [(not downward, parent.id, tree.child_index(parent.id, child_id) + 1)]
+    return in_parent + in_child if downward else in_child + in_parent
 
 
 def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
@@ -247,9 +223,8 @@ def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
     path = [s]
     cur = s
     for hop in _hops(tree, s, t):
-        for spread, cluster_id, index in _steps(tree, hop):
-            sample = backend.spread if spread else backend.to_border
-            seg, cur = sample(cluster_id, index, cur, rng)
+        for step in _steps(tree, hop):
+            seg, cur = backend.sample(step, cur, rng)
             _extend(path, seg)
     if cur != t or path[-1] != t:
         raise RuntimeError(f"route for ({s},{t}) ended at {cur}")
@@ -266,9 +241,8 @@ def _hop_loads(tree: DecompositionTree, backend: SchemeBackend, m: int,
     leaves, enters = (parent_id, child_id) if downward else (child_id, parent_id)
     law = tree.law(leaves)
     loads = np.zeros(m)
-    for spread, cluster_id, index in _steps(tree, hop):
-        kernel = backend.spread_loads if spread else backend.to_border_loads
-        part, law = kernel(cluster_id, index, law)
+    for step in _steps(tree, hop):
+        part, law = backend.loads(step, law)
         loads += part
     gap = np.abs(law - tree.law(enters)).max()
     if gap > _LAW_TOL:

@@ -323,9 +323,9 @@ def _dict_cube_walk(maps, start_law: dict, lo: int, hi: int) -> tuple[dict, dict
     return loads, end
 
 
-def _dict_kernel(backend, spread: bool, cluster_id: int, index: int,
-                 law: dict) -> tuple[dict, dict]:
+def _dict_kernel(backend, step: tuple[bool, int, int], law: dict) -> tuple[dict, dict]:
     tree = backend.tree
+    spread, cluster_id, index = step
     if isinstance(backend, ReferenceBackend):
         weights = (tree.cluster(cluster_id).cluster_weight if spread
                    else tree.target(cluster_id, index).border_weight)
@@ -335,11 +335,8 @@ def _dict_kernel(backend, spread: bool, cluster_id: int, index: int,
         return _dict_flow_walk(backend, cluster_id, index, law,
                                "backward" if spread else "forward")
     if isinstance(backend, CubeScheme):
-        if spread:
-            return _dict_cube_walk(backend.shuffles[cluster_id], law, 0,
-                                   backend.rounded[cluster_id].total_weight)
-        return _dict_cube_walk(backend.mains[cluster_id], law,
-                               *backend._border_range(cluster_id, index))
+        maps, lo, hi = backend._cube(step)
+        return _dict_cube_walk(maps, law, lo, hi)
     raise TypeError(f"no dict kernel for {type(backend).__name__}")
 
 
@@ -356,8 +353,8 @@ def dict_route_demands(g: CapacitatedGraph, tree, backend,
         leaves = parent_id if downward else child_id
         law = _normalized(tree.cluster(leaves).cluster_weight)
         hop_loads: dict = {}
-        for spread, cluster_id, index in routing._steps(tree, (downward, child_id)):
-            part, law = _dict_kernel(backend, spread, cluster_id, index, law)
+        for step in routing._steps(tree, (downward, child_id)):
+            part, law = _dict_kernel(backend, step, law)
             for edge, x in part.items():
                 hop_loads[edge] = hop_loads.get(edge, 0.0) + x
         for edge, x in hop_loads.items():

@@ -113,7 +113,7 @@ def test_criterion_2_flow_tables():
             for v, w in cluster.cluster_weight.items():
                 if w == 0:
                     continue
-                end = tables.to_border_loads(cid, index, point_laws[v])[1]
+                end = tables.loads((False, cid, index), point_laws[v])[1]
                 for x in np.flatnonzero(end).tolist():
                     mix[x] = mix.get(x, 0.0) + end[x] * w / cluster.total_weight
             for v in cluster.vertices:
@@ -132,7 +132,7 @@ def test_criterion_2_flow_tables():
         n_samples = 100_000
         counts: dict[int, int] = {}
         for v in mc_rng.choice(verts, size=n_samples, p=probs):
-            _, end = tables.to_border(root.id, 1, int(v), mc_rng)
+            _, end = tables.sample((False, root.id, 1), int(v), mc_rng)
             counts[end] = counts.get(end, 0) + 1
         law = {v: w for v, w in child.border_weight.items() if w > 0}
         total = sum(law.values())

@@ -102,8 +102,8 @@ def test_tree_navigation(four_cycle_tree):
 
 
 def test_target_inverts_child_index():
-    # index 0 is the cluster itself; index child_index + 1, the one route_up
-    # and route_down put in their steps, is that child
+    # index 0 is the cluster itself; index child_index + 1, the one
+    # routing._steps puts in a hop's parent step, is that child
     g = generate_graph("grid", rows=4, cols=4)
     trees = [build_tree(g, seed=0),
              tree_from_spec(cycle_graph(6), [[0, 1, 2], [[3, 4], 5]])]

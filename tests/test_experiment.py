@@ -190,7 +190,10 @@ def test_file_battery(tmp_path):
                         ("0 1 1\n0 1 5\n", r"line 2: duplicate pair \(0,1\)"),
                         ("2 2 1\n", "line 1: demand from 2 to itself"),
                         ("0 1 x\n", "line 1: non-numeric field"),
-                        ("0 1.5 1\n", "line 1: non-numeric field")]:
+                        ("0 1.5 1\n", "line 1: non-numeric field"),
+                        ("0 1 1\n0 2 -5\n", "line 2: amount must be finite and >= 0"),
+                        ("0 1 nan\n", "line 1: amount must be finite and >= 0"),
+                        ("0 1 inf\n", "line 1: amount must be finite and >= 0")]:
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         with pytest.raises(ValueError, match=match):
@@ -358,6 +361,19 @@ def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ["build", "--graph", "{dir}"],
+    ["route", "--config", "{dir}"],
+    ["route", "--generate", "grid:2x2", "--demands", "file:"],     # reads "."
+])
+def test_cli_reports_a_directory_read_as_a_file(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = [a.format(dir=tmp_path) for a in args]
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
+
+
 def test_cli_maps_solver_failure_to_exit_2(tmp_path, monkeypatch, capsys):
     def failing_linprog(*args, **kwargs):
         return SimpleNamespace(status=4, message="numerical difficulties")
@@ -416,6 +432,13 @@ def test_cli_report(tmp_path, capsys):
     assert " - " in outp  # reference has no table bits
 
     assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 1
+
+    (tmp_path / "blank").mkdir()
+    (tmp_path / "blank" / "report.json").write_text("{}")
+    capsys.readouterr()
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {tmp_path / 'blank' / 'report.json'}: missing field 'scheme'"
 
 
 def test_empty_file_battery_has_zero_optimum(tmp_path):

@@ -55,10 +55,10 @@ def test_single_edge_endpoint_laws(single_edge_tables):
     _, _, _, tables = single_edge_tables
     at_0, at_1 = np.eye(2)
     # forward: all mass is absorbed at the unique border vertex
-    assert tables.to_border_loads(0, 1, at_0)[1].tolist() == [1.0, 0.0]
-    assert tables.to_border_loads(0, 1, at_1)[1].tolist() == [1.0, 0.0]
+    assert tables.loads((False, 0, 1), at_0)[1].tolist() == [1.0, 0.0]
+    assert tables.loads((False, 0, 1), at_1)[1].tolist() == [1.0, 0.0]
     # backward from the border: exactly the cluster distribution
-    law = tables.spread_loads(0, 1, at_0)[1]
+    law = tables.loads((True, 0, 1), at_0)[1]
     assert law == pytest.approx([0.5, 0.5])
 
 
@@ -66,9 +66,9 @@ def test_unique_flow_path_is_deterministic(single_edge_tables):
     _, _, _, tables = single_edge_tables
     rng = np.random.default_rng(3)
     for _ in range(20):
-        path, end = tables.to_border(0, 1, 1, rng)
+        path, end = tables.sample((False, 0, 1), 1, rng)
         assert (path, end) == ([1, 0], 0)
-        path, end = tables.to_border(0, 1, 0, rng)
+        path, end = tables.sample((False, 0, 1), 0, rng)
         assert (path, end) == ([0], 0)
 
 
@@ -80,9 +80,9 @@ def test_zero_flow_start_errors():
     tables = build_flow_tables(g, tree, cert.int_value)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no source flow"):
-        tables.to_border(0, 1, 0, rng)
+        tables.sample((False, 0, 1), 0, rng)
     with pytest.raises(ValueError, match="no sink flow"):
-        tables.spread(0, 1, 0, rng)
+        tables.sample((True, 0, 1), 0, rng)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -119,12 +119,12 @@ def mixture_law(tables, tree, cid, index, direction):
         else:
             weights = tree.cluster(cluster.children[index - 1]).border_weight
     total = sum(weights.values())
-    kernel = tables.to_border_loads if direction == "forward" else tables.spread_loads
+    step = (direction == "backward", cid, index)
     mix: dict[int, float] = {}
     for v, w in weights.items():
         if w == 0:
             continue
-        end = kernel(cid, index, np.eye(tables.graph.n)[v])[1]
+        end = tables.loads(step, np.eye(tables.graph.n)[v])[1]
         for x in np.flatnonzero(end).tolist():
             mix[x] = mix.get(x, 0.0) + end[x] * w / total
     return mix
@@ -164,7 +164,7 @@ def test_monte_carlo_tv_four_cycle_child(four_cycle_tables):
     weights = np.array([cluster.cluster_weight[v] for v in starts], dtype=float)
     picks = rng.choice(len(starts), size=samples, p=weights / weights.sum())
     for k in picks:
-        _, end = tables.to_border(1, 0, starts[k], rng)
+        _, end = tables.sample((False, 1, 0), starts[k], rng)
         counts[end] += 1
     exact = mixture_law(tables, tree, 1, 0, "forward")
     tv = 0.5 * sum(abs(counts[v] / samples - exact.get(v, 0.0)) for v in cluster.vertices)

@@ -247,7 +247,7 @@ def test_route_to_border_path_validity_and_law(four_cycle):
     counts = {0: 0, 1: 0}
     n = 20_000
     for _ in range(n):
-        path, end = scheme.to_border(tree.root, 1, 2, rng)
+        path, end = scheme.sample((False, tree.root, 1), 2, rng)
         assert path[0] == 2 and path[-1] == end
         for a, b in zip(path, path[1:]):
             assert g.has_edge(a, b)
@@ -261,10 +261,10 @@ def test_route_to_border_errors(four_cycle):
     g, tree, scheme = four_cycle
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no border nodes"):
-        scheme.to_border(tree.root, 0, 0, rng)
+        scheme.sample((False, tree.root, 0), 0, rng)
     left = tree.leaf_path(0)[1]
     with pytest.raises(ValueError, match="owns no cube nodes"):
-        scheme.to_border(left, 0, 2, rng)
+        scheme.sample((False, left, 0), 2, rng)
 
 
 def test_rerandomize_exact_law(four_cycle):
@@ -274,7 +274,7 @@ def test_rerandomize_exact_law(four_cycle):
     n = 100_000
     hits = {0: 0, 1: 0}
     for _ in range(n):
-        path, end = scheme.spread(left, 0, 0, rng)
+        path, end = scheme.sample((True, left, 0), 0, rng)
         assert path[0] == 0 and path[-1] == end
         hits[end] += 1
     # w = {0:2, 1:2}: exactly uniform; binomial 4-sigma band
@@ -285,8 +285,8 @@ def test_rerandomize_exact_law(four_cycle):
     # w-distributed vertex and lands uniformly on the same first-block nodes
     twice = {0: 0, 1: 0}
     for _ in range(20_000):
-        _, mid = scheme.spread(left, 0, 1, rng)
-        _, end = scheme.spread(left, 0, mid, rng)
+        _, mid = scheme.sample((True, left, 0), 1, rng)
+        _, end = scheme.sample((True, left, 0), mid, rng)
         twice[end] += 1
     assert abs(twice[0] / 20_000 - 0.5) < 0.02
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (connected_graphs, cycle_graph, dict_route_demands, dict_through,
-                     sampled_loads, single_edge, tree_from_spec)
+                     path_graph, sampled_loads, single_edge, tree_from_spec)
 from obroute import routing
 from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import SCHEMES, _build_backend, demand_battery
@@ -69,20 +69,37 @@ def test_tree_hop_counts(four_cycle, monkeypatch):
     # hops per direction = tree height + 1 - shared prefix of the leaf paths:
     # same level-1 cluster shares depth 2, opposite clusters only the root
     g, tree, cert, backends = four_cycle
-    calls = {"up": 0, "down": 0}
+    calls = {False: 0, True: 0}     # _steps calls per hop direction, keyed downward
+    steps = routing._steps
 
-    def counting(name, hop):
-        def counted(*args):
-            calls[name] += 1
-            return hop(*args)
-        return counted
+    def counted(tree, hop):
+        calls[hop[0]] += 1
+        return steps(tree, hop)
 
-    monkeypatch.setattr(routing, "route_up", counting("up", routing.route_up))
-    monkeypatch.setattr(routing, "route_down", counting("down", routing.route_down))
+    monkeypatch.setattr(routing, "_steps", counted)
     for s, t, expect in [(0, 1, 1), (0, 2, 2), (3, 0, 2)]:
-        calls.update(up=0, down=0)
+        calls.update({False: 0, True: 0})
         select_path(s, t, tree, backends["reference"], np.random.default_rng(1))
-        assert (calls["up"], calls["down"]) == (expect, expect)
+        assert (calls[False], calls[True]) == (expect, expect)
+
+
+def test_steps_of_each_kind_of_hop():
+    # root 0 = {0,1,2} with children 1 = {0,1} and 4 = {2}; 4 is padded with
+    # the unary child 5 = {2} so that every leaf sits at depth 2
+    tree = tree_from_spec(path_graph(3), [[0, 1], 2])
+    assert [c.children for c in tree.clusters] == [[1, 4], [2, 3], [], [], [5], []]
+    # multi-vertex child: leave it toward its own border, spread over the
+    # parent; down, leave the parent toward child 1's border, spread over it
+    assert routing._steps(tree, (False, 1)) == [(False, 1, 0), (True, 0, 1)]
+    assert routing._steps(tree, (True, 1)) == [(False, 0, 1), (True, 1, 0)]
+    # singleton child: it is its own border and its own cluster law
+    assert routing._steps(tree, (False, 4)) == [(True, 0, 2)]
+    assert routing._steps(tree, (True, 4)) == [(False, 0, 2)]
+    assert routing._steps(tree, (False, 3)) == [(True, 1, 2)]
+    assert routing._steps(tree, (True, 3)) == [(False, 1, 2)]
+    # unary parent: the hop does not move
+    assert routing._steps(tree, (False, 5)) == []
+    assert routing._steps(tree, (True, 5)) == []
 
 
 def test_single_edge_exact_loads(k2):
@@ -237,11 +254,8 @@ class _VectorChecked:
         assert not (law < 0).any() and abs(law.sum() - 1.0) <= 1e-9
         return out
 
-    def to_border_loads(self, cluster_id, index, law):
-        return self._checked(self.inner.to_border_loads(cluster_id, index, law))
-
-    def spread_loads(self, cluster_id, index, law):
-        return self._checked(self.inner.spread_loads(cluster_id, index, law))
+    def loads(self, step, law):
+        return self._checked(self.inner.loads(step, law))
 
 
 def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
@@ -292,7 +306,8 @@ def test_exact_loads_equal_the_dict_oracle_on_random_graphs(g):
 
 
 class _Corrupted:
-    """A backend whose sampler or kernel breaks one routing invariant."""
+    """A backend whose sampler or kernel breaks one routing invariant on its
+    leave steps; spread steps pass through."""
 
     def __init__(self, inner, g, fault):
         if fault == "cube-path":
@@ -302,25 +317,19 @@ class _Corrupted:
                 maps.edge_paths = {e: p[::-1] for e, p in maps.edge_paths.items()}
         self.inner, self.g, self.fault = inner, g, fault
 
-    def to_border(self, cluster_id, index, v, rng):
-        path, end = self.inner.to_border(cluster_id, index, v, rng)
-        if self.fault == "junction":
+    def sample(self, step, v, rng):
+        path, end = self.inner.sample(step, v, rng)
+        if self.fault == "junction" and not step[0]:
             path = [next(u for u in range(self.g.n) if u != v)] + path
-        if self.fault == "end":
+        if self.fault == "end" and not step[0]:
             end = (end + 1) % self.g.n
         return path, end
 
-    def spread(self, cluster_id, index, v, rng):
-        return self.inner.spread(cluster_id, index, v, rng)
-
-    def to_border_loads(self, cluster_id, index, law):
-        loads, end = self.inner.to_border_loads(cluster_id, index, law)
-        if self.fault == "law":
+    def loads(self, step, law):
+        loads, end = self.inner.loads(step, law)
+        if self.fault == "law" and not step[0]:
             end = np.eye(len(end))[np.flatnonzero(end)[0]]
         return loads, end
-
-    def spread_loads(self, cluster_id, index, law):
-        return self.inner.spread_loads(cluster_id, index, law)
 
 
 @pytest.mark.parametrize("fault, scheme, pair, match", [

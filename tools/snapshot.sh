@@ -10,7 +10,9 @@
 #                     (report.json timestamp lines stripped; stdout.txt), and
 #                     loads-sha256.txt: per scheme, a sha256 over the repr of
 #                     its full-precision edge loads and congestion, which
-#                     loads.csv rounds to 9 significant digits
+#                     loads.csv rounds to 9 significant digits;
+#                     route-8x8-grav/report-stdout.txt also holds the stdout
+#                     of obroute report on that run's --out-dir
 #   build-8x8/        obroute build --generate grid:8x8: tree.json, and
 #                     stdout.txt without its `wrote` line
 #   audit-*.txt       obroute audit stdout, grid:4x4 --seed 3 and grid:3x3:1-3
@@ -83,6 +85,8 @@ EOF
 route route-4x4-perm --generate grid:4x4 --demands permutation --seed 1
 loads_hash route-4x4-perm grid:4x4 permutation 1
 route route-8x8-grav --generate grid:8x8 --demands gravity --seed 0
+obroute report --out-dir "$work/route-8x8-grav" > "$out/route-8x8-grav/report-stdout.txt" 2>&1 \
+    || echo "exit $?" >> "$out/route-8x8-grav/report-stdout.txt"
 loads_hash route-8x8-grav grid:8x8 gravity 0
 route route-torus-6x6-grav --generate torus:6x6 --demands gravity --seed 0
 loads_hash route-torus-6x6-grav torus:6x6 gravity 0
