@@ -120,13 +120,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"{'scheme':<10} {'congestion':>11} {'c_opt':>9} {'ratio':>8} "
           f"{'max bits':>9} {'label':>6} {'header':>7}")
     for path in paths:
-        d = json.loads(path.read_text())
         try:
+            d = json.loads(path.read_text())
+            if not isinstance(d, dict):
+                raise ValueError(f"top level is a JSON {type(d).__name__}, not an object")
             print(f"{d['scheme']:<10} {d['congestion']:>11.5g} {d['c_opt']:>9.4g} "
                   f"{d['ratio']:>8.4g} " + cell(d['max_table_bits'], 9) + " "
                   + cell(d['label_bits'], 6) + " " + cell(d['header_bits'], 7))
         except KeyError as exc:
             raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:     # not JSON, or a field of the wrong type
+            raise ValueError(f"{path}: {exc}") from None
     return 0
 
 

@@ -1,6 +1,11 @@
 """Minimum-congestion concurrent multicommodity flow, plus randomized
 rounding: one path per listed pair, drawn from that pair's fractional flow.
 
+A solution decomposes a source's flow on first use, once, into one PathGroup
+per sink: the paths, their probabilities and cumulative sums for draws, and
+on demand the expected load of one draw per graph edge. Rounding and the
+reference routing scheme both read these groups.
+
 A restriction that induces a spanning tree gives every pair one simple path,
 so its routing is forced and needs no LP; any other restriction is solved as
 one LP with commodities aggregated by source vertex.
@@ -30,7 +35,59 @@ from obroute.graph import CapacitatedGraph, DemandMatrix
 # solves small master LPs of its own (obroute.optimum)
 _IPM_THRESHOLD = 60_000
 
-__all__ = ["CMCFSolution", "solve_cmcf_min_congestion", "solve_cmcf_batch", "round_paths"]
+__all__ = ["PathGroup", "CMCFSolution", "solve_cmcf_min_congestion", "solve_cmcf_batch",
+           "round_paths"]
+
+
+class PathGroup:
+    """The decomposed flow of one (source, sink) pair of a solution: its
+    paths, each drawn with probability proportional to its width, the
+    cumulative sums of those probabilities that a draw searches, and, built
+    on first use, the expected load of one draw on each graph edge."""
+
+    __slots__ = ("paths", "probs", "cum", "_loads")
+
+    def __init__(self, entries: list[tuple[list[int], float]]):
+        self.paths = [path for path, _ in entries]
+        widths = [w for _, w in entries]
+        total = _numpy_sum(widths)
+        self.probs = [w / total for w in widths]
+        self.cum = list(accumulate(self.probs))
+        self._loads: tuple[np.ndarray, np.ndarray] | None = None
+
+    def draw(self, u: float) -> list[int]:
+        """The path whose cumulative-probability interval holds u in [0, 1)."""
+        return self.paths[min(bisect_right(self.cum, u), len(self.paths) - 1)]
+
+    def unit_loads(self, g: CapacitatedGraph) -> tuple[np.ndarray, np.ndarray]:
+        """Graph edge ids, and the expected load on each, of one draw: each
+        edge's probability summed over its paths in stored order. Raises on a
+        stored path that steps off g."""
+        if self._loads is None:
+            edge_index = g.edge_index
+            loads: dict[int, float] = {}
+            for path, p in zip(self.paths, self.probs):
+                for a, b in zip(path, path[1:]):
+                    try:
+                        e = edge_index(a, b)
+                    except KeyError:
+                        raise RuntimeError(f"stored path steps off the graph at "
+                                           f"({a},{b})") from None
+                    loads[e] = loads.get(e, 0.0) + p
+            self._loads = (np.fromiter(loads, np.intp, len(loads)),
+                           np.fromiter(loads.values(), float, len(loads)))
+        return self._loads
+
+
+def _numpy_sum(xs: list[float]) -> float:
+    """The float sum NumPy gives for np.array(xs).sum(): fewer than 8 values
+    add left to right, more go through NumPy's pairwise summation."""
+    if len(xs) >= 8:
+        return float(np.array(xs).sum())
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 @dataclass
@@ -47,22 +104,15 @@ class CMCFSolution:
     congestion: float
     lp_objective: float
 
-    _groups: dict[int, dict[int, tuple[list[list[int]], np.ndarray, list[float]]]] = field(
-        default_factory=dict, repr=False)
+    _groups: dict[int, dict[int, PathGroup]] = field(default_factory=dict, repr=False)
 
-    def path_groups(self, source: int
-                    ) -> dict[int, tuple[list[list[int]], np.ndarray, list[float]]]:
-        """Per sink: decomposed paths, their normalized sampling probabilities,
-        and the cumulative sums of those probabilities that draws search."""
+    def path_groups(self, source: int) -> dict[int, PathGroup]:
+        """Per sink, the PathGroup of the source's flow decomposed by sink;
+        the whole source is decomposed on first use."""
         if source not in self._groups:
             grouped = decompose_by_sink(self.source_flows[source])
-            out = {}
-            for sink, entries in grouped.items():
-                paths = [p for p, _ in entries]
-                w = np.array([x for _, x in entries], dtype=float)
-                probs = w / w.sum()
-                out[sink] = (paths, probs, list(accumulate(probs.tolist())))
-            self._groups[source] = out
+            self._groups[source] = {sink: PathGroup(entries)
+                                    for sink, entries in grouped.items()}
         return self._groups[source]
 
 
@@ -264,8 +314,5 @@ def round_paths(sol: CMCFSolution, pairs: list[tuple[int, int]],
     decomposition of that pair's flow with one uniform number per pair. A pair
     listed k times gets k independent draws, so its expected load on every
     edge is k times its per-unit fractional load."""
-    picked = []
-    for (s, t), u in zip(pairs, rng.random(len(pairs))):
-        paths, _, cum = sol.path_groups(s)[t]
-        picked.append(paths[min(bisect_right(cum, u), len(paths) - 1)])
-    return picked
+    return [sol.path_groups(s)[t].draw(u)
+            for (s, t), u in zip(pairs, rng.random(len(pairs)))]

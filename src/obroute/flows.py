@@ -253,13 +253,16 @@ def sample_path(fa: FlowAssignment, start: int, direction: str,
         cur = pick
 
 
-def _widest_path(adj: dict[int, dict[int, float]], s: int, t: int) -> list[int] | None:
-    """Path from s to t whose narrowest arc is widest (Dijkstra on bottleneck
-    width); ties go to the vertex reached first, as heap order decides."""
+def _widest_path(out: list[list[tuple[int, int]]], left: list[float], tails: list[int],
+                 s: int, t: int) -> tuple[list[int], float] | None:
+    """Arcs of a path from s to t whose narrowest arc is widest (Dijkstra on
+    bottleneck width over local vertex indices), and that width; ties go to
+    the vertex reached first, as heap order decides. out[v] lists (head, arc)
+    per arc leaving v, left[arc] is its residual flow and tails[arc] its tail."""
     pop, push = heapq.heappop, heapq.heappush
-    no_arcs: dict[int, float] = {}
-    best: dict[int, float] = {s: float("inf")}
-    prev: dict[int, int] = {}
+    best = [0.0] * len(out)           # 0.0: not reached
+    best[s] = float("inf")
+    prev = [0] * len(out)             # arc that reached each vertex
     heap = [(-float("inf"), s)]
     while heap:
         negw, v = pop(heap)
@@ -268,18 +271,21 @@ def _widest_path(adj: dict[int, dict[int, float]], s: int, t: int) -> list[int] 
             continue
         if v == t:
             break
-        for u, f in adj.get(v, no_arcs).items():
+        for u, k in out[v]:
+            f = left[k]
             w = f if f < width else width
-            if w > (best[u] if u in best else 0.0):
+            if w > best[u]:
                 best[u] = w
-                prev[u] = v
+                prev[u] = k
                 push(heap, (-w, u))
-    if t not in best:
+    width = best[t]               # the least residual along the path to t
+    if width == 0.0:
         return None
-    path = [t]
-    while path[-1] != s:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    arcs = []
+    while t != s:
+        arcs.append(prev[t])
+        t = tails[prev[t]]
+    return arcs[::-1], width
 
 
 def decompose_paths(fa: FlowAssignment) -> list[tuple[list[int], float]]:
@@ -287,30 +293,31 @@ def decompose_paths(fa: FlowAssignment) -> list[tuple[list[int], float]]:
 
     Each extraction zeroes at least one arc, so at most |arcs| paths result.
     Returned paths exclude the terminals. Residual below _DECOMPOSE_REL_TOL *
-    value is dropped.
+    value is dropped. Vertices are indexed in sorted id order, so heap ties
+    break as they would on the ids.
     """
     if not fa.is_acyclic():
         raise ValueError("decompose_paths requires an acyclic flow")
-    adj: dict[int, dict[int, float]] = {}
-    for (a, b), f in fa.arcs.items():
-        adj.setdefault(a, {})[b] = f
+    ids = sorted({v for arc in fa.arcs for v in arc} | {fa.source, fa.sink})
+    index = {v: i for i, v in enumerate(ids)}
+    out: list[list[tuple[int, int]]] = [[] for _ in ids]
+    tails = [index[a] for a, _ in fa.arcs]
+    heads = [b for _, b in fa.arcs]
+    left = [float(f) for f in fa.arcs.values()]   # LP flows arrive as np.float64
+    for k, b in enumerate(heads):
+        out[tails[k]].append((index[b], k))
     cutoff = max(_DECOMPOSE_REL_TOL * max(fa.value, 1.0), 1e-15)
-    out: list[tuple[list[int], float]] = []
+    paths: list[tuple[list[int], float]] = []
     while True:
-        path = _widest_path(adj, fa.source, fa.sink)
-        if path is None:
+        found = _widest_path(out, left, tails, index[fa.source], index[fa.sink])
+        if found is None or found[1] <= cutoff:
             break
-        width = min(adj[a][b] for a, b in zip(path, path[1:]))
-        if width <= cutoff:
-            break
-        for a, b in zip(path, path[1:]):
-            left = adj[a][b] - width
-            if left <= cutoff:
-                del adj[a][b]
-            else:
-                adj[a][b] = left
-        out.append((path[1:-1], width))
-    return out
+        arcs, width = found
+        for k in arcs:
+            rest = left[k] - width
+            left[k] = 0.0 if rest <= cutoff else rest   # 0.0 never relaxes
+        paths.append(([heads[k] for k in arcs[:-1]], width))
+    return paths
 
 
 def decompose_by_sink(fa: FlowAssignment) -> dict[int, list[tuple[list[int], float]]]:

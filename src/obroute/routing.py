@@ -17,7 +17,8 @@ the law of its end vertex. Both call one private resolver of the step:
 
   ReferenceBackend    _end: the law of the far endpoint, the target's border
                       law or the cluster law; a stored path of the cluster's
-                      certification flow joins the start to it
+                      certification flow joins the start to it, drawn from
+                      the pair's cmcf.PathGroup
   impl_a.FlowTables   _walk: the (cluster, index) flow, walked forward along
                       random links to leave, backward to spread; end laws
                       are exact by the absorption argument
@@ -39,10 +40,18 @@ every load is the same to the last bit (an edge a term does not touch adds
 an exact +0.0): the demand through each hop is one np.bincount per direction
 over an n x (height + 1) array of leaf paths, the pairs in sorted order;
 each kernel's loads are one bincount over graph edge ids (ReferenceBackend
-over cached per-pair edge-id and per-unit-load arrays, impl_b over cached
-cube path slots, impl_a over the arcs it crosses as it propagates); a hop's
-loads are the sum of its step vectors, and the edge loads add demand times
-hop loads over the hops in sorted order.
+over the unit loads of each (u, v) pair's PathGroup, impl_b over cached cube
+path slots, impl_a over the arcs it crosses as it propagates); a hop's loads
+are the sum of its step vectors, and the edge loads add demand times hop
+loads over the hops in sorted order.
+
+The reference's stored paths are the certification flows decomposed: the
+first read of a source decomposes its flow once, by widest-path extraction
+(flows.decompose_by_sink), into one PathGroup per sink. A group holds the
+vertex paths and the cumulative sums of their probabilities, which draws
+search, and builds its per-unit load on each graph edge id when the kernel
+first reads it. Sampling and exact loads read the same paths, so a stored
+path that steps off the graph makes route_demands raise.
 """
 from __future__ import annotations
 
@@ -98,8 +107,6 @@ class ReferenceBackend:
         self.solutions = solutions
         # per (cluster, border), the support of tree.law and its cumulative sums
         self._draws: dict[tuple[int, bool], tuple[list[int], list[float]]] = {}
-        # per cluster, (u, v) -> the edge ids and per-unit loads of one stored path
-        self._pair_loads: dict[int, dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = {}
 
     def _draw(self, cluster_id: int, border: bool, rng: np.random.Generator) -> int:
         """A vertex drawn from tree.law(cluster_id, border) by its cumulative sums."""
@@ -111,51 +118,31 @@ class ReferenceBackend:
         values, cum = self._draws[key]
         return values[min(bisect_right(cum, rng.random()), len(values) - 1)]
 
-    def _stored_paths(self, cluster_id: int, u: int,
-                      v: int) -> tuple[list[list[int]], np.ndarray, list[float]]:
-        # solutions store each unordered pair once, sources below sinks
-        return self.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
-
     def _path_between(self, cluster_id: int, u: int, v: int,
                       rng: np.random.Generator) -> list[int]:
         if u == v:
             return [u]
-        paths, _, cum = self._stored_paths(cluster_id, u, v)
-        path = paths[min(bisect_right(cum, rng.random()), len(paths) - 1)]
+        # solutions store each unordered pair once, sources below sinks
+        group = self.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
+        path = group.draw(rng.random())
         return path if u < v else path[::-1]
-
-    def _add_pair(self, cluster_id: int, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Graph edge ids, and the expected load on each, of one stored path
-        drawn between u and v, each edge's load summed over its paths in
-        stored order; cached under (u, v) and (v, u)."""
-        edge_index = self.graph.edge_index
-        loads: dict[int, float] = {}
-        paths, probs, _ = self._stored_paths(cluster_id, u, v)
-        for path, p in zip(paths, probs.tolist()):
-            for a, b in zip(path, path[1:]):
-                try:
-                    e = edge_index(a, b)
-                except KeyError:
-                    raise RuntimeError(f"cluster {cluster_id}: stored path steps off "
-                                       f"the graph at ({a},{b})") from None
-                loads[e] = loads.get(e, 0.0) + p
-        arrays = (np.fromiter(loads, np.intp, len(loads)),
-                  np.fromiter(loads.values(), float, len(loads)))
-        pairs = self._pair_loads.setdefault(cluster_id, {})
-        pairs[(u, v)] = pairs[(v, u)] = arrays
-        return arrays
 
     def _between_loads(self, cluster_id: int, start: Law, end: Law) -> Loads:
         """Expected loads of a stored path between independent draws from start
-        and end: one bincount of p·q·x over the (u, v) pairs in vertex order."""
-        pairs = self._pair_loads.setdefault(cluster_id, {})
+        and end: one bincount of p·q·x over the (u, v) pairs in vertex order,
+        x the unit loads of the pair's PathGroup."""
+        groups, g = self.solutions[cluster_id].path_groups, self.graph
         ids, units, scales = [], [], []
         us, vs = start.nonzero()[0], end.nonzero()[0]
         ends = list(zip(vs.tolist(), end[vs].tolist()))
         for u, p in zip(us.tolist(), start[us].tolist()):
             for v, q in ends:
                 if u != v:
-                    e, x = pairs.get((u, v)) or self._add_pair(cluster_id, u, v)
+                    group = groups(u)[v] if u < v else groups(v)[u]
+                    try:
+                        e, x = group.unit_loads(g)
+                    except RuntimeError as exc:
+                        raise RuntimeError(f"cluster {cluster_id}: {exc}") from None
                     ids.append(e)
                     units.append(x)
                     scales.append(p * q)

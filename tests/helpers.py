@@ -1,8 +1,9 @@
 """Shared tiny-instance builders and independent oracles used across test modules."""
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from scipy.optimize import linprog
 
 from obroute import routing
 from obroute.decomposition import DecompositionTree, _assemble
-from obroute.flows import SNK, SRC
+from obroute.flows import _DECOMPOSE_REL_TOL, SNK, SRC, FlowAssignment
 from obroute.graph import CapacitatedGraph, DemandMatrix
 from obroute.impl_a import FlowTables, _topological
 from obroute.impl_b import CubeScheme
@@ -227,6 +228,84 @@ def sampled_loads(g: CapacitatedGraph, tree, backend, demands: DemandMatrix | di
 
 
 # ---------------------------------------------------------------------------
+# flow decomposition on dicts: the oracle of the decomposition tables
+# ---------------------------------------------------------------------------
+
+def _dict_widest_path(adj: dict[int, dict[int, float]], s: int, t: int) -> list[int] | None:
+    """Path from s to t whose narrowest arc is widest (Dijkstra on bottleneck
+    width over vertex ids); ties go to the vertex reached first, as heap order
+    decides."""
+    best: dict[int, float] = {s: float("inf")}
+    prev: dict[int, int] = {}
+    heap = [(-float("inf"), s)]
+    while heap:
+        negw, v = heapq.heappop(heap)
+        width = -negw
+        if width < best[v]:
+            continue
+        if v == t:
+            break
+        for u, f in adj.get(v, {}).items():
+            w = min(f, width)
+            if w > best.get(u, 0.0):
+                best[u] = w
+                prev[u] = v
+                heapq.heappush(heap, (-w, u))
+    if t not in best:
+        return None
+    path = [t]
+    while path[-1] != s:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def dict_decompose_by_sink(fa: FlowAssignment) -> dict[int, list[tuple[list[int], float]]]:
+    """Repeated widest-path extraction on a dict of residual arcs, each path
+    without its terminals, grouped by its last vertex in extraction order."""
+    adj: dict[int, dict[int, float]] = {}
+    for (a, b), f in fa.arcs.items():
+        adj.setdefault(a, {})[b] = f
+    cutoff = max(_DECOMPOSE_REL_TOL * max(fa.value, 1.0), 1e-15)
+    groups: dict[int, list[tuple[list[int], float]]] = {}
+    while True:
+        path = _dict_widest_path(adj, fa.source, fa.sink)
+        if path is None:
+            break
+        width = min(adj[a][b] for a, b in zip(path, path[1:]))
+        if width <= cutoff:
+            break
+        for a, b in zip(path, path[1:]):
+            left = adj[a][b] - width
+            if left <= cutoff:
+                del adj[a][b]
+            else:
+                adj[a][b] = left
+        groups.setdefault(path[-2], []).append((path[1:-1], width))
+    return groups
+
+
+def dict_path_group(entries: list[tuple[list[int], float]]
+                    ) -> tuple[list[list[int]], np.ndarray, list[float]]:
+    """A group's paths, their widths over the widths' NumPy sum, and the
+    running sums of those probabilities."""
+    w = np.array([x for _, x in entries], dtype=float)
+    probs = w / w.sum()
+    return [p for p, _ in entries], probs, list(accumulate(probs.tolist()))
+
+
+def dict_unit_loads(g: CapacitatedGraph, paths: list[list[int]],
+                    probs: np.ndarray) -> tuple[list[int], list[float]]:
+    """Graph edge ids, in first-use order, and each one's probability summed
+    over the paths that cross it, in path order."""
+    loads: dict[int, float] = {}
+    for path, p in zip(paths, probs.tolist()):
+        for a, b in zip(path, path[1:]):
+            e = g.edge_index(a, b)
+            loads[e] = loads.get(e, 0.0) + p
+    return list(loads), list(loads.values())
+
+
+# ---------------------------------------------------------------------------
 # exact loads, one dict entry at a time: the oracle of the array kernels
 # ---------------------------------------------------------------------------
 
@@ -254,9 +333,9 @@ def _dict_reference(backend: ReferenceBackend, cluster_id: int, start: dict,
         for v, q in end.items():
             if u == v:
                 continue
-            paths, probs, _ = backend.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
+            group = backend.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
             pair: dict = {}
-            for path, w in zip(paths, probs):
+            for path, w in zip(group.paths, group.probs):
                 for a, b in zip(path, path[1:]):
                     edge = (a, b) if a < b else (b, a)
                     pair[edge] = pair.get(edge, 0.0) + float(w)

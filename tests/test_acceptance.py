@@ -190,9 +190,9 @@ def test_criterion_4_chernoff_rounding():
         frac: dict[tuple[int, int], float] = {}
         variance: dict[tuple[int, int], float] = {}
         for (a, b), k in Counter(pairs).items():
-            paths, probs, _ = sol.path_groups(a)[b]
+            group = sol.path_groups(a)[b]
             edge_prob: dict[tuple[int, int], float] = {}
-            for path, p in zip(paths, probs):
+            for path, p in zip(group.paths, group.probs):
                 for e in zip(path, path[1:]):
                     key = e if e[0] < e[1] else e[::-1]
                     edge_prob[key] = edge_prob.get(key, 0.0) + p

@@ -10,13 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obroute import cmcf
-from obroute.cmcf import round_paths, solve_cmcf_min_congestion
+from obroute import cmcf, impl_b
+from obroute.cmcf import CMCFSolution, PathGroup, round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import build_tree, certify_congestion, cmcf_instance
+from obroute.flows import SNK, SRC, cancel_cycles, decompose_by_sink, max_flow_integral
 from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
 from obroute.impl_b import build_cube_scheme
 from obroute.optimum import optimal_congestion
-from helpers import all_simple_paths, cycle_graph, diamond, path_graph, single_edge
+from helpers import (
+    all_simple_paths,
+    connected_graphs,
+    cycle_graph,
+    diamond,
+    dict_decompose_by_sink,
+    dict_path_group,
+    dict_unit_loads,
+    path_graph,
+    single_edge,
+)
 
 
 def test_single_edge_both_directions():
@@ -268,11 +279,83 @@ def test_flows_are_cycle_free_and_conserved():
 
 def test_path_groups_normalized():
     sol = solve_cmcf_min_congestion(cycle_graph(4), {(0, 2): 1.0})
-    groups = sol.path_groups(0)
-    paths, probs, _ = groups[2]
-    assert probs.sum() == pytest.approx(1.0)
-    for p in paths:
+    group = sol.path_groups(0)[2]
+    assert sum(group.probs) == pytest.approx(1.0)
+    assert group.cum[-1] == pytest.approx(1.0)
+    for p in group.paths:
         assert p[0] == 0 and p[-1] == 2
+
+
+def _assert_tables_match_oracle(g: CapacitatedGraph, sol: CMCFSolution) -> int:
+    """Every source of sol against the dict decomposition: the same paths,
+    widths and sink order, and per group the same probabilities, cumulative
+    sums and unit loads, all to the last bit. Returns the groups checked."""
+    checked = 0
+    for s, fa in sol.source_flows.items():
+        oracle = dict_decompose_by_sink(fa)
+        assert list(decompose_by_sink(fa).items()) == list(oracle.items())
+        groups = sol.path_groups(s)
+        assert list(groups) == list(oracle)
+        for t, entries in oracle.items():
+            paths, probs, cum = dict_path_group(entries)
+            group = groups[t]
+            assert group.paths == paths
+            assert group.probs == probs.tolist()
+            assert group.cum == cum
+            ids, loads = group.unit_loads(g)
+            assert (ids.tolist(), loads.tolist()) == dict_unit_loads(g, paths, probs)
+            checked += 1
+    return checked
+
+
+def test_decomposition_tables_match_the_dict_oracle(monkeypatch):
+    # every certification and impl-b embedding flow of grid 8x8 (tree seed 0)
+    embedded = []
+    real_batch = impl_b.solve_cmcf_batch
+
+    def recording(g, instances):
+        embedded.extend(real_batch(g, instances))
+        return embedded[-len(instances):]
+
+    monkeypatch.setattr(impl_b, "solve_cmcf_batch", recording)
+    g = grid_graph(8, 8)
+    tree = build_tree(g, target_arity=2, seed=0)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(0))
+    assert len(cert.solutions) > 10 and len(embedded) > 10
+    checked = sum(_assert_tables_match_oracle(g, sol)
+                  for sol in [*cert.solutions.values(), *embedded])
+    assert checked > 1000
+
+
+@st.composite
+def _integer_flows(draw):
+    """A cycle-free integral max flow on a random connected graph, from one
+    vertex to several sinks, each sink's arc to SNK of random capacity."""
+    g = draw(connected_graphs())
+    source = draw(st.integers(0, g.n - 1))
+    sinks = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True))
+    arcs = ([(u, v, c) for u, v, c in g.edges] + [(v, u, c) for u, v, c in g.edges]
+            + [(SRC, source, 100)] + [(t, SNK, draw(st.integers(1, 9))) for t in sinks])
+    return g, source, cancel_cycles(max_flow_integral(arcs, SRC, SNK))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_flows())
+def test_decomposition_tables_match_the_dict_oracle_on_integer_flows(case):
+    g, source, fa = case
+    sol = CMCFSolution(source_flows={source: fa}, edge_loads={}, congestion=0.0,
+                       lp_objective=0.0)
+    assert _assert_tables_match_oracle(g, sol) >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=40))
+def test_path_group_probabilities_are_numpy_division_by_numpy_sum(widths):
+    # below 8 values NumPy's sum adds left to right, from 8 on pairwise
+    group = PathGroup([([0], w) for w in widths])
+    w = np.array(widths)
+    assert group.probs == (w / w.sum()).tolist()
 
 
 def test_solver_flows_violating_demands_raise(monkeypatch):
@@ -302,9 +385,9 @@ def _edge_counts(paths: list[list[int]]) -> dict[tuple[int, int], int]:
 
 def _pair_edge_probs(sol, pair: tuple[int, int]) -> dict[tuple[int, int], float]:
     """Probability that one draw for `pair` uses each edge, from path_groups."""
-    paths, probs, _ = sol.path_groups(pair[0])[pair[1]]
+    group = sol.path_groups(pair[0])[pair[1]]
     out: dict[tuple[int, int], float] = {}
-    for path, p in zip(paths, probs):
+    for path, p in zip(group.paths, group.probs):
         for key in _edge_counts([path]):
             out[key] = out.get(key, 0.0) + p
     return out

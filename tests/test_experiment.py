@@ -440,6 +440,18 @@ def test_cli_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip() == f"error: {tmp_path / 'blank' / 'report.json'}: missing field 'scheme'"
 
+    # a report whose top level is not an object, that is not JSON at all, or
+    # whose field has the wrong type
+    report = json.loads((tmp_path / "reference" / "report.json").read_text())
+    for text, reason in [("[]", "top level is a JSON list, not an object"),
+                         ("not json", "Expecting value: line 1 column 1 (char 0)"),
+                         (json.dumps({**report, "congestion": None}),
+                          "unsupported format string passed to NoneType.__format__")]:
+        (tmp_path / "blank" / "report.json").write_text(text)
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {tmp_path / 'blank' / 'report.json'}: {reason}"
+
 
 def test_empty_file_battery_has_zero_optimum(tmp_path):
     empty = tmp_path / "none.txt"

@@ -402,7 +402,7 @@ def test_one_draw_per_cube_edge(monkeypatch):
         stored = maps.edge_paths[(x, y)]
         assert stored == (path if s == maps.node_owner[x] else path[::-1])
         assert (stored[0], stored[-1]) == (maps.node_owner[x], maps.node_owner[y])
-        assert path in sol.path_groups(s)[t][0]
+        assert path in sol.path_groups(s)[t].paths
 
 
 def test_every_decomposed_group_is_drawn(monkeypatch):

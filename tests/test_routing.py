@@ -392,7 +392,7 @@ def test_stored_path_off_the_graph_raises():
         "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
         "cert = certify_congestion(g, tree, store_solutions=True)\n"
         "backends = _backends(g, tree, cert)\n"
-        "paths = cert.solutions[tree.root].path_groups(0)[2][0]\n"
+        "paths = cert.solutions[tree.root].path_groups(0)[2].paths\n"
         "paths[0] = [0, 2]\n"
         "maps = backends['cubes'].mains[tree.root]\n"
         "maps.edge_paths = {e: [p[0], (p[0] + 2) % 4, p[-1]]\n"

@@ -7,6 +7,8 @@
 #   route-4x4-perm/   obroute route, grid:4x4, all schemes, permutation, seed 1
 #   route-8x8-grav/   obroute route, grid:8x8, all schemes, gravity, seed 0
 #   route-torus-6x6-grav/  the same on torus:6x6
+#   route-10x10-pairs/  the same on grid:10x10, uniform_pairs:24, seed 0:
+#                     the instance of perfbench's lp-10x10 workload
 #                     (report.json timestamp lines stripped; stdout.txt), and
 #                     loads-sha256.txt: per scheme, a sha256 over the repr of
 #                     its full-precision edge loads and congestion, which
@@ -90,6 +92,8 @@ obroute report --out-dir "$work/route-8x8-grav" > "$out/route-8x8-grav/report-st
 loads_hash route-8x8-grav grid:8x8 gravity 0
 route route-torus-6x6-grav --generate torus:6x6 --demands gravity --seed 0
 loads_hash route-torus-6x6-grav torus:6x6 gravity 0
+route route-10x10-pairs --generate grid:10x10 --demands uniform_pairs:24 --seed 0
+loads_hash route-10x10-pairs grid:10x10 uniform_pairs:24 0
 
 mkdir -p "$out/build-8x8"
 obroute build --generate grid:8x8 --out-dir "$work/build" > "$work/build.stdout" 2>&1 \
