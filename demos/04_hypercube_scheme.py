@@ -22,15 +22,16 @@ scheme = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(7))
 print(f"built cubes for {len(scheme.mains)} clusters at scale C = {cert.int_value}")
 
 root = tree.cluster(tree.root)
-sizes = scheme.rounded[root.id]
 maps = scheme.mains[root.id]
 print(f"\nroot main cube: dimension {maps.dimension}, {1 << maps.dimension} nodes")
-print(f"  own border rounded to {sizes.own} node(s)")
-for layout, rounded in enumerate(sizes.children, start=1):
-    child = tree.target(root.id, sizes.layout_to_child[layout - 1])
-    lo, hi = sizes.range_of(layout)
+lo, hi = maps.ranges[0]
+print(f"  own border rounded to {hi - lo} node(s)")
+# children in layout order: ascending range start
+for index in sorted(range(1, len(maps.ranges)), key=maps.ranges.__getitem__):
+    child = tree.target(root.id, index)
+    lo, hi = maps.ranges[index]
     print(f"  child {child.id} (out {child.total_border}) -> "
-          f"{rounded} nodes, range [{lo}, {hi})")
+          f"{hi - lo} nodes, range [{lo}, {hi})")
 
 print(f"  fractional congestion of the joint main + shuffle embedding "
       f"{maps.fractional_congestion:.3f}")

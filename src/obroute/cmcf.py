@@ -117,7 +117,7 @@ class CMCFSolution:
 
 
 def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
-                              restrict: set[int] | None = None) -> CMCFSolution:
+                              restrict: set[int]) -> CMCFSolution:
     """Solve min-congestion routing of `demands` inside G[restrict].
 
     Returns per-source cycle-free flows. `demands` must pass g.check_demands
@@ -129,7 +129,7 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     restriction is one LP.
     """
     entries = g.check_demands(demands).entries
-    verts = sorted(restrict) if restrict is not None else list(range(g.n))
+    verts = sorted(restrict)
     vset = set(verts)
     by_source: dict[int, list[tuple[int, float]]] = {}
     for (s, t), d in entries.items():
@@ -180,7 +180,7 @@ def solve_cmcf_min_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
 
 
 def solve_cmcf_batch(g: CapacitatedGraph,
-                     instances: list[tuple[DemandMatrix | dict, set[int] | None]]
+                     instances: list[tuple[DemandMatrix | dict, set[int]]]
                      ) -> list[CMCFSolution]:
     """solve_cmcf_min_congestion of every (demands, restrict) pair, concurrently;
     the solutions come back in input order, each exactly as solved on its own.
@@ -194,8 +194,7 @@ def solve_cmcf_batch(g: CapacitatedGraph,
     """
     if not instances:
         return []
-    own = max(range(len(instances)),
-              key=lambda i: g.n if instances[i][1] is None else len(instances[i][1]))
+    own = max(range(len(instances)), key=lambda i: len(instances[i][1]))
     with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
         futures = [None if i == own else pool.submit(solve_cmcf_min_congestion, g, *inst)
                    for i, inst in enumerate(instances)]

@@ -98,9 +98,17 @@ def graph_from_config(cfg: dict[str, str]) -> CapacitatedGraph:
     return _generated_graph(cfg["generate"])
 
 
+def _int_value(cfg: dict[str, str], key: str) -> int:
+    """cfg[key] as an integer; a ValueError naming the key otherwise."""
+    try:
+        return int(cfg[key])
+    except ValueError:
+        raise ValueError(f"config key {key!r} must be an integer, got {cfg[key]!r}") from None
+
+
 def _master_seed(cfg: dict[str, str]) -> int:
     """The config's master seed; ValueError unless it is an integer >= 0."""
-    seed = int(cfg["seed"])
+    seed = _int_value(cfg, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
@@ -108,7 +116,9 @@ def _master_seed(cfg: dict[str, str]) -> int:
 
 def demand_battery(kind: str, g: CapacitatedGraph, seed: int) -> DemandMatrix:
     """Deterministic demand sets; approximates a worst case by variety, not search."""
-    name, _, arg = kind.partition(":")
+    name, colon, arg = kind.partition(":")
+    if colon and name in ("permutation", "gravity"):
+        raise ValueError(f"demand battery {kind!r}: {name} takes no argument")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BATTERY_STREAM)))
     if name == "permutation":
         if g.n < 2:
@@ -118,9 +128,9 @@ def demand_battery(kind: str, g: CapacitatedGraph, seed: int) -> DemandMatrix:
             perm = rng.permutation(g.n)
         return DemandMatrix({(i, int(perm[i])): 1.0 for i in range(g.n)})
     if name == "uniform_pairs":
-        if not (arg or "0").isdecimal():
+        if not arg.isdecimal():
             raise ValueError(f"demand battery {kind!r}: k must be a non-negative integer")
-        k = int(arg or "0")
+        k = int(arg)
         total = g.n * (g.n - 1)
         if k > total:
             raise ValueError(f"asked for {k} distinct pairs, only {total} exist")
@@ -211,17 +221,22 @@ def run_experiment(cfg: dict[str, str],
     """Full run per the config; returns (exit code, assertion failures)."""
     g = graph_from_config(cfg)
     seed = _master_seed(cfg)
+    arity = _int_value(cfg, "arity")
     schemes = [s.strip() for s in cfg["schemes"].split(",") if s.strip()]
-    for scheme in schemes:
+    if not schemes:
+        raise ValueError("config key 'schemes' names no scheme")
+    for i, scheme in enumerate(schemes):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of "
                              f"{', '.join(SCHEMES)}")
+        if scheme in schemes[:i]:
+            raise ValueError(f"scheme {scheme!r} is listed twice")
     out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "runs"))
     # the battery has its own stream, so building it first rejects a bad
     # battery before the tree and its certificate are paid for
     demands = demand_battery(cfg["demands"], g, seed)
 
-    tree = build_tree(g, target_arity=int(cfg["arity"]), seed=seed)
+    tree = build_tree(g, target_arity=arity, seed=seed)
     cert = certify_congestion(g, tree, store_solutions=True)
     c_opt = optimal_congestion(g, demands)
 
@@ -244,7 +259,7 @@ def run_experiment(cfg: dict[str, str],
             "scheme": scheme,
             "graph": graph_stats(g),
             "tree": {"height": tree.height, "degree": tree.degree,
-                     "arity": int(cfg["arity"]), "seed": seed},
+                     "arity": arity, "seed": seed},
             "certificate": {"value": cert.value, "int_value": cert.int_value},
             "demands": cfg["demands"],
             "pairs": len(demands.entries),

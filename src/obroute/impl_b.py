@@ -3,14 +3,16 @@
 Every non-singleton cluster S carries two hypercubes embedded into G[S]:
 
   main cube     dimension d = ceil(log2 of the summed rounded border totals).
-                Node ranges stand for the cluster's own border (index 0) and
-                each child border, children laid out in ascending rounded
-                order. Hopping to a uniform node of a range realizes (up to a
-                factor-2 skew) the matching border distribution.
-  shuffle cube  dimension ceil(log2 w_S(S)). The first w_S(S) nodes give each
-                vertex exactly its cluster weight, so routing to a uniform
-                node among them restores the exact cluster distribution after
-                every hop, stopping the skew from compounding level by level.
+                It holds a node range per target index: the cluster's own
+                border (index 0) and the k-th child border (index k), laid
+                out own border first, then children in ascending rounded
+                order. Hopping to a uniform node of a range realizes (up to
+                a factor-2 skew) the matching border distribution.
+  shuffle cube  dimension ceil(log2 w_S(S)), one range: the first w_S(S)
+                nodes give each vertex exactly its cluster weight, so routing
+                to a uniform node among them restores the exact cluster
+                distribution after every hop, stopping the skew from
+                compounding level by level.
 
 Cube edges are realized as graph paths. The cube edges of both cubes whose
 endpoints map to distinct vertices are counted per unordered owner pair
@@ -64,10 +66,9 @@ from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits
 from obroute.routing import Law, Loads, Step
 
-__all__ = ["RoundedSizes", "CubeMaps", "CubeScheme", "round_and_order",
-           "build_embedding", "build_rerand_cube", "build_cube_scheme",
-           "hypercube_route", "hypercube_loads", "audit_cube_scheme",
-           "measure_table_bits_b"]
+__all__ = ["CubeMaps", "CubeScheme", "build_embedding", "build_rerand_cube",
+           "build_cube_scheme", "hypercube_route", "hypercube_loads",
+           "audit_cube_scheme", "measure_table_bits_b"]
 
 
 def _round_pow2(x: int) -> int:
@@ -79,41 +80,17 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length() if x > 1 else 0
 
 
-@dataclass
-class RoundedSizes:
-    cluster_id: int
-    own: int                      # rounded own-border total, layout index 0
-    children: list[int]           # rounded child totals in layout order
-    layout_to_child: list[int]    # layout position (1-based) -> tree child position
-    total_weight: int
-
-    @property
-    def dimension(self) -> int:
-        return _ceil_log2(self.own + sum(self.children))
-
-    def layout_index(self, index: int) -> int:
-        """Layout position of target `index`: 0 is the own border, k the k-th child."""
-        return self.layout_to_child.index(index) + 1 if index else 0
-
-    def range_of(self, layout_index: int) -> tuple[int, int]:
-        sizes = [self.own] + self.children
-        start = sum(sizes[:layout_index])
-        return start, start + sizes[layout_index]
-
-
-def round_and_order(cluster: Cluster, child_border_totals: list[int]) -> RoundedSizes:
-    """Round every border total up to a power of two and sort children ascending.
-
-    Ties keep tree order, so the layout is deterministic.
-    """
-    own = _round_pow2(cluster.total_border)
-    rounded = [(_round_pow2(total), pos + 1)
-               for pos, total in enumerate(child_border_totals)]
-    rounded.sort()
-    return RoundedSizes(cluster_id=cluster.id, own=own,
-                        children=[r for r, _ in rounded],
-                        layout_to_child=[pos for _, pos in rounded],
-                        total_weight=cluster.total_weight)
+def _border_ranges(border_totals: list[int]) -> list[tuple[int, int]]:
+    """Main-cube node range [lo, hi) per target index, from the border totals
+    in that order: each rounded up to a power of two, laid out own border
+    first, then children by ascending rounded size, ties in tree order."""
+    sizes = [_round_pow2(total) for total in border_totals]
+    ranges = [(0, 0)] * len(sizes)
+    lo = 0
+    for index in [0, *sorted(range(1, len(sizes)), key=lambda k: (sizes[k], k))]:
+        ranges[index] = (lo, lo + sizes[index])
+        lo += sizes[index]
+    return ranges
 
 
 @dataclass
@@ -135,6 +112,7 @@ class CubeMaps:
     dimension: int
     node_owner: list[int]
     vertex_nodes: dict[int, list[int]]
+    ranges: list[tuple[int, int]]                  # target index -> node range [lo, hi)
     edge_paths: dict[tuple[int, int], list[int]]   # cube edge (x<y) -> graph path
     fractional_congestion: float                   # of the cluster's joint instance
     _slots: _PathSlots | None = field(default=None, repr=False, compare=False)
@@ -172,21 +150,17 @@ class CubeScheme:
     graph: CapacitatedGraph
     tree: DecompositionTree
     c: int
-    rounded: dict[int, RoundedSizes]
     mains: dict[int, CubeMaps]
     shuffles: dict[int, CubeMaps]
 
     def _cube(self, step: Step) -> tuple[CubeMaps, int, int]:
-        """The cube a step walks and its target node range [lo, hi) (main-cube
-        layout order differs from tree order)."""
+        """The cube a step walks and its target node range [lo, hi)."""
         spread, cluster_id, index = step
-        sizes = self.rounded[cluster_id]
-        if spread:
-            return self.shuffles[cluster_id], 0, sizes.total_weight
-        lo, hi = sizes.range_of(sizes.layout_index(index))
+        maps = (self.shuffles if spread else self.mains)[cluster_id]
+        lo, hi = maps.ranges[0 if spread else index]
         if hi == lo:
             raise ValueError(f"cluster {cluster_id} target {index} has no border nodes")
-        return self.mains[cluster_id], lo, hi
+        return maps, lo, hi
 
     def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
@@ -241,16 +215,17 @@ def _spread_leftovers(weights: dict[int, int], amount: int) -> dict[int, int]:
     return given
 
 
-def _layout_owners(sizes: RoundedSizes, out_maps: list[dict[int, int]],
-                   weights: dict[int, int]) -> list[int]:
+def _layout_owners(ranges: list[tuple[int, int]], out_maps: list[dict[int, int]],
+                   weights: dict[int, int], total_nodes: int) -> list[int]:
+    """Node owners: each range filled from its out-map, in layout order
+    (ascending lo), then the leftover nodes spread by cluster weight."""
     owners: list[int] = []
-    for layout_index, size in enumerate([sizes.own] + sizes.children):
-        if size == 0:
+    for (lo, hi), out_map in sorted(zip(ranges, out_maps), key=lambda pair: pair[0]):
+        if hi == lo:
             continue
-        counts = _fill_range(out_maps[layout_index], size)
+        counts = _fill_range(out_map, hi - lo)
         for v in sorted(counts):
             owners.extend([v] * counts[v])
-    total_nodes = 1 << sizes.dimension
     leftover = total_nodes - len(owners)
     for v, k in sorted(_spread_leftovers(weights, leftover).items()):
         owners.extend([v] * k)
@@ -328,28 +303,26 @@ def _round_cubes(sol: CMCFSolution, cubes: tuple[CubeMaps, ...],
         maps.fractional_congestion = sol.congestion
 
 
-def _node_map(node_owner: list[int], d: int) -> CubeMaps:
+def _node_map(node_owner: list[int], d: int, ranges: list[tuple[int, int]]) -> CubeMaps:
     vertex_nodes: dict[int, list[int]] = {}
     for node, v in enumerate(node_owner):
         vertex_nodes.setdefault(v, []).append(node)
     return CubeMaps(dimension=d, node_owner=node_owner, vertex_nodes=vertex_nodes,
-                    edge_paths={}, fractional_congestion=0.0)
+                    ranges=ranges, edge_paths={}, fractional_congestion=0.0)
 
 
-def build_embedding(tree: DecompositionTree,
-                    cluster: Cluster) -> tuple[RoundedSizes, CubeMaps]:
-    """Main cube of one cluster: rounded ranges and node map, no paths yet."""
-    child_totals = [tree.cluster(cid).total_border for cid in cluster.children]
-    sizes = round_and_order(cluster, child_totals)
-    d = sizes.dimension
+def build_embedding(tree: DecompositionTree, cluster: Cluster) -> CubeMaps:
+    """Main cube of one cluster: border ranges and node map, no paths yet."""
+    ranges = _border_ranges([cluster.total_border] +
+                            [tree.cluster(cid).total_border for cid in cluster.children])
+    d = _ceil_log2(max(hi for _, hi in ranges))
     if (1 << d) > 8 * cluster.total_weight:
         raise RuntimeError(
             f"cluster {cluster.id}: 2^{d} nodes exceed 8*w(S)={8 * cluster.total_weight}; "
             "weight tables are inconsistent")
-    out_maps = [dict(tree.target(cluster.id, index).border_weight)
-                for index in (0, *sizes.layout_to_child)]
-    owners = _layout_owners(sizes, out_maps, cluster.cluster_weight)
-    return sizes, _node_map(owners, d)
+    out_maps = [tree.target(cluster.id, index).border_weight for index in range(len(ranges))]
+    owners = _layout_owners(ranges, out_maps, cluster.cluster_weight, 1 << d)
+    return _node_map(owners, d, ranges)
 
 
 def build_rerand_cube(cluster: Cluster) -> CubeMaps:
@@ -367,7 +340,7 @@ def build_rerand_cube(cluster: Cluster) -> CubeMaps:
         k += 1
     if rest != k:
         raise RuntimeError(f"cluster {cluster.id}: vertex weights do not sum to w(S)")
-    return _node_map(owners, d)
+    return _node_map(owners, d, [(0, total)])
 
 
 def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
@@ -382,10 +355,10 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
     """
     if not g.uniform_capacities():
         raise ValueError("hypercube scheme requires uniform unit edge capacities")
-    scheme = CubeScheme(graph=g, tree=tree, c=int(c), rounded={}, mains={}, shuffles={})
+    scheme = CubeScheme(graph=g, tree=tree, c=int(c), mains={}, shuffles={})
     clusters = [cluster for cluster in tree.clusters if cluster.size > 1]
     for cluster in clusters:
-        scheme.rounded[cluster.id], scheme.mains[cluster.id] = build_embedding(tree, cluster)
+        scheme.mains[cluster.id] = build_embedding(tree, cluster)
         scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
     cubes = [(scheme.mains[cluster.id], scheme.shuffles[cluster.id]) for cluster in clusters]
     oriented = [_oriented_pairs(both) for both in cubes]
@@ -519,17 +492,14 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
     """Check every mapping inequality exactly; empty list means clean."""
     bad: list[str] = []
     tree = scheme.tree
-    for cid, sizes in scheme.rounded.items():
+    for cid, maps in scheme.mains.items():
         cluster = tree.cluster(cid)
-        maps = scheme.mains[cid]
-        if (1 << sizes.dimension) > 8 * cluster.total_weight:
+        if (1 << maps.dimension) > 8 * cluster.total_weight:
             bad.append(f"cluster {cid}: cube larger than 8*w(S)")
-        out_maps = [tree.target(cid, index).border_weight
-                    for index in (0, *sizes.layout_to_child)]
         ranged_nodes = 0
         ranged_count: dict[int, int] = {}
-        for layout_index, out_map in enumerate(out_maps):
-            lo, hi = sizes.range_of(layout_index)
+        for index, (lo, hi) in enumerate(maps.ranges):
+            out_map = tree.target(cid, index).border_weight
             ranged_nodes = max(ranged_nodes, hi)
             counts: dict[int, int] = {}
             for node in range(lo, hi):
@@ -539,14 +509,14 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
             for v, k in counts.items():
                 out_v = out_map.get(v, 0)
                 if not out_v <= k <= 2 * out_v:
-                    bad.append(f"cluster {cid} range {layout_index}: vertex {v} "
+                    bad.append(f"cluster {cid} range {index}: vertex {v} "
                                f"holds {k} nodes outside [{out_v}, {2 * out_v}]")
             for v, out_v in out_map.items():
                 if out_v > 0 and counts.get(v, 0) < out_v:
-                    bad.append(f"cluster {cid} range {layout_index}: vertex {v} "
+                    bad.append(f"cluster {cid} range {index}: vertex {v} "
                                f"holds fewer than {out_v} nodes")
         leftover: dict[int, int] = {}
-        for node in range(ranged_nodes, 1 << sizes.dimension):
+        for node in range(ranged_nodes, 1 << maps.dimension):
             v = maps.node_owner[node]
             leftover[v] = leftover.get(v, 0) + 1
         for v, k in leftover.items():
@@ -605,7 +575,7 @@ def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
 
     # continuation entries: one per stored path per vertex with an outgoing edge
     hits: dict[tuple[int, int, int], int] = {}      # (v, cluster, cube flag) -> paths
-    for cid in scheme.rounded:
+    for cid in scheme.mains:
         for flag, maps in enumerate((scheme.mains[cid], scheme.shuffles[cid])):
             for path in maps.edge_paths.values():
                 for v in path[:-1]:
@@ -613,11 +583,10 @@ def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
     count_bits = max(1, max(hits.values(), default=1).bit_length())
 
     per_vertex: dict[int, int] = {v: 0 for v in range(g.n)}
-    for cid, sizes in scheme.rounded.items():
-        cluster = tree.cluster(cid)
-        r = len(sizes.children)
+    for cid, main in scheme.mains.items():
+        r = len(main.ranges) - 1
         block = (r + 1) * exp_bits + r * max(1, _ceil_log2(max(2, r))) + weight_bits
-        for v in cluster.vertices:
+        for v in tree.cluster(cid).vertices:
             per_vertex[v] += block
     for (v, cid, flag), paths in hits.items():
         maps = scheme.mains[cid] if flag == 0 else scheme.shuffles[cid]

@@ -178,7 +178,7 @@ def test_criterion_4_chernoff_rounding():
         # the joint main + shuffle instance, as build_cube_scheme solves it,
         # and the draws it makes: one path per cube edge of either cube, from
         # the flow of that edge's oriented owner pair
-        _, main = build_embedding(tree, cluster)
+        main = build_embedding(tree, cluster)
         cubes = (main, build_rerand_cube(cluster))
         members = set(cluster.vertices)
         oriented = _oriented_pairs(cubes)

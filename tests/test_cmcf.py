@@ -32,7 +32,7 @@ from helpers import (
 
 def test_single_edge_both_directions():
     # demand 0.5 each way shares one unit edge: congestion exactly 1
-    sol = solve_cmcf_min_congestion(single_edge(), {(0, 1): 0.5, (1, 0): 0.5})
+    sol = solve_cmcf_min_congestion(single_edge(), {(0, 1): 0.5, (1, 0): 0.5}, {0, 1})
     assert sol.congestion == pytest.approx(1.0, abs=1e-9)
     assert all(fa.conservation_violations(tol=1e-9) == {} for fa in sol.source_flows.values())
 
@@ -41,7 +41,7 @@ def test_cycle_both_directions():
     # 0.5 each way between neighbours of a unit 4-cycle: a quarter of each
     # direction takes the 3-hop detour, so every edge carries 0.5
     g = cycle_graph(4)
-    sol = solve_cmcf_min_congestion(g, {(0, 1): 0.5, (1, 0): 0.5})
+    sol = solve_cmcf_min_congestion(g, {(0, 1): 0.5, (1, 0): 0.5}, set(range(g.n)))
     assert sol.congestion == pytest.approx(0.5, abs=1e-9)
     for u, v, _ in g.edges:
         assert sol.edge_loads[(min(u, v), max(u, v))] == pytest.approx(0.5, abs=1e-9)
@@ -76,7 +76,7 @@ def test_tree_routing_is_forced_without_lp(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cmcf, "linprog", no_lp)
-        sol = solve_cmcf_min_congestion(g, demands)
+        sol = solve_cmcf_min_congestion(g, demands, set(range(g.n)))
     expected: dict[tuple[int, int], float] = {}
     for (s, t), d in demands.items():
         (path,) = all_simple_paths(g, s, t)
@@ -240,7 +240,7 @@ def test_batch_failure_cancels_pending_solves(monkeypatch):
 
 def test_congestion_matches_recomputation_and_lp():
     g = cycle_graph(4)
-    sol = solve_cmcf_min_congestion(g, {(0, 2): 1.0, (1, 3): 1.0})
+    sol = solve_cmcf_min_congestion(g, {(0, 2): 1.0, (1, 3): 1.0}, set(range(g.n)))
     recomputed = max(sol.edge_loads.get((u, v), 0.0) / c for u, v, c in g.edges)
     assert sol.congestion == pytest.approx(recomputed, abs=1e-12)
     # cycle cancellation can only help, never hurt, the LP objective
@@ -265,20 +265,20 @@ def test_restriction_rejections():
 
 
 def test_no_demands_trivial():
-    sol = solve_cmcf_min_congestion(single_edge(), {})
+    sol = solve_cmcf_min_congestion(single_edge(), {}, {0, 1})
     assert sol.congestion == 0.0 and sol.source_flows == {}
 
 
 def test_flows_are_cycle_free_and_conserved():
     g = cycle_graph(6)
-    sol = solve_cmcf_min_congestion(g, {(0, 3): 1.0, (1, 4): 0.5})
+    sol = solve_cmcf_min_congestion(g, {(0, 3): 1.0, (1, 4): 0.5}, set(range(g.n)))
     for fa in sol.source_flows.values():
         assert fa.is_acyclic()
         assert fa.conservation_violations(tol=1e-8) == {}
 
 
 def test_path_groups_normalized():
-    sol = solve_cmcf_min_congestion(cycle_graph(4), {(0, 2): 1.0})
+    sol = solve_cmcf_min_congestion(cycle_graph(4), {(0, 2): 1.0}, set(range(4)))
     group = sol.path_groups(0)[2]
     assert sum(group.probs) == pytest.approx(1.0)
     assert group.cum[-1] == pytest.approx(1.0)
@@ -371,7 +371,7 @@ def test_solver_flows_violating_demands_raise(monkeypatch):
 
     monkeypatch.setattr(cmcf, "linprog", broken)
     with pytest.raises(RuntimeError, match="violating demands"):
-        solve_cmcf_min_congestion(cycle_graph(6), {(0, 3): 1.0, (1, 4): 0.5})
+        solve_cmcf_min_congestion(cycle_graph(6), {(0, 3): 1.0, (1, 4): 0.5}, set(range(6)))
 
 
 def _edge_counts(paths: list[list[int]]) -> dict[tuple[int, int], int]:
@@ -397,7 +397,7 @@ def test_round_paths_binomial_means():
     # 10 draws of one pair split 50/50 over the two diamond routes:
     # each route edge load is Binomial(10, 0.5); mean over trials within 3 sigma of 5
     g = diamond()
-    sol = solve_cmcf_min_congestion(g, {(0, 3): 10.0})
+    sol = solve_cmcf_min_congestion(g, {(0, 3): 10.0}, set(range(g.n)))
     route_edges = [(0, 1), (1, 3), (0, 2), (2, 3)]
     for key in route_edges:
         assert sol.edge_loads[key] == pytest.approx(5.0, abs=1e-6)
@@ -423,7 +423,7 @@ def test_round_paths_chernoff_margin():
         edges.append((base + i - 1 if i else 3, base + i, 1))
     g = CapacitatedGraph(64, edges)
     assert g.m == 64
-    sol = solve_cmcf_min_congestion(g, {(0, 3): 16.0})
+    sol = solve_cmcf_min_congestion(g, {(0, 3): 16.0}, set(range(g.n)))
     assert max(sol.edge_loads.values()) == pytest.approx(8.0, abs=1e-6)
     bound = 8 + 3 * np.log(g.m)
     assert bound == pytest.approx(20.477, abs=0.01)
@@ -437,7 +437,7 @@ def test_round_paths_chernoff_margin():
 
 def test_round_paths_unbiased_loads():
     g = cycle_graph(4)
-    sol = solve_cmcf_min_congestion(g, {(0, 2): 2.0, (1, 3): 1.0})
+    sol = solve_cmcf_min_congestion(g, {(0, 2): 2.0, (1, 3): 1.0}, set(range(g.n)))
     pairs = [(0, 2)] * 2 + [(1, 3)]
     frac: dict[tuple[int, int], float] = {}
     variance: dict[tuple[int, int], float] = {}

@@ -143,13 +143,15 @@ def test_uniform_pairs_battery():
         demand_battery("uniform_pairs:13", g, 1)
 
 
-@pytest.mark.parametrize("k", ["-1", "1.5", "two"])
+@pytest.mark.parametrize("k", ["-1", "1.5", "two", pytest.param("", id="empty"),
+                               pytest.param(None, id="missing")])
 def test_uniform_pairs_rejects_bad_k(k, capsys):
-    with pytest.raises(ValueError, match=f"demand battery 'uniform_pairs:{k}'"):
-        demand_battery(f"uniform_pairs:{k}", grid_graph(2, 2), 1)
+    spec = "uniform_pairs" if k is None else f"uniform_pairs:{k}"
+    with pytest.raises(ValueError, match=f"demand battery '{spec}'"):
+        demand_battery(spec, grid_graph(2, 2), 1)
     assert main(["route", "--generate", "grid:2x2", "--scheme", "reference",
-                 "--demands", f"uniform_pairs:{k}"]) == 2
-    assert (f"error: demand battery 'uniform_pairs:{k}': k must be a non-negative "
+                 "--demands", spec]) == 2
+    assert (f"error: demand battery '{spec}': k must be a non-negative "
             "integer") in capsys.readouterr().err
 
 
@@ -169,6 +171,34 @@ def test_bad_battery_fails_before_the_tree(monkeypatch, tmp_path):
     cfg["demands"] = f"file:{far}"
     with pytest.raises(ValueError, match="line 2: vertex outside 0..8"):
         run_experiment(cfg, out_dir="unused")
+    for spec in ("permutation:9", "gravity:x", "gravity:"):
+        cfg["demands"] = spec
+        with pytest.raises(ValueError, match=f"demand battery '{spec}': .* takes no argument"):
+            run_experiment(cfg, out_dir="unused")
+
+
+@pytest.mark.parametrize("schemes, message", [
+    ("", "names no scheme"),
+    (" , ", "names no scheme"),
+    ("impl-a, impl-a", "scheme 'impl-a' is listed twice"),
+    ("reference,impl-b,reference", "scheme 'reference' is listed twice"),
+])
+def test_bad_scheme_list_fails_before_the_tree(schemes, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("called before the scheme list was checked")
+
+    monkeypatch.setattr(experiment, "build_tree", never)
+    cfg = parse_config(f"generate = grid:3x3\nschemes = {schemes}\n")
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, out_dir="unused")
+
+
+def test_cli_rejects_a_repeated_scheme(tmp_path, capsys):
+    assert main(["route", "--generate", "grid:3x3", "--scheme", "impl-a",
+                 "--scheme", "impl-a", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scheme 'impl-a' is listed twice"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_gravity_battery():
@@ -359,6 +389,17 @@ def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
     assert main([command, "--generate", "grid:2x2", "--seed", "-1", *out]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", ["seed", "arity"])
+def test_cli_names_a_config_key_that_is_not_an_integer(key, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"generate = grid:2x2\n{key} = abc\n")
+    out = tmp_path / "out"
+    assert main(["route", "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config key '{key}' must be an integer, got 'abc'"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -162,7 +162,8 @@ def entry_points():
     backend = ReferenceBackend(g, tree, certify_congestion(g, tree, store_solutions=True).solutions)
     return {"route_demands": lambda d: route_demands(g, tree, backend, d).congestion,
             "optimal_congestion": lambda d: optimal_congestion(g, d),
-            "solve_cmcf_min_congestion": lambda d: solve_cmcf_min_congestion(g, d).congestion}
+            "solve_cmcf_min_congestion":
+                lambda d: solve_cmcf_min_congestion(g, d, set(range(g.n))).congestion}
 
 
 @pytest.mark.parametrize("name", ["route_demands", "optimal_congestion",

@@ -15,18 +15,16 @@ from obroute import cmcf, impl_b
 from obroute.cmcf import round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import Cluster, build_tree, certify_congestion
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph, torus_graph
-from obroute.impl_b import (CubeScheme, RoundedSizes, _bit_fix, _cube_draws,
-                            _embedding_demands, _fill_range, _oriented_pairs,
-                            audit_cube_scheme, build_cube_scheme, build_embedding,
-                            build_rerand_cube, hypercube_loads, hypercube_route,
-                            measure_table_bits_b, round_and_order)
+from obroute.impl_b import (CubeScheme, _bit_fix, _border_ranges, _ceil_log2,
+                            _cube_draws, _embedding_demands, _fill_range,
+                            _oriented_pairs, audit_cube_scheme, build_cube_scheme,
+                            build_embedding, build_rerand_cube, hypercube_loads,
+                            hypercube_route, measure_table_bits_b)
 
 
-def _mock_cluster(border_total: int, children: list[int], weights=None) -> Cluster:
-    return Cluster(id=0, level=0, vertices=(0, 1), parent=None,
-                   children=list(range(100, 100 + len(children))),
-                   cluster_weight=weights or {0: 1, 1: 1},
-                   border_weight={0: border_total})
+def _mock_cluster(border_total: int, weights: dict[int, int]) -> Cluster:
+    return Cluster(id=0, level=0, vertices=(0, 1), parent=None, children=[],
+                   cluster_weight=weights, border_weight={0: border_total})
 
 
 @pytest.fixture(scope="module")
@@ -54,27 +52,20 @@ def grid_scheme():
 def test_rounding_rule_and_ordering():
     # border totals: own 1 stays 1; children 3 -> 4 and 4 -> 4 (non-strict),
     # ascending with ties in tree order gives sizes 1, 4, 4
-    sizes = round_and_order(_mock_cluster(1, [3, 4]), [3, 4])
-    assert sizes.own == 1
-    assert sizes.children == [4, 4]
-    assert sizes.layout_to_child == [1, 2]
-    assert [sizes.layout_index(i) for i in (0, 1, 2)] == [0, 1, 2]
+    assert _border_ranges([1, 3, 4]) == [(0, 1), (1, 5), (5, 9)]
 
-    assert round_and_order(_mock_cluster(1, [1]), [1]).children == [1]
-    assert round_and_order(_mock_cluster(1, [5]), [5]).children == [8]
+    assert _border_ranges([1, 1]) == [(0, 1), (1, 2)]
+    assert _border_ranges([1, 5]) == [(0, 1), (1, 9)]
 
-    # 5,2,4 -> rounded 8,2,4 -> ascending 2,4,8 reshuffles the tree positions
-    sizes = round_and_order(_mock_cluster(1, [5, 2, 4]), [5, 2, 4])
-    assert sizes.children == [2, 4, 8]
-    assert sizes.layout_to_child == [2, 3, 1]
-    assert [sizes.layout_index(i) for i in (0, 1, 2, 3)] == [0, 3, 1, 2]
+    # 5,2,4 -> rounded 8,2,4 -> ascending 2,4,8 reshuffles the tree positions:
+    # child 2 first, then child 3, then child 1
+    assert _border_ranges([1, 5, 2, 4]) == [(0, 1), (7, 15), (1, 3), (3, 7)]
 
 
 def test_dimension_is_ceil_log2_of_total():
+    # the cube dimension is ceil(log2) of the end of the last range
     def dim(own, children):
-        return RoundedSizes(cluster_id=0, own=own, children=children,
-                            layout_to_child=list(range(1, len(children) + 1)),
-                            total_weight=1).dimension
+        return _ceil_log2(max(hi for _, hi in _border_ranges([own, *children])))
 
     assert dim(0, [4, 4]) == 3
     assert dim(2, [2, 2]) == 3      # total 6 still needs 8 nodes
@@ -83,11 +74,8 @@ def test_dimension_is_ceil_log2_of_total():
 
 
 def test_range_intervals_follow_layout_order():
-    sizes = RoundedSizes(cluster_id=0, own=1, children=[2, 4],
-                         layout_to_child=[2, 1], total_weight=4)
-    assert sizes.range_of(0) == (0, 1)
-    assert sizes.range_of(1) == (1, 3)
-    assert sizes.range_of(2) == (3, 7)
+    # own 1, child 1 rounded 4, child 2 rounded 2: laid out own, child 2, child 1
+    assert _border_ranges([1, 4, 2]) == [(0, 1), (3, 7), (1, 3)]
 
 
 def test_fill_range_respects_factor_two_cap():
@@ -108,17 +96,17 @@ def test_four_cycle_node_layout(four_cycle):
     # ranges: own [0,2) -> 0,1; child {0} [2,4) -> 0,0; child {1} [4,6) -> 1,1;
     # leftovers 6,7 round-robin on equal quotas 4*w=8 -> 0 then 1.
     left = tree.leaf_path(0)[1]
-    sizes = scheme.rounded[left]
-    assert (sizes.own, sizes.children) == (2, [2, 2])
-    assert sizes.dimension == 3
+    assert scheme.mains[left].ranges == [(0, 2), (2, 4), (4, 6)]
+    assert scheme.mains[left].dimension == 3
     assert scheme.mains[left].node_owner == [0, 1, 0, 0, 1, 1, 0, 1]
     # root: no own border, child borders {0:1,1:1} and {2:1,3:1} round to 2
     # each; four nodes exactly cover the ranges, no leftovers.
-    assert scheme.rounded[tree.root].own == 0
+    assert scheme.mains[tree.root].ranges == [(0, 0), (0, 2), (2, 4)]
     assert scheme.mains[tree.root].node_owner == [0, 1, 2, 3]
-    # shuffle cube of {0,1}: w = {0:2, 1:2}, total 4 -> dimension 2 and the
-    # first four nodes are exact: 0,0,1,1
+    # shuffle cube of {0,1}: w = {0:2, 1:2}, total 4 -> dimension 2, one
+    # range over the first four nodes, which are exact: 0,0,1,1
     assert scheme.shuffles[left].dimension == 2
+    assert scheme.shuffles[left].ranges == [(0, 4)]
     assert scheme.shuffles[left].node_owner == [0, 0, 1, 1]
 
 
@@ -131,7 +119,7 @@ def test_audit_flags_a_vertex_over_8w_nodes(grid_scheme):
     # hand the lightest vertex of a cluster every main-cube node
     _, tree, scheme = grid_scheme
     scheme = copy.deepcopy(scheme)
-    cid = next(iter(scheme.rounded))
+    cid = next(iter(scheme.mains))
     weights = tree.cluster(cid).cluster_weight
     v = min(weights, key=weights.get)
     maps = scheme.mains[cid]
@@ -163,14 +151,10 @@ def test_endpoint_envelope_exact(grid_scheme):
     # [out(v)/size, 2*out(v)/size] for every vertex of every range
     g, tree, scheme = grid_scheme
     checked = 0
-    for cid, sizes in scheme.rounded.items():
-        cluster = tree.cluster(cid)
-        out_maps = [cluster.border_weight]
-        out_maps += [tree.cluster(cluster.children[pos - 1]).border_weight
-                     for pos in sizes.layout_to_child]
-        owners = scheme.mains[cid].node_owner
-        for layout, out_map in enumerate(out_maps):
-            lo, hi = sizes.range_of(layout)
+    for cid, maps in scheme.mains.items():
+        owners = maps.node_owner
+        for index, (lo, hi) in enumerate(maps.ranges):
+            out_map = tree.target(cid, index).border_weight
             if hi == lo:
                 continue
             size = hi - lo
@@ -207,7 +191,7 @@ def _identity_cube_maps(dim):
             if x < y:
                 edge_paths[(x, y)] = [x, y]
     return CubeMaps(dimension=dim, node_owner=list(range(n)),
-                    vertex_nodes={v: [v] for v in range(n)},
+                    vertex_nodes={v: [v] for v in range(n)}, ranges=[(0, n)],
                     edge_paths=edge_paths, fractional_congestion=1.0)
 
 
@@ -306,7 +290,7 @@ def test_instance_orients_each_owner_pair_once(g):
     for cluster in tree.clusters:
         if cluster.size == 1:
             continue
-        cubes = (build_embedding(tree, cluster)[1], build_rerand_cube(cluster))
+        cubes = (build_embedding(tree, cluster), build_rerand_cube(cluster))
         edges: dict[frozenset, int] = {}
         two_way: dict[tuple[int, int], float] = {}
         for maps in cubes:
@@ -393,7 +377,7 @@ def test_one_draw_per_cube_edge(monkeypatch):
     tree = build_tree(g, target_arity=2, seed=0)
     scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
     expect = []
-    for cid in scheme.rounded:
+    for cid in scheme.mains:
         cubes = (scheme.mains[cid], scheme.shuffles[cid])
         expect += _cube_draws(cubes, _oriented_pairs(cubes))
     assert len(expect) == 538
@@ -450,7 +434,7 @@ def test_rejects_capacitated_graphs():
 def test_oversized_cube_signals_weight_bug(four_cycle):
     _, tree, _ = four_cycle
     # border total 64 forces a 64-node cube against 8*w(S) = 16
-    broken = _mock_cluster(64, [], weights={0: 1, 1: 1})
+    broken = _mock_cluster(64, weights={0: 1, 1: 1})
     with pytest.raises(RuntimeError, match="weight tables"):
         build_embedding(tree, broken)
 
@@ -461,7 +445,7 @@ def test_oversized_cube_signals_weight_bug(four_cycle):
 
 def test_bits_zero_without_structures(four_cycle):
     g, tree, _ = four_cycle
-    empty = CubeScheme(graph=g, tree=tree, c=1, rounded={}, mains={}, shuffles={})
+    empty = CubeScheme(graph=g, tree=tree, c=1, mains={}, shuffles={})
     bits = measure_table_bits_b(empty)
     assert bits.total_bits == 0 and bits.max_bits == 0
 
@@ -486,15 +470,15 @@ def test_bits_match_documented_layout(four_cycle):
     weight_f = max(1, weight_cap.bit_length())
     id_f = max(1, clog2(max(2, len(tree.clusters))))
     groups: dict[tuple[int, int, int], int] = {}
-    for cid in scheme.rounded:
+    for cid in scheme.mains:
         for flag, maps in ((0, scheme.mains[cid]), (1, scheme.shuffles[cid])):
             for path in maps.edge_paths.values():
                 for v in path[:-1]:
                     groups[(v, cid, flag)] = groups.get((v, cid, flag), 0) + 1
     count_f = max(1, max(groups.values(), default=1).bit_length())
     expected = dict.fromkeys(range(g.n), 0)
-    for cid, sizes in scheme.rounded.items():
-        r = len(sizes.children)
+    for cid, main in scheme.mains.items():
+        r = len(main.ranges) - 1
         block = (r + 1) * exp_f + r * max(1, clog2(max(2, r))) + weight_f
         for v in tree.cluster(cid).vertices:
             expected[v] += block

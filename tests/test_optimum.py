@@ -102,7 +102,7 @@ def test_competitive_ratio_conventions():
         "torus6-gravity", "hypercube5-gravity"])
 def test_matches_arc_lp(g, battery):
     demands = demand_battery(battery, g, 0)
-    arc = solve_cmcf_min_congestion(g, demands).congestion
+    arc = solve_cmcf_min_congestion(g, demands, set(range(g.n))).congestion
     assert optimal_congestion(g, demands) == pytest.approx(arc, rel=1e-9)
 
 
@@ -123,7 +123,7 @@ def graphs_with_two_way_demands(draw):
 @given(graphs_with_two_way_demands())
 def test_matches_arc_lp_on_random_graphs(case):
     g, demands = case
-    arc = solve_cmcf_min_congestion(g, demands).congestion
+    arc = solve_cmcf_min_congestion(g, demands, set(range(g.n))).congestion
     assert optimal_congestion(g, demands) == pytest.approx(arc, rel=1e-9)
 
 

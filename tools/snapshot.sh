@@ -24,8 +24,11 @@
 #   routes.txt        sha256 over select_path routes of every ordered pair of
 #                     grid 6x6, 3 draws each, tree seeds 0 and 1, all schemes
 #   impl-b-embedding.txt  for the impl-b builds of routes.txt, per tree seed
-#                     one sha256 over every cluster's RoundedSizes and both
-#                     node_owner maps (layout), one over all edge_paths (paths)
+#                     one sha256 over every cluster's node range per step
+#                     (the (lo, hi) CubeScheme._cube returns for every target
+#                     index, spread or not; None where it raises ValueError)
+#                     and both node_owner maps (layout), and one over all
+#                     edge_paths (paths)
 #
 # Two checkouts give the same results when `diff -r OUT1 OUT2` is empty.
 set -eu
@@ -165,9 +168,16 @@ for tree_seed in (0, 1):
     cert = certify_congestion(g, tree, store_solutions=True)
     cubes = _build_backend("impl-b", g, tree, cert, tree_seed)[0]
     layout, paths = hashlib.sha256(), hashlib.sha256()
-    for cid in sorted(cubes.rounded):
+    for cid in sorted(cubes.mains):
+        ranges = []
+        for spread in (False, True):
+            for index in range(len(tree.cluster(cid).children) + 1):
+                try:
+                    ranges.append(cubes._cube((spread, cid, index))[1:])
+                except ValueError:
+                    ranges.append(None)
         cube_pair = (cubes.mains[cid], cubes.shuffles[cid])
-        layout.update(repr((cubes.rounded[cid],
+        layout.update(repr((cid, ranges,
                             [maps.node_owner for maps in cube_pair])).encode())
         paths.update(repr((cid, [sorted(maps.edge_paths.items())
                                  for maps in cube_pair])).encode())
