@@ -3,8 +3,9 @@
 Scheme B (unit capacities only) gives every cluster two virtual hypercubes
 embedded into the real graph: a main cube whose node ranges stand in for the
 cluster's own border and each child's border, and a shuffle cube used to
-re-randomize a packet's position after every hop. Both cubes of a cluster are
-embedded by one min-congestion LP, since a hop walks one and then the other.
+re-randomize a packet's position after every hop. Each cube edge is embedded
+as one path drawn from the cluster's certification flow, so the cubes cost no
+LP of their own.
 Routing between cube nodes is one-phase bit fixing straight to the target
 node (the paper routes two-phase, through a random intermediate node first),
 so each vertex only stores its node ids and one real path per incident cube
@@ -17,8 +18,8 @@ from obroute.impl_b import audit_cube_scheme, measure_table_bits_b
 
 g = generate_graph("grid", rows=4, cols=4)
 tree = build_tree(g, target_arity=2, seed=0)
-cert = certify_congestion(g, tree)
-scheme = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(7))
+cert = certify_congestion(g, tree, store_solutions=True)
+scheme = build_cube_scheme(g, tree, cert, np.random.default_rng(7))
 print(f"built cubes for {len(scheme.mains)} clusters at scale C = {cert.int_value}")
 
 root = tree.cluster(tree.root)
@@ -33,7 +34,7 @@ for index in sorted(range(1, len(maps.ranges)), key=maps.ranges.__getitem__):
     print(f"  child {child.id} (out {child.total_border}) -> "
           f"{hi - lo} nodes, range [{lo}, {hi})")
 
-print(f"  fractional congestion of the joint main + shuffle embedding "
+print(f"  expected congestion of the drawn main + shuffle cube paths "
       f"{maps.fractional_congestion:.3f}")
 
 issues = audit_cube_scheme(scheme)

@@ -24,9 +24,9 @@ prev: dict[str, int] = {}
 for rows in sizes:
     g = generate_graph("grid", rows=rows, cols=rows)
     tree = build_tree(g, target_arity=2, seed=0)
-    cert = certify_congestion(g, tree)
+    cert = certify_congestion(g, tree, store_solutions=True)
     tables = build_flow_tables(g, tree, cert.int_value)
-    cubes = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(rows))
+    cubes = build_cube_scheme(g, tree, cert, np.random.default_rng(rows))
     a = max(measure_table_bits_a(tables).per_vertex.values())
     b = max(measure_table_bits_b(cubes).per_vertex.values())
     growth = ""

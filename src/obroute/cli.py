@@ -48,7 +48,7 @@ def _certified_tree(args: argparse.Namespace):
     g = graph_from_config(cfg)
     seed = _master_seed(cfg)
     tree = build_tree(g, target_arity=int(cfg["arity"]), seed=seed)
-    return g, tree, certify_congestion(g, tree), seed
+    return g, tree, certify_congestion(g, tree, store_solutions=True), seed
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

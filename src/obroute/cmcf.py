@@ -3,18 +3,19 @@ rounding: one path per listed pair, drawn from that pair's fractional flow.
 
 A solution decomposes a source's flow on first use, once, into one PathGroup
 per sink: the paths, their probabilities and cumulative sums for draws, and
-on demand the expected load of one draw per graph edge. Rounding and the
-reference routing scheme both read these groups.
+on demand the expected load of one draw per graph edge. The reference
+routing scheme and impl-b's rounding of its cube paths both read these
+groups of the certification flows.
 
 A restriction that induces a spanning tree gives every pair one simple path,
 so its routing is forced and needs no LP; any other restriction is solved as
 one LP with commodities aggregated by source vertex.
 
 `solve_cmcf_batch` solves independent instances, such as the per-cluster
-instances of one certification or impl-b embedding pass, concurrently on the
-usable CPUs. HiGHS releases the GIL while it solves, so threads overlap the
-LPs; each instance is solved exactly as on its own, so the results do not
-depend on the concurrency."""
+instances of a certification, concurrently on the usable CPUs. HiGHS
+releases the GIL while it solves, so threads overlap the LPs; each instance
+is solved exactly as on its own, so the results do not depend on the
+concurrency."""
 from __future__ import annotations
 
 import os
@@ -31,8 +32,8 @@ from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, decompose_by_
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
 # above this variable count the dual simplex stalls; interior point stays fast.
-# Only certification and impl-b embedding LPs reach it: the optimum oracle
-# solves small master LPs of its own (obroute.optimum)
+# Only certification LPs reach it: the optimum oracle solves small master LPs
+# of its own (obroute.optimum)
 _IPM_THRESHOLD = 60_000
 
 __all__ = ["PathGroup", "CMCFSolution", "solve_cmcf_min_congestion", "solve_cmcf_batch",

@@ -185,7 +185,7 @@ def _build_backend(scheme: str, g: CapacitatedGraph, tree: DecompositionTree,
                 header_bit_length(tree), list(tables.events), [])
     if scheme == "impl-b":
         rng = np.random.default_rng(np.random.SeedSequence((seed, _CUBE_STREAM)))
-        cubes = build_cube_scheme(g, tree, cert.int_value, rng)
+        cubes = build_cube_scheme(g, tree, cert, rng)
         bits = measure_table_bits_b(cubes)
         return (cubes, bits.per_vertex, label_bit_length(tree),
                 header_bit_length(tree), [], audit_cube_scheme(cubes))
@@ -231,6 +231,8 @@ def run_experiment(cfg: dict[str, str],
                              f"{', '.join(SCHEMES)}")
         if scheme in schemes[:i]:
             raise ValueError(f"scheme {scheme!r} is listed twice")
+    if "impl-b" in schemes and not g.uniform_capacities():
+        raise ValueError("hypercube scheme requires uniform unit edge capacities")
     out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "runs"))
     # the battery has its own stream, so building it first rejects a bad
     # battery before the tree and its certificate are paid for

@@ -14,24 +14,21 @@ Every non-singleton cluster S carries two hypercubes embedded into G[S]:
                 distribution after every hop, stopping the skew from
                 compounding level by level.
 
-Cube edges are realized as graph paths. The cube edges of both cubes whose
-endpoints map to distinct vertices are counted per unordered owner pair
-{a, b}, and each pair is routed one way only, two units per cube edge,
-oriented out of a greedy vertex cover of the pair graph, so the instance has
-few sources. A path reversed loads the same edges, so this one-way instance
-has the optimum of one unit in each direction per cube edge. The
-min-congestion CMCF routes it inside G[S] (one LP per cluster that does not
-induce a tree; a tree's routing is forced and needs none), and each cube
-edge (x, y) gets one path drawn from the fractional flow of its oriented
-pair, reversed where needed to run from owner(x) to owner(y); nothing else
-is rounded. An impl-b hop walks the main cube and then the shuffle cube of
-the same cluster, so an edge carries the sum of both embeddings: the joint
-routing minimises exactly that sum's maximum. Cube routing is one-phase: it
-fixes the coordinates in which the start node and the target differ, in
-ascending order. This departs from the paper's two-phase routing through a
-uniform intermediate node (Valiant & Brebner): a hop's start law is already
-the exact cluster law and its target is already uniform on its range, so
-the detour only lengthens the walk.
+Cube edges are realized as graph paths drawn from the cluster's
+certification flow (decomposition.certify_congestion): the product-demand
+flow between every pair of the cluster's weighted vertices, which the
+paper's hierarchy routes on. Every cube node's owner has positive cluster
+weight, so each cube edge (x, y) of either cube whose owners a, b differ
+draws one path from the flow's path group of {a, b}, reversed where a > b
+(the flow stores each pair from the smaller id); no LP is solved for the
+cubes. A hop walks the main cube and then the shuffle cube of one cluster,
+so both cubes record as fractional_congestion the largest expected edge load
+of the cluster's draws over both. Cube routing is one-phase: it fixes the
+coordinates in which the start node and the target differ, in ascending
+order. This departs from the paper's two-phase routing through a uniform
+intermediate node (Valiant & Brebner): a hop's start law is already the
+exact cluster law and its target is already uniform on its range, so the
+detour only lengthens the walk.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -55,13 +52,14 @@ from __future__ import annotations
 
 import functools
 import heapq
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from obroute.cmcf import CMCFSolution, round_paths, solve_cmcf_batch
-from obroute.decomposition import Cluster, DecompositionTree
+from obroute.cmcf import CMCFSolution, round_paths
+from obroute.decomposition import Cluster, CongestionCertificate, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits
 from obroute.routing import Law, Loads, Step
@@ -114,7 +112,7 @@ class CubeMaps:
     vertex_nodes: dict[int, list[int]]
     ranges: list[tuple[int, int]]                  # target index -> node range [lo, hi)
     edge_paths: dict[tuple[int, int], list[int]]   # cube edge (x<y) -> graph path
-    fractional_congestion: float                   # of the cluster's joint instance
+    fractional_congestion: float                   # expected, of the cluster's draws
     _slots: _PathSlots | None = field(default=None, repr=False, compare=False)
 
     def path_slots(self, g: CapacitatedGraph) -> _PathSlots:
@@ -248,59 +246,27 @@ def _cube_edges(node_owner: list[int], d: int) -> Iterator[tuple[int, int, int, 
                 yield x, y, node_owner[x], node_owner[y]
 
 
-def _oriented_pairs(cubes: tuple[CubeMaps, ...]) -> dict[tuple[int, int], int]:
-    """Cube edges of a cluster's cubes per owner pair, each unordered pair
-    {a, b} oriented once, out of a greedy vertex cover of the pair graph:
-    the vertex with the most uncovered pairs (ties to the smaller id) takes
-    every pair it still shares, as (it, other)."""
-    counts: dict[tuple[int, int], int] = {}
+def _draw_cube_paths(g: CapacitatedGraph, sol: CMCFSolution, cubes: tuple[CubeMaps, ...],
+                     rng: np.random.Generator) -> None:
+    """Give every cube edge (x, y) of a cluster's cubes whose owners a, b
+    differ one path drawn from the cluster's certification flow between them,
+    cube by cube in `_cube_edges` order, one uniform each. The flow stores the
+    pair from the smaller id, so the path is reversed where a > b to run from
+    owner(x) to owner(y). Both cubes record the busiest edge's expected load
+    of these draws (unit capacities), summed from the drawn groups' unit loads."""
+    draws = [(maps, x, y, a, b) for maps in cubes
+             for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension)]
+    pairs = [(min(a, b), max(a, b)) for *_, a, b in draws]
+    for (maps, x, y, a, b), path in zip(draws, round_paths(sol, pairs, rng)):
+        maps.edge_paths[(x, y)] = path if a < b else path[::-1]
+    ids, weights = [], []
+    for (s, t), k in Counter(pairs).items():
+        e, x = sol.path_groups(s)[t].unit_loads(g)
+        ids.append(e)
+        weights.append(k * x)
+    loads = np.bincount(np.concatenate(ids), np.concatenate(weights), minlength=g.m)
     for maps in cubes:
-        for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension):
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    uncovered: dict[int, set[int]] = {}
-    for a, b in counts:
-        uncovered.setdefault(a, set()).add(b)
-        uncovered.setdefault(b, set()).add(a)
-    oriented: dict[tuple[int, int], int] = {}
-    while uncovered:
-        v = min(uncovered, key=lambda u: (-len(uncovered[u]), u))
-        for u in sorted(uncovered.pop(v)):
-            oriented[(v, u)] = counts[(v, u) if v < u else (u, v)]
-            uncovered[u].discard(v)
-            if not uncovered[u]:
-                del uncovered[u]
-    return oriented
-
-
-def _embedding_demands(oriented: dict[tuple[int, int], int]
-                       ) -> dict[tuple[int, int], float]:
-    """Joint embedding instance of a cluster's cubes, routed one way: two units
-    per cube edge of either cube on its owner pair's `oriented` direction. In
-    an undirected graph a flow reversed has the same loads, so this instance
-    has the optimum of one unit in each direction per cube edge."""
-    return {pair: 2.0 * k for pair, k in oriented.items()}
-
-
-def _cube_draws(cubes: tuple[CubeMaps, ...], oriented: dict[tuple[int, int], int]
-                ) -> list[tuple[CubeMaps, int, int, tuple[int, int]]]:
-    """One draw per cube edge (x, y) with distinct owners, cube by cube in
-    `_cube_edges` order, with the `oriented` owner pair it is drawn from."""
-    return [(maps, x, y, (a, b) if (a, b) in oriented else (b, a))
-            for maps in cubes
-            for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension)]
-
-
-def _round_cubes(sol: CMCFSolution, cubes: tuple[CubeMaps, ...],
-                 oriented: dict[tuple[int, int], int], rng: np.random.Generator) -> None:
-    """Give every cube edge (x, y) one path drawn from the flow of its oriented
-    owner pair in the cluster's joint solution, stored from owner(x) to owner(y)."""
-    draws = _cube_draws(cubes, oriented)
-    paths = round_paths(sol, [pair for *_, pair in draws], rng)
-    for (maps, x, y, (s, _)), path in zip(draws, paths):
-        maps.edge_paths[(x, y)] = path if s == maps.node_owner[x] else path[::-1]
-    for maps in cubes:
-        maps.fractional_congestion = sol.congestion
+        maps.fractional_congestion = float(loads.max())
 
 
 def _node_map(node_owner: list[int], d: int, ranges: list[tuple[int, int]]) -> CubeMaps:
@@ -343,29 +309,26 @@ def build_rerand_cube(cluster: Cluster) -> CubeMaps:
     return _node_map(owners, d, [(0, total)])
 
 
-def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree, c: int,
-                      rng: np.random.Generator) -> CubeScheme:
-    """Both cubes of every non-singleton cluster, embedded by one CMCF per cluster.
+def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
+                      cert: CongestionCertificate, rng: np.random.Generator) -> CubeScheme:
+    """Both cubes of every non-singleton cluster, each cube edge embedded as one
+    path drawn from the cluster's certification flow; no LP of its own.
 
-    The clusters' joint instances are independent and are solved concurrently
-    on the usable CPUs (`solve_cmcf_batch`); the paths are then drawn cluster
-    by cluster, so `rng` is consumed as by solving one cluster after another
-    and the scheme does not depend on the concurrency.
-    c is the certified congestion scale; it sizes the path id fields.
+    `cert` must hold its solutions (certify_congestion with
+    store_solutions=True); its int_value C sizes the path id fields. The paths
+    are drawn cluster by cluster in tree order.
     """
     if not g.uniform_capacities():
         raise ValueError("hypercube scheme requires uniform unit edge capacities")
-    scheme = CubeScheme(graph=g, tree=tree, c=int(c), mains={}, shuffles={})
-    clusters = [cluster for cluster in tree.clusters if cluster.size > 1]
-    for cluster in clusters:
-        scheme.mains[cluster.id] = build_embedding(tree, cluster)
-        scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
-    cubes = [(scheme.mains[cluster.id], scheme.shuffles[cluster.id]) for cluster in clusters]
-    oriented = [_oriented_pairs(both) for both in cubes]
-    solutions = solve_cmcf_batch(g, [(_embedding_demands(pairs), set(cluster.vertices))
-                                     for cluster, pairs in zip(clusters, oriented)])
-    for sol, both, pairs in zip(solutions, cubes, oriented):
-        _round_cubes(sol, both, pairs, rng)
+    if cert.solutions is None:
+        raise ValueError("hypercube scheme draws its paths from the certification "
+                         "flows: certify with store_solutions=True")
+    scheme = CubeScheme(graph=g, tree=tree, c=int(cert.int_value), mains={}, shuffles={})
+    for cluster in tree.clusters:
+        if cluster.size > 1:
+            main = scheme.mains[cluster.id] = build_embedding(tree, cluster)
+            shuffle = scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
+            _draw_cube_paths(g, cert.solutions[cluster.id], (main, shuffle), rng)
     return scheme
 
 

@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_congestion, single_edge, triangle
-from obroute.cmcf import round_paths, solve_cmcf_min_congestion
+from obroute.cmcf import round_paths
 from obroute.decomposition import audit_tree, build_tree, certify_congestion
 from obroute.experiment import SCHEMES, demand_battery, parse_config, run_experiment
 from obroute.graph import CapacitatedGraph, DemandMatrix, grid_graph, random_regular_graph
 from obroute.impl_a import (build_flow_tables, header_bit_length, label_bit_length,
                             measure_table_bits_a)
-from obroute.impl_b import (_cube_draws, _embedding_demands, _oriented_pairs,
-                            audit_cube_scheme, build_cube_scheme, build_embedding,
-                            build_rerand_cube, measure_table_bits_b)
+from obroute.impl_b import (_cube_edges, audit_cube_scheme, build_cube_scheme,
+                            build_embedding, build_rerand_cube, measure_table_bits_b)
 from obroute.optimum import optimal_congestion
 from obroute.routing import ReferenceBackend, route_demands
 
@@ -154,9 +153,8 @@ def test_criterion_3_cube_mapping_audit():
     violations: list[str] = []
     for i, g in enumerate(instances):
         tree = build_tree(g, target_arity=2, seed=i)
-        cert = certify_congestion(g, tree)
-        scheme = build_cube_scheme(g, tree, cert.int_value,
-                                   np.random.default_rng((303, i)))
+        cert = certify_congestion(g, tree, store_solutions=True)
+        scheme = build_cube_scheme(g, tree, cert, np.random.default_rng((303, i)))
         violations += [f"instance {i} (n={g.n}): {m}"
                        for m in audit_cube_scheme(scheme)]
     _verdict(3, "cube mapping bounds on grids and 3-regular graphs", started, 60,
@@ -170,21 +168,19 @@ def test_criterion_4_chernoff_rounding():
     # that a correct (unbiased) rounding passes with a wide margin
     g = grid_graph(4, 4)
     tree = build_tree(g, target_arity=2, seed=0)
-    cert = certify_congestion(g, tree)
+    cert = certify_congestion(g, tree, store_solutions=True)
     root = tree.cluster(tree.root)
     instances = [(g, tree, cert, root), (g, tree, cert, tree.cluster(root.children[0]))]
 
     for g, tree, cert, cluster in instances:
-        # the joint main + shuffle instance, as build_cube_scheme solves it,
-        # and the draws it makes: one path per cube edge of either cube, from
-        # the flow of that edge's oriented owner pair
-        main = build_embedding(tree, cluster)
-        cubes = (main, build_rerand_cube(cluster))
+        # the draws build_cube_scheme makes for the cluster: one path per
+        # cube edge of either cube, from the certification flow of the edge's
+        # owner pair, which the flow stores from the smaller id
+        cubes = (build_embedding(tree, cluster), build_rerand_cube(cluster))
         members = set(cluster.vertices)
-        oriented = _oriented_pairs(cubes)
-        sol = solve_cmcf_min_congestion(g, _embedding_demands(oriented),
-                                        restrict=members)
-        pairs = [pair for *_, pair in _cube_draws(cubes, oriented)]
+        sol = cert.solutions[cluster.id]
+        pairs = [(min(a, b), max(a, b)) for maps in cubes
+                 for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension)]
         # fractional loads and Bernoulli variances of those draws, from the
         # pairs' path laws
         frac: dict[tuple[int, int], float] = {}
@@ -238,7 +234,7 @@ def test_criterion_5_congestion_bounds():
             tree = build_tree(g, target_arity=2, seed=seed)
             cert = certify_congestion(g, tree, store_solutions=True)
             h, c_int = tree.height, cert.int_value
-            cubes = build_cube_scheme(g, tree, c_int,
+            cubes = build_cube_scheme(g, tree, cert,
                                       np.random.default_rng((505, rows, seed)))
             d = max(m.dimension for m in cubes.mains.values())
             backends = {
@@ -268,10 +264,9 @@ def test_criterion_6_compactness_trend():
     for rows in (4, 8, 16):
         g = grid_graph(rows, rows)
         tree = build_tree(g, target_arity=2, seed=0)
-        cert = certify_congestion(g, tree)
+        cert = certify_congestion(g, tree, store_solutions=True)
         tables = build_flow_tables(g, tree, cert.int_value)
-        cubes = build_cube_scheme(g, tree, cert.int_value,
-                                  np.random.default_rng((606, rows)))
+        cubes = build_cube_scheme(g, tree, cert, np.random.default_rng((606, rows)))
         max_bits["impl-a"].append(max(measure_table_bits_a(tables).per_vertex.values()))
         max_bits["impl-b"].append(max(measure_table_bits_b(cubes).per_vertex.values()))
 

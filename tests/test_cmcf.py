@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obroute import cmcf, impl_b
+from obroute import cmcf
 from obroute.cmcf import CMCFSolution, PathGroup, round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import build_tree, certify_congestion, cmcf_instance
 from obroute.flows import SNK, SRC, cancel_cycles, decompose_by_sink, max_flow_integral
@@ -121,14 +121,15 @@ def test_lp_only_off_trees(monkeypatch):
 
 def test_lp_calls_grid_8x8(monkeypatch):
     # 35 of the 59 clusters that need a solve induce trees; the others take
-    # one LP each, in certification and again in the impl-b embedding
+    # one LP each in certification, and the impl-b cubes, drawn from those
+    # flows, take none
     calls = _count_linprog(monkeypatch)
     g = grid_graph(8, 8)
     tree = build_tree(g, target_arity=2, seed=0)
-    cert = certify_congestion(g, tree)
+    cert = certify_congestion(g, tree, store_solutions=True)
     assert len(calls) == 24
-    build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(0))
-    assert len(calls) == 48
+    build_cube_scheme(g, tree, cert, np.random.default_rng(0))
+    assert len(calls) == 24
 
 
 @pytest.fixture
@@ -182,26 +183,20 @@ def test_cube_scheme_repeats_under_any_finishing_order(monkeypatch, scrambled, k
     builds = []
     for cpus in (1, 2, 4):
         monkeypatch.setattr(cmcf, "_usable_cpus", lambda cpus=cpus: cpus)
-        scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(5))
+        cert = certify_congestion(g, tree, store_solutions=True)
+        scheme = build_cube_scheme(g, tree, cert, np.random.default_rng(5))
         builds.append([(cid, maps.edge_paths, maps.fractional_congestion)
                        for cubes in (scheme.mains, scheme.shuffles)
                        for cid, maps in cubes.items()])
     assert builds[0] == builds[1] == builds[2]
 
 
-@pytest.mark.parametrize("build", ["certify", "impl-b"])
-def test_failed_cluster_lp_raises_and_stops_the_pool(monkeypatch, build):
-    # the LP of a small cluster, solved on a pool thread, fails
+def test_failed_cluster_lp_raises_and_stops_the_pool(monkeypatch):
+    # the certification LP of a small cluster, solved on a pool thread, fails
     g = grid_graph(6, 6)
     tree = build_tree(g, target_arity=2, seed=0)
-
-    def run():
-        if build == "certify":
-            return certify_congestion(g, tree)
-        return build_cube_scheme(g, tree, 2, np.random.default_rng(0))
-
     sizes = _count_linprog(monkeypatch)
-    run()
+    certify_congestion(g, tree)
     smallest = min(sizes)
     assert smallest < max(sizes)
     counting = cmcf.linprog
@@ -214,7 +209,7 @@ def test_failed_cluster_lp_raises_and_stops_the_pool(monkeypatch, build):
     monkeypatch.setattr(cmcf, "linprog", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="LP solver failed"):
-        run()
+        certify_congestion(g, tree)
     assert threading.active_count() == before
 
 
@@ -308,23 +303,15 @@ def _assert_tables_match_oracle(g: CapacitatedGraph, sol: CMCFSolution) -> int:
     return checked
 
 
-def test_decomposition_tables_match_the_dict_oracle(monkeypatch):
-    # every certification and impl-b embedding flow of grid 8x8 (tree seed 0)
-    embedded = []
-    real_batch = impl_b.solve_cmcf_batch
-
-    def recording(g, instances):
-        embedded.extend(real_batch(g, instances))
-        return embedded[-len(instances):]
-
-    monkeypatch.setattr(impl_b, "solve_cmcf_batch", recording)
-    g = grid_graph(8, 8)
-    tree = build_tree(g, target_arity=2, seed=0)
-    cert = certify_congestion(g, tree, store_solutions=True)
-    build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(0))
-    assert len(cert.solutions) > 10 and len(embedded) > 10
-    checked = sum(_assert_tables_match_oracle(g, sol)
-                  for sol in [*cert.solutions.values(), *embedded])
+def test_decomposition_tables_match_the_dict_oracle():
+    # every certification flow of grids 8x8 and 10x10 (tree seed 0)
+    checked = 0
+    for side in (8, 10):
+        g = grid_graph(side, side)
+        tree = build_tree(g, target_arity=2, seed=0)
+        cert = certify_congestion(g, tree, store_solutions=True)
+        assert len(cert.solutions) > 10
+        checked += sum(_assert_tables_match_oracle(g, sol) for sol in cert.solutions.values())
     assert checked > 1000
 
 

@@ -383,6 +383,21 @@ def test_cli_route_rejects_cubes_on_weighted_graphs(tmp_path, capsys):
     assert "uniform unit edge capacities" in capsys.readouterr().err
 
 
+def test_cubes_on_weighted_graphs_fail_before_the_tree(tmp_path, monkeypatch, capsys):
+    # impl-b listed after another scheme: no tree, no scheme directory
+    def never(*args, **kwargs):
+        raise AssertionError("tree built for a scheme list that cannot run")
+
+    monkeypatch.setattr(experiment, "build_tree", never)
+    out = tmp_path / "out"
+    code = main(["route", "--generate", "grid:3x3:1-4", "--scheme", "reference",
+                 "--scheme", "impl-b", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: hypercube scheme requires uniform unit edge capacities"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["build", "route", "audit"])
 def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
     out = [] if command == "audit" else ["--out-dir", str(tmp_path)]
@@ -452,7 +467,7 @@ def test_cli_audit_checks_the_cubes_route_builds(monkeypatch, capsys):
 
     g = grid_graph(4, 4)
     tree = build_tree(g, seed=3)
-    cert = certify_congestion(g, tree)
+    cert = certify_congestion(g, tree, store_solutions=True)
     routed = experiment._build_backend("impl-b", g, tree, cert, seed=3)[0]
     (checked,) = audited
     for cid in routed.mains:

@@ -6,19 +6,19 @@ counts against laws computed exactly from node ownership, never against the
 sampler itself.
 """
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from helpers import cycle_graph, tree_from_spec
-from obroute import cmcf, impl_b
-from obroute.cmcf import round_paths, solve_cmcf_min_congestion
+from obroute import impl_b
+from obroute.cmcf import round_paths
 from obroute.decomposition import Cluster, build_tree, certify_congestion
-from obroute.graph import grid_graph, hypercube_graph, random_regular_graph, torus_graph
+from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
 from obroute.impl_b import (CubeScheme, _bit_fix, _border_ranges, _ceil_log2,
-                            _cube_draws, _embedding_demands, _fill_range,
-                            _oriented_pairs, audit_cube_scheme, build_cube_scheme,
-                            build_embedding, build_rerand_cube, hypercube_loads,
+                            _cube_edges, _fill_range, audit_cube_scheme,
+                            build_cube_scheme, build_embedding, hypercube_loads,
                             hypercube_route, measure_table_bits_b)
 
 
@@ -31,8 +31,8 @@ def _mock_cluster(border_total: int, weights: dict[int, int]) -> Cluster:
 def four_cycle():
     g = cycle_graph(4)
     tree = tree_from_spec(g, [[0, 1], [2, 3]])
-    cert = certify_congestion(g, tree)
-    scheme = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(42))
+    cert = certify_congestion(g, tree, store_solutions=True)
+    scheme = build_cube_scheme(g, tree, cert, np.random.default_rng(42))
     return g, tree, scheme
 
 
@@ -40,8 +40,8 @@ def four_cycle():
 def grid_scheme():
     g = grid_graph(4, 4)
     tree = build_tree(g, target_arity=2, seed=0)
-    cert = certify_congestion(g, tree)
-    scheme = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(7))
+    cert = certify_congestion(g, tree, store_solutions=True)
+    scheme = build_cube_scheme(g, tree, cert, np.random.default_rng(7))
     return g, tree, scheme
 
 
@@ -133,7 +133,9 @@ def test_audit_flags_path_ids_too_narrow(grid_scheme):
     # path ids sized for C = 1, below the certified C = 5 of this tree
     g, tree, scheme = grid_scheme
     assert scheme.c == 5
-    narrow = build_cube_scheme(g, tree, 1, np.random.default_rng(7))
+    cert = certify_congestion(g, tree, store_solutions=True)
+    narrow = build_cube_scheme(g, tree, dataclasses.replace(cert, int_value=1),
+                               np.random.default_rng(7))
     bad = audit_cube_scheme(narrow)
     assert bad and all("path ids can number" in line for line in bad)
 
@@ -141,8 +143,8 @@ def test_audit_flags_path_ids_too_narrow(grid_scheme):
 @pytest.mark.parametrize("g", [hypercube_graph(3), random_regular_graph(16, 3, seed=5)])
 def test_audit_clean_on_generators(g):
     tree = build_tree(g, target_arity=2, seed=1)
-    cert = certify_congestion(g, tree)
-    scheme = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(3))
+    cert = certify_congestion(g, tree, store_solutions=True)
+    scheme = build_cube_scheme(g, tree, cert, np.random.default_rng(3))
     assert audit_cube_scheme(scheme) == []
 
 
@@ -276,46 +278,8 @@ def test_rerandomize_exact_law(four_cycle):
 
 
 # ---------------------------------------------------------------------------
-# embedding instance
+# cube paths drawn from the certification flows
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("g", [grid_graph(4, 4), torus_graph(6, 6)],
-                         ids=["grid-4x4", "torus-6x6"])
-def test_instance_orients_each_owner_pair_once(g):
-    # every unordered owner pair {a, b} of a cube edge appears once, with two
-    # units per cube edge of either cube; its sources cover every pair; and
-    # its optimum is that of one unit each way per cube edge
-    tree = build_tree(g, target_arity=2, seed=0)
-    checked = 0
-    for cluster in tree.clusters:
-        if cluster.size == 1:
-            continue
-        cubes = (build_embedding(tree, cluster), build_rerand_cube(cluster))
-        edges: dict[frozenset, int] = {}
-        two_way: dict[tuple[int, int], float] = {}
-        for maps in cubes:
-            owner = maps.node_owner
-            for x in range(1 << maps.dimension):
-                for k in range(maps.dimension):
-                    y = x ^ (1 << k)
-                    if x < y and owner[x] != owner[y]:
-                        pair = frozenset((owner[x], owner[y]))
-                        edges[pair] = edges.get(pair, 0) + 1
-                        for st in ((owner[x], owner[y]), (owner[y], owner[x])):
-                            two_way[st] = two_way.get(st, 0.0) + 1.0
-        demands = _embedding_demands(_oriented_pairs(cubes))
-        assert len(demands) == len(edges)
-        assert {frozenset(st): d for st, d in demands.items()} == \
-            {pair: 2.0 * k for pair, k in edges.items()}
-        sources = {s for s, _ in demands}
-        assert all(pair & sources for pair in edges)
-        members = set(cluster.vertices)
-        one = solve_cmcf_min_congestion(g, demands, restrict=members).lp_objective
-        both = solve_cmcf_min_congestion(g, two_way, restrict=members).lp_objective
-        assert one == pytest.approx(both, rel=1e-9)
-        checked += 1
-    assert checked > 4
-
 
 def test_one_stored_path_per_cube_edge(four_cycle, grid_scheme):
     for _, _, scheme in (four_cycle, grid_scheme):
@@ -329,93 +293,67 @@ def test_one_stored_path_per_cube_edge(four_cycle, grid_scheme):
             assert set(maps.edge_paths) == expect
 
 
-def test_one_joint_lp_per_cluster(monkeypatch):
-    # the main and shuffle cubes of a cluster share one min-congestion
-    # instance, its oriented owner pairs; the batch solves the clusters
-    # concurrently, so in any order
-    calls = []
-
-    def counting(g, demands, restrict=None):
-        calls.append((tuple(sorted(restrict)), dict(demands)))
-        return solve_cmcf_min_congestion(g, demands, restrict=restrict)
-
-    monkeypatch.setattr(cmcf, "solve_cmcf_min_congestion", counting)
-    g = grid_graph(4, 4)
-    tree = build_tree(g, target_arity=2, seed=0)
-    scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
-    expect = {}
-    for cluster in tree.clusters:
-        if cluster.size == 1:
-            continue
-        cubes = (scheme.mains[cluster.id], scheme.shuffles[cluster.id])
-        demands = _embedding_demands(_oriented_pairs(cubes))
-        if demands:
-            expect[tuple(sorted(cluster.vertices))] = demands
-    assert len(expect) > 4
-    assert len(calls) == len(expect)
-    assert dict(calls) == expect
-
-
-def _recorded_draws(monkeypatch) -> list:
+def test_one_draw_per_cube_edge(monkeypatch):
+    # each cube edge (x, y) stores a path of the certification group of
+    # {owner(x), owner(y)}, from owner(x) to owner(y); the build draws once
+    # per cube edge, cluster by cluster, main cube then shuffle cube in
+    # _cube_edges order, and takes exactly one uniform from the rng per draw
     drawn = []
 
     def recording(sol, pairs, rng):
-        paths = round_paths(sol, pairs, rng)
-        drawn.extend((sol, pair, path) for pair, path in zip(pairs, paths))
-        return paths
+        drawn.append((sol, pairs))
+        return round_paths(sol, pairs, rng)
 
     monkeypatch.setattr(impl_b, "round_paths", recording)
-    return drawn
-
-
-def test_one_draw_per_cube_edge(monkeypatch):
-    # the build rounds exactly the paths it stores: one draw per cube edge
-    # with distinct owners, from the flow of that edge's oriented owner pair,
-    # stored from owner(x) to owner(y)
-    drawn = _recorded_draws(monkeypatch)
     g = grid_graph(4, 4)
     tree = build_tree(g, target_arity=2, seed=0)
-    scheme = build_cube_scheme(g, tree, 2, np.random.default_rng(7))
-    expect = []
-    for cid in scheme.mains:
-        cubes = (scheme.mains[cid], scheme.shuffles[cid])
-        expect += _cube_draws(cubes, _oriented_pairs(cubes))
-    assert len(expect) == 538
-    assert [pair for _, pair, _ in drawn] == [pair for *_, pair in expect]
-    for (sol, _, path), (maps, x, y, (s, t)) in zip(drawn, expect):
-        stored = maps.edge_paths[(x, y)]
-        assert stored == (path if s == maps.node_owner[x] else path[::-1])
-        assert (stored[0], stored[-1]) == (maps.node_owner[x], maps.node_owner[y])
-        assert path in sol.path_groups(s)[t].paths
+    cert = certify_congestion(g, tree, store_solutions=True)
+    rng = np.random.default_rng(7)
+    scheme = build_cube_scheme(g, tree, cert, rng)
+    edges = 0
+    for (sol, pairs), cid in zip(drawn, scheme.mains, strict=True):
+        assert sol is cert.solutions[cid]
+        cube_edges = [(maps, x, y, a, b) for maps in (scheme.mains[cid], scheme.shuffles[cid])
+                      for x, y, a, b in _cube_edges(maps.node_owner, maps.dimension)]
+        assert pairs == [(min(a, b), max(a, b)) for *_, a, b in cube_edges]
+        for maps, x, y, a, b in cube_edges:
+            stored = maps.edge_paths[(x, y)]
+            assert (stored[0], stored[-1]) == (a, b)
+            group = sol.path_groups(min(a, b))[max(a, b)]
+            assert (stored if a < b else stored[::-1]) in group.paths
+        edges += len(cube_edges)
+    assert edges == 538
+    uniforms = np.random.default_rng(7)
+    uniforms.random(edges)
+    assert rng.bit_generator.state == uniforms.bit_generator.state
 
 
-def test_every_decomposed_group_is_drawn(monkeypatch):
-    # path_groups decomposes a source's flow to every sink, and every such
-    # (source, sink) group is a pair the build draws from
-    drawn = _recorded_draws(monkeypatch)
-    g = grid_graph(4, 4)
-    tree = build_tree(g, target_arity=2, seed=0)
-    build_cube_scheme(g, tree, 2, np.random.default_rng(7))
-    pairs: dict[int, set] = {}
-    solutions = {}
-    for sol, pair, _ in drawn:
-        pairs.setdefault(id(sol), set()).add(pair)
-        solutions[id(sol)] = sol
-    decomposed = 0
-    for key, sol in solutions.items():
-        for s, groups in sol._groups.items():
-            for t in groups:
-                assert (s, t) in pairs[key]
-                decomposed += 1
-    assert decomposed == sum(len(p) for p in pairs.values()) > 4
+def test_fractional_congestion_is_the_expected_load_of_the_draws(grid_scheme):
+    # the largest expected edge load of one draw per cube edge of both cubes,
+    # summed path by path from the certification groups' probabilities
+    g, tree, scheme = grid_scheme
+    cert = certify_congestion(g, tree, store_solutions=True)
+    for cid, main in scheme.mains.items():
+        loads: dict[tuple[int, int], float] = {}
+        for maps in (main, scheme.shuffles[cid]):
+            for _, _, a, b in _cube_edges(maps.node_owner, maps.dimension):
+                group = cert.solutions[cid].path_groups(min(a, b))[max(a, b)]
+                for path, p in zip(group.paths, group.probs):
+                    for e in zip(path, path[1:]):
+                        key = e if e[0] < e[1] else e[::-1]
+                        loads[key] = loads.get(key, 0.0) + p
+        expect = max(loads.values())
+        assert main.fractional_congestion == pytest.approx(expect, rel=1e-12)
+        assert scheme.shuffles[cid].fractional_congestion == main.fractional_congestion
 
 
 def test_build_is_deterministic():
     g = cycle_graph(4)
     tree = tree_from_spec(g, [[0, 1], [2, 3]])
-    a = build_cube_scheme(g, tree, 2, np.random.default_rng(1))
-    b = build_cube_scheme(g, tree, 2, np.random.default_rng(1))
-    c = build_cube_scheme(g, tree, 2, np.random.default_rng(2))
+    cert = certify_congestion(g, tree, store_solutions=True)
+    a = build_cube_scheme(g, tree, cert, np.random.default_rng(1))
+    b = build_cube_scheme(g, tree, cert, np.random.default_rng(1))
+    c = build_cube_scheme(g, tree, cert, np.random.default_rng(2))
     for cid in a.mains:
         assert a.mains[cid].node_owner == b.mains[cid].node_owner
         assert a.mains[cid].edge_paths == b.mains[cid].edge_paths
@@ -427,8 +365,16 @@ def test_build_is_deterministic():
 def test_rejects_capacitated_graphs():
     g = cycle_graph(4, cap=2)
     tree = tree_from_spec(g, [[0, 1], [2, 3]])
+    cert = certify_congestion(g, tree, store_solutions=True)
     with pytest.raises(ValueError, match="uniform unit"):
-        build_cube_scheme(g, tree, 1, np.random.default_rng(0))
+        build_cube_scheme(g, tree, cert, np.random.default_rng(0))
+
+
+def test_rejects_a_certificate_without_solutions():
+    g = cycle_graph(4)
+    tree = tree_from_spec(g, [[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="store_solutions=True"):
+        build_cube_scheme(g, tree, certify_congestion(g, tree), np.random.default_rng(0))
 
 
 def test_oversized_cube_signals_weight_bug(four_cycle):

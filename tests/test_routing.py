@@ -26,7 +26,7 @@ def _backends(g, tree, cert):
     tab = build_flow_tables(g, tree, cert.int_value)
     out = {"reference": ref, "tables": tab}
     if g.uniform_capacities():
-        scheme = build_cube_scheme(g, tree, cert.int_value, np.random.default_rng(13))
+        scheme = build_cube_scheme(g, tree, cert, np.random.default_rng(13))
         out["cubes"] = scheme
     return out
 
@@ -386,14 +386,17 @@ def test_stored_path_off_the_graph_raises():
         "from helpers import cycle_graph, tree_from_spec\n"
         "from test_routing import _backends\n"
         "from obroute.decomposition import certify_congestion\n"
-        "from obroute.routing import route_demands\n"
+        "from obroute.routing import ReferenceBackend, route_demands\n"
         "assert False, 'asserts are live'\n"
         "g = cycle_graph(4)\n"
         "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
+        "backends = _backends(g, tree, certify_congestion(g, tree, store_solutions=True))\n"
+        "# the cube build reads the unit loads of the certification groups, so\n"
+        "# the reference gets a certificate of its own, broken before any read\n"
         "cert = certify_congestion(g, tree, store_solutions=True)\n"
-        "backends = _backends(g, tree, cert)\n"
         "paths = cert.solutions[tree.root].path_groups(0)[2].paths\n"
         "paths[0] = [0, 2]\n"
+        "backends['reference'] = ReferenceBackend(g, tree, cert.solutions)\n"
         "maps = backends['cubes'].mains[tree.root]\n"
         "maps.edge_paths = {e: [p[0], (p[0] + 2) % 4, p[-1]]\n"
         "                   for e, p in maps.edge_paths.items()}\n"
