@@ -1,9 +1,9 @@
-"""The hypercube scheme: cluster weights rounded into embedded cube ranges.
+"""The hypercube scheme: cluster weights laid out exactly as cube ranges.
 
 Scheme B (unit capacities only) gives every cluster two virtual hypercubes
-embedded into the real graph: a main cube whose node ranges stand in for the
-cluster's own border and each child's border, and a shuffle cube used to
-re-randomize a packet's position after every hop. Each cube edge is embedded
+embedded into the real graph: a main cube whose node ranges hold the
+cluster's own border and each child's border, one node per unit of weight,
+and a shuffle cube used to re-randomize a packet's position after every hop. Each cube edge is embedded
 as one path drawn from the cluster's certification flow, so the cubes cost no
 LP of their own.
 Routing between cube nodes is one-phase bit fixing straight to the target
@@ -26,9 +26,8 @@ root = tree.cluster(tree.root)
 maps = scheme.mains[root.id]
 print(f"\nroot main cube: dimension {maps.dimension}, {1 << maps.dimension} nodes")
 lo, hi = maps.ranges[0]
-print(f"  own border rounded to {hi - lo} node(s)")
-# children in layout order: ascending range start
-for index in sorted(range(1, len(maps.ranges)), key=maps.ranges.__getitem__):
+print(f"  own border: {hi - lo} node(s)")
+for index in range(1, len(maps.ranges)):
     child = tree.target(root.id, index)
     lo, hi = maps.ranges[index]
     print(f"  child {child.id} (out {child.total_border}) -> "
@@ -39,7 +38,7 @@ print(f"  expected congestion of the drawn main + shuffle cube paths "
 
 issues = audit_cube_scheme(scheme)
 print(f"\naudit: {len(issues)} issue(s)" + ("" if issues else
-      " (ranges in [out, 2out], totals within 8w, shuffle counts exact)"))
+      " (range counts exact, at most 4w nodes per vertex per cube)"))
 
 rng = np.random.default_rng(3)
 start = next(v for v in sorted(root.vertices) if root.cluster_weight[v] > 0)

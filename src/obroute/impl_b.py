@@ -1,18 +1,22 @@
 """Hypercube routing scheme for unit-capacity graphs.
 
-Every non-singleton cluster S carries two hypercubes embedded into G[S]:
+Every non-singleton cluster S carries two hypercubes embedded into G[S],
+each laid out from weight runs (_weight_cube): range k of a cube holds
+exactly run_k(v) nodes of each vertex v, in id order, the ranges sit back to
+back from node 0, and the padding up to the next power of two repeats the
+cluster-weight run (w_S(v) nodes of each v in id order) as often as needed.
 
-  main cube     dimension d = ceil(log2 of the summed rounded border totals).
-                It holds a node range per target index: the cluster's own
-                border (index 0) and the k-th child border (index k), laid
-                out own border first, then children in ascending rounded
-                order. Hopping to a uniform node of a range realizes (up to
-                a factor-2 skew) the matching border distribution.
-  shuffle cube  dimension ceil(log2 w_S(S)), one range: the first w_S(S)
-                nodes give each vertex exactly its cluster weight, so routing
-                to a uniform node among them restores the exact cluster
-                distribution after every hop, stopping the skew from
-                compounding level by level.
+  main cube     one range per target index: the cluster's own border
+                (index 0), then the k-th child's border (index k). Hopping
+                to a uniform node of a range ends exactly on that border law.
+  shuffle cube  one range, the cluster weights: hopping to a uniform node of
+                it ends exactly on the cluster law, where every hop must
+                end (see routing).
+
+Every vertex's child border is its cluster weight and its own border is at
+most that, so a main cube's ranges hold at most 2 w_S(S) nodes, the padding
+is shorter than two cluster-weight runs, and no vertex holds more than
+4 w_S(v) nodes of either cube.
 
 Cube edges are realized as graph paths drawn from the cluster's
 certification flow (decomposition.certify_congestion): the product-demand
@@ -33,25 +37,25 @@ detour only lengthens the walk.
 Per-vertex table layout (bit-exact accounting):
 
   sizes block, one per containing non-singleton cluster S with r children:
-      (r+1) exponent fields   ceil(log2(1+E)) bits each, E = max exponent
-                              representable, (2*m*W).bit_length()
-      r layout fields         ceil(log2 r) bits each, child position by
-                              ascending rounded size
-      1 weight field          (2*m*W).bit_length() bits, holds w_S(S)
+      (r+1) weight fields     (2*m*W).bit_length() bits each: the border
+                              totals, own then children in tree order, so
+                              range k of the main cube starts at the sum of
+                              the fields before k
   path groups, one per (cluster, cube) whose stored paths traverse v:
       header                  cluster id + 1 cube flag bit + entry count
       one entry per path      outgoing edge index (ceil(log2 deg(v)) bits)
-                              + path id on that edge (ceil(log2 d*C) bits);
+                              + path id on that edge (path_id_bits);
                               hop-by-hop continuation, so mid-path vertices
                               need no cube-edge key
 
 The count field width is the build-wide constant ceil(log2(1+max entries in
-any group)).
+any group)), and path_id_bits the build-wide ceil(log2) of the most stored
+paths leaving one vertex on one edge within one cube.
 """
 from __future__ import annotations
 
 import functools
-import heapq
+import itertools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -69,26 +73,8 @@ __all__ = ["CubeMaps", "CubeScheme", "build_embedding", "build_rerand_cube",
            "audit_cube_scheme", "measure_table_bits_b"]
 
 
-def _round_pow2(x: int) -> int:
-    """Smallest power of two >= x; zero stays zero (4 -> 4, 5 -> 8)."""
-    return 0 if x == 0 else 1 << (x - 1).bit_length()
-
-
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length() if x > 1 else 0
-
-
-def _border_ranges(border_totals: list[int]) -> list[tuple[int, int]]:
-    """Main-cube node range [lo, hi) per target index, from the border totals
-    in that order: each rounded up to a power of two, laid out own border
-    first, then children by ascending rounded size, ties in tree order."""
-    sizes = [_round_pow2(total) for total in border_totals]
-    ranges = [(0, 0)] * len(sizes)
-    lo = 0
-    for index in [0, *sorted(range(1, len(sizes)), key=lambda k: (sizes[k], k))]:
-        ranges[index] = (lo, lo + sizes[index])
-        lo += sizes[index]
-    return ranges
 
 
 @dataclass
@@ -143,11 +129,11 @@ class CubeScheme:
     """The impl-b scheme, and its own hop backend (routing.SchemeBackend): a
     step walks the main cube to a uniform node of the target's border range
     to leave, the shuffle cube to a uniform node among the first w_S(S) to
-    spread, so a spread ends exactly on the cluster law, whatever the start."""
+    spread, so each ends exactly on its law, whatever the start."""
 
     graph: CapacitatedGraph
     tree: DecompositionTree
-    c: int
+    path_id_bits: int                   # width of a stored path's id on its edge
     mains: dict[int, CubeMaps]
     shuffles: dict[int, CubeMaps]
 
@@ -168,68 +154,6 @@ class CubeScheme:
     def loads(self, step: Step, law: Law) -> tuple[Loads, Law]:
         maps, lo, hi = self._cube(step)
         return hypercube_loads(self.graph, maps, law, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# node assignment
-# ---------------------------------------------------------------------------
-
-def _fill_range(out_map: dict[int, int], size: int) -> dict[int, int]:
-    """Node counts per vertex: each v gets out(v) first, extras round-robin
-    without exceeding 2*out(v)."""
-    support = sorted(v for v, o in out_map.items() if o > 0)
-    counts = {v: out_map[v] for v in support}
-    extras = size - sum(counts.values())
-    if not 0 <= extras <= sum(counts.values()):
-        raise RuntimeError("rounded range size out of bounds")
-    taken = {v: 0 for v in support}
-    while extras > 0:
-        progressed = False
-        for v in support:
-            if extras == 0:
-                break
-            if taken[v] < out_map[v]:
-                taken[v] += 1
-                counts[v] += 1
-                extras -= 1
-                progressed = True
-        if not progressed:
-            raise RuntimeError("range extras exceed the factor-2 headroom")
-    return counts
-
-
-def _spread_leftovers(weights: dict[int, int], amount: int) -> dict[int, int]:
-    """Leftover nodes round-robin by descending remaining quota of 4*w(v)."""
-    heap = [(-4 * w, v) for v, w in sorted(weights.items()) if w > 0]
-    heapq.heapify(heap)
-    given: dict[int, int] = {}
-    for _ in range(amount):
-        if not heap:
-            raise RuntimeError("leftover nodes exceed the total 4*w quota")
-        neg_quota, v = heapq.heappop(heap)
-        given[v] = given.get(v, 0) + 1
-        if neg_quota + 1 < 0:
-            heapq.heappush(heap, (neg_quota + 1, v))
-    return given
-
-
-def _layout_owners(ranges: list[tuple[int, int]], out_maps: list[dict[int, int]],
-                   weights: dict[int, int], total_nodes: int) -> list[int]:
-    """Node owners: each range filled from its out-map, in layout order
-    (ascending lo), then the leftover nodes spread by cluster weight."""
-    owners: list[int] = []
-    for (lo, hi), out_map in sorted(zip(ranges, out_maps), key=lambda pair: pair[0]):
-        if hi == lo:
-            continue
-        counts = _fill_range(out_map, hi - lo)
-        for v in sorted(counts):
-            owners.extend([v] * counts[v])
-    leftover = total_nodes - len(owners)
-    for v, k in sorted(_spread_leftovers(weights, leftover).items()):
-        owners.extend([v] * k)
-    if len(owners) != total_nodes:
-        raise RuntimeError(f"cube layout holds {len(owners)} nodes, expected {total_nodes}")
-    return owners
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +193,25 @@ def _draw_cube_paths(g: CapacitatedGraph, sol: CMCFSolution, cubes: tuple[CubeMa
         maps.fractional_congestion = float(loads.max())
 
 
-def _node_map(node_owner: list[int], d: int, ranges: list[tuple[int, int]]) -> CubeMaps:
+def _weight_cube(runs: list[dict[int, int]], cluster: Cluster) -> CubeMaps:
+    """Node map of a cube laid out from weight runs (module docstring): range
+    k holds runs[k][v] nodes of each v in id order, back to back, and the
+    padding repeats the cluster-weight run; no paths yet."""
+    node_owner: list[int] = []
+    ranges: list[tuple[int, int]] = []
+    for run in runs:
+        lo = len(node_owner)
+        for v in sorted(run):
+            node_owner.extend([v] * run[v])
+        ranges.append((lo, len(node_owner)))
+    d = _ceil_log2(len(node_owner))
+    if (1 << d) > 4 * cluster.total_weight:
+        raise RuntimeError(
+            f"cluster {cluster.id}: 2^{d} nodes exceed 4*w(S)={4 * cluster.total_weight}; "
+            "weight tables are inconsistent")
+    padding = [v for v in sorted(cluster.cluster_weight)
+               for _ in range(cluster.cluster_weight[v])]
+    node_owner.extend(itertools.islice(itertools.cycle(padding), (1 << d) - len(node_owner)))
     vertex_nodes: dict[int, list[int]] = {}
     for node, v in enumerate(node_owner):
         vertex_nodes.setdefault(v, []).append(node)
@@ -277,36 +219,25 @@ def _node_map(node_owner: list[int], d: int, ranges: list[tuple[int, int]]) -> C
                     ranges=ranges, edge_paths={}, fractional_congestion=0.0)
 
 
+def _border_runs(tree: DecompositionTree, cluster: Cluster) -> list[dict[int, int]]:
+    """The main cube's runs: the cluster's border, then its children's."""
+    return [cluster.border_weight,
+            *(tree.cluster(cid).border_weight for cid in cluster.children)]
+
+
 def build_embedding(tree: DecompositionTree, cluster: Cluster) -> CubeMaps:
     """Main cube of one cluster: border ranges and node map, no paths yet."""
-    ranges = _border_ranges([cluster.total_border] +
-                            [tree.cluster(cid).total_border for cid in cluster.children])
-    d = _ceil_log2(max(hi for _, hi in ranges))
-    if (1 << d) > 8 * cluster.total_weight:
-        raise RuntimeError(
-            f"cluster {cluster.id}: 2^{d} nodes exceed 8*w(S)={8 * cluster.total_weight}; "
-            "weight tables are inconsistent")
-    out_maps = [tree.target(cluster.id, index).border_weight for index in range(len(ranges))]
-    owners = _layout_owners(ranges, out_maps, cluster.cluster_weight, 1 << d)
-    return _node_map(owners, d, ranges)
+    return _weight_cube(_border_runs(tree, cluster), cluster)
 
 
 def build_rerand_cube(cluster: Cluster) -> CubeMaps:
-    """Shuffle cube node map: first w_S(S) nodes hold exactly w_S(v) per vertex."""
-    total = cluster.total_weight
-    d = _ceil_log2(total)
-    owners: list[int] = []
-    support = [v for v in cluster.vertices if cluster.cluster_weight[v] > 0]
-    for v in support:
-        owners.extend([v] * cluster.cluster_weight[v])
-    rest = (1 << d) - total
-    k = 0
-    while len(owners) < (1 << d):
-        owners.append(support[k % len(support)])
-        k += 1
-    if rest != k:
-        raise RuntimeError(f"cluster {cluster.id}: vertex weights do not sum to w(S)")
-    return _node_map(owners, d, [(0, total)])
+    """Shuffle cube of one cluster: one range of the cluster weights."""
+    return _weight_cube([cluster.cluster_weight], cluster)
+
+
+def _arc_paths(maps: CubeMaps) -> Counter[tuple[int, int]]:
+    """Stored paths of a cube leaving a on edge (a, b), per arc (a, b)."""
+    return Counter(arc for path in maps.edge_paths.values() for arc in zip(path, path[1:]))
 
 
 def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
@@ -315,20 +246,23 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
     path drawn from the cluster's certification flow; no LP of its own.
 
     `cert` must hold its solutions (certify_congestion with
-    store_solutions=True); its int_value C sizes the path id fields. The paths
-    are drawn cluster by cluster in tree order.
+    store_solutions=True). The paths are drawn cluster by cluster in tree
+    order; path_id_bits then numbers the most paths any cube stores on one arc.
     """
     if not g.uniform_capacities():
         raise ValueError("hypercube scheme requires uniform unit edge capacities")
     if cert.solutions is None:
         raise ValueError("hypercube scheme draws its paths from the certification "
                          "flows: certify with store_solutions=True")
-    scheme = CubeScheme(graph=g, tree=tree, c=int(cert.int_value), mains={}, shuffles={})
+    scheme = CubeScheme(graph=g, tree=tree, path_id_bits=1, mains={}, shuffles={})
     for cluster in tree.clusters:
         if cluster.size > 1:
             main = scheme.mains[cluster.id] = build_embedding(tree, cluster)
             shuffle = scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
             _draw_cube_paths(g, cert.solutions[cluster.id], (main, shuffle), rng)
+    most = max((max(_arc_paths(maps).values(), default=1)
+                for maps in (*scheme.mains.values(), *scheme.shuffles.values())), default=1)
+    scheme.path_id_bits = max(1, _ceil_log2(most))
     return scheme
 
 
@@ -452,79 +386,41 @@ def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int
 # ---------------------------------------------------------------------------
 
 def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
-    """Check every mapping inequality exactly; empty list means clean."""
+    """Check every mapping rule exactly; empty list means clean."""
     bad: list[str] = []
     tree = scheme.tree
-    for cid, maps in scheme.mains.items():
+    for cid, main in scheme.mains.items():
         cluster = tree.cluster(cid)
-        if (1 << maps.dimension) > 8 * cluster.total_weight:
-            bad.append(f"cluster {cid}: cube larger than 8*w(S)")
-        ranged_nodes = 0
-        ranged_count: dict[int, int] = {}
-        for index, (lo, hi) in enumerate(maps.ranges):
-            out_map = tree.target(cid, index).border_weight
-            ranged_nodes = max(ranged_nodes, hi)
-            counts: dict[int, int] = {}
-            for node in range(lo, hi):
-                v = maps.node_owner[node]
-                counts[v] = counts.get(v, 0) + 1
-                ranged_count[v] = ranged_count.get(v, 0) + 1
-            for v, k in counts.items():
-                out_v = out_map.get(v, 0)
-                if not out_v <= k <= 2 * out_v:
-                    bad.append(f"cluster {cid} range {index}: vertex {v} "
-                               f"holds {k} nodes outside [{out_v}, {2 * out_v}]")
-            for v, out_v in out_map.items():
-                if out_v > 0 and counts.get(v, 0) < out_v:
-                    bad.append(f"cluster {cid} range {index}: vertex {v} "
-                               f"holds fewer than {out_v} nodes")
-        leftover: dict[int, int] = {}
-        for node in range(ranged_nodes, 1 << maps.dimension):
-            v = maps.node_owner[node]
-            leftover[v] = leftover.get(v, 0) + 1
-        for v, k in leftover.items():
-            if k > 4 * cluster.cluster_weight[v]:
-                bad.append(f"cluster {cid}: vertex {v} holds {k} leftover nodes "
-                           f"> 4*w = {4 * cluster.cluster_weight[v]}")
-        for v in cluster.vertices:
-            total = ranged_count.get(v, 0) + leftover.get(v, 0)
-            if total > 8 * cluster.cluster_weight[v]:
-                bad.append(f"cluster {cid}: vertex {v} holds {total} nodes "
-                           f"> 8*w = {8 * cluster.cluster_weight[v]}")
-
         shuffle = scheme.shuffles[cid]
-        first: dict[int, int] = {}
-        for node in range(cluster.total_weight):
-            v = shuffle.node_owner[node]
-            first[v] = first.get(v, 0) + 1
-        for v in cluster.vertices:
-            if first.get(v, 0) != cluster.cluster_weight[v]:
-                bad.append(f"cluster {cid}: shuffle cube gives vertex {v} "
-                           f"{first.get(v, 0)} of the first nodes, "
-                           f"expected {cluster.cluster_weight[v]}")
-
-        for cube, maps_ in (("main", maps), ("shuffle", shuffle)):
-            crossings: dict[tuple[int, int], int] = {}
-            for (x, y), path in maps_.edge_paths.items():
-                if path[0] != maps_.node_owner[x] or path[-1] != maps_.node_owner[y]:
+        for cube, maps, runs in (("main", main, _border_runs(tree, cluster)),
+                                 ("shuffle", shuffle, [cluster.cluster_weight])):
+            if len(maps.ranges) != len(runs):
+                bad.append(f"cluster {cid} {cube} cube: {len(maps.ranges)} ranges, "
+                           f"expected {len(runs)}")
+            for index, ((lo, hi), run) in enumerate(zip(maps.ranges, runs)):
+                held = Counter(maps.node_owner[lo:hi])
+                for v in sorted(held.keys() | run.keys()):
+                    if held[v] != run.get(v, 0):
+                        bad.append(f"cluster {cid} {cube} cube range {index}: vertex {v} "
+                                   f"holds {held[v]} nodes, expected {run.get(v, 0)}")
+            for v, k in sorted(Counter(maps.node_owner).items()):
+                if k > 4 * cluster.cluster_weight.get(v, 0):
+                    bad.append(f"cluster {cid} {cube} cube: vertex {v} holds {k} nodes "
+                               f"> 4*w = {4 * cluster.cluster_weight.get(v, 0)}")
+            for (x, y), path in maps.edge_paths.items():
+                if path[0] != maps.node_owner[x] or path[-1] != maps.node_owner[y]:
                     bad.append(f"cluster {cid}: stored path endpoints disagree "
                                f"with cube edge ({x},{y})")
                 for a, b in zip(path, path[1:]):
                     if not scheme.graph.has_edge(a, b):
                         bad.append(f"cluster {cid}: stored path uses missing edge "
                                    f"({a},{b})")
-                    crossings[(a, b)] = crossings.get((a, b), 0) + 1
-            path_bits = _path_id_bits(maps_, scheme.c)
-            for (a, b), k in sorted(crossings.items()):
-                if k > 1 << path_bits:
-                    bad.append(f"cluster {cid} {cube} cube: {k} stored paths leave "
-                               f"{a} for {b}, more than {path_bits}-bit path ids can number")
+            for (a, b), k in sorted(_arc_paths(maps).items()):
+                if k > 1 << scheme.path_id_bits:
+                    bad.append(f"cluster {cid} {cube} cube: {k} stored paths leave {a} "
+                               f"for {b}, more than {scheme.path_id_bits}-bit path ids "
+                               "can number")
     return bad
-
-
-def _path_id_bits(maps: CubeMaps, c: int) -> int:
-    """Width of the id that numbers a stored path on its outgoing edge."""
-    return max(1, _ceil_log2(max(2, maps.dimension * c)))
 
 
 def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
@@ -532,7 +428,6 @@ def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
     g = scheme.graph
     tree = scheme.tree
     weight_cap = 2 * g.m * max(1, g.max_capacity)   # no border total can exceed this
-    exp_bits = max(1, _ceil_log2(1 + weight_cap.bit_length()))
     weight_bits = max(1, weight_cap.bit_length())
     id_bits = max(1, _ceil_log2(max(2, len(tree.clusters))))
 
@@ -547,15 +442,13 @@ def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
 
     per_vertex: dict[int, int] = {v: 0 for v in range(g.n)}
     for cid, main in scheme.mains.items():
-        r = len(main.ranges) - 1
-        block = (r + 1) * exp_bits + r * max(1, _ceil_log2(max(2, r))) + weight_bits
+        block = len(main.ranges) * weight_bits
         for v in tree.cluster(cid).vertices:
             per_vertex[v] += block
     for (v, cid, flag), paths in hits.items():
-        maps = scheme.mains[cid] if flag == 0 else scheme.shuffles[cid]
         edge_bits = max(1, _ceil_log2(max(2, g.degree(v))))
         header = id_bits + 1 + count_bits
-        per_vertex[v] += header + paths * (edge_bits + _path_id_bits(maps, scheme.c))
+        per_vertex[v] += header + paths * (edge_bits + scheme.path_id_bits)
     return TableBits(per_vertex=per_vertex,
                      max_bits=max(per_vertex.values(), default=0),
                      total_bits=sum(per_vertex.values()))

@@ -23,8 +23,8 @@ the law of its end vertex. Both call one private resolver of the step:
                       random links to leave, backward to spread; end laws
                       are exact by the absorption argument
   impl_b.CubeScheme   _cube: the main cube and the target's border range to
-                      leave (end law within a factor 2 of the border law),
-                      the shuffle cube and its first w_S(S) nodes to spread
+                      leave, the shuffle cube and its first w_S(S) nodes to
+                      spread; each range holds exactly a law's weights
 
 Every hop ends on the exact law of the cluster it enters, and a route starts
 on the point law of its source leaf. So the expected loads of a hop depend

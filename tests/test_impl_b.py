@@ -6,7 +6,7 @@ counts against laws computed exactly from node ownership, never against the
 sampler itself.
 """
 import copy
-import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,16 +15,25 @@ from helpers import cycle_graph, tree_from_spec
 from obroute import impl_b
 from obroute.cmcf import round_paths
 from obroute.decomposition import Cluster, build_tree, certify_congestion
+from obroute.experiment import _build_backend
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
-from obroute.impl_b import (CubeScheme, _bit_fix, _border_ranges, _ceil_log2,
-                            _cube_edges, _fill_range, audit_cube_scheme,
-                            build_cube_scheme, build_embedding, hypercube_loads,
-                            hypercube_route, measure_table_bits_b)
+from obroute.impl_b import (CubeScheme, _bit_fix, _ceil_log2, _cube_edges, _weight_cube,
+                            audit_cube_scheme, build_cube_scheme, build_embedding,
+                            hypercube_loads, hypercube_route, measure_table_bits_b)
 
 
 def _mock_cluster(border_total: int, weights: dict[int, int]) -> Cluster:
-    return Cluster(id=0, level=0, vertices=(0, 1), parent=None, children=[],
+    return Cluster(id=0, level=0, vertices=tuple(weights), parent=None, children=[],
                    cluster_weight=weights, border_weight={0: border_total})
+
+
+def _arc_counts(maps) -> Counter:
+    """Stored paths leaving a on edge (a, b), per arc, counted path by path."""
+    counts: Counter = Counter()
+    for path in maps.edge_paths.values():
+        for a, b in zip(path, path[1:]):
+            counts[(a, b)] += 1
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -46,65 +55,52 @@ def grid_scheme():
 
 
 # ---------------------------------------------------------------------------
-# rounding and layout
+# exact-weight layout
 # ---------------------------------------------------------------------------
 
-def test_rounding_rule_and_ordering():
-    # border totals: own 1 stays 1; children 3 -> 4 and 4 -> 4 (non-strict),
-    # ascending with ties in tree order gives sizes 1, 4, 4
-    assert _border_ranges([1, 3, 4]) == [(0, 1), (1, 5), (5, 9)]
-
-    assert _border_ranges([1, 1]) == [(0, 1), (1, 2)]
-    assert _border_ranges([1, 5]) == [(0, 1), (1, 9)]
-
-    # 5,2,4 -> rounded 8,2,4 -> ascending 2,4,8 reshuffles the tree positions:
-    # child 2 first, then child 3, then child 1
-    assert _border_ranges([1, 5, 2, 4]) == [(0, 1), (7, 15), (1, 3), (3, 7)]
-
-
 def test_dimension_is_ceil_log2_of_total():
-    # the cube dimension is ceil(log2) of the end of the last range
-    def dim(own, children):
-        return _ceil_log2(max(hi for _, hi in _border_ranges([own, *children])))
+    # the cube dimension is ceil(log2) of the summed run lengths
+    weights = {0: 3, 1: 3}
+    cluster = _mock_cluster(0, weights)
 
-    assert dim(0, [4, 4]) == 3
-    assert dim(2, [2, 2]) == 3      # total 6 still needs 8 nodes
-    assert dim(0, [2, 2]) == 2
-    assert dim(1, []) == 0
+    def dim(*runs):
+        return _weight_cube(list(runs), cluster).dimension
+
+    assert dim({0: 2, 1: 2}, {0: 2}) == 3       # total 6 still needs 8 nodes
+    assert dim({0: 2, 1: 2}) == 2
+    assert dim({0: 3, 1: 3}, {0: 2}) == 3       # total 8 fits exactly
+    assert dim({0: 1}) == 0
 
 
 def test_range_intervals_follow_layout_order():
-    # own 1, child 1 rounded 4, child 2 rounded 2: laid out own, child 2, child 1
-    assert _border_ranges([1, 4, 2]) == [(0, 1), (3, 7), (1, 3)]
-
-
-def test_fill_range_respects_factor_two_cap():
-    assert _fill_range({0: 1, 1: 1}, 2) == {0: 1, 1: 1}
-    # total 3 rounds to 4: the extra node goes to the smallest id with headroom
-    assert _fill_range({5: 1, 9: 2}, 4) == {5: 2, 9: 2}
-    # zero-border vertices never receive range nodes
-    assert _fill_range({3: 0, 4: 2}, 2) == {4: 2}
-    counts = _fill_range({0: 3, 1: 1}, 8)
-    assert sum(counts.values()) == 8
-    assert all(counts[v] <= 2 * out for v, out in {0: 3, 1: 1}.items())
+    # ranges back to back in run order, each vertex's nodes in id order with
+    # exactly its run weight; the 7 padding nodes up to 16 repeat the cluster
+    # weight run 0,1,1,1,2 and are cut where the cube ends
+    cluster = _mock_cluster(0, {2: 1, 0: 1, 1: 3})
+    maps = _weight_cube([{1: 1, 0: 2}, {}, {2: 1, 1: 2}, {0: 1, 1: 2}], cluster)
+    assert maps.ranges == [(0, 3), (3, 3), (3, 6), (6, 9)]
+    assert maps.dimension == 4
+    assert maps.node_owner == [0, 0, 1, 1, 1, 2, 0, 1, 1,
+                               0, 1, 1, 1, 2, 0, 1]
+    assert maps.vertex_nodes[2] == [5, 13]
 
 
 def test_four_cycle_node_layout(four_cycle):
     g, tree, scheme = four_cycle
-    # cluster {0,1}: own border {0:1, 1:1} rounds to 2; each singleton child
-    # has border 2 (two incident unit edges). totals 2+2+2=6 -> 8 nodes, d=3.
-    # ranges: own [0,2) -> 0,1; child {0} [2,4) -> 0,0; child {1} [4,6) -> 1,1;
-    # leftovers 6,7 round-robin on equal quotas 4*w=8 -> 0 then 1.
+    # cluster {0,1}: own border {0:1, 1:1}; each singleton child has border 2
+    # (two incident unit edges), so w = {0:2, 1:2}. Totals 2+2+2 = 6 -> 8
+    # nodes, d=3. ranges: own [0,2) -> 0,1; child {0} [2,4) -> 0,0; child {1}
+    # [4,6) -> 1,1; padding 6,7 repeats the weight run 0,0,1,1 -> 0,0.
     left = tree.leaf_path(0)[1]
     assert scheme.mains[left].ranges == [(0, 2), (2, 4), (4, 6)]
     assert scheme.mains[left].dimension == 3
-    assert scheme.mains[left].node_owner == [0, 1, 0, 0, 1, 1, 0, 1]
-    # root: no own border, child borders {0:1,1:1} and {2:1,3:1} round to 2
-    # each; four nodes exactly cover the ranges, no leftovers.
+    assert scheme.mains[left].node_owner == [0, 1, 0, 0, 1, 1, 0, 0]
+    # root: no own border, child borders {0:1,1:1} and {2:1,3:1}; four nodes
+    # exactly cover the ranges, no padding.
     assert scheme.mains[tree.root].ranges == [(0, 0), (0, 2), (2, 4)]
     assert scheme.mains[tree.root].node_owner == [0, 1, 2, 3]
     # shuffle cube of {0,1}: w = {0:2, 1:2}, total 4 -> dimension 2, one
-    # range over the first four nodes, which are exact: 0,0,1,1
+    # range over all four nodes: 0,0,1,1
     assert scheme.shuffles[left].dimension == 2
     assert scheme.shuffles[left].ranges == [(0, 4)]
     assert scheme.shuffles[left].node_owner == [0, 0, 1, 1]
@@ -115,7 +111,7 @@ def test_audit_clean(four_cycle, grid_scheme):
         assert audit_cube_scheme(scheme) == []
 
 
-def test_audit_flags_a_vertex_over_8w_nodes(grid_scheme):
+def test_audit_flags_a_vertex_over_4w_nodes(grid_scheme):
     # hand the lightest vertex of a cluster every main-cube node
     _, tree, scheme = grid_scheme
     scheme = copy.deepcopy(scheme)
@@ -124,20 +120,39 @@ def test_audit_flags_a_vertex_over_8w_nodes(grid_scheme):
     v = min(weights, key=weights.get)
     maps = scheme.mains[cid]
     maps.node_owner = [v] * len(maps.node_owner)
-    assert len(maps.node_owner) > 8 * weights[v]
-    assert (f"cluster {cid}: vertex {v} holds {len(maps.node_owner)} nodes "
-            f"> 8*w = {8 * weights[v]}") in audit_cube_scheme(scheme)
+    assert len(maps.node_owner) > 4 * weights[v]
+    assert (f"cluster {cid} main cube: vertex {v} holds {len(maps.node_owner)} nodes "
+            f"> 4*w = {4 * weights[v]}") in audit_cube_scheme(scheme)
 
 
 def test_audit_flags_path_ids_too_narrow(grid_scheme):
-    # path ids sized for C = 1, below the certified C = 5 of this tree
-    g, tree, scheme = grid_scheme
-    assert scheme.c == 5
+    # one stored path made to cross its first arc (a, b) again and again, as
+    # a, b, a, b, ...: one path more on that arc than path_id_bits can number
+    _, _, scheme = grid_scheme
+    scheme = copy.deepcopy(scheme)
+    cid = next(iter(scheme.mains))
+    maps = scheme.mains[cid]
+    key, path = next(iter(maps.edge_paths.items()))
+    a, b = path[0], path[1]
+    extra = (1 << scheme.path_id_bits) + 1 - _arc_counts(maps)[(a, b)]
+    maps.edge_paths[key] = [a] + [b, a] * extra + path[1:]
+    assert audit_cube_scheme(scheme) == [
+        f"cluster {cid} main cube: {(1 << scheme.path_id_bits) + 1} stored paths leave "
+        f"{a} for {b}, more than {scheme.path_id_bits}-bit path ids can number"]
+
+
+def test_path_id_bits_number_the_busiest_arc():
+    # the width comes from the stored paths: d*C does not bound them, and on
+    # grid 12x12 at seed 1, as `obroute audit` builds it, ceil(log2(d*C))
+    # bits were once too few
+    g = grid_graph(12, 12)
+    tree = build_tree(g, target_arity=2, seed=1)
     cert = certify_congestion(g, tree, store_solutions=True)
-    narrow = build_cube_scheme(g, tree, dataclasses.replace(cert, int_value=1),
-                               np.random.default_rng(7))
-    bad = audit_cube_scheme(narrow)
-    assert bad and all("path ids can number" in line for line in bad)
+    scheme, *_, audits = _build_backend("impl-b", g, tree, cert, 1)
+    assert audits == []
+    most = max(max(_arc_counts(maps).values(), default=1)
+               for maps in (*scheme.mains.values(), *scheme.shuffles.values()))
+    assert scheme.path_id_bits == max(1, _ceil_log2(most))
 
 
 @pytest.mark.parametrize("g", [hypercube_graph(3), random_regular_graph(16, 3, seed=5)])
@@ -149,24 +164,41 @@ def test_audit_clean_on_generators(g):
 
 
 def test_endpoint_envelope_exact(grid_scheme):
-    # endpoint law of a range hop is node-count/range-size; it must sit inside
-    # [out(v)/size, 2*out(v)/size] for every vertex of every range
+    # every range of either cube holds exactly its run's weight per vertex,
+    # so the end law of a hop to it is the run's law
     g, tree, scheme = grid_scheme
     checked = 0
-    for cid, maps in scheme.mains.items():
-        owners = maps.node_owner
-        for index, (lo, hi) in enumerate(maps.ranges):
-            out_map = tree.target(cid, index).border_weight
-            if hi == lo:
-                continue
-            size = hi - lo
-            counts: dict[int, int] = {}
-            for node in range(lo, hi):
-                counts[owners[node]] = counts.get(owners[node], 0) + 1
-            for v, k in counts.items():
-                assert out_map.get(v, 0) / size <= k / size <= 2 * out_map.get(v, 0) / size
-            checked += 1
+    for cid, main in scheme.mains.items():
+        cluster = tree.cluster(cid)
+        runs = [cluster.border_weight,
+                *(tree.cluster(child).border_weight for child in cluster.children)]
+        for maps, laws in ((main, runs), (scheme.shuffles[cid], [cluster.cluster_weight])):
+            assert len(maps.ranges) == len(laws)
+            for (lo, hi), law in zip(maps.ranges, laws):
+                assert Counter(maps.node_owner[lo:hi]) == +Counter(law)
+                checked += 1
     assert checked > 4
+
+
+def test_leave_and_spread_end_on_the_exact_law():
+    # criterion 3's graphs: from the cluster law, a leave step's end law is
+    # the target's border law and a spread's the cluster law, to 1e-12
+    instances = [grid_graph(4, 4), grid_graph(8, 8), random_regular_graph(8, 3, seed=2),
+                 random_regular_graph(32, 3, seed=3), random_regular_graph(64, 3, seed=4)]
+    for i, g in enumerate(instances):
+        tree = build_tree(g, target_arity=2, seed=i)
+        cert = certify_congestion(g, tree, store_solutions=True)
+        scheme = build_cube_scheme(g, tree, cert, np.random.default_rng((303, i)))
+        for cid, main in scheme.mains.items():
+            start = tree.law(cid)
+            for index, (lo, hi) in enumerate(main.ranges):
+                if hi > lo:
+                    end = hypercube_loads(g, main, start, lo, hi)[1]
+                    target = tree.target(cid, index).id
+                    assert np.abs(end - tree.law(target, border=True)).max() < 1e-12
+            lo, hi = scheme.shuffles[cid].ranges[0]
+            end = hypercube_loads(g, scheme.shuffles[cid], start, lo, hi)[1]
+            assert np.abs(end - start).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +354,7 @@ def test_one_draw_per_cube_edge(monkeypatch):
             group = sol.path_groups(min(a, b))[max(a, b)]
             assert (stored if a < b else stored[::-1]) in group.paths
         edges += len(cube_edges)
-    assert edges == 538
+    assert edges == 457
     uniforms = np.random.default_rng(7)
     uniforms.random(edges)
     assert rng.bit_generator.state == uniforms.bit_generator.state
@@ -379,7 +411,7 @@ def test_rejects_a_certificate_without_solutions():
 
 def test_oversized_cube_signals_weight_bug(four_cycle):
     _, tree, _ = four_cycle
-    # border total 64 forces a 64-node cube against 8*w(S) = 16
+    # border total 64 forces a 64-node cube against 4*w(S) = 8
     broken = _mock_cluster(64, weights={0: 1, 1: 1})
     with pytest.raises(RuntimeError, match="weight tables"):
         build_embedding(tree, broken)
@@ -391,17 +423,19 @@ def test_oversized_cube_signals_weight_bug(four_cycle):
 
 def test_bits_zero_without_structures(four_cycle):
     g, tree, _ = four_cycle
-    empty = CubeScheme(graph=g, tree=tree, c=1, mains={}, shuffles={})
+    empty = CubeScheme(graph=g, tree=tree, path_id_bits=1, mains={}, shuffles={})
     bits = measure_table_bits_b(empty)
     assert bits.total_bits == 0 and bits.max_bits == 0
 
 
-def test_bits_per_path_entry_constant():
-    # degree-2 vertex with d*C = 4: 1 bit edge index + 2 bits path id
-    def clog2(x):
-        return (x - 1).bit_length() if x > 1 else 0
-
-    assert max(1, clog2(2)) + max(1, clog2(4)) == 3
+def test_bits_per_path_entry_constant(grid_scheme):
+    # one build-wide path id width: ceil(log2) of the most stored paths
+    # leaving on one arc of any cube, at least 1 bit
+    _, _, scheme = grid_scheme
+    most = max(max(_arc_counts(maps).values(), default=1)
+               for maps in (*scheme.mains.values(), *scheme.shuffles.values()))
+    assert most > 2
+    assert 1 << (scheme.path_id_bits - 1) < most <= 1 << scheme.path_id_bits
 
 
 def test_bits_match_documented_layout(four_cycle):
@@ -411,27 +445,26 @@ def test_bits_match_documented_layout(four_cycle):
     def clog2(x):
         return (x - 1).bit_length() if x > 1 else 0
 
-    weight_cap = 2 * g.m * max(1, g.max_capacity)
-    exp_f = max(1, clog2(1 + weight_cap.bit_length()))
-    weight_f = max(1, weight_cap.bit_length())
+    weight_f = max(1, (2 * g.m * max(1, g.max_capacity)).bit_length())
     id_f = max(1, clog2(max(2, len(tree.clusters))))
     groups: dict[tuple[int, int, int], int] = {}
+    arcs: dict[tuple[int, int, int, int], int] = {}
     for cid in scheme.mains:
         for flag, maps in ((0, scheme.mains[cid]), (1, scheme.shuffles[cid])):
             for path in maps.edge_paths.values():
-                for v in path[:-1]:
+                for v, u in zip(path, path[1:]):
                     groups[(v, cid, flag)] = groups.get((v, cid, flag), 0) + 1
+                    arcs[(cid, flag, v, u)] = arcs.get((cid, flag, v, u), 0) + 1
     count_f = max(1, max(groups.values(), default=1).bit_length())
+    path_f = max(1, clog2(max(arcs.values(), default=1)))
+    assert scheme.path_id_bits == path_f
     expected = dict.fromkeys(range(g.n), 0)
     for cid, main in scheme.mains.items():
-        r = len(main.ranges) - 1
-        block = (r + 1) * exp_f + r * max(1, clog2(max(2, r))) + weight_f
+        # one weight field per range: own border, then each child's
         for v in tree.cluster(cid).vertices:
-            expected[v] += block
+            expected[v] += len(main.ranges) * weight_f
     for (v, cid, flag), paths in groups.items():
-        maps = scheme.mains[cid] if flag == 0 else scheme.shuffles[cid]
-        entry = max(1, clog2(max(2, g.degree(v)))) + \
-            max(1, clog2(max(2, maps.dimension * scheme.c)))
+        entry = max(1, clog2(max(2, g.degree(v)))) + path_f
         expected[v] += id_f + 1 + count_f + paths * entry
     assert bits.per_vertex == expected
     assert bits.total_bits == sum(expected.values())

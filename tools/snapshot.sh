@@ -17,7 +17,11 @@
 #                     of obroute report on that run's --out-dir
 #   build-8x8/        obroute build --generate grid:8x8: tree.json, and
 #                     stdout.txt without its `wrote` line
-#   audit-*.txt       obroute audit stdout, grid:4x4 --seed 3 and grid:3x3:1-3
+#   audit-*.txt       obroute audit stdout, grid:4x4 --seed 3 and grid:3x3:1-3;
+#                     audit-16x16.txt is impl-b's audit of grid:16x16 (stdout
+#                     and stderr, about 20 s), the largest instance here, so
+#                     an impl-b table field too narrow for its stored paths
+#                     shows as a FAIL line and an exit code
 #   demo-*.txt        stdout of demos/01-05
 #   impl-a-blobs.txt  serialize_vertex_table hex per vertex of the grid 4x4
 #                     impl-a build (tree seed 0), and measure_table_bits_a
@@ -108,6 +112,8 @@ obroute audit --generate grid:4x4 --seed 3 > "$out/audit-4x4-seed3.txt" 2>&1 \
     || echo "exit $?" >> "$out/audit-4x4-seed3.txt"
 obroute audit --generate grid:3x3:1-3 > "$out/audit-3x3-caps.txt" 2>&1 \
     || echo "exit $?" >> "$out/audit-3x3-caps.txt"
+obroute audit --generate grid:16x16 --scheme impl-b > "$out/audit-16x16.txt" 2>&1 \
+    || echo "exit $?" >> "$out/audit-16x16.txt"
 
 for demo in "$repo"/demos/0[1-5]_*.py; do
     "$py" "$demo" > "$out/demo-$(basename "$demo" .py).txt" 2>&1 \
