@@ -1,8 +1,8 @@
 """Laminar hierarchical decomposition of a capacitated graph.
 
-The tree partitions the vertex set recursively down to singletons, with dummy
-unary clusters padding every branch to a uniform leaf depth. Each cluster
-carries two weight tables:
+The tree partitions the vertex set recursively down to singletons; a cluster
+has at least two children or is a singleton leaf, at whatever depth its
+branch's splits end. Each cluster carries two weight tables:
 
   border_weight[v]  capacity of edges from v leaving the cluster
   cluster_weight[v] capacity of edges from v leaving the child cluster holding v
@@ -62,8 +62,7 @@ class DecompositionTree:
         self.target_arity = target_arity
         self.root = 0
         self.height = max(c.level for c in clusters)
-        self.leaf_of = {c.vertices[0]: c.id for c in clusters
-                        if c.level == self.height and c.size == 1}
+        self.leaf_of = {c.vertices[0]: c.id for c in clusters if not c.children}
         self._paths: dict[int, list[int]] = {}
         self._laws: dict[tuple[int, bool], np.ndarray] = {}
 
@@ -146,12 +145,13 @@ class DecompositionTree:
 # ---------------------------------------------------------------------------
 
 def build_tree(g: CapacitatedGraph, target_arity: int = 2, seed: int = 0) -> DecompositionTree:
-    """Recursive balanced partitioning into connected parts, padded to uniform depth.
+    """Recursive balanced partitioning into connected parts, down to singletons.
 
     Parts are grown by seeded multi-source BFS (smallest part first) and refined
     by boundary moves that reduce cut capacity while keeping parts connected.
     When no balanced split at the target arity exists (hub topologies) the
     splitter doubles the part count for that cluster instead of unbalancing.
+    Every split yields at least two parts; a leaf is a singleton at any depth.
     """
     if target_arity < 2:
         raise ValueError(f"target arity must be >= 2, got {target_arity}")
@@ -173,29 +173,19 @@ def build_tree(g: CapacitatedGraph, target_arity: int = 2, seed: int = 0) -> Dec
 def _assemble(g: CapacitatedGraph, root, split, seed: int,
               target_arity: int) -> DecompositionTree:
     """Create clusters depth first from `root`, where split(node) gives a node's
-    sorted vertex tuple and its child nodes; then pad every singleton leaf with
-    unary clusters down to the deepest level and compute the weights."""
+    sorted vertex tuple and its child nodes, then compute the weights."""
     clusters: list[Cluster] = []
 
-    def create(vertices: tuple[int, ...], level: int, parent: int | None) -> int:
+    def recurse(node, level: int, parent: int | None):
+        vertices, children = split(node)
         cid = len(clusters)
         clusters.append(Cluster(id=cid, level=level, vertices=vertices, parent=parent))
         if parent is not None:
             clusters[parent].children.append(cid)
-        return cid
-
-    def recurse(node, level: int, parent: int | None):
-        vertices, children = split(node)
-        cid = create(vertices, level, parent)
         for child in children:
             recurse(child, level + 1, cid)
 
     recurse(root, 0, None)
-    height = max(c.level for c in clusters)
-    for cid in [c.id for c in clusters if c.size == 1 and not c.children]:
-        cur = cid
-        while clusters[cur].level < height:
-            cur = create(clusters[cur].vertices, clusters[cur].level + 1, cur)
     return compute_weights(g, DecompositionTree(clusters, seed=seed, target_arity=target_arity))
 
 
@@ -390,11 +380,10 @@ def audit_tree(g: CapacitatedGraph, tree: DecompositionTree) -> list[str]:
                 merged.extend(child.vertices)
             if sorted(merged) != sorted(c.vertices):
                 bad.append(f"children of cluster {c.id} do not partition it")
-        else:
-            if c.size != 1:
-                bad.append(f"leaf cluster {c.id} is not a singleton")
-            if c.level != tree.height:
-                bad.append(f"leaf cluster {c.id} at depth {c.level} != height {tree.height}")
+            if len(c.children) == 1:
+                bad.append(f"cluster {c.id} has exactly one child")
+        elif c.size != 1:
+            bad.append(f"leaf cluster {c.id} is not a singleton")
 
     for c in tree.clusters:
         members = set(c.vertices)

@@ -46,8 +46,8 @@ _CUBE_STREAM = 2
 
 
 def parse_config(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment."""
-    cfg = dict(_DEFAULTS)
+    """Flat `key = value` lines, each key at most once; '#' starts a comment."""
+    cfg, seen = dict(_DEFAULTS), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -58,7 +58,9 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        cfg[key] = value
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+        cfg[key], seen[key] = value, lineno
     return cfg
 
 

@@ -228,7 +228,13 @@ def _index_bits(tree: DecompositionTree) -> int:
     return max(1, math.ceil(math.log2(max(2, tree.degree))))
 
 
+def _cluster_id_bits(tree: DecompositionTree) -> int:
+    return max(1, math.ceil(math.log2(max(2, len(tree.clusters)))))
+
+
 def label_bit_length(tree: DecompositionTree) -> int:
+    """Child indices down to the deepest leaf. Labels are prefix-free and a descent
+    ends at the target's singleton, so entries past a leaf's depth are never read."""
     return tree.height * _index_bits(tree)
 
 
@@ -267,7 +273,7 @@ def _table_fields(tables: FlowTables,
     layout, flows in (cluster id, target index) order."""
     tree = tables.tree
     g = tables.graph
-    id_bits = max(1, math.ceil(math.log2(max(2, len(tree.clusters)))))
+    id_bits = _cluster_id_bits(tree)
     index_bits = max(1, math.ceil(math.log2(max(2, tree.degree + 1))))
     cap_max: dict[int, int] = {}
     widths: dict[tuple[int, int], int] = {}

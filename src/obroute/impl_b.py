@@ -65,7 +65,7 @@ import numpy as np
 from obroute.cmcf import CMCFSolution, round_paths
 from obroute.decomposition import Cluster, CongestionCertificate, DecompositionTree
 from obroute.graph import CapacitatedGraph
-from obroute.impl_a import TableBits
+from obroute.impl_a import TableBits, _cluster_id_bits
 from obroute.routing import Law, Loads, Step
 
 __all__ = ["CubeMaps", "CubeScheme", "build_embedding", "build_rerand_cube",
@@ -429,7 +429,7 @@ def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
     tree = scheme.tree
     weight_cap = 2 * g.m * max(1, g.max_capacity)   # no border total can exceed this
     weight_bits = max(1, weight_cap.bit_length())
-    id_bits = max(1, _ceil_log2(max(2, len(tree.clusters))))
+    id_bits = _cluster_id_bits(tree)
 
     # continuation entries: one per stored path per vertex with an outgoing edge
     hits: dict[tuple[int, int, int], int] = {}      # (v, cluster, cube flag) -> paths

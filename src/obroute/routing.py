@@ -38,7 +38,7 @@ vertices (length g.n), a cluster's laws cached by DecompositionTree.law. The
 sums are array arithmetic that adds in the order of the plain dict loops, so
 every load is the same to the last bit (an edge a term does not touch adds
 an exact +0.0): the demand through each hop is one np.bincount per direction
-over an n x (height + 1) array of leaf paths, the pairs in sorted order;
+over the leaf paths, sentinel-filled past each leaf, the pairs in sorted order;
 each kernel's loads are one bincount over graph edge ids (ReferenceBackend
 over the unit loads of each (u, v) pair's PathGroup, impl_b over cached cube
 path slots, impl_a over the arcs it crosses as it propagates); a hop's loads
@@ -189,15 +189,12 @@ def _steps(tree: DecompositionTree, hop: tuple[bool, int]) -> list[Step]:
     """Steps of the hop across the tree edge above child_id. Upward: leave
     the child toward its own border, then spread over the parent. Downward:
     leave the parent toward the child's border, then spread over the child.
-    A singleton child takes no step of its own (it is its own border and its
-    own cluster law), and a unary parent needs no steps."""
+    A singleton child takes no step of its own: it is its own border and its
+    own cluster law."""
     downward, child_id = hop
     child = tree.cluster(child_id)
-    parent = tree.cluster(child.parent)
-    if parent.size == 1:
-        return []
     in_child = [(downward, child_id, 0)] if child.size > 1 else []
-    in_parent = [(not downward, parent.id, tree.child_index(parent.id, child_id) + 1)]
+    in_parent = [(not downward, child.parent, tree.child_index(child.parent, child_id) + 1)]
     return in_parent + in_child if downward else in_child + in_parent
 
 
@@ -244,18 +241,22 @@ def _through(tree: DecompositionTree, n: int,
     cluster) in sorted order. A pair (s, t) crosses upward the clusters of s's
     leaf path below the deepest one it shares with t's, and downward those of
     t's; each sum runs over the pairs in sorted order, one bincount per
-    direction over an n x (height + 1) array of leaf paths. `entries` are a
-    DemandMatrix's."""
+    direction over an n x (height + 1) array of leaf paths, each filled out
+    past its leaf with the sentinel id len(tree.clusters), whose bin is
+    dropped. `entries` are a DemandMatrix's."""
     if not entries:
         return {}
     sources, sinks, demand = zip(*((s, t, d) for (s, t), d in sorted(entries.items())))
-    paths = np.array([tree.leaf_path(v) for v in range(n)])
+    sentinel = len(tree.clusters)
+    paths = np.array([path + [sentinel] * (tree.height + 1 - len(path))
+                      for path in map(tree.leaf_path, range(n))])
     up, down = paths[list(sources)], paths[list(sinks)]
-    crossed = np.arange(paths.shape[1]) >= (up == down).sum(axis=1, keepdims=True)
+    shared = np.logical_and.accumulate(up == down, axis=1).sum(axis=1, keepdims=True)
+    crossed = np.arange(paths.shape[1]) >= shared
     weight = np.broadcast_to(np.array(demand, dtype=float)[:, None], up.shape)[crossed]
     through: dict[tuple[bool, int], float] = {}
     for downward, side in ((False, up), (True, down)):
-        sums = np.bincount(side[crossed], weight, minlength=len(tree.clusters))
+        sums = np.bincount(side[crossed], weight, minlength=sentinel + 1)[:sentinel]
         hit = np.flatnonzero(sums)
         through.update(zip(((downward, c) for c in hit.tolist()), sums[hit].tolist()))
     return through

@@ -44,22 +44,20 @@ def tree_from_spec(g: CapacitatedGraph, spec) -> DecompositionTree:
     """Build a tree from an explicit nesting, for fixtures and worked examples.
 
     A spec node is either a vertex id or a list of spec nodes; a list of ints
-    is a cluster whose children are those singletons. Branches are padded with
-    unary clusters to uniform leaf depth, then weights are computed.
+    is a cluster whose children are those singletons, and a one-vertex list is
+    that vertex's singleton. Leaves sit where the nesting ends, then weights
+    are computed.
     """
     def collect(node) -> list[int]:
         return [node] if isinstance(node, int) else [v for sub in node for v in collect(sub)]
 
     def split(node):
         vertices = tuple(sorted(collect(node)))
-        if isinstance(node, int):
-            return vertices, []
-        return vertices, [vertices[0]] if len(vertices) == 1 else list(node)
+        return vertices, [] if len(vertices) == 1 else list(node)
 
     if sorted(collect(spec)) != list(range(g.n)):
         raise ValueError("spec must cover every vertex exactly once")
-    return _assemble(g, spec if not isinstance(spec, int) else [spec], split,
-                     seed=-1, target_arity=0)
+    return _assemble(g, spec, split, seed=-1, target_arity=0)
 
 
 @st.composite

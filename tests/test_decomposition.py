@@ -5,6 +5,7 @@ and on the single-edge graph; the root congestion oracle enumerates the
 rotation-symmetric routing family, which is optimal by averaging over the
 cycle's symmetry group.
 """
+import copy
 import json
 import math
 
@@ -17,7 +18,7 @@ from helpers import (ancestor_at, connected_graphs, cycle_graph, path_graph, sin
                      tree_from_spec)
 from obroute.decomposition import (_grow_parts, audit_tree, build_tree,
                                    certify_congestion, cmcf_instance)
-from obroute.graph import CapacitatedGraph, generate_graph
+from obroute.graph import CapacitatedGraph, generate_graph, grid_graph, random_regular_graph
 
 
 @pytest.fixture
@@ -240,13 +241,17 @@ def assert_cluster_connected(g, cluster):
     assert seen == members, f"cluster {cluster.id} is disconnected"
 
 
-def test_path3_height_and_padding():
+def test_path3_height_and_leaf_depths():
+    # root {0,1,2} splits into {1,2} and {0}; the singleton {0} is a leaf at
+    # depth 1, while {1} and {2} sit at depth 2 = height
     g = path_graph(3)
     tree = build_tree(g, seed=0)
     assert tree.height == 2
-    unary = [c for c in tree.clusters if len(c.children) == 1]
-    assert len(unary) == 1
-    assert unary[0].vertices == tree.cluster(unary[0].children[0]).vertices
+    assert [c.children for c in tree.clusters] == [[1, 4], [2, 3], [], [], []]
+    assert tree.leaf_of == {0: 4, 1: 3, 2: 2}
+    depth = {v: tree.cluster(cid).level for v, cid in tree.leaf_of.items()}
+    assert depth == {0: 1, 1: 2, 2: 2}
+    assert tree.leaf_path(0) == [0, 4]
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -265,8 +270,49 @@ def test_build_tree_audits_clean(kind, params):
     for c in tree.clusters:
         assert_cluster_connected(g, c)
         assert c.vertices == tuple(sorted(c.vertices))
-    leaves = [c for c in tree.clusters if c.level == tree.height]
+    leaves = [c for c in tree.clusters if not c.children]
     assert sorted(v for c in leaves for v in c.vertices) == list(range(g.n))
+    assert sorted(tree.leaf_of.values()) == [c.id for c in leaves]
+    assert tree.height == max(c.level for c in leaves)
+
+
+def test_audit_flags_a_single_child_cluster(four_cycle_tree):
+    # hang a copy of vertex 0's leaf under it, a one-child chain: every weight
+    # identity still holds, only the shape fails
+    g, tree = four_cycle_tree
+    leaf = tree.cluster(tree.leaf_of[0])
+    pad = copy.copy(leaf)
+    pad.id, pad.level, pad.parent = len(tree.clusters), leaf.level + 1, leaf.id
+    leaf.children = [pad.id]
+    tree.clusters.append(pad)
+    assert audit_tree(g, tree) == [f"cluster {leaf.id} has exactly one child"]
+
+
+_CRITERION_3_GRAPHS = [grid_graph(4, 4), grid_graph(8, 8),
+                       random_regular_graph(8, 3, seed=2),
+                       random_regular_graph(32, 3, seed=3),
+                       random_regular_graph(64, 3, seed=4)]
+
+
+@pytest.mark.parametrize("g,seed", [
+    *((g, i) for i, g in enumerate(_CRITERION_3_GRAPHS)),
+    (grid_graph(8, 8), 0),          # the benchmark workloads' trees
+    (grid_graph(10, 10), 0),
+])
+def test_build_tree_makes_no_single_child_cluster(g, seed):
+    tree = build_tree(g, target_arity=2, seed=seed)
+    assert [c.id for c in tree.clusters if len(c.children) == 1] == []
+    assert audit_tree(g, tree) == []
+
+
+def test_leaves_end_where_the_split_ends():
+    # grid 8x8, tree seed 0: 123 clusters, and some singleton leaf sits
+    # above the deepest level
+    g = grid_graph(8, 8)
+    tree = build_tree(g, seed=0)
+    assert len(tree.clusters) == 123
+    depths = [tree.cluster(cid).level for cid in tree.leaf_of.values()]
+    assert min(depths) < tree.height == max(depths)
 
 
 @settings(max_examples=60, deadline=None)

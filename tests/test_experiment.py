@@ -61,6 +61,29 @@ def test_parse_config_rejects_bad_line():
         parse_config("just some words")
 
 
+def test_parse_config_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match=r"^config line 2: key 'seed' repeats line 1$"):
+        parse_config("seed = 1\nseed = 2")
+    with pytest.raises(ValueError, match=r"^config line 4: key 'schemes' repeats line 2$"):
+        parse_config("# run\nschemes = impl-a\nseed = 1\nschemes=impl-b")
+    # a key given once overrides its default
+    assert parse_config("schemes = impl-a")["schemes"] == "impl-a"
+
+
+def test_cli_rejects_a_repeated_config_key_before_building(tmp_path, capsys, monkeypatch):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(experiment, "build_tree", no_tree)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("generate = grid:2x2\nseed = 1\nseed = 2\n")
+    out = tmp_path / "out"
+    assert main(["route", "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config line 3: key 'seed' repeats line 2"]
+    assert not out.exists()
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("generate = grid:2x2\nseed = 3\n")

@@ -17,6 +17,7 @@ from obroute.cmcf import round_paths
 from obroute.decomposition import Cluster, build_tree, certify_congestion
 from obroute.experiment import _build_backend
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
+from obroute.impl_a import _table_fields, build_flow_tables
 from obroute.impl_b import (CubeScheme, _bit_fix, _ceil_log2, _cube_edges, _weight_cube,
                             audit_cube_scheme, build_cube_scheme, build_embedding,
                             hypercube_loads, hypercube_route, measure_table_bits_b)
@@ -438,15 +439,12 @@ def test_bits_per_path_entry_constant(grid_scheme):
     assert 1 << (scheme.path_id_bits - 1) < most <= 1 << scheme.path_id_bits
 
 
-def test_bits_match_documented_layout(four_cycle):
-    g, tree, scheme = four_cycle
-    bits = measure_table_bits_b(scheme)
-
+def _documented_bits(g, tree, scheme, id_f):
+    """Per vertex, the bits of the documented layout with cluster ids id_f wide."""
     def clog2(x):
         return (x - 1).bit_length() if x > 1 else 0
 
     weight_f = max(1, (2 * g.m * max(1, g.max_capacity)).bit_length())
-    id_f = max(1, clog2(max(2, len(tree.clusters))))
     groups: dict[tuple[int, int, int], int] = {}
     arcs: dict[tuple[int, int, int, int], int] = {}
     for cid in scheme.mains:
@@ -466,9 +464,29 @@ def test_bits_match_documented_layout(four_cycle):
     for (v, cid, flag), paths in groups.items():
         entry = max(1, clog2(max(2, g.degree(v)))) + path_f
         expected[v] += id_f + 1 + count_f + paths * entry
-    assert bits.per_vertex == expected
-    assert bits.total_bits == sum(expected.values())
-    assert bits.max_bits == max(expected.values())
+    return expected
+
+
+def test_bits_match_documented_layout(four_cycle):
+    # a cluster id takes ceil(log2 #clusters) bits: 3 for the four-cycle's 7
+    # clusters, 7 for the 123 of grid 8x8 at tree seed 0, in the tables of
+    # both schemes
+    g8 = grid_graph(8, 8)
+    tree8 = build_tree(g8, target_arity=2, seed=0)
+    cert8 = certify_congestion(g8, tree8, store_solutions=True)
+    grid8 = (g8, tree8, build_cube_scheme(g8, tree8, cert8, np.random.default_rng(1)))
+    for (g, tree, scheme), clusters, id_f in ((four_cycle, 7, 3), (grid8, 123, 7)):
+        assert len(tree.clusters) == clusters
+        expected = _documented_bits(g, tree, scheme, id_f)
+        bits = measure_table_bits_b(scheme)
+        assert bits.per_vertex == expected
+        assert bits.total_bits == sum(expected.values())
+        assert bits.max_bits == max(expected.values())
+    # impl-a: every table opens with the id of a cluster on the vertex's leaf path
+    tables = build_flow_tables(g8, tree8, cert8.int_value)
+    for v, fields in _table_fields(tables, range(g8.n)):
+        cid, width = fields[0]
+        assert cid in tree8.leaf_path(v) and width == 7
 
 
 def test_bits_positive_and_stable(grid_scheme):

@@ -66,7 +66,7 @@ def test_single_edge_route_is_the_edge(k2):
 
 
 def test_tree_hop_counts(four_cycle, monkeypatch):
-    # hops per direction = tree height + 1 - shared prefix of the leaf paths:
+    # hops per direction = leaf path length - shared prefix of the leaf paths:
     # same level-1 cluster shares depth 2, opposite clusters only the root
     g, tree, cert, backends = four_cycle
     calls = {False: 0, True: 0}     # _steps calls per hop direction, keyed downward
@@ -84,10 +84,10 @@ def test_tree_hop_counts(four_cycle, monkeypatch):
 
 
 def test_steps_of_each_kind_of_hop():
-    # root 0 = {0,1,2} with children 1 = {0,1} and 4 = {2}; 4 is padded with
-    # the unary child 5 = {2} so that every leaf sits at depth 2
+    # root 0 = {0,1,2} with children 1 = {0,1} and the leaf 4 = {2}, which
+    # sits at depth 1, above the leaves 2 = {0} and 3 = {1}
     tree = tree_from_spec(path_graph(3), [[0, 1], 2])
-    assert [c.children for c in tree.clusters] == [[1, 4], [2, 3], [], [], [5], []]
+    assert [c.children for c in tree.clusters] == [[1, 4], [2, 3], [], [], []]
     # multi-vertex child: leave it toward its own border, spread over the
     # parent; down, leave the parent toward child 1's border, spread over it
     assert routing._steps(tree, (False, 1)) == [(False, 1, 0), (True, 0, 1)]
@@ -97,9 +97,6 @@ def test_steps_of_each_kind_of_hop():
     assert routing._steps(tree, (True, 4)) == [(False, 0, 2)]
     assert routing._steps(tree, (False, 3)) == [(True, 1, 2)]
     assert routing._steps(tree, (True, 3)) == [(False, 1, 2)]
-    # unary parent: the hop does not move
-    assert routing._steps(tree, (False, 5)) == []
-    assert routing._steps(tree, (True, 5)) == []
 
 
 def test_single_edge_exact_loads(k2):
@@ -230,6 +227,7 @@ def test_exact_loads_match_monte_carlo(scheme):
 
 _ORACLE_CASES = {
     "grid-4x4-permutation": (lambda: grid_graph(4, 4), "permutation", 1),
+    # leaves at depths 5 to 7, so _through reads leaf paths of different lengths
     "grid-8x8-gravity": (lambda: grid_graph(8, 8), "gravity", 0),
     "torus-6x6-gravity": (lambda: generate_graph("torus", rows=6, cols=6), "gravity", 0),
     "random-regular-32-3-permutation": (
