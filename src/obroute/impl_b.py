@@ -34,6 +34,16 @@ intermediate node (Valiant & Brebner): a hop's start law is already the
 exact cluster law and its target is already uniform on its range, so the
 detour only lengthens the walk.
 
+The build walks each cube's stored paths once, into path slots
+(CubeMaps.path_slots): one slot per arc of every path, in edge_paths order,
+holding its cube edge's (dimension, node) cell, its graph edge id (-1 for an
+arc off the graph, on which the exact kernel raises) and its tail and head.
+The exact kernel bins its crossings over the slots, path_id_bits and the
+audit count the slots on each arc, and measure_table_bits_b counts the slots
+leaving each vertex. The slots are rebuilt when edge_paths, or any entry of
+it, is replaced (the cached paths are compared by identity), so every
+reader sees an edited path.
+
 Per-vertex table layout (bit-exact accounting):
 
   sizes block, one per containing non-singleton cluster S with r children:
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -79,16 +90,26 @@ def _ceil_log2(x: int) -> int:
 
 @dataclass
 class _PathSlots:
-    """A cube's stored paths as arrays, for the exact kernel: one slot per
-    graph edge of every path, in edge_paths order, holding the (dimension,
-    node) cell of the slot's cube edge, flattened as k * 2^d + x, and the
-    slot's graph edge id; and the node owners."""
+    """A cube's stored paths as arrays: one slot per arc (tail, head) of
+    every path, in edge_paths order, holding the (dimension, node) cell of
+    the slot's cube edge, flattened as k * 2^d + x, the arc's graph edge id
+    (-1 for an arc that is no edge of the graph), and its tail and head; and
+    the node owners. The exact kernel, path_id_bits, the audit and the table
+    bits all read these arrays."""
 
     edge_paths: dict[tuple[int, int], list[int]]   # the dict the slots were built from
+    paths: list[list[int]]                         # its values when they were built
     cells: np.ndarray
     edge_ids: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
     owners: np.ndarray                             # node_owner as an array
     owned: np.ndarray                              # vertex -> number of nodes it owns
+
+    def arcs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct arcs in ascending (tail, head) order, keyed
+        tail * n + head for an n-vertex graph, and the slots on each."""
+        return np.unique(self.tails * n + self.heads, return_counts=True)
 
 
 @dataclass
@@ -102,26 +123,33 @@ class CubeMaps:
     _slots: _PathSlots | None = field(default=None, repr=False, compare=False)
 
     def path_slots(self, g: CapacitatedGraph) -> _PathSlots:
-        """The slot arrays of edge_paths in g, rebuilt when edge_paths is
-        replaced; raises on a stored path that steps off g."""
-        if self._slots is None or self._slots.edge_paths is not self.edge_paths:
+        """The slot arrays of edge_paths in g, rebuilt when edge_paths or any
+        of its entries is replaced (the cached paths are compared by identity)."""
+        slots = self._slots
+        if (slots is None or slots.edge_paths is not self.edge_paths
+                or len(slots.paths) != len(self.edge_paths)
+                or not all(map(operator.is_, slots.paths, self.edge_paths.values()))):
             side = 1 << self.dimension
             cells: list[int] = []
             edge_ids: list[int] = []
+            tails: list[int] = []
+            heads: list[int] = []
             for (x, y), path in self.edge_paths.items():
                 cell = ((x ^ y).bit_length() - 1) * side + x
                 for a, b in zip(path, path[1:]):
                     try:
                         edge_ids.append(g.edge_index(a, b))
                     except KeyError:
-                        raise RuntimeError(f"stored path of cube edge ({x},{y}) steps off "
-                                           f"the graph at ({a},{b})") from None
+                        edge_ids.append(-1)
                     cells.append(cell)
+                    tails.append(a)
+                    heads.append(b)
             owners = np.array(self.node_owner, dtype=np.intp)
-            self._slots = _PathSlots(self.edge_paths, np.array(cells, dtype=np.intp),
-                                     np.array(edge_ids, dtype=np.intp),
-                                     owners, np.bincount(owners))
-        return self._slots
+            slots = self._slots = _PathSlots(
+                self.edge_paths, list(self.edge_paths.values()),
+                *(np.array(a, dtype=np.intp) for a in (cells, edge_ids, tails, heads)),
+                owners, np.bincount(owners))
+        return slots
 
 
 @dataclass
@@ -235,11 +263,6 @@ def build_rerand_cube(cluster: Cluster) -> CubeMaps:
     return _weight_cube([cluster.cluster_weight], cluster)
 
 
-def _arc_paths(maps: CubeMaps) -> Counter[tuple[int, int]]:
-    """Stored paths of a cube leaving a on edge (a, b), per arc (a, b)."""
-    return Counter(arc for path in maps.edge_paths.values() for arc in zip(path, path[1:]))
-
-
 def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
                       cert: CongestionCertificate, rng: np.random.Generator) -> CubeScheme:
     """Both cubes of every non-singleton cluster, each cube edge embedded as one
@@ -247,7 +270,8 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
 
     `cert` must hold its solutions (certify_congestion with
     store_solutions=True). The paths are drawn cluster by cluster in tree
-    order; path_id_bits then numbers the most paths any cube stores on one arc.
+    order, and each cube's path slots built once; path_id_bits then numbers
+    the most paths any cube stores on one arc.
     """
     if not g.uniform_capacities():
         raise ValueError("hypercube scheme requires uniform unit edge capacities")
@@ -260,7 +284,7 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
             main = scheme.mains[cluster.id] = build_embedding(tree, cluster)
             shuffle = scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
             _draw_cube_paths(g, cert.solutions[cluster.id], (main, shuffle), rng)
-    most = max((max(_arc_paths(maps).values(), default=1)
+    most = max((int(maps.path_slots(g).arcs(g.n)[1].max(initial=1))
                 for maps in (*scheme.mains.values(), *scheme.shuffles.values())), default=1)
     scheme.path_id_bits = max(1, _ceil_log2(most))
     return scheme
@@ -363,6 +387,11 @@ def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int
     """
     d = maps.dimension
     slots = maps.path_slots(g)
+    off = np.flatnonzero(slots.edge_ids < 0)
+    if off.size:
+        k, x = divmod(int(slots.cells[off[0]]), 1 << d)
+        raise RuntimeError(f"stored path of cube edge ({x},{x ^ (1 << k)}) steps off the "
+                           f"graph at ({slots.tails[off[0]]},{slots.heads[off[0]]})")
     for v in start_law.nonzero()[0].tolist():
         _owned_nodes(maps, v)    # raises for a vertex that owns no node
     # each node gets p(v) / #nodes of its owner v
@@ -388,7 +417,7 @@ def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int
 def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
     """Check every mapping rule exactly; empty list means clean."""
     bad: list[str] = []
-    tree = scheme.tree
+    tree, n = scheme.tree, scheme.graph.n
     for cid, main in scheme.mains.items():
         cluster = tree.cluster(cid)
         shuffle = scheme.shuffles[cid]
@@ -415,11 +444,11 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
                     if not scheme.graph.has_edge(a, b):
                         bad.append(f"cluster {cid}: stored path uses missing edge "
                                    f"({a},{b})")
-            for (a, b), k in sorted(_arc_paths(maps).items()):
+            for arc, k in zip(*(a.tolist() for a in maps.path_slots(scheme.graph).arcs(n))):
                 if k > 1 << scheme.path_id_bits:
-                    bad.append(f"cluster {cid} {cube} cube: {k} stored paths leave {a} "
-                               f"for {b}, more than {scheme.path_id_bits}-bit path ids "
-                               "can number")
+                    bad.append(f"cluster {cid} {cube} cube: {k} stored paths leave "
+                               f"{arc // n} for {arc % n}, more than "
+                               f"{scheme.path_id_bits}-bit path ids can number")
     return bad
 
 
@@ -431,13 +460,14 @@ def measure_table_bits_b(scheme: CubeScheme) -> TableBits:
     weight_bits = max(1, weight_cap.bit_length())
     id_bits = _cluster_id_bits(tree)
 
-    # continuation entries: one per stored path per vertex with an outgoing edge
+    # continuation entries: one per stored path per vertex with an outgoing
+    # edge, so a vertex's count in a cube is the number of slots it is the tail of
     hits: dict[tuple[int, int, int], int] = {}      # (v, cluster, cube flag) -> paths
     for cid in scheme.mains:
         for flag, maps in enumerate((scheme.mains[cid], scheme.shuffles[cid])):
-            for path in maps.edge_paths.values():
-                for v in path[:-1]:
-                    hits[(v, cid, flag)] = hits.get((v, cid, flag), 0) + 1
+            paths = np.bincount(maps.path_slots(g).tails, minlength=g.n)
+            for v in paths.nonzero()[0].tolist():
+                hits[(v, cid, flag)] = int(paths[v])
     count_bits = max(1, max(hits.values(), default=1).bit_length())
 
     per_vertex: dict[int, int] = {v: 0 for v in range(g.n)}

@@ -40,17 +40,25 @@ every load is the same to the last bit (an edge a term does not touch adds
 an exact +0.0): the demand through each hop is one np.bincount per direction
 over the leaf paths, sentinel-filled past each leaf, the pairs in sorted order;
 each kernel's loads are one bincount over graph edge ids (ReferenceBackend
-over the unit loads of each (u, v) pair's PathGroup, impl_b over cached cube
-path slots, impl_a over the arcs it crosses as it propagates); a hop's loads
+over a cluster's pair table, impl_b over the path slots each cube built with
+the scheme, impl_a over the arcs it crosses as it propagates); a hop's loads
 are the sum of its step vectors, and the edge loads add demand times hop
 loads over the hops in sorted order.
+
+A cluster's pair table, built on its first step, holds every ordered pair
+(u, v), u != v, of its weighted vertices, u ascending, then v ascending, and
+the unit loads of each pair's PathGroup, concatenated. A step selects the
+pairs with p_u > 0 and q_v > 0 of its start and end laws: the pairs the loop
+over both supports visits, in the order it visits them, each term the same
+product p·q·x, so the one bincount over them adds the same floats in the same
+order. A law with mass on a vertex the cluster does not weight raises.
 
 The reference's stored paths are the certification flows decomposed: the
 first read of a source decomposes its flow once, by widest-path extraction
 (flows.decompose_by_sink), into one PathGroup per sink. A group holds the
 vertex paths and the cumulative sums of their probabilities, which draws
-search, and builds its per-unit load on each graph edge id when the kernel
-first reads it. Sampling and exact loads read the same paths, so a stored
+search, and builds its per-unit load on each graph edge id when a pair
+table first reads it. Sampling and exact loads read the same paths, so a stored
 path that steps off the graph makes route_demands raise.
 """
 from __future__ import annotations
@@ -97,6 +105,20 @@ def _extend(path: list[int], seg: list[int]) -> None:
     path.extend(seg[1:])
 
 
+@dataclass(frozen=True)
+class _PairTable:
+    """Every ordered pair (u, v), u != v, of a cluster's weighted vertices
+    (the support of its cluster law), u ascending, then v ascending, and the
+    unit loads of each pair's PathGroup, concatenated in pair order."""
+
+    vertices: np.ndarray    # the weighted vertices, ascending
+    starts: np.ndarray      # pair -> index of u in vertices
+    ends: np.ndarray        # pair -> index of v in vertices
+    lengths: np.ndarray     # pair -> number of its unit-load entries
+    ids: np.ndarray         # graph edge ids of every pair's unit loads
+    units: np.ndarray       # the unit loads, aligned with ids
+
+
 class ReferenceBackend:
     """Hops drawn directly from the certification flow solutions."""
 
@@ -107,6 +129,7 @@ class ReferenceBackend:
         self.solutions = solutions
         # per (cluster, border), the support of tree.law and its cumulative sums
         self._draws: dict[tuple[int, bool], tuple[list[int], list[float]]] = {}
+        self._pairs: dict[int, _PairTable] = {}
 
     def _draw(self, cluster_id: int, border: bool, rng: np.random.Generator) -> int:
         """A vertex drawn from tree.law(cluster_id, border) by its cumulative sums."""
@@ -127,29 +150,48 @@ class ReferenceBackend:
         path = group.draw(rng.random())
         return path if u < v else path[::-1]
 
+    def _pair_table(self, cluster_id: int) -> _PairTable:
+        """The cluster's _PairTable, built on its first step."""
+        if cluster_id not in self._pairs:
+            vertices = self.tree.law(cluster_id).nonzero()[0]
+            groups, g = self.solutions[cluster_id].path_groups, self.graph
+            ids, units = [], []
+            for u in vertices.tolist():
+                for v in vertices.tolist():
+                    if u != v:
+                        group = groups(min(u, v))[max(u, v)]
+                        try:
+                            e, x = group.unit_loads(g)
+                        except RuntimeError as exc:
+                            raise RuntimeError(f"cluster {cluster_id}: {exc}") from None
+                        ids.append(e)
+                        units.append(x)
+            starts, ends = np.nonzero(~np.eye(len(vertices), dtype=bool))
+            self._pairs[cluster_id] = _PairTable(
+                vertices, starts, ends, np.array([len(e) for e in ids], dtype=np.intp),
+                np.concatenate([np.empty(0, np.intp), *ids]),
+                np.concatenate([np.empty(0), *units]))
+        return self._pairs[cluster_id]
+
     def _between_loads(self, cluster_id: int, start: Law, end: Law) -> Loads:
         """Expected loads of a stored path between independent draws from start
-        and end: one bincount of p·q·x over the (u, v) pairs in vertex order,
-        x the unit loads of the pair's PathGroup."""
-        groups, g = self.solutions[cluster_id].path_groups, self.graph
-        ids, units, scales = [], [], []
-        us, vs = start.nonzero()[0], end.nonzero()[0]
-        ends = list(zip(vs.tolist(), end[vs].tolist()))
-        for u, p in zip(us.tolist(), start[us].tolist()):
-            for v, q in ends:
-                if u != v:
-                    group = groups(u)[v] if u < v else groups(v)[u]
-                    try:
-                        e, x = group.unit_loads(g)
-                    except RuntimeError as exc:
-                        raise RuntimeError(f"cluster {cluster_id}: {exc}") from None
-                    ids.append(e)
-                    units.append(x)
-                    scales.append(p * q)
-        if not ids:
-            return np.zeros(self.graph.m)
-        weights = np.repeat(scales, [len(e) for e in ids]) * np.concatenate(units)
-        return np.bincount(np.concatenate(ids), weights, minlength=self.graph.m)
+        and end: one bincount of p·q·x over the cluster's pair table, the pairs
+        with p_u > 0 and q_v > 0 in vertex order, x the unit loads of the
+        pair's PathGroup. Raises if either law has mass off the table."""
+        table = self._pair_table(cluster_id)
+        p, q = start[table.vertices], end[table.vertices]
+        for law, on in ((start, p), (end, q)):
+            if np.count_nonzero(on) < np.count_nonzero(law):
+                v = np.setdiff1d(law.nonzero()[0], table.vertices)[0]
+                raise RuntimeError(f"cluster {cluster_id}: a law puts mass on vertex {v}, "
+                                   "which is not a weighted vertex of the cluster")
+        p, q = p[table.starts], q[table.ends]
+        keep = (p > 0) & (q > 0)
+        entries = np.repeat(keep, table.lengths)
+        weights = np.repeat((p * q)[keep], table.lengths[keep]) * table.units[entries]
+        # astype: a bincount of nothing (no pair kept) is an int array
+        return np.bincount(table.ids[entries], weights,
+                           minlength=self.graph.m).astype(float, copy=False)
 
     def _end(self, step: Step) -> tuple[int, bool]:
         """(cluster id, border) of the law a step's far endpoint is drawn

@@ -11,16 +11,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cycle_graph, tree_from_spec
+from helpers import cycle_graph, dict_route_demands, tree_from_spec
 from obroute import impl_b
 from obroute.cmcf import round_paths
 from obroute.decomposition import Cluster, build_tree, certify_congestion
-from obroute.experiment import _build_backend
+from obroute.experiment import _build_backend, demand_battery
 from obroute.graph import grid_graph, hypercube_graph, random_regular_graph
-from obroute.impl_a import _table_fields, build_flow_tables
+from obroute.impl_a import _cluster_id_bits, _table_fields, build_flow_tables
 from obroute.impl_b import (CubeScheme, _bit_fix, _ceil_log2, _cube_edges, _weight_cube,
                             audit_cube_scheme, build_cube_scheme, build_embedding,
                             hypercube_loads, hypercube_route, measure_table_bits_b)
+from obroute.routing import route_demands
 
 
 def _mock_cluster(border_total: int, weights: dict[int, int]) -> Cluster:
@@ -35,6 +36,14 @@ def _arc_counts(maps) -> Counter:
         for a, b in zip(path, path[1:]):
             counts[(a, b)] += 1
     return counts
+
+
+def _walked_path_id_bits(scheme) -> int:
+    """ceil(log2) of the most stored paths on one arc of any cube, at least 1,
+    from _arc_counts."""
+    most = max(max(_arc_counts(maps).values(), default=1)
+               for maps in (*scheme.mains.values(), *scheme.shuffles.values()))
+    return max(1, _ceil_log2(most))
 
 
 @pytest.fixture(scope="module")
@@ -151,9 +160,7 @@ def test_path_id_bits_number_the_busiest_arc():
     cert = certify_congestion(g, tree, store_solutions=True)
     scheme, *_, audits = _build_backend("impl-b", g, tree, cert, 1)
     assert audits == []
-    most = max(max(_arc_counts(maps).values(), default=1)
-               for maps in (*scheme.mains.values(), *scheme.shuffles.values()))
-    assert scheme.path_id_bits == max(1, _ceil_log2(most))
+    assert scheme.path_id_bits == _walked_path_id_bits(scheme)
 
 
 @pytest.mark.parametrize("g", [hypercube_graph(3), random_regular_graph(16, 3, seed=5)])
@@ -440,22 +447,20 @@ def test_bits_per_path_entry_constant(grid_scheme):
 
 
 def _documented_bits(g, tree, scheme, id_f):
-    """Per vertex, the bits of the documented layout with cluster ids id_f wide."""
+    """Per vertex, the bits of the documented layout with cluster ids id_f
+    wide and the scheme's path ids, counted path by path."""
     def clog2(x):
         return (x - 1).bit_length() if x > 1 else 0
 
     weight_f = max(1, (2 * g.m * max(1, g.max_capacity)).bit_length())
+    path_f = scheme.path_id_bits
     groups: dict[tuple[int, int, int], int] = {}
-    arcs: dict[tuple[int, int, int, int], int] = {}
     for cid in scheme.mains:
         for flag, maps in ((0, scheme.mains[cid]), (1, scheme.shuffles[cid])):
             for path in maps.edge_paths.values():
-                for v, u in zip(path, path[1:]):
+                for v in path[:-1]:
                     groups[(v, cid, flag)] = groups.get((v, cid, flag), 0) + 1
-                    arcs[(cid, flag, v, u)] = arcs.get((cid, flag, v, u), 0) + 1
     count_f = max(1, max(groups.values(), default=1).bit_length())
-    path_f = max(1, clog2(max(arcs.values(), default=1)))
-    assert scheme.path_id_bits == path_f
     expected = dict.fromkeys(range(g.n), 0)
     for cid, main in scheme.mains.items():
         # one weight field per range: own border, then each child's
@@ -477,6 +482,7 @@ def test_bits_match_documented_layout(four_cycle):
     grid8 = (g8, tree8, build_cube_scheme(g8, tree8, cert8, np.random.default_rng(1)))
     for (g, tree, scheme), clusters, id_f in ((four_cycle, 7, 3), (grid8, 123, 7)):
         assert len(tree.clusters) == clusters
+        assert scheme.path_id_bits == _walked_path_id_bits(scheme)
         expected = _documented_bits(g, tree, scheme, id_f)
         bits = measure_table_bits_b(scheme)
         assert bits.per_vertex == expected
@@ -494,3 +500,65 @@ def test_bits_positive_and_stable(grid_scheme):
     bits = measure_table_bits_b(scheme)
     assert bits.total_bits > 0
     assert measure_table_bits_b(scheme).per_vertex == bits.per_vertex
+
+
+# ---------------------------------------------------------------------------
+# readers of the path slots
+# ---------------------------------------------------------------------------
+
+_COUNT_GRAPHS = {
+    # criterion 3's graphs, and the grids of both benchmark workloads
+    "grid-4x4": lambda: grid_graph(4, 4),
+    "grid-8x8": lambda: grid_graph(8, 8),
+    "random-regular-8-3": lambda: random_regular_graph(8, 3, seed=2),
+    "random-regular-32-3": lambda: random_regular_graph(32, 3, seed=3),
+    "random-regular-64-3": lambda: random_regular_graph(64, 3, seed=4),
+    "grid-10x10": lambda: grid_graph(10, 10),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_GRAPHS))
+def test_slot_counts_match_a_per_path_walk(name):
+    # path_id_bits, the table bits and the audit's overflow lines count arcs
+    # over the path slots; a plain walk over the stored paths must agree
+    g = _COUNT_GRAPHS[name]()
+    tree = build_tree(g, target_arity=2, seed=0)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    scheme = _build_backend("impl-b", g, tree, cert, 1)[0]
+    assert scheme.path_id_bits == _walked_path_id_bits(scheme)
+    assert measure_table_bits_b(scheme).per_vertex == _documented_bits(
+        g, tree, scheme, _cluster_id_bits(tree))
+    # with 0-bit path ids, every arc that two paths or more leave on overflows
+    scheme.path_id_bits = 0
+    expected = [f"cluster {cid} {cube} cube: {k} stored paths leave {a} for {b}, more "
+                "than 0-bit path ids can number"
+                for cid in scheme.mains
+                for cube, maps in (("main", scheme.mains[cid]),
+                                   ("shuffle", scheme.shuffles[cid]))
+                for (a, b), k in sorted(_arc_counts(maps).items()) if k > 1]
+    assert expected
+    assert audit_cube_scheme(scheme) == expected
+
+
+def test_an_edited_path_is_seen_by_every_reader(grid_scheme):
+    # replacing one entry of edge_paths after the exact kernel has read the
+    # cube rebuilds its slots: the loads, the table bits and the audit all
+    # follow the edited path
+    g, tree, scheme = grid_scheme
+    scheme = copy.deepcopy(scheme)
+    demands = demand_battery("permutation", g, 1)
+    before = route_demands(g, tree, scheme, demands)
+    cid = next(iter(scheme.mains))
+    maps = scheme.mains[cid]
+    key, path = next(iter(maps.edge_paths.items()))
+    a, b = path[0], path[1]
+    extra = (1 << scheme.path_id_bits) + 1 - _arc_counts(maps)[(a, b)]
+    maps.edge_paths[key] = [a] + [b, a] * extra + path[1:]
+    after = route_demands(g, tree, scheme, demands)
+    assert after.edge_loads != before.edge_loads
+    assert after.edge_loads == dict_route_demands(g, tree, scheme, demands).edge_loads
+    assert measure_table_bits_b(scheme).per_vertex == _documented_bits(
+        g, tree, scheme, _cluster_id_bits(tree))
+    assert audit_cube_scheme(scheme) == [
+        f"cluster {cid} main cube: {(1 << scheme.path_id_bits) + 1} stored paths leave "
+        f"{a} for {b}, more than {scheme.path_id_bits}-bit path ids can number"]

@@ -232,6 +232,9 @@ _ORACLE_CASES = {
     "torus-6x6-gravity": (lambda: generate_graph("torus", rows=6, cols=6), "gravity", 0),
     "random-regular-32-3-permutation": (
         lambda: generate_graph("random_regular", n=32, deg=3, seed=0), "permutation", 0),
+    # perfbench's lp-10x10 instance: its 24 pairs cross only some hops, and
+    # each step selects only part of its cluster's reference pair table
+    "grid-10x10-uniform-pairs": (lambda: grid_graph(10, 10), "uniform_pairs:24", 0),
 }
 
 
@@ -410,3 +413,17 @@ def test_stored_path_off_the_graph_raises():
     assert proc.stdout.splitlines() == [
         "reference cluster 0: stored path steps off the graph at (0,2)",
         "cubes stored path of cube edge (0,1) steps off the graph at (0,2)"]
+
+
+def test_reference_rejects_a_law_off_the_cluster():
+    # half the start law's mass on a vertex the cluster does not weight: the
+    # kernel names the cluster and the vertex rather than drop that half
+    g = grid_graph(4, 4)
+    tree = build_tree(g, target_arity=2, seed=0)
+    backend = ReferenceBackend(g, tree, certify_congestion(g, tree, store_solutions=True).solutions)
+    cid = tree.leaf_path(0)[1]
+    outside = next(v for v in range(g.n) if v not in tree.cluster(cid).vertices)
+    law = 0.5 * tree.law(cid)
+    law[outside] = 0.5
+    with pytest.raises(RuntimeError, match=f"^cluster {cid}: .* vertex {outside},"):
+        backend.loads((False, cid, 0), law)
