@@ -29,8 +29,9 @@ total_w = sum(weights)
 # the walk's endpoint law, mixed over weight-sampled starts, must equal the
 # child's border distribution; compute it exactly, then sample it
 law = np.zeros(g.n)
-for v, w in zip(starts, weights):
-    law += tables.loads((False, root.id, 2), np.eye(g.n)[v])[1] * w / total_w
+ends = tables.loads([(False, root.id, 2)] * len(starts), np.eye(g.n)[starts])[1]
+for end, w in zip(ends, weights):
+    law += end * w / total_w
 
 rng = np.random.default_rng(0)
 n = 20_000

@@ -2,11 +2,12 @@
 
 A run builds the cluster tree and its congestion certificate once, then for
 every requested scheme builds the backend, computes the exact expected edge
-loads of the demand battery, and writes three artifacts per scheme directory:
+loads of the demand battery, and writes four artifacts per scheme directory:
 
   report.json  congestion, optimum, ratio, tree and table statistics
   loads.csv    per-edge expected load (the stderr column is 0: loads are exact)
   tables.csv   per-vertex table bits (zero for the non-compact reference)
+  hops.npz     the per-hop loads the edge loads sum (_write_hops)
 
 All randomness derives from the single master seed: the tree build uses it
 directly, and the demand battery and cube builds use fixed substreams.
@@ -30,7 +31,7 @@ from obroute.impl_a import (build_flow_tables, header_bit_length,
                             label_bit_length, measure_table_bits_a)
 from obroute.impl_b import audit_cube_scheme, build_cube_scheme, measure_table_bits_b
 from obroute.optimum import competitive_ratio, optimal_congestion
-from obroute.routing import ESTIMATOR, ReferenceBackend, route_demands
+from obroute.routing import ESTIMATOR, LoadReport, ReferenceBackend, route_demands
 
 __all__ = ["parse_config", "load_config", "graph_from_config", "demand_battery",
            "run_experiment", "SCHEMES"]
@@ -218,6 +219,23 @@ def _write_csvs(out: Path, report, table_bits, n: int) -> None:
     (out / "tables.csv").write_text("\n".join(rows) + "\n")
 
 
+def _write_hops(out: Path, tree: DecompositionTree, report: LoadReport) -> None:
+    """hops.npz, one row per hop the battery crosses, in the sorted order
+    route_demands adds them: the hop's direction (downward) and child cluster
+    id (child), the child's total_border and level, and the exact loads of
+    one crossing by graph edge id (loads, rows x m). The edge loads are the
+    demand through each hop (routing._through) times its row, added in row
+    order."""
+    hops = list(report.through)
+    children = [tree.cluster(child) for _, child in hops]
+    np.savez(out / "hops.npz",
+             downward=np.array([downward for downward, _ in hops], dtype=bool),
+             child=np.array([c.id for c in children], dtype=np.int64),
+             total_border=np.array([c.total_border for c in children], dtype=np.int64),
+             level=np.array([c.level for c in children], dtype=np.int64),
+             loads=report.hop_loads)
+
+
 def run_experiment(cfg: dict[str, str],
                    out_dir: str | Path | None = None) -> tuple[int, list[str]]:
     """Full run per the config; returns (exit code, assertion failures)."""
@@ -285,5 +303,6 @@ def run_experiment(cfg: dict[str, str],
         (scheme_dir / "report.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
         _write_csvs(scheme_dir, report, bits, g.n)
+        _write_hops(scheme_dir, tree, report)
 
     return (0 if not failures else 1), failures

@@ -32,7 +32,7 @@ cluster can double the scale, so B can exceed what the flow was built with.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from obroute.decomposition import DecompositionTree
 from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_integral, sample_path
 from obroute.graph import CapacitatedGraph
-from obroute.routing import Law, Loads, Step
+from obroute.routing import Law, Step
 
 __all__ = ["FlowTables", "build_flow_tables", "label_bit_length", "header_bit_length",
            "measure_table_bits_a", "serialize_vertex_table"]
@@ -81,11 +81,27 @@ class FlowTables:
         path = sample_path(fa, v, direction, rng)
         return path, path[-1]
 
-    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]:
+    def loads(self, steps: Sequence[Step],
+              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Started on the flow's source (forward) or sink (backward) law, the
-        walk crosses arc a->b f(a,b)/|f| times on average."""
-        fa, direction = self._walk(step, law.nonzero()[0].tolist())
-        return _propagate(self.graph, fa, law, direction)
+        walk crosses arc a->b f(a,b)/|f| times on average. Each step's flow
+        is swept on its own (_propagate); one bincount, offset by row, bins
+        every crossing."""
+        m = self.graph.m
+        ends = np.zeros(laws.shape)
+        crossed: list[int] = []
+        shares: list[float] = []
+        counts: list[int] = []
+        for i, (step, law) in enumerate(zip(steps, laws)):
+            fa, direction = self._walk(step, law.nonzero()[0].tolist())
+            edges, parts, ends[i] = _propagate(self.graph, fa, law, direction)
+            crossed += edges
+            shares += parts
+            counts.append(len(edges))
+        bins = np.array(crossed, dtype=np.intp) + np.repeat(np.arange(len(counts)) * m, counts)
+        # astype: a bincount of nothing is an int array
+        loads = np.bincount(bins, shares, minlength=len(counts) * m).astype(float, copy=False)
+        return loads.reshape(len(counts), m), ends
 
 
 def _cluster_flows(g: CapacitatedGraph, cluster, out_maps: list[dict[int, int]],
@@ -149,13 +165,13 @@ def build_flow_tables(g: CapacitatedGraph, tree: DecompositionTree, c: int) -> F
 
 
 def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: Law,
-               direction: str) -> tuple[Loads, Law]:
+               direction: str) -> tuple[list[int], list[float], Law]:
     """Push the start law through the acyclic flow in topological order, each
     vertex splitting its mass over its links in proportion to their flow; no
     sampling involved. The caller has checked that every start vertex can
-    start a walk (FlowTables._walk). Returns the mass crossing each graph
-    edge, both directions binned by edge id in the order they are crossed,
-    and the mass absorbed at each vertex, as vectors."""
+    start a walk (FlowTables._walk). Returns the graph edge id and the mass
+    of every crossing, in the order they are crossed, and the mass absorbed
+    at each vertex, as a vector."""
     if not fa.is_acyclic():
         raise ValueError("absorption law requires an acyclic flow")
     if direction == "forward":
@@ -191,8 +207,7 @@ def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: Law,
     end = np.zeros(g.n)
     for v, p in absorbed.items():
         end[v] = p
-    # astype: a bincount of nothing is an int array
-    return np.bincount(crossed, shares, minlength=g.m).astype(float, copy=False), end
+    return crossed, shares, end
 
 
 def _topological(fa: FlowAssignment, direction: str) -> list[int]:

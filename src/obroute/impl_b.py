@@ -37,12 +37,14 @@ detour only lengthens the walk.
 The build walks each cube's stored paths once, into path slots
 (CubeMaps.path_slots): one slot per arc of every path, in edge_paths order,
 holding its cube edge's (dimension, node) cell, its graph edge id (-1 for an
-arc off the graph, on which the exact kernel raises) and its tail and head.
-The exact kernel bins its crossings over the slots, path_id_bits and the
-audit count the slots on each arc, and measure_table_bits_b counts the slots
-leaving each vertex. The slots are rebuilt when edge_paths, or any entry of
-it, is replaced (the cached paths are compared by identity), so every
-reader sees an edited path.
+arc off the graph, on which the exact kernel raises and which the audit
+reports) and its tail and head, with the node owners as an array. The exact
+kernel (hypercube_loads) evaluates a pass of walks a cube dimension at a
+time and bins the crossings of all of them over their slots; path_id_bits
+and the audit count the slots on each arc, and measure_table_bits_b counts
+the slots leaving each vertex. The slots are rebuilt when edge_paths, any
+entry of it or node_owner is replaced (the cached lists are compared by
+identity), so every reader sees an edited path or node map.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -68,7 +70,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +79,7 @@ from obroute.cmcf import CMCFSolution, round_paths
 from obroute.decomposition import Cluster, CongestionCertificate, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits, _cluster_id_bits
-from obroute.routing import Law, Loads, Step
+from obroute.routing import Step
 
 __all__ = ["CubeMaps", "CubeScheme", "build_embedding", "build_rerand_cube",
            "build_cube_scheme", "hypercube_route", "hypercube_loads",
@@ -99,10 +101,12 @@ class _PathSlots:
 
     edge_paths: dict[tuple[int, int], list[int]]   # the dict the slots were built from
     paths: list[list[int]]                         # its values when they were built
+    node_owner: list[int]                          # the list the owners were built from
     cells: np.ndarray
     edge_ids: np.ndarray
     tails: np.ndarray
     heads: np.ndarray
+    path_ends: np.ndarray                          # path -> slot past its last arc
     owners: np.ndarray                             # node_owner as an array
     owned: np.ndarray                              # vertex -> number of nodes it owns
 
@@ -123,10 +127,12 @@ class CubeMaps:
     _slots: _PathSlots | None = field(default=None, repr=False, compare=False)
 
     def path_slots(self, g: CapacitatedGraph) -> _PathSlots:
-        """The slot arrays of edge_paths in g, rebuilt when edge_paths or any
-        of its entries is replaced (the cached paths are compared by identity)."""
+        """The slot arrays of edge_paths in g, rebuilt when edge_paths, any
+        of its entries or node_owner is replaced (the cached lists are
+        compared by identity)."""
         slots = self._slots
         if (slots is None or slots.edge_paths is not self.edge_paths
+                or slots.node_owner is not self.node_owner
                 or len(slots.paths) != len(self.edge_paths)
                 or not all(map(operator.is_, slots.paths, self.edge_paths.values()))):
             side = 1 << self.dimension
@@ -146,9 +152,11 @@ class CubeMaps:
                     heads.append(b)
             owners = np.array(self.node_owner, dtype=np.intp)
             slots = self._slots = _PathSlots(
-                self.edge_paths, list(self.edge_paths.values()),
+                self.edge_paths, list(self.edge_paths.values()), self.node_owner,
                 *(np.array(a, dtype=np.intp) for a in (cells, edge_ids, tails, heads)),
-                owners, np.bincount(owners))
+                np.cumsum([len(path) - 1 for path in self.edge_paths.values()],
+                          dtype=np.intp),
+                owners, np.bincount(owners, minlength=g.n))
         return slots
 
 
@@ -179,9 +187,9 @@ class CubeScheme:
         maps, lo, hi = self._cube(step)
         return _cube_hop(maps, v, lo, hi, rng)
 
-    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]:
-        maps, lo, hi = self._cube(step)
-        return hypercube_loads(self.graph, maps, law, lo, hi)
+    def loads(self, steps: Sequence[Step],
+              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return hypercube_loads(self.graph, [self._cube(step) for step in steps], laws)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +313,14 @@ def _bit_fix(a: int, b: int, d: int) -> list[int]:
     return seq
 
 
-def _owned_nodes(maps: CubeMaps, v: int) -> list[int]:
-    nodes = maps.vertex_nodes.get(v)
-    if not nodes:
-        raise ValueError(f"vertex {v} owns no cube nodes")
-    return nodes
-
-
 def _cube_hop(maps: CubeMaps, v: int, lo: int, hi: int,
               rng: np.random.Generator) -> tuple[list[int], int]:
     """One-phase cube walk from a uniform node of v straight to a uniform node
     of [lo, hi), with no intermediate node (unlike the paper's two-phase
     routing); the owner of that node is the end vertex."""
-    nodes = _owned_nodes(maps, v)
+    nodes = maps.vertex_nodes.get(v)
+    if not nodes:
+        raise ValueError(f"vertex {v} owns no cube nodes")
     start = nodes[int(rng.integers(len(nodes)))]
     target = int(rng.integers(lo, hi))
     return hypercube_route(maps, start, target), maps.node_owner[target]
@@ -370,43 +373,72 @@ def _walk_indices(d: int) -> _WalkIndices:
     return _WalkIndices(low_size=int(low_offsets[-1]), **arrays)
 
 
-def hypercube_loads(g: CapacitatedGraph, maps: CubeMaps, start_law: Law, lo: int,
-                    hi: int) -> tuple[Loads, Law]:
-    """Exact expected loads on the edges of g (a vector indexed by edge id)
-    of _cube_hop from a vertex drawn from start_law to [lo, hi), and the law
-    of its end vertex (a vector indexed by vertex).
+def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, int]],
+                    start_laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: the exact expected loads on the edges of g (indexed by edge id)
+    of _cube_hop in walks[i] = (cube, lo, hi) from a vertex drawn from
+    start_laws[i] (indexed by vertex) to [lo, hi), and the law of its end
+    vertex; k x m and k x n arrays for k walks.
 
     With independent start node x and target t, bit fixing crosses dimension
     k out of node y iff x>>k = y>>k, t agrees with y below k and t_k != y_k,
     with probability P(x>>k = y>>k) P(t mod 2^(k+1) = y_<k + (1 - y_k) 2^k).
-    Each crossing of a cube edge loads the edges of its stored graph path:
-    one bincount over the cube's path slots (CubeMaps.path_slots) sums every
-    graph edge's crossings in edge_paths order. The per-k terms are
-    evaluated for every k at once (_walk_indices), with the same operations
-    on the same values as one k at a time. O(d 2^d) with numpy.
+    Each crossing of a cube edge loads the edges of its stored graph path.
+    The walks are evaluated a cube dimension d at a time: the per-k terms of
+    every walk on a d-cube at once (_walk_indices), with the same operations
+    on the same values as one walk and one k at a time. One bincount over the
+    path slots (CubeMaps.path_slots) of every walk, offset by row, sums each
+    graph edge's crossings in edge_paths order. O(d 2^d) per walk with numpy.
     """
-    d = maps.dimension
-    slots = maps.path_slots(g)
-    off = np.flatnonzero(slots.edge_ids < 0)
-    if off.size:
-        k, x = divmod(int(slots.cells[off[0]]), 1 << d)
-        raise RuntimeError(f"stored path of cube edge ({x},{x ^ (1 << k)}) steps off the "
-                           f"graph at ({slots.tails[off[0]]},{slots.heads[off[0]]})")
-    for v in start_law.nonzero()[0].tolist():
-        _owned_nodes(maps, v)    # raises for a vertex that owns no node
-    # each node gets p(v) / #nodes of its owner v
-    start = start_law[slots.owners] / slots.owned[slots.owners]
-    target = np.zeros(1 << d)
-    target[lo:hi] = 1.0 / (hi - lo)
-    walk = _walk_indices(d)
-    high = np.concatenate([start.reshape(-1, 1 << k).sum(axis=1) for k in range(d)])
-    low = np.bincount(walk.low_bins, np.tile(target, d), minlength=walk.low_size)
-    out = (high[walk.high_at] * low[walk.low_at]).ravel()
-    crossing = out + out[walk.flip]    # [k * 2^d + y]: either direction of edge {y, y ^ 2^k}
-    # astype: a bincount of nothing (a cube with no stored path) is an int array
-    loads = np.bincount(slots.edge_ids, crossing[slots.cells],
-                        minlength=g.m).astype(float, copy=False)
-    ends = np.bincount(slots.owners[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)), minlength=g.n)
+    k, m, n = len(walks), g.m, g.n
+    cubes = {id(maps): maps for maps, _, _ in walks}
+    cube_slots = {key: maps.path_slots(g) for key, maps in cubes.items()}
+    for key, maps in cubes.items():
+        s = cube_slots[key]
+        off = np.flatnonzero(s.edge_ids < 0)
+        if off.size:
+            dim, x = divmod(int(s.cells[off[0]]), 1 << maps.dimension)
+            raise RuntimeError(f"stored path of cube edge ({x},{x ^ (1 << dim)}) steps off "
+                               f"the graph at ({s.tails[off[0]]},{s.heads[off[0]]})")
+    slots = [cube_slots[id(maps)] for maps, _, _ in walks]
+    owned = np.array([s.owned for s in slots]).reshape(k, n)
+    lost = np.argwhere((start_laws != 0) & (owned == 0))
+    if lost.size:
+        raise ValueError(f"vertex {lost[0, 1]} owns no cube nodes")
+    by_dimension: dict[int, list[int]] = {}
+    for i, (maps, _, _) in enumerate(walks):
+        by_dimension.setdefault(maps.dimension, []).append(i)
+    load_bins, load_weights, end_bins, end_weights = [], [], [], []
+    for d, rows in by_dimension.items():
+        r, walk = len(rows), _walk_indices(d)
+        owners = np.array([slots[i].owners for i in rows])
+        # each node gets p(v) / #nodes of its owner v
+        start = (np.take_along_axis(start_laws[rows], owners, axis=1)
+                 / np.take_along_axis(owned[rows], owners, axis=1))
+        lo, hi = (np.array([walks[i][j] for i in rows]) for j in (1, 2))
+        nodes = np.arange(1 << d)
+        target = np.where((nodes >= lo[:, None]) & (nodes < hi[:, None]),
+                          (1.0 / (hi - lo))[:, None], 0.0)
+        high = np.concatenate([start.reshape(r, -1, 1 << j).sum(axis=2) for j in range(d)],
+                              axis=1)
+        low = np.bincount((walk.low_bins + walk.low_size * np.arange(r)[:, None]).ravel(),
+                          np.tile(target, d).ravel(), minlength=r * walk.low_size)
+        low = low.reshape(r, walk.low_size)
+        out = (high[:, walk.high_at] * low[:, walk.low_at]).reshape(r, -1)
+        # [row, k * 2^d + y]: either direction of edge {y, y ^ 2^k}
+        crossing = out + out[:, walk.flip]
+        for j, i in enumerate(rows):
+            load_bins.append(slots[i].edge_ids + i * m)
+            load_weights.append(crossing[j, slots[i].cells])
+        hit, node = np.nonzero(target)
+        end_bins.append(owners[hit, node] + np.array(rows)[hit] * n)
+        end_weights.append(target[hit, node])
+    # astype: a bincount of nothing (no walk, or no stored path) is an int array
+    loads, ends = (
+        np.bincount(np.concatenate([np.empty(0, np.intp), *bins]),
+                    np.concatenate([np.empty(0), *weights]),
+                    minlength=k * size).astype(float, copy=False).reshape(k, size)
+        for bins, weights, size in ((load_bins, load_weights, m), (end_bins, end_weights, n)))
     return loads, ends
 
 
@@ -436,15 +468,19 @@ def audit_cube_scheme(scheme: CubeScheme) -> list[str]:
                 if k > 4 * cluster.cluster_weight.get(v, 0):
                     bad.append(f"cluster {cid} {cube} cube: vertex {v} holds {k} nodes "
                                f"> 4*w = {4 * cluster.cluster_weight.get(v, 0)}")
-            for (x, y), path in maps.edge_paths.items():
+            slots = maps.path_slots(scheme.graph)
+            # the slots off the graph (edge id -1), grouped by the path they are on
+            missing: dict[int, list[str]] = {}
+            for s in np.flatnonzero(slots.edge_ids < 0).tolist():
+                missing.setdefault(int(np.searchsorted(slots.path_ends, s, side="right")),
+                                   []).append(f"cluster {cid}: stored path uses missing "
+                                              f"edge ({slots.tails[s]},{slots.heads[s]})")
+            for i, ((x, y), path) in enumerate(maps.edge_paths.items()):
                 if path[0] != maps.node_owner[x] or path[-1] != maps.node_owner[y]:
                     bad.append(f"cluster {cid}: stored path endpoints disagree "
                                f"with cube edge ({x},{y})")
-                for a, b in zip(path, path[1:]):
-                    if not scheme.graph.has_edge(a, b):
-                        bad.append(f"cluster {cid}: stored path uses missing edge "
-                                   f"({a},{b})")
-            for arc, k in zip(*(a.tolist() for a in maps.path_slots(scheme.graph).arcs(n))):
+                bad += missing.get(i, [])
+            for arc, k in zip(*(a.tolist() for a in slots.arcs(n))):
                 if k > 1 << scheme.path_id_bits:
                     bad.append(f"cluster {cid} {cube} cube: {k} stored paths leave "
                                f"{arc // n} for {arc % n}, more than "

@@ -10,10 +10,11 @@ a Step (spread, cluster id, target index) that walks inside that cluster:
                          border (k = 0) or its k-th child's
   spread  (True, c, k)   from a vertex on that border law onto c's cluster law
 
-Every backend has two methods over a step: sample(step, v, rng) draws one
-walk from v, its path and end vertex, and the exact kernel loads(step, law)
-gives the expected edge loads of the walk from a start drawn from law, and
-the law of its end vertex. Both call one private resolver of the step:
+Every backend has two methods: sample(step, v, rng) draws one walk from v,
+its path and end vertex, and the exact kernel loads(steps, laws) evaluates a
+pass of steps in one call, row i giving the expected edge loads of step i's
+walk from a start drawn from laws[i] and the law of its end vertex. Both
+call one private resolver of a step:
 
   ReferenceBackend    _end: the law of the far endpoint, the target's border
                       law or the cluster law; a stored path of the cluster's
@@ -31,27 +32,34 @@ on the point law of its source leaf. So the expected loads of a hop depend
 only on its tree edge and direction, not on the pair routed, and by linearity
 the expected edge loads of a demand set are the sum over hops of the demand
 crossing it times the loads of one hop. route_demands computes them that way,
-without sampling, and checks the end law of every hop.
+without sampling: hop_loads gives every crossed hop's loads as one row of a
+hop matrix, in two backend passes. The first pass evaluates the first step of
+every hop, from the law of the cluster the hop leaves; the second the second
+step of every two-step hop, from the first pass's end law. Each row adds 0,
+then its first step's loads, then its second's, and the end law of every hop
+is checked against the law of the cluster it enters in one array operation.
 
-Loads are float64 vectors over graph edge ids (length g.m) and laws over
+Loads are float64 arrays over graph edge ids (length g.m) and laws over
 vertices (length g.n), a cluster's laws cached by DecompositionTree.law. The
 sums are array arithmetic that adds in the order of the plain dict loops, so
 every load is the same to the last bit (an edge a term does not touch adds
 an exact +0.0): the demand through each hop is one np.bincount per direction
 over the leaf paths, sentinel-filled past each leaf, the pairs in sorted order;
-each kernel's loads are one bincount over graph edge ids (ReferenceBackend
-over a cluster's pair table, impl_b over the path slots each cube built with
-the scheme, impl_a over the arcs it crosses as it propagates); a hop's loads
-are the sum of its step vectors, and the edge loads add demand times hop
-loads over the hops in sorted order.
+each pass's loads are one bincount over graph edge ids offset by row, so each
+row adds its own terms in its own step's order (ReferenceBackend over the
+pass's pair tables, impl_b over the path slots each cube built with the
+scheme, impl_a over the arcs each flow's sweep crosses); and the edge loads
+add demand times hop row over the hops in sorted order.
 
 A cluster's pair table, built on its first step, holds every ordered pair
 (u, v), u != v, of its weighted vertices, u ascending, then v ascending, and
 the unit loads of each pair's PathGroup, concatenated. A step selects the
 pairs with p_u > 0 and q_v > 0 of its start and end laws: the pairs the loop
 over both supports visits, in the order it visits them, each term the same
-product p·q·x, so the one bincount over them adds the same floats in the same
-order. A law with mass on a vertex the cluster does not weight raises.
+product p·q·x, so the bincount over them adds the same floats in the same
+order. A pass concatenates its steps' tables and selects the pairs of every
+step at once. A law with mass on a vertex the cluster
+does not weight raises.
 
 The reference's stored paths are the certification flows decomposed: the
 first read of a source decomposes its flow once, by widest-path extraction
@@ -64,6 +72,7 @@ path that steps off the graph makes route_demands raise.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -74,11 +83,11 @@ from obroute.decomposition import DecompositionTree
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
 __all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "select_path",
-           "route_demands"]
+           "hop_loads", "route_demands"]
 
 Law = np.ndarray                             # float64, vertex -> probability
-Loads = np.ndarray                           # float64, graph edge id -> expected load
 Step = tuple[bool, int, int]                 # (spread, cluster id, target index)
+Hop = tuple[bool, int]                       # (downward, child cluster id)
 
 ESTIMATOR = "exact"    # how route_demands obtains loads; reports name it
 _LAW_TOL = 1e-9
@@ -88,14 +97,17 @@ class SchemeBackend(Protocol):
     """A scheme's hop steps, each as a sampler and as an exact kernel;
     implemented by ReferenceBackend, impl_a.FlowTables and impl_b.CubeScheme.
     A step's index names a target as DecompositionTree.target does. sample
-    returns (path, end vertex) of one walk from v; loads returns (expected
-    edge loads, end law) of a walk whose start vertex is drawn from `law`:
-    float vectors indexed by graph edge id (length g.m) and by vertex (g.n)."""
+    returns (path, end vertex) of one walk from v. loads evaluates a pass of
+    k steps in one call: row i of `laws` (k x n, by vertex) is the law step
+    i's start vertex is drawn from, and it returns the expected edge loads of
+    the k walks (k x m, by graph edge id) and the laws of their end vertices
+    (k x n), float arrays whose row i is what step i gives on its own."""
 
     def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]: ...
 
-    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]: ...
+    def loads(self, steps: Sequence[Step],
+              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 def _extend(path: list[int], seg: list[int]) -> None:
@@ -105,15 +117,21 @@ def _extend(path: list[int], seg: list[int]) -> None:
     path.extend(seg[1:])
 
 
+def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [first, first + count), concatenated in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts - firsts, counts)
+
+
 @dataclass(frozen=True)
 class _PairTable:
     """Every ordered pair (u, v), u != v, of a cluster's weighted vertices
     (the support of its cluster law), u ascending, then v ascending, and the
     unit loads of each pair's PathGroup, concatenated in pair order."""
 
-    vertices: np.ndarray    # the weighted vertices, ascending
-    starts: np.ndarray      # pair -> index of u in vertices
-    ends: np.ndarray        # pair -> index of v in vertices
+    weighted: np.ndarray    # vertex -> whether the cluster weights it
+    sources: np.ndarray     # pair -> u
+    sinks: np.ndarray       # pair -> v
     lengths: np.ndarray     # pair -> number of its unit-load entries
     ids: np.ndarray         # graph edge ids of every pair's unit loads
     units: np.ndarray       # the unit loads, aligned with ids
@@ -153,7 +171,8 @@ class ReferenceBackend:
     def _pair_table(self, cluster_id: int) -> _PairTable:
         """The cluster's _PairTable, built on its first step."""
         if cluster_id not in self._pairs:
-            vertices = self.tree.law(cluster_id).nonzero()[0]
+            law = self.tree.law(cluster_id)
+            vertices = law.nonzero()[0]
             groups, g = self.solutions[cluster_id].path_groups, self.graph
             ids, units = [], []
             for u in vertices.tolist():
@@ -168,30 +187,44 @@ class ReferenceBackend:
                         units.append(x)
             starts, ends = np.nonzero(~np.eye(len(vertices), dtype=bool))
             self._pairs[cluster_id] = _PairTable(
-                vertices, starts, ends, np.array([len(e) for e in ids], dtype=np.intp),
+                law > 0, vertices[starts], vertices[ends],
+                np.array([len(e) for e in ids], dtype=np.intp),
                 np.concatenate([np.empty(0, np.intp), *ids]),
                 np.concatenate([np.empty(0), *units]))
         return self._pairs[cluster_id]
 
-    def _between_loads(self, cluster_id: int, start: Law, end: Law) -> Loads:
-        """Expected loads of a stored path between independent draws from start
-        and end: one bincount of p·q·x over the cluster's pair table, the pairs
-        with p_u > 0 and q_v > 0 in vertex order, x the unit loads of the
-        pair's PathGroup. Raises if either law has mass off the table."""
-        table = self._pair_table(cluster_id)
-        p, q = start[table.vertices], end[table.vertices]
-        for law, on in ((start, p), (end, q)):
-            if np.count_nonzero(on) < np.count_nonzero(law):
-                v = np.setdiff1d(law.nonzero()[0], table.vertices)[0]
-                raise RuntimeError(f"cluster {cluster_id}: a law puts mass on vertex {v}, "
-                                   "which is not a weighted vertex of the cluster")
-        p, q = p[table.starts], q[table.ends]
-        keep = (p > 0) & (q > 0)
-        entries = np.repeat(keep, table.lengths)
-        weights = np.repeat((p * q)[keep], table.lengths[keep]) * table.units[entries]
+    def _between_loads(self, clusters: list[int], starts: np.ndarray,
+                       ends: np.ndarray) -> np.ndarray:
+        """Row i: expected loads of a stored path of cluster clusters[i]
+        between independent draws from starts[i] and ends[i], the sum of
+        p·q·x over the cluster's pair table: the pairs with p_u > 0 and
+        q_v > 0 in pair order, x the unit loads of the pair's PathGroup. The
+        steps' tables are concatenated, and one bincount, offset by row, adds
+        every selected entry. Raises if a law has mass off its cluster's
+        table."""
+        k, m = len(clusters), self.graph.m
+        if not k:
+            return np.zeros((0, m))
+        tables = [self._pair_table(c) for c in clusters]
+        weighted = np.array([t.weighted for t in tables])
+        # [step, start or end, vertex], the first in step order, then start first
+        stray = np.argwhere((np.stack([starts, ends], axis=1) != 0) & ~weighted[:, None])
+        if stray.size:
+            i, _, v = stray[0]
+            raise RuntimeError(f"cluster {clusters[i]}: a law puts mass on vertex {v}, "
+                               "which is not a weighted vertex of the cluster")
+        # every step's table, concatenated in step order
+        sources, sinks, lengths, ids, units = (
+            np.concatenate([getattr(t, name) for t in tables])
+            for name in ("sources", "sinks", "lengths", "ids", "units"))
+        rows = np.repeat(np.arange(k), [len(t.sources) for t in tables])
+        p, q = starts[rows, sources], ends[rows, sinks]
+        keep = np.flatnonzero((p > 0) & (q > 0))
+        entries = _ranges((np.cumsum(lengths) - lengths)[keep], lengths[keep])
+        weights = np.repeat((p * q)[keep], lengths[keep]) * units[entries]
+        bins = ids[entries] + np.repeat(rows[keep] * m, lengths[keep])
         # astype: a bincount of nothing (no pair kept) is an int array
-        return np.bincount(table.ids[entries], weights,
-                           minlength=self.graph.m).astype(float, copy=False)
+        return np.bincount(bins, weights, minlength=k * m).astype(float, copy=False).reshape(k, m)
 
     def _end(self, step: Step) -> tuple[int, bool]:
         """(cluster id, border) of the law a step's far endpoint is drawn
@@ -206,16 +239,17 @@ class ReferenceBackend:
         end = self._draw(*self._end(step), rng)
         return self._path_between(step[1], v, end, rng), end
 
-    def loads(self, step: Step, law: Law) -> tuple[Loads, Law]:
-        end = self.tree.law(*self._end(step))
-        return self._between_loads(step[1], law, end), end
+    def loads(self, steps: Sequence[Step],
+              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ends = np.array([self.tree.law(*self._end(step)) for step in steps]).reshape(laws.shape)
+        return self._between_loads([step[1] for step in steps], laws, ends), ends
 
 
 # ---------------------------------------------------------------------------
 # the hop skeleton, shared by the sampler and the exact evaluator
 # ---------------------------------------------------------------------------
 
-def _hops(tree: DecompositionTree, s: int, t: int) -> list[tuple[bool, int]]:
+def _hops(tree: DecompositionTree, s: int, t: int) -> list[Hop]:
     """(downward, child cluster) per tree edge crossed: up from s's leaf to
     the lowest common cluster, then down to t's leaf."""
     up = tree.leaf_path(s)
@@ -227,7 +261,7 @@ def _hops(tree: DecompositionTree, s: int, t: int) -> list[tuple[bool, int]]:
             + [(True, c) for c in down[shared:]])
 
 
-def _steps(tree: DecompositionTree, hop: tuple[bool, int]) -> list[Step]:
+def _steps(tree: DecompositionTree, hop: Hop) -> list[Step]:
     """Steps of the hop across the tree edge above child_id. Upward: leave
     the child toward its own border, then spread over the parent. Downward:
     leave the parent toward the child's border, then spread over the child.
@@ -257,28 +291,48 @@ def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
     return path
 
 
-def _hop_loads(tree: DecompositionTree, backend: SchemeBackend, m: int,
-               hop: tuple[bool, int]) -> Loads:
-    """Exact expected loads of one hop started on the law of the cluster it
-    leaves, the sum of its step vectors; raises unless it ends on the law of
-    the cluster it enters."""
+def _sides(tree: DecompositionTree, hop: Hop) -> tuple[int, int]:
+    """(cluster the hop leaves, cluster it enters)."""
     downward, child_id = hop
     parent_id = tree.cluster(child_id).parent
-    leaves, enters = (parent_id, child_id) if downward else (child_id, parent_id)
-    law = tree.law(leaves)
-    loads = np.zeros(m)
-    for step in _steps(tree, hop):
-        part, law = backend.loads(step, law)
-        loads += part
-    gap = np.abs(law - tree.law(enters)).max()
-    if gap > _LAW_TOL:
+    return (parent_id, child_id) if downward else (child_id, parent_id)
+
+
+def hop_loads(tree: DecompositionTree, backend: SchemeBackend,
+              hops: Sequence[Hop]) -> np.ndarray:
+    """Exact expected loads of each hop started on the law of the cluster it
+    leaves: a len(hops) x m matrix whose row i adds 0, then the loads of hop
+    i's first step, then those of its second. Two backend passes: the first
+    steps of every hop from the laws of the clusters they leave, then the
+    second steps of the two-step hops from the first pass's end laws. Raises
+    for the first hop, in the order given, that does not end on the law of
+    the cluster it enters."""
+    n = tree.cluster(tree.root).size
+    steps = [_steps(tree, hop) for hop in hops]
+    sides = [_sides(tree, hop) for hop in hops]
+    starts = np.array([tree.law(leaves) for leaves, _ in sides]).reshape(len(hops), n)
+    first, ends = backend.loads([s[0] for s in steps], starts)
+    loads = np.zeros(first.shape)
+    loads += first
+    two = [i for i, s in enumerate(steps) if len(s) == 2]
+    if two:
+        second, later = backend.loads([steps[i][1] for i in two], ends[two])
+        loads[two] += second
+        ends = ends.copy()
+        ends[two] = later
+    laws = np.array([tree.law(enters) for _, enters in sides]).reshape(len(hops), n)
+    gaps = np.abs(ends - laws).max(axis=1)
+    failed = np.flatnonzero(gaps > _LAW_TOL)
+    if failed.size:
+        i = failed[0]
+        (downward, child_id), (_, enters) = hops[i], sides[i]
         raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
-                           f"ends {gap:.3g} away from the law of cluster {enters}")
+                           f"ends {gaps[i]:.3g} away from the law of cluster {enters}")
     return loads
 
 
 def _through(tree: DecompositionTree, n: int,
-             entries: dict[tuple[int, int], float]) -> dict[tuple[bool, int], float]:
+             entries: dict[tuple[int, int], float]) -> dict[Hop, float]:
     """Demand crossing each tree edge per direction, keyed (downward, child
     cluster) in sorted order. A pair (s, t) crosses upward the clusters of s's
     leaf path below the deepest one it shares with t's, and downward those of
@@ -296,7 +350,7 @@ def _through(tree: DecompositionTree, n: int,
     shared = np.logical_and.accumulate(up == down, axis=1).sum(axis=1, keepdims=True)
     crossed = np.arange(paths.shape[1]) >= shared
     weight = np.broadcast_to(np.array(demand, dtype=float)[:, None], up.shape)[crossed]
-    through: dict[tuple[bool, int], float] = {}
+    through: dict[Hop, float] = {}
     for downward, side in ((False, up), (True, down)):
         sums = np.bincount(side[crossed], weight, minlength=sentinel + 1)[:sentinel]
         hit = np.flatnonzero(sums)
@@ -306,13 +360,18 @@ def _through(tree: DecompositionTree, n: int,
 
 @dataclass
 class LoadReport:
-    """Exact expected per-edge loads. edge_stderr is kept for readers of the
-    load table; it is 0.0 for every loaded edge."""
+    """Exact expected per-edge loads, and the per-hop terms they sum:
+    `through` holds the demand crossing each hop in sorted hop order and
+    row i of `hop_loads` the loads of one crossing of the i-th (hop_loads).
+    edge_stderr is kept for readers of the load table; it is 0.0 for every
+    loaded edge."""
 
     edge_loads: dict[tuple[int, int], float]
     edge_stderr: dict[tuple[int, int], float]
     edge_caps: dict[tuple[int, int], int]
     congestion: float
+    through: dict[Hop, float]
+    hop_loads: np.ndarray
 
 
 def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
@@ -322,15 +381,17 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
 
     `demands` must pass g.check_demands, or ValueError is raised. Sums the
     demand crossing each tree edge in each direction (_through), then adds
-    that times the exact loads of one hop across the edge, hop by hop in
+    that times the exact loads of one crossing (hop_loads), hop by hop in
     sorted order. Edges no hop loads are left out of edge_loads. No paths are
     sampled: `samples` and `seed` are ignored and kept only so that existing
     callers still work.
     """
     demands = g.check_demands(demands)
+    through = _through(tree, g.n, demands.entries)
+    rows = hop_loads(tree, backend, list(through))
     totals = np.zeros(g.m)
-    for hop, d in _through(tree, g.n, demands.entries).items():
-        totals += d * _hop_loads(tree, backend, g.m, hop)
+    for d, row in zip(through.values(), rows):
+        totals += d * row
     hit = np.flatnonzero(totals)
     loads = {g.edges[i][:2]: x for i, x in zip(hit.tolist(), totals[hit].tolist())}
 
@@ -339,5 +400,6 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
     return LoadReport(edge_loads=loads,
                       edge_stderr={edge: 0.0 for edge in loads},
                       edge_caps=caps,
-                      congestion=worst)
-
+                      congestion=worst,
+                      through=through,
+                      hop_loads=rows)

@@ -417,29 +417,40 @@ def _dict_kernel(backend, step: tuple[bool, int, int], law: dict) -> tuple[dict,
     raise TypeError(f"no dict kernel for {type(backend).__name__}")
 
 
+def dict_hop_loads(tree, backend, hop: tuple[bool, int]) -> dict:
+    """Loads of one crossing of a hop, by edge, its steps' dict kernels
+    added step by step from the law of the cluster it leaves."""
+    downward, child_id = hop
+    parent_id = tree.cluster(child_id).parent
+    law = _normalized(tree.cluster(parent_id if downward else child_id).cluster_weight)
+    loads: dict = {}
+    for step in routing._steps(tree, hop):
+        part, law = _dict_kernel(backend, step, law)
+        for edge, x in part.items():
+            loads[edge] = loads.get(edge, 0.0) + x
+    return loads
+
+
 def dict_route_demands(g: CapacitatedGraph, tree, backend,
                        demands: DemandMatrix | dict) -> LoadReport:
     """route_demands with every sum a dict accumulation: the demand through
     each hop pair by pair (dict_through), each hop's loads kernel step by
-    kernel step, and the edge loads hop by hop in sorted hop order. The
-    array code sums in the same order, so it must agree to the last bit."""
+    kernel step (dict_hop_loads), and the edge loads hop by hop in sorted
+    hop order. The array code sums in the same order, so it must agree to
+    the last bit."""
     entries = demands.entries if isinstance(demands, DemandMatrix) else dict(demands)
+    through = dict_through(tree, entries)
     loads: dict = {}
-    for (downward, child_id), d in dict_through(tree, entries).items():
-        parent_id = tree.cluster(child_id).parent
-        leaves = parent_id if downward else child_id
-        law = _normalized(tree.cluster(leaves).cluster_weight)
-        hop_loads: dict = {}
-        for step in routing._steps(tree, (downward, child_id)):
-            part, law = _dict_kernel(backend, step, law)
-            for edge, x in part.items():
-                hop_loads[edge] = hop_loads.get(edge, 0.0) + x
-        for edge, x in hop_loads.items():
+    rows = np.zeros((len(through), g.m))
+    for row, (hop, d) in zip(rows, through.items()):
+        for edge, x in dict_hop_loads(tree, backend, hop).items():
+            row[g.edge_index(*edge)] = x
             loads[edge] = loads.get(edge, 0.0) + d * x
     caps = {(u, v): c for u, v, c in g.edges}
     return LoadReport(edge_loads=loads, edge_stderr={edge: 0.0 for edge in loads},
                       edge_caps=caps,
-                      congestion=max((x / caps[e] for e, x in loads.items()), default=0.0))
+                      congestion=max((x / caps[e] for e, x in loads.items()), default=0.0),
+                      through=through, hop_loads=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_criterion_2_flow_tables():
             for v, w in cluster.cluster_weight.items():
                 if w == 0:
                     continue
-                end = tables.loads((False, cid, index), point_laws[v])[1]
+                end = tables.loads([(False, cid, index)], point_laws[v][None])[1][0]
                 for x in np.flatnonzero(end).tolist():
                     mix[x] = mix.get(x, 0.0) + end[x] * w / cluster.total_weight
             for v in cluster.vertices:

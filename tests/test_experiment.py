@@ -5,10 +5,11 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from helpers import path_graph, single_edge
-from obroute import cmcf, experiment
+from obroute import cmcf, experiment, routing
 from obroute.cli import main
 from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import (SCHEMES, demand_battery, graph_from_config,
@@ -315,6 +316,30 @@ def test_run_experiment_csv_shapes(grid_run):
             assert max(bits) > 0
 
 
+def test_hops_npz_gives_the_reported_congestion(grid_run):
+    # each scheme's hops.npz holds one row per hop the battery crosses, in
+    # sorted order; the demand through each hop (_through) times its row,
+    # added in row order, gives report.json's congestion to the last bit
+    out, _, _ = grid_run
+    g = grid_graph(3, 3)
+    tree = build_tree(g, target_arity=2, seed=1)
+    through = routing._through(tree, g.n, demand_battery("permutation", g, 1).entries)
+    children = [tree.cluster(child) for _, child in through]
+    for scheme in SCHEMES:
+        with np.load(out / scheme / "hops.npz") as hops:
+            assert list(zip(hops["downward"].tolist(), hops["child"].tolist())) == list(through)
+            assert hops["total_border"].tolist() == [c.total_border for c in children]
+            assert hops["level"].tolist() == [c.level for c in children]
+            assert hops["loads"].shape == (len(through), g.m)
+            totals = np.zeros(g.m)
+            for d, row in zip(through.values(), hops["loads"]):
+                totals += d * row
+        hit = np.flatnonzero(totals)
+        congestion = max(x / g.edges[e][2] for e, x in zip(hit.tolist(), totals[hit].tolist()))
+        report = json.loads((out / scheme / "report.json").read_text())
+        assert congestion == report["congestion"], scheme
+
+
 def test_run_experiment_validates_config():
     cfg = parse_config("")
     cfg.update({"generate": "grid:2x2", "schemes": "impl-c"})
@@ -368,6 +393,9 @@ def test_reports_reproducible_modulo_timestamp(tmp_path):
         assert _strip_timestamp(a / "report.json") == _strip_timestamp(b / "report.json")
         assert (a / "loads.csv").read_bytes() == (b / "loads.csv").read_bytes()
         assert (a / "tables.csv").read_bytes() == (b / "tables.csv").read_bytes()
+        with np.load(a / "hops.npz") as x, np.load(b / "hops.npz") as y:
+            assert x.files == y.files
+            assert all(np.array_equal(x[name], y[name]) for name in x.files)
 
 
 # ---------------------------------------------------------------- cli

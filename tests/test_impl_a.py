@@ -55,10 +55,10 @@ def test_single_edge_endpoint_laws(single_edge_tables):
     _, _, _, tables = single_edge_tables
     at_0, at_1 = np.eye(2)
     # forward: all mass is absorbed at the unique border vertex
-    assert tables.loads((False, 0, 1), at_0)[1].tolist() == [1.0, 0.0]
-    assert tables.loads((False, 0, 1), at_1)[1].tolist() == [1.0, 0.0]
+    ends = tables.loads([(False, 0, 1)] * 2, np.array([at_0, at_1]))[1]
+    assert ends.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     # backward from the border: exactly the cluster distribution
-    law = tables.loads((True, 0, 1), at_0)[1]
+    law = tables.loads([(True, 0, 1)], at_0[None])[1][0]
     assert law == pytest.approx([0.5, 0.5])
 
 
@@ -124,7 +124,7 @@ def mixture_law(tables, tree, cid, index, direction):
     for v, w in weights.items():
         if w == 0:
             continue
-        end = tables.loads(step, np.eye(tables.graph.n)[v])[1]
+        end = tables.loads([step], np.eye(tables.graph.n)[v][None])[1][0]
         for x in np.flatnonzero(end).tolist():
             mix[x] = mix.get(x, 0.0) + end[x] * w / total
     return mix

@@ -135,6 +135,23 @@ def test_audit_flags_a_vertex_over_4w_nodes(grid_scheme):
             f"> 4*w = {4 * weights[v]}") in audit_cube_scheme(scheme)
 
 
+def test_a_replaced_node_owner_is_seen_by_the_kernel(grid_scheme):
+    # the path slots cache the node owners as well: once node_owner is
+    # replaced, a hop to a range ends on its new owners, as the sampler's
+    # does, and a vertex left without a node cannot start one
+    g, tree, scheme = grid_scheme
+    scheme = copy.deepcopy(scheme)
+    maps = scheme.mains[tree.root]
+    first, v = np.flatnonzero(tree.law(tree.root))[:2]
+    maps.node_owner = [v] * len(maps.node_owner)
+    lo, hi = maps.ranges[1]
+    end = hypercube_loads(g, [(maps, lo, hi)], np.eye(g.n)[v][None])[1][0]
+    assert end.tolist() == np.eye(g.n)[v].tolist()
+    assert scheme.sample((False, tree.root, 1), v, np.random.default_rng(0))[1] == v
+    with pytest.raises(ValueError, match=f"vertex {first} owns no cube nodes"):
+        hypercube_loads(g, [(maps, lo, hi)], tree.law(tree.root)[None])
+
+
 def test_audit_flags_path_ids_too_narrow(grid_scheme):
     # one stored path made to cross its first arc (a, b) again and again, as
     # a, b, a, b, ...: one path more on that arc than path_id_bits can number
@@ -201,11 +218,11 @@ def test_leave_and_spread_end_on_the_exact_law():
             start = tree.law(cid)
             for index, (lo, hi) in enumerate(main.ranges):
                 if hi > lo:
-                    end = hypercube_loads(g, main, start, lo, hi)[1]
+                    end = hypercube_loads(g, [(main, lo, hi)], start[None])[1][0]
                     target = tree.target(cid, index).id
                     assert np.abs(end - tree.law(target, border=True)).max() < 1e-12
             lo, hi = scheme.shuffles[cid].ranges[0]
-            end = hypercube_loads(g, scheme.shuffles[cid], start, lo, hi)[1]
+            end = hypercube_loads(g, [(scheme.shuffles[cid], lo, hi)], start[None])[1][0]
             assert np.abs(end - start).max() < 1e-12
 
 
@@ -258,12 +275,14 @@ def test_hypercube_loads_point_to_point_is_the_bit_fix_path():
     # nothing else
     g = hypercube_graph(3)
     maps = _identity_cube_maps(3)
-    for a, b in [(0, 7), (5, 2), (6, 1), (3, 3), (1, 5)]:
-        loads, end = hypercube_loads(g, maps, np.eye(g.n)[a], b, b + 1)
+    pairs = [(0, 7), (5, 2), (6, 1), (3, 3), (1, 5)]
+    loads, ends = hypercube_loads(g, [(maps, b, b + 1) for _, b in pairs],
+                                  np.eye(g.n)[[a for a, _ in pairs]])
+    for (a, b), row, end in zip(pairs, loads, ends):
         seq = _bit_fix(a, b, 3)
         expect = np.zeros(g.m)
         expect[[g.edge_index(x, y) for x, y in zip(seq, seq[1:])]] = 1.0
-        assert loads.dtype == np.float64 and np.array_equal(loads, expect), (a, b)
+        assert row.dtype == np.float64 and np.array_equal(row, expect), (a, b)
         assert end.tolist() == np.eye(g.n)[b].tolist()
 
 

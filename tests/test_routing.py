@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import (connected_graphs, cycle_graph, dict_route_demands, dict_through,
-                     path_graph, sampled_loads, single_edge, tree_from_spec)
+from helpers import (connected_graphs, cycle_graph, dict_hop_loads, dict_route_demands,
+                     dict_through, path_graph, sampled_loads, single_edge, tree_from_spec)
 from obroute import routing
 from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import SCHEMES, _build_backend, demand_battery
@@ -122,11 +122,14 @@ def test_single_edge_cube_backend_expectation(k2):
 
 
 def test_zero_demands(four_cycle):
+    # no demand crosses no hop: every backend evaluates an empty pass
     g, tree, cert, backends = four_cycle
-    report = route_demands(g, tree, backends["reference"], {})
-    assert report.edge_loads == {} and report.congestion == 0.0
-    report = route_demands(g, tree, backends["reference"], {(0, 2): 0.0})
-    assert report.edge_loads == {}
+    for backend in backends.values():
+        for demands in ({}, {(0, 2): 0.0}):
+            report = route_demands(g, tree, backend, demands)
+            assert report.edge_loads == {} and report.congestion == 0.0
+            assert report.through == {} and report.hop_loads.shape == (0, g.m)
+        assert routing.hop_loads(tree, backend, []).shape == (0, g.m)
 
 
 def test_scaling_linearity(four_cycle):
@@ -239,24 +242,24 @@ _ORACLE_CASES = {
 
 
 class _VectorChecked:
-    """A backend whose exact kernels check that their loads are a float
-    vector of length m, indexed by graph edge id, with no negative entry, and
-    their end law a float vector of length n, indexed by vertex, with no
-    negative entry and total 1."""
+    """A backend whose exact kernel checks, for every pass of k steps, that
+    its loads are a float k x m array, row i indexed by graph edge id, with
+    no negative entry, and its end laws a float k x n array, row i indexed
+    by vertex, with no negative entry and total 1."""
 
     def __init__(self, inner, g):
         self.inner, self.g = inner, g
 
-    def _checked(self, out):
-        loads, law = out
-        assert loads.dtype == np.float64 and loads.shape == (self.g.m,)
+    def _checked(self, k, out):
+        loads, laws = out
+        assert loads.dtype == np.float64 and loads.shape == (k, self.g.m)
         assert not (loads < 0).any()
-        assert law.dtype == np.float64 and law.shape == (self.g.n,)
-        assert not (law < 0).any() and abs(law.sum() - 1.0) <= 1e-9
+        assert laws.dtype == np.float64 and laws.shape == (k, self.g.n)
+        assert not (laws < 0).any() and (abs(laws.sum(axis=1) - 1.0) <= 1e-9).all()
         return out
 
-    def loads(self, step, law):
-        return self._checked(self.inner.loads(step, law))
+    def loads(self, steps, laws):
+        return self._checked(len(steps), self.inner.loads(steps, laws))
 
 
 def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
@@ -306,6 +309,33 @@ def test_exact_loads_equal_the_dict_oracle_on_random_graphs(g):
             assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:])), scheme
 
 
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_hop_loads_equal_the_dict_oracle(case):
+    # every hop of the tree at once, in two passes: each row is its hop's
+    # dict kernels added step by step, to the last bit; the passes hold
+    # one-step hops into singleton children and, for impl-b, cubes of more
+    # than one dimension
+    make, _, seed = _ORACLE_CASES[case]
+    g = make()
+    tree = build_tree(g, target_arity=2, seed=seed)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    hops = sorted((downward, c.id) for c in tree.clusters if c.parent is not None
+                  for downward in (False, True))
+    assert any(tree.cluster(child).size == 1 for _, child in hops)
+    for scheme in SCHEMES:
+        backend = _build_backend(scheme, g, tree, cert, seed)[0]
+        rows = routing.hop_loads(tree, backend, hops)
+        assert rows.shape == (len(hops), g.m)
+        for hop, row in zip(hops, rows):
+            expect = np.zeros(g.m)
+            for edge, x in dict_hop_loads(tree, backend, hop).items():
+                expect[g.edge_index(*edge)] = x
+            assert np.array_equal(row, expect), (scheme, hop)
+        if scheme == "impl-b":
+            firsts = [routing._steps(tree, hop)[0] for hop in hops]
+            assert len({backend._cube(step)[0].dimension for step in firsts}) > 1
+
+
 class _Corrupted:
     """A backend whose sampler or kernel breaks one routing invariant on its
     leave steps; spread steps pass through."""
@@ -326,11 +356,14 @@ class _Corrupted:
             end = (end + 1) % self.g.n
         return path, end
 
-    def loads(self, step, law):
-        loads, end = self.inner.loads(step, law)
-        if self.fault == "law" and not step[0]:
-            end = np.eye(len(end))[np.flatnonzero(end)[0]]
-        return loads, end
+    def loads(self, steps, laws):
+        loads, ends = self.inner.loads(steps, laws)
+        if self.fault == "law":
+            ends = ends.copy()
+            for i, step in enumerate(steps):
+                if not step[0]:
+                    ends[i] = np.eye(ends.shape[1])[np.flatnonzero(ends[i])[0]]
+        return loads, ends
 
 
 @pytest.mark.parametrize("fault, scheme, pair, match", [
@@ -426,4 +459,4 @@ def test_reference_rejects_a_law_off_the_cluster():
     law = 0.5 * tree.law(cid)
     law[outside] = 0.5
     with pytest.raises(RuntimeError, match=f"^cluster {cid}: .* vertex {outside},"):
-        backend.loads((False, cid, 0), law)
+        backend.loads([(False, cid, 0)], law[None])

@@ -13,6 +13,10 @@
 #                     loads-sha256.txt: per scheme, a sha256 over the repr of
 #                     its full-precision edge loads and congestion, which
 #                     loads.csv rounds to 9 significant digits;
+#                     hops-sha256.txt: per scheme, a sha256 over the repr
+#                     of every field of its hops.npz, the per-hop loads at
+#                     full precision ("no hops.npz" for a checkout that
+#                     writes none);
 #                     route-8x8-grav/report-stdout.txt also holds the stdout
 #                     of obroute report on that run's --out-dir
 #   build-8x8/        obroute build --generate grid:8x8: tree.json, and
@@ -66,6 +70,24 @@ route() {
         cp "$work/$name/$scheme/tables.csv" "$out/$name/$scheme-tables.csv"
     done
     cp "$work/$name.stdout" "$out/$name/stdout.txt"
+    "$py" - "$work/$name" > "$out/$name/hops-sha256.txt" <<'EOF'
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+for scheme in ("reference", "impl-a", "impl-b"):
+    path = Path(sys.argv[1]) / scheme / "hops.npz"
+    if not path.exists():
+        print(scheme, "no hops.npz")
+        continue
+    digest = hashlib.sha256()
+    with np.load(path) as hops:
+        for field in sorted(hops.files):
+            digest.update(repr((field, hops[field].tolist())).encode())
+    print(scheme, digest.hexdigest())
+EOF
 }
 
 loads_hash() {
