@@ -26,12 +26,10 @@ starts = sorted(v for v in root.vertices if root.cluster_weight[v] > 0)
 weights = [root.cluster_weight[v] for v in starts]
 total_w = sum(weights)
 
-# the walk's endpoint law, mixed over weight-sampled starts, must equal the
-# child's border distribution; compute it exactly, then sample it
-law = np.zeros(g.n)
-ends = tables.loads([(False, root.id, 2)] * len(starts), np.eye(g.n)[starts])[1]
-for end, w in zip(ends, weights):
-    law += end * w / total_w
+# the walk's endpoint law, started on the root's cluster law (weight-sampled
+# starts), must equal the child's border distribution; compute it exactly
+# (the flow's sink arcs over its value), then sample it
+law = tables.loads([(False, root.id, 2)], tree.law(root.id)[None])[1][0]
 
 rng = np.random.default_rng(0)
 n = 20_000

@@ -40,7 +40,7 @@ import numpy as np
 from obroute.decomposition import DecompositionTree
 from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_integral, sample_path
 from obroute.graph import CapacitatedGraph
-from obroute.routing import Law, Step
+from obroute.routing import Step, _first_off
 
 __all__ = ["FlowTables", "build_flow_tables", "label_bit_length", "header_bit_length",
            "measure_table_bits_a", "serialize_vertex_table"]
@@ -60,48 +60,64 @@ class FlowTables:
     cluster_c: dict[int, int]                      # effective C after any doubling
     events: list[str] = field(default_factory=list)
 
-    def _walk(self, step: Step, starts: Iterable[int]) -> tuple[FlowAssignment, str]:
-        """The flow and direction a step walks, provided a walk can start at
-        every vertex of `starts`."""
-        spread, cluster_id, index = step
-        fa = self.flows[(cluster_id, index)]
-        for v in starts:
-            arc, end = ((v, SNK), "sink") if spread else ((SRC, v), "source")
-            if fa.arcs.get(arc, 0) <= 0:
-                raise ValueError(
-                    f"vertex {v} carries no {end} flow in cluster {cluster_id} "
-                    f"target {index}; walk cannot start")
-        return fa, "backward" if spread else "forward"
-
     def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
         """Walk random links of the flow until absorbed; started on the
         matching terminal law, the end law is the opposite one exactly."""
-        fa, direction = self._walk(step, (v,))
-        path = sample_path(fa, v, direction, rng)
+        spread, cluster_id, index = step
+        fa = self.flows[(cluster_id, index)]
+        arc, end = ((v, SNK), "sink") if spread else ((SRC, v), "source")
+        if fa.arcs.get(arc, 0) <= 0:
+            raise ValueError(
+                f"vertex {v} carries no {end} flow in cluster {cluster_id} "
+                f"target {index}; walk cannot start")
+        path = sample_path(fa, v, "backward" if spread else "forward", rng)
         return path, path[-1]
 
     def loads(self, steps: Sequence[Step],
               laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Started on the flow's source (forward) or sink (backward) law, the
-        walk crosses arc a->b f(a,b)/|f| times on average. Each step's flow
-        is swept on its own (_propagate); one bincount, offset by row, bins
-        every crossing."""
-        m = self.graph.m
-        ends = np.zeros(laws.shape)
+        """Closed form: started on the flow's source law (forward, leave) or
+        sink law (backward, spread), each its terminal arcs over |f|, the
+        walk crosses arc a->b f(a,b)/|f| times on average, by conservation,
+        and ends on the opposite terminal law. So a step's loads are its
+        flow's unit vector: f/|f| on every interior arc, binned by graph edge
+        id in the flow's stored arc order, both directions of an edge added.
+        Each distinct flow of the pass is binned once, by one bincount offset
+        by flow. Raises ValueError for the first step, in the order given,
+        whose start law is more than 1e-9 away from its flow's start law."""
+        m, n = self.graph.m, laws.shape[1]
+        # each distinct flow of the pass, numbered in order of first use
+        row = {key: r for r, key in enumerate(dict.fromkeys(
+            (cluster_id, index) for _, cluster_id, index in steps))}
+        terminal = np.zeros((2, len(row), n))      # [source or sink, flow, vertex]
+        edge_index = self.graph.edge_index
         crossed: list[int] = []
         shares: list[float] = []
         counts: list[int] = []
-        for i, (step, law) in enumerate(zip(steps, laws)):
-            fa, direction = self._walk(step, law.nonzero()[0].tolist())
-            edges, parts, ends[i] = _propagate(self.graph, fa, law, direction)
-            crossed += edges
-            shares += parts
-            counts.append(len(edges))
-        bins = np.array(crossed, dtype=np.intp) + np.repeat(np.arange(len(counts)) * m, counts)
+        for key, r in row.items():
+            fa = self.flows[key]
+            count = len(crossed)
+            for (a, b), f in fa.arcs.items():
+                if a == SRC:
+                    terminal[0, r, b] = f / fa.value
+                elif b == SNK:
+                    terminal[1, r, a] = f / fa.value
+                else:
+                    crossed.append(edge_index(a, b))
+                    shares.append(f / fa.value)
+            counts.append(len(crossed) - count)
+        bins = np.array(crossed, dtype=np.intp) + np.repeat(np.arange(len(row)) * m, counts)
         # astype: a bincount of nothing is an int array
-        loads = np.bincount(bins, shares, minlength=len(counts) * m).astype(float, copy=False)
-        return loads.reshape(len(counts), m), ends
+        units = np.bincount(bins, shares, minlength=len(row) * m).astype(float, copy=False)
+        flow = np.array([row[(cluster_id, index)] for _, cluster_id, index in steps], dtype=np.intp)
+        spread = np.array([step[0] for step in steps], dtype=np.intp)
+        if (off := _first_off(laws, terminal[spread, flow])) is not None:
+            spread_i, cluster_id, index = steps[off[0]]
+            raise ValueError(
+                f"cluster {cluster_id} target {index}: start law is {off[1]:.3g} away "
+                f"from the flow's {'sink' if spread_i else 'source'} law; a "
+                f"{'backward' if spread_i else 'forward'} walk starts only on that law")
+        return units.reshape(len(row), m)[flow], terminal[1 - spread, flow]
 
 
 def _cluster_flows(g: CapacitatedGraph, cluster, out_maps: list[dict[int, int]],
@@ -162,77 +178,6 @@ def build_flow_tables(g: CapacitatedGraph, tree: DecompositionTree, c: int) -> F
         tables.cluster_c[cluster.id] = c_eff
         tables.events.extend(events)
     return tables
-
-
-def _propagate(g: CapacitatedGraph, fa: FlowAssignment, start_law: Law,
-               direction: str) -> tuple[list[int], list[float], Law]:
-    """Push the start law through the acyclic flow in topological order, each
-    vertex splitting its mass over its links in proportion to their flow; no
-    sampling involved. The caller has checked that every start vertex can
-    start a walk (FlowTables._walk). Returns the graph edge id and the mass
-    of every crossing, in the order they are crossed, and the mass absorbed
-    at each vertex, as a vector."""
-    if not fa.is_acyclic():
-        raise ValueError("absorption law requires an acyclic flow")
-    if direction == "forward":
-        links, terminal = fa.outgoing, SNK
-    elif direction == "backward":
-        links, terminal = fa.incoming, SRC
-    else:
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-
-    order = _topological(fa, direction)
-    position = {v: k for k, v in enumerate(order)}
-    support = start_law.nonzero()[0]
-    mass = dict(zip(support.tolist(), start_law[support].tolist()))
-    edge_index = g.edge_index
-    crossed: list[int] = []
-    shares: list[float] = []
-    absorbed: dict[int, float] = {}
-    first = min((position[v] for v in mass), default=len(order))
-    for v in order[first:]:
-        mv = mass.pop(v, 0.0)
-        if mv == 0.0:
-            continue
-        options = links(v)
-        total = sum(f for _, f in options)
-        for u, f in options:
-            share = mv * f / total
-            if u == terminal:
-                absorbed[v] = absorbed.get(v, 0.0) + share
-            else:
-                mass[u] = mass.get(u, 0.0) + share
-                crossed.append(edge_index(v, u))
-                shares.append(share)
-    end = np.zeros(g.n)
-    for v, p in absorbed.items():
-        end[v] = p
-    return crossed, shares, end
-
-
-def _topological(fa: FlowAssignment, direction: str) -> list[int]:
-    arcs = [(a, b) for (a, b), f in fa.arcs.items()
-            if f > 0 and a not in (SRC, SNK) and b not in (SRC, SNK)]
-    if direction == "backward":
-        arcs = [(b, a) for a, b in arcs]
-    verts = {v for arc in fa.arcs for v in arc} - {SRC, SNK}
-    indeg = {v: 0 for v in verts}
-    succ: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in arcs:
-        indeg[b] += 1
-        succ[a].append(b)
-    queue = sorted(v for v, d in indeg.items() if d == 0)
-    order: list[int] = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                queue.append(u)
-    if len(order) != len(verts):
-        raise RuntimeError("flow has a residual cycle")
-    return order
 
 
 # ---------------------------------------------------------------------------

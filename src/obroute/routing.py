@@ -14,15 +14,18 @@ Every backend has two methods: sample(step, v, rng) draws one walk from v,
 its path and end vertex, and the exact kernel loads(steps, laws) evaluates a
 pass of steps in one call, row i giving the expected edge loads of step i's
 walk from a start drawn from laws[i] and the law of its end vertex. Both
-call one private resolver of a step:
+resolve a step the same way:
 
   ReferenceBackend    _end: the law of the far endpoint, the target's border
                       law or the cluster law; a stored path of the cluster's
                       certification flow joins the start to it, drawn from
                       the pair's cmcf.PathGroup
-  impl_a.FlowTables   _walk: the (cluster, index) flow, walked forward along
-                      random links to leave, backward to spread; end laws
-                      are exact by the absorption argument
+  impl_a.FlowTables   the (cluster, index) flow, walked forward along random
+                      links to leave, backward to spread. Its kernel is a
+                      closed form: a walk started on the flow's terminal law
+                      crosses each arc f/|f| times on average and ends on
+                      the opposite terminal law, so it refuses any other
+                      start law
   impl_b.CubeScheme   _cube: the main cube and the target's border range to
                       leave, the shuffle cube and its first w_S(S) nodes to
                       spread; each range holds exactly a law's weights
@@ -36,8 +39,10 @@ without sampling: hop_loads gives every crossed hop's loads as one row of a
 hop matrix, in two backend passes. The first pass evaluates the first step of
 every hop, from the law of the cluster the hop leaves; the second the second
 step of every two-step hop, from the first pass's end law. Each row adds 0,
-then its first step's loads, then its second's, and the end law of every hop
-is checked against the law of the cluster it enters in one array operation.
+then its first step's loads, then its second's. The end law of every first
+step of a two-step hop is checked against its child's border law, and the
+end law of every hop against the law of the cluster it enters, each in one
+array operation.
 
 Loads are float64 arrays over graph edge ids (length g.m) and laws over
 vertices (length g.n), a cluster's laws cached by DecompositionTree.law. The
@@ -48,12 +53,14 @@ over the leaf paths, sentinel-filled past each leaf, the pairs in sorted order;
 each pass's loads are one bincount over graph edge ids offset by row, so each
 row adds its own terms in its own step's order (ReferenceBackend over the
 pass's pair tables, impl_b over the path slots each cube built with the
-scheme, impl_a over the arcs each flow's sweep crosses); and the edge loads
-add demand times hop row over the hops in sorted order.
+scheme, impl_a over the interior arcs of each distinct flow in stored order,
+then a row per step); and the edge loads add demand times hop row over the
+hops in sorted order.
 
 A cluster's pair table, built on its first step, holds every ordered pair
 (u, v), u != v, of its weighted vertices, u ascending, then v ascending, and
-the unit loads of each pair's PathGroup, concatenated. A step selects the
+the unit loads of each pair's PathGroup, concatenated; each unordered pair's
+loads are read once and placed at both of its ordered pairs. A step selects the
 pairs with p_u > 0 and q_v > 0 of its start and end laws: the pairs the loop
 over both supports visits, in the order it visits them, each term the same
 product p·q·x, so the bincount over them adds the same floats in the same
@@ -85,7 +92,6 @@ from obroute.graph import CapacitatedGraph, DemandMatrix
 __all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "select_path",
            "hop_loads", "route_demands"]
 
-Law = np.ndarray                             # float64, vertex -> probability
 Step = tuple[bool, int, int]                 # (spread, cluster id, target index)
 Hop = tuple[bool, int]                       # (downward, child cluster id)
 
@@ -169,28 +175,29 @@ class ReferenceBackend:
         return path if u < v else path[::-1]
 
     def _pair_table(self, cluster_id: int) -> _PairTable:
-        """The cluster's _PairTable, built on its first step."""
+        """The cluster's _PairTable, built on its first step. Each unordered
+        pair's unit loads are read once, u < v in pair order, into both cells
+        (u, v) and (v, u) of a table read row by row."""
         if cluster_id not in self._pairs:
             law = self.tree.law(cluster_id)
             vertices = law.nonzero()[0]
             groups, g = self.solutions[cluster_id].path_groups, self.graph
-            ids, units = [], []
-            for u in vertices.tolist():
-                for v in vertices.tolist():
-                    if u != v:
-                        group = groups(min(u, v))[max(u, v)]
-                        try:
-                            e, x = group.unit_loads(g)
-                        except RuntimeError as exc:
-                            raise RuntimeError(f"cluster {cluster_id}: {exc}") from None
-                        ids.append(e)
-                        units.append(x)
-            starts, ends = np.nonzero(~np.eye(len(vertices), dtype=bool))
+            vs, k = vertices.tolist(), len(vertices)
+            cells: list[list] = [[None] * k for _ in range(k)]    # None on the diagonal
+            for i in range(k - 1):
+                row = groups(vs[i])
+                for j in range(i + 1, k):
+                    try:
+                        cells[i][j] = cells[j][i] = row[vs[j]].unit_loads(g)
+                    except RuntimeError as exc:
+                        raise RuntimeError(f"cluster {cluster_id}: {exc}") from None
+            pairs = [cell for cells_i in cells for cell in cells_i if cell is not None]
+            starts, ends = np.nonzero(~np.eye(k, dtype=bool))
             self._pairs[cluster_id] = _PairTable(
                 law > 0, vertices[starts], vertices[ends],
-                np.array([len(e) for e in ids], dtype=np.intp),
-                np.concatenate([np.empty(0, np.intp), *ids]),
-                np.concatenate([np.empty(0), *units]))
+                np.array([len(e) for e, _ in pairs], dtype=np.intp),
+                np.concatenate([np.empty(0, np.intp), *(e for e, _ in pairs)]),
+                np.concatenate([np.empty(0), *(x for _, x in pairs)]))
         return self._pairs[cluster_id]
 
     def _between_loads(self, clusters: list[int], starts: np.ndarray,
@@ -305,8 +312,9 @@ def hop_loads(tree: DecompositionTree, backend: SchemeBackend,
     i's first step, then those of its second. Two backend passes: the first
     steps of every hop from the laws of the clusters they leave, then the
     second steps of the two-step hops from the first pass's end laws. Raises
-    for the first hop, in the order given, that does not end on the law of
-    the cluster it enters."""
+    for the first two-step hop, in the order given, whose first step does
+    not end on its child's border law, then for the first hop that does not
+    end on the law of the cluster it enters."""
     n = tree.cluster(tree.root).size
     steps = [_steps(tree, hop) for hop in hops]
     sides = [_sides(tree, hop) for hop in hops]
@@ -316,19 +324,31 @@ def hop_loads(tree: DecompositionTree, backend: SchemeBackend,
     loads += first
     two = [i for i, s in enumerate(steps) if len(s) == 2]
     if two:
+        # the first step of a two-step hop leaves toward its child's border
+        borders = np.array([tree.law(hops[i][1], True) for i in two])
+        if (off := _first_off(ends[two], borders)) is not None:
+            (downward, child_id), gap = hops[two[off[0]]], off[1]
+            raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
+                               f"ends its first step {gap:.3g} away from the law of "
+                               f"cluster {child_id}'s border")
         second, later = backend.loads([steps[i][1] for i in two], ends[two])
         loads[two] += second
         ends = ends.copy()
         ends[two] = later
     laws = np.array([tree.law(enters) for _, enters in sides]).reshape(len(hops), n)
-    gaps = np.abs(ends - laws).max(axis=1)
-    failed = np.flatnonzero(gaps > _LAW_TOL)
-    if failed.size:
-        i = failed[0]
-        (downward, child_id), (_, enters) = hops[i], sides[i]
+    if (off := _first_off(ends, laws)) is not None:
+        (downward, child_id), (_, enters) = hops[off[0]], sides[off[0]]
         raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
-                           f"ends {gaps[i]:.3g} away from the law of cluster {enters}")
+                           f"ends {off[1]:.3g} away from the law of cluster {enters}")
     return loads
+
+
+def _first_off(ends: np.ndarray, laws: np.ndarray) -> tuple[int, float] | None:
+    """The first row whose end law is more than _LAW_TOL from its law in
+    some vertex, and that distance; None if there is none."""
+    gaps = np.abs(ends - laws).max(axis=1, initial=0.0)
+    failed = np.flatnonzero(gaps > _LAW_TOL)
+    return (int(failed[0]), float(gaps[failed[0]])) if failed.size else None
 
 
 def _through(tree: DecompositionTree, n: int,

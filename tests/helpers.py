@@ -13,7 +13,7 @@ from obroute import routing
 from obroute.decomposition import DecompositionTree, _assemble
 from obroute.flows import _DECOMPOSE_REL_TOL, SNK, SRC, FlowAssignment
 from obroute.graph import CapacitatedGraph, DemandMatrix
-from obroute.impl_a import FlowTables, _topological
+from obroute.impl_a import FlowTables
 from obroute.impl_b import CubeScheme
 from obroute.routing import LoadReport, ReferenceBackend, select_path
 
@@ -342,32 +342,24 @@ def _dict_reference(backend: ReferenceBackend, cluster_id: int, start: dict,
     return loads
 
 
-def _dict_flow_walk(tables: FlowTables, cluster_id: int, index: int, law: dict,
+def _dict_flow_walk(tables: FlowTables, cluster_id: int, index: int,
                     direction: str) -> tuple[dict, dict]:
+    """impl-a's closed form, one arc at a time: every interior arc adds
+    f/|f| to its edge in the flow's stored arc order, and the walk ends on
+    the opposite terminal's arcs over |f|."""
     fa = tables.flows[(cluster_id, index)]
-    links, terminal = (fa.outgoing, SNK) if direction == "forward" else (fa.incoming, SRC)
-    order = _topological(fa, direction)
-    mass = dict(law)
-    crossed: dict = {}
-    absorbed: dict = {}
-    for v in order[min(order.index(v) for v in mass):]:
-        mv = mass.pop(v, 0.0)
-        if mv == 0.0:
-            continue
-        options = links(v)
-        total = sum(f for _, f in options)
-        for u, f in options:
-            share = mv * f / total
-            if u == terminal:
-                absorbed[v] = absorbed.get(v, 0.0) + share
-            else:
-                mass[u] = mass.get(u, 0.0) + share
-                crossed[(v, u)] = crossed.get((v, u), 0.0) + share
     loads: dict = {}
-    for (a, b), x in crossed.items():
-        edge = (a, b) if a < b else (b, a)
-        loads[edge] = loads.get(edge, 0.0) + x
-    return loads, absorbed
+    sources: dict = {}
+    sinks: dict = {}
+    for (a, b), f in fa.arcs.items():
+        if a == SRC:
+            sources[b] = f / fa.value
+        elif b == SNK:
+            sinks[a] = f / fa.value
+        else:
+            edge = (a, b) if a < b else (b, a)
+            loads[edge] = loads.get(edge, 0.0) + f / fa.value
+    return loads, sinks if direction == "forward" else sources
 
 
 def _dict_cube_walk(maps, start_law: dict, lo: int, hi: int) -> tuple[dict, dict]:
@@ -409,7 +401,7 @@ def _dict_kernel(backend, step: tuple[bool, int, int], law: dict) -> tuple[dict,
         end = _normalized(weights)
         return _dict_reference(backend, cluster_id, law, end), end
     if isinstance(backend, FlowTables):
-        return _dict_flow_walk(backend, cluster_id, index, law,
+        return _dict_flow_walk(backend, cluster_id, index,
                                "backward" if spread else "forward")
     if isinstance(backend, CubeScheme):
         maps, lo, hi = backend._cube(step)
@@ -451,6 +443,70 @@ def dict_route_demands(g: CapacitatedGraph, tree, backend,
                       edge_caps=caps,
                       congestion=max((x / caps[e] for e, x in loads.items()), default=0.0),
                       through=through, hop_loads=rows)
+
+
+# ---------------------------------------------------------------------------
+# impl-a's walk swept vertex by vertex: the oracle of its closed form
+# ---------------------------------------------------------------------------
+
+def topological(fa: FlowAssignment, direction: str) -> list[int]:
+    """Kahn order of the flow's graph vertices along its positive interior
+    arcs, reversed for a backward walk; raises on a cycle."""
+    arcs = [(a, b) for (a, b), f in fa.arcs.items()
+            if f > 0 and a not in (SRC, SNK) and b not in (SRC, SNK)]
+    if direction == "backward":
+        arcs = [(b, a) for a, b in arcs]
+    verts = {v for arc in fa.arcs for v in arc} - {SRC, SNK}
+    indeg = {v: 0 for v in verts}
+    succ: dict[int, list[int]] = {v: [] for v in verts}
+    for a, b in arcs:
+        indeg[b] += 1
+        succ[a].append(b)
+    queue = sorted(v for v, d in indeg.items() if d == 0)
+    order: list[int] = []
+    while queue:
+        v = queue.pop()
+        order.append(v)
+        for u in succ[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                queue.append(u)
+    if len(order) != len(verts):
+        raise RuntimeError("flow has a residual cycle")
+    return order
+
+
+def flow_sweep(tables: FlowTables, step: tuple[bool, int, int],
+               law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expected edge loads (by graph edge id) and end law (by vertex) of the
+    step's flow walk started on any law, its start vertices included: the
+    mass is pushed through the acyclic flow in topological order, each vertex
+    splitting it over its links in proportion to their flow; no sampling."""
+    spread, cluster_id, index = step
+    fa = tables.flows[(cluster_id, index)]
+    direction = "backward" if spread else "forward"
+    links, terminal = (fa.incoming, SRC) if spread else (fa.outgoing, SNK)
+    g = tables.graph
+    loads, end = np.zeros(g.m), np.zeros(len(law))
+    mass = dict(enumerate(law.tolist()))
+    for v in topological(fa, direction):
+        mv = mass.pop(v, 0.0)
+        if mv == 0.0:
+            continue
+        options = links(v)
+        if not options:
+            raise ValueError(f"vertex {v} has no link in cluster {cluster_id} target {index}")
+        total = sum(f for _, f in options)
+        for u, f in options:
+            share = mv * f / total
+            if u == terminal:
+                end[v] += share
+            else:
+                mass[u] = mass.get(u, 0.0) + share
+                loads[g.edge_index(v, u)] += share
+    if any(mass.values()):
+        raise ValueError("law puts mass on a vertex the flow does not reach")
+    return loads, end
 
 
 # ---------------------------------------------------------------------------

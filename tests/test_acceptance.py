@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import brute_force_congestion, single_edge, triangle
+from helpers import brute_force_congestion, flow_sweep, single_edge, triangle
 from obroute.cmcf import round_paths
 from obroute.decomposition import audit_tree, build_tree, certify_congestion
 from obroute.experiment import SCHEMES, demand_battery, parse_config, run_experiment
@@ -112,7 +112,7 @@ def test_criterion_2_flow_tables():
             for v, w in cluster.cluster_weight.items():
                 if w == 0:
                     continue
-                end = tables.loads([(False, cid, index)], point_laws[v][None])[1][0]
+                end = flow_sweep(tables, (False, cid, index), point_laws[v])[1]
                 for x in np.flatnonzero(end).tolist():
                     mix[x] = mix.get(x, 0.0) + end[x] * w / cluster.total_weight
             for v in cluster.vertices:

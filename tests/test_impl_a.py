@@ -5,18 +5,22 @@ weights {0:1, 1:1}, target = child {0} (border 1), the only saturating flow is
 source->0 (1), source->1 (1), arc 1->0 (1), 0->sink (2), value 2.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import (ancestor_at, assign_labels, connected_graphs, path_graph, single_edge,
-                     tree_from_spec)
+from helpers import (ancestor_at, assign_labels, connected_graphs, flow_sweep, path_graph,
+                     single_edge, topological, tree_from_spec)
 from obroute import impl_a
 from obroute.decomposition import certify_congestion, build_tree
 from obroute.flows import SNK, SRC
 from obroute.graph import CapacitatedGraph, generate_graph
-from obroute.impl_a import (FlowTables, _cluster_flows, _topological, build_flow_tables,
+from obroute.impl_a import (FlowTables, _cluster_flows, build_flow_tables,
                             header_bit_length, label_bit_length,
                             measure_table_bits_a, serialize_vertex_table)
 
@@ -55,11 +59,46 @@ def test_single_edge_endpoint_laws(single_edge_tables):
     _, _, _, tables = single_edge_tables
     at_0, at_1 = np.eye(2)
     # forward: all mass is absorbed at the unique border vertex
-    ends = tables.loads([(False, 0, 1)] * 2, np.array([at_0, at_1]))[1]
-    assert ends.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    ends = [flow_sweep(tables, (False, 0, 1), at)[1] for at in (at_0, at_1)]
+    assert np.array(ends).tolist() == [[1.0, 0.0], [1.0, 0.0]]
     # backward from the border: exactly the cluster distribution
-    law = tables.loads([(True, 0, 1)], at_0[None])[1][0]
+    law = flow_sweep(tables, (True, 0, 1), at_0)[1]
     assert law == pytest.approx([0.5, 0.5])
+
+
+def test_loads_refuse_a_law_that_is_not_the_terminal_law(four_cycle_tables):
+    # a forward walk of flow (1, 0) starts on cluster 1's law and ends on its
+    # border law; a backward walk starts only on that border law
+    g, tree, _, tables = four_cycle_tables
+    start = tree.law(1)
+    ends = tables.loads([(False, 1, 0)], start[None])[1]
+    assert np.abs(ends[0] - tree.law(1, True)).max() <= 1e-9
+    with pytest.raises(ValueError, match=r"^cluster 1 target 0: start law is 0\.5 away "
+                                         r"from the flow's sink law"):
+        tables.loads([(False, 1, 0), (True, 1, 0)], np.array([start, np.eye(g.n)[0]]))
+
+
+def test_loads_refuse_a_point_law_under_optimize_flag():
+    # `python -O` strips assert statements; the start-law check must still raise
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                        str(root / "tests")]))
+    script = (
+        "import numpy as np\n"
+        "from helpers import cycle_graph, tree_from_spec\n"
+        "from obroute.decomposition import certify_congestion\n"
+        "from obroute.impl_a import build_flow_tables\n"
+        "assert False, 'asserts are live'\n"
+        "g = cycle_graph(4)\n"
+        "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
+        "tables = build_flow_tables(g, tree, certify_congestion(g, tree).int_value)\n"
+        "tables.loads([(False, 1, 0)], np.eye(g.n)[:1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("ValueError: cluster 1 target 0: start law is 0.5 away from the flow's "
+            "source law") in proc.stderr, proc.stderr
 
 
 def test_unique_flow_path_is_deterministic(single_edge_tables):
@@ -124,7 +163,7 @@ def mixture_law(tables, tree, cid, index, direction):
     for v, w in weights.items():
         if w == 0:
             continue
-        end = tables.loads([step], np.eye(tables.graph.n)[v][None])[1][0]
+        end = flow_sweep(tables, step, np.eye(tables.graph.n)[v])[1]
         for x in np.flatnonzero(end).tolist():
             mix[x] = mix.get(x, 0.0) + end[x] * w / total
     return mix
@@ -348,7 +387,7 @@ def test_stored_flows_conserve_saturate_and_order_on_random_graphs(g):
         assert {v: f for (v, b), f in fa.arcs.items() if b == SNK} == {
             v: w * cluster.total_weight for v, w in target.border_weight.items() if w}
         for direction in ("forward", "backward"):
-            position = {v: k for k, v in enumerate(_topological(fa, direction))}
+            position = {v: k for k, v in enumerate(topological(fa, direction))}
             for (a, b), f in fa.arcs.items():
                 if f > 0 and SRC not in (a, b) and SNK not in (a, b):
                     tail, head = (a, b) if direction == "forward" else (b, a)

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (connected_graphs, cycle_graph, dict_hop_loads, dict_route_demands,
-                     dict_through, path_graph, sampled_loads, single_edge, tree_from_spec)
+                     dict_through, flow_sweep, path_graph, sampled_loads, single_edge,
+                     tree_from_spec)
 from obroute import routing
 from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import SCHEMES, _build_backend, demand_battery
+from obroute.flows import SNK
 from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
 from obroute.impl_a import build_flow_tables
 from obroute.impl_b import build_cube_scheme
@@ -334,6 +336,66 @@ def test_hop_loads_equal_the_dict_oracle(case):
         if scheme == "impl-b":
             firsts = [routing._steps(tree, hop)[0] for hop in hops]
             assert len({backend._cube(step)[0].dimension for step in firsts}) > 1
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_impl_a_hop_rows_equal_the_flow_sweep(case):
+    # impl-a's closed form against its walk swept vertex by vertex, step by
+    # step from the law of the cluster each hop leaves: every row agrees up
+    # to rounding, on the same edges
+    make, _, seed = _ORACLE_CASES[case]
+    g = make()
+    tree = build_tree(g, target_arity=2, seed=seed)
+    tables = build_flow_tables(g, tree, certify_congestion(g, tree).int_value)
+    hops = sorted((downward, c.id) for c in tree.clusters if c.parent is not None
+                  for downward in (False, True))
+    rows = routing.hop_loads(tree, tables, hops)
+    for hop, row in zip(hops, rows):
+        law = tree.law(routing._sides(tree, hop)[0])
+        expect = np.zeros(g.m)
+        for step in routing._steps(tree, hop):
+            part, law = flow_sweep(tables, step, law)
+            expect += part
+        assert np.array_equal(row != 0, expect != 0), hop
+        assert np.allclose(row, expect, rtol=1e-12, atol=0.0), hop
+
+
+@pytest.mark.parametrize("hop, flow, match", [
+    # the one step into the singleton {0} leaves cluster 1 along flow (1, 1)
+    ((True, 2), (1, 1), r"^hop into cluster 2 ends 1 away from the law of cluster 2$"),
+    # the first of two steps out of cluster 1 leaves it along flow (1, 0)
+    ((False, 1), (1, 0), r"^hop out of cluster 1 ends its first step 0\.5 away from "
+                         r"the law of cluster 1's border$"),
+])
+def test_hop_loads_catch_an_edited_sink_arc(four_cycle, hop, flow, match):
+    # impl-a's end laws are its flows' sink arcs over |f|, so a sink arc
+    # doubled after the build moves the law the hop ends on
+    g, tree, cert, backends = four_cycle
+    tables = copy.deepcopy(backends["tables"])
+    tables.flows[flow].arcs[(0, SNK)] *= 2
+    with pytest.raises(RuntimeError, match=match):
+        routing.hop_loads(tree, tables, [hop])
+
+
+def test_reference_pair_table_is_the_ordered_loop():
+    # every ordered pair (u, v), u != v, of each cluster's weighted vertices,
+    # u then v ascending, with the unit loads of the pair's path group
+    g = grid_graph(4, 4)
+    tree = build_tree(g, target_arity=2, seed=0)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    backend = ReferenceBackend(g, tree, cert.solutions)
+    for cluster in tree.clusters:
+        if cluster.size == 1:
+            continue
+        table = backend._pair_table(cluster.id)
+        groups = cert.solutions[cluster.id].path_groups
+        vertices = tree.law(cluster.id).nonzero()[0].tolist()
+        pairs = [(u, v) for u in vertices for v in vertices if u != v]
+        units = [groups(min(u, v))[max(u, v)].unit_loads(g) for u, v in pairs]
+        assert list(zip(table.sources.tolist(), table.sinks.tolist())) == pairs
+        assert table.lengths.tolist() == [len(ids) for ids, _ in units]
+        assert table.ids.tolist() == [e for ids, _ in units for e in ids.tolist()]
+        assert table.units.tolist() == [x for _, xs in units for x in xs.tolist()]
 
 
 class _Corrupted:
