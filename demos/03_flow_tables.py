@@ -28,8 +28,9 @@ total_w = sum(weights)
 
 # the walk's endpoint law, started on the root's cluster law (weight-sampled
 # starts), must equal the child's border distribution; compute it exactly
-# (the flow's sink arcs over its value), then sample it
-law = tables.loads([(False, root.id, 2)], tree.law(root.id)[None])[1][0]
+# (the exact kernel starts the step on that law and returns the flow's sink
+# arcs over its value), then sample it
+law = tables.loads([(False, root.id, 2)])[1][0]
 
 rng = np.random.default_rng(0)
 n = 20_000

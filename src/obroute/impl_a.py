@@ -40,7 +40,7 @@ import numpy as np
 from obroute.decomposition import DecompositionTree
 from obroute.flows import SNK, SRC, FlowAssignment, cancel_cycles, max_flow_integral, sample_path
 from obroute.graph import CapacitatedGraph
-from obroute.routing import Step, _first_off
+from obroute.routing import Step, _first_off, pass_laws
 
 __all__ = ["FlowTables", "build_flow_tables", "label_bit_length", "header_bit_length",
            "measure_table_bits_a", "serialize_vertex_table"]
@@ -74,8 +74,7 @@ class FlowTables:
         path = sample_path(fa, v, "backward" if spread else "forward", rng)
         return path, path[-1]
 
-    def loads(self, steps: Sequence[Step],
-              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def loads(self, steps: Sequence[Step]) -> tuple[np.ndarray, np.ndarray]:
         """Closed form: started on the flow's source law (forward, leave) or
         sink law (backward, spread), each its terminal arcs over |f|, the
         walk crosses arc a->b f(a,b)/|f| times on average, by conservation,
@@ -84,8 +83,8 @@ class FlowTables:
         id in the flow's stored arc order, both directions of an edge added.
         Each distinct flow of the pass is binned once, by one bincount offset
         by flow. Raises ValueError for the first step, in the order given,
-        whose start law is more than 1e-9 away from its flow's start law."""
-        m, n = self.graph.m, laws.shape[1]
+        whose flow's start law is over 1e-9 from the step's (routing.step_laws)."""
+        m, n = self.graph.m, self.graph.n
         # each distinct flow of the pass, numbered in order of first use
         row = {key: r for r, key in enumerate(dict.fromkeys(
             (cluster_id, index) for _, cluster_id, index in steps))}
@@ -111,7 +110,7 @@ class FlowTables:
         units = np.bincount(bins, shares, minlength=len(row) * m).astype(float, copy=False)
         flow = np.array([row[(cluster_id, index)] for _, cluster_id, index in steps], dtype=np.intp)
         spread = np.array([step[0] for step in steps], dtype=np.intp)
-        if (off := _first_off(laws, terminal[spread, flow])) is not None:
+        if (off := _first_off(pass_laws(self.tree, steps), terminal[spread, flow])) is not None:
             spread_i, cluster_id, index = steps[off[0]]
             raise ValueError(
                 f"cluster {cluster_id} target {index}: start law is {off[1]:.3g} away "

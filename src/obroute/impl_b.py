@@ -38,13 +38,13 @@ The build walks each cube's stored paths once, into path slots
 (CubeMaps.path_slots): one slot per arc of every path, in edge_paths order,
 holding its cube edge's (dimension, node) cell, its graph edge id (-1 for an
 arc off the graph, on which the exact kernel raises and which the audit
-reports) and its tail and head, with the node owners as an array. The exact
-kernel (hypercube_loads) evaluates a pass of walks a cube dimension at a
-time and bins the crossings of all of them over their slots; path_id_bits
-and the audit count the slots on each arc, and measure_table_bits_b counts
-the slots leaving each vertex. The slots are rebuilt when edge_paths, any
-entry of it or node_owner is replaced (the cached lists are compared by
-identity), so every reader sees an edited path or node map.
+reports) and its tail and head. The exact kernel (hypercube_loads)
+evaluates a pass of walks a cube dimension at a time and bins the crossings
+of all of them over their slots; path_id_bits and the audit count the slots
+on each arc, and measure_table_bits_b counts the slots leaving each vertex.
+The slots are rebuilt when edge_paths or any entry of it is replaced, the
+node map (CubeMaps.node_map, which the sampler and the kernel both read)
+when node_owner is, so every reader sees an edited path or node map.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -79,7 +79,7 @@ from obroute.cmcf import CMCFSolution, round_paths
 from obroute.decomposition import Cluster, CongestionCertificate, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits, _cluster_id_bits
-from obroute.routing import Step
+from obroute.routing import Step, pass_laws
 
 __all__ = ["CubeMaps", "CubeScheme", "build_embedding", "build_rerand_cube",
            "build_cube_scheme", "hypercube_route", "hypercube_loads",
@@ -95,20 +95,17 @@ class _PathSlots:
     """A cube's stored paths as arrays: one slot per arc (tail, head) of
     every path, in edge_paths order, holding the (dimension, node) cell of
     the slot's cube edge, flattened as k * 2^d + x, the arc's graph edge id
-    (-1 for an arc that is no edge of the graph), and its tail and head; and
-    the node owners. The exact kernel, path_id_bits, the audit and the table
-    bits all read these arrays."""
+    (-1 for an arc that is no edge of the graph), and its tail and head. The
+    exact kernel, path_id_bits, the audit and the table bits all read these
+    arrays."""
 
     edge_paths: dict[tuple[int, int], list[int]]   # the dict the slots were built from
     paths: list[list[int]]                         # its values when they were built
-    node_owner: list[int]                          # the list the owners were built from
     cells: np.ndarray
     edge_ids: np.ndarray
     tails: np.ndarray
     heads: np.ndarray
     path_ends: np.ndarray                          # path -> slot past its last arc
-    owners: np.ndarray                             # node_owner as an array
-    owned: np.ndarray                              # vertex -> number of nodes it owns
 
     def arcs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct arcs in ascending (tail, head) order, keyed
@@ -116,23 +113,44 @@ class _PathSlots:
         return np.unique(self.tails * n + self.heads, return_counts=True)
 
 
+@dataclass(frozen=True)
+class _NodeMap:
+    """A cube's node owners over the vertices of a graph: as arrays for the
+    exact kernel, and as each vertex's nodes for the sampler."""
+
+    node_owner: list[int]                  # the list the map was built from
+    owners: np.ndarray                     # node -> owner
+    owned: np.ndarray                      # vertex -> number of nodes it owns
+    vertex_nodes: dict[int, list[int]]     # vertex -> its nodes, ascending
+
+
 @dataclass
 class CubeMaps:
     dimension: int
     node_owner: list[int]
-    vertex_nodes: dict[int, list[int]]
     ranges: list[tuple[int, int]]                  # target index -> node range [lo, hi)
     edge_paths: dict[tuple[int, int], list[int]]   # cube edge (x<y) -> graph path
     fractional_congestion: float                   # expected, of the cluster's draws
     _slots: _PathSlots | None = field(default=None, repr=False, compare=False)
+    _nodes: _NodeMap | None = field(default=None, repr=False, compare=False)
+
+    def node_map(self, n: int) -> _NodeMap:
+        """The _NodeMap of node_owner over n vertices, rebuilt when
+        node_owner is replaced (compared by identity)."""
+        if self._nodes is None or self._nodes.node_owner is not self.node_owner:
+            owners = np.array(self.node_owner, dtype=np.intp)
+            vertex_nodes: dict[int, list[int]] = {}
+            for node, v in enumerate(self.node_owner):
+                vertex_nodes.setdefault(v, []).append(node)
+            self._nodes = _NodeMap(self.node_owner, owners, np.bincount(owners, minlength=n),
+                                   vertex_nodes)
+        return self._nodes
 
     def path_slots(self, g: CapacitatedGraph) -> _PathSlots:
-        """The slot arrays of edge_paths in g, rebuilt when edge_paths, any
-        of its entries or node_owner is replaced (the cached lists are
-        compared by identity)."""
+        """The slot arrays of edge_paths in g, rebuilt when edge_paths or any
+        of its entries is replaced (compared by identity)."""
         slots = self._slots
         if (slots is None or slots.edge_paths is not self.edge_paths
-                or slots.node_owner is not self.node_owner
                 or len(slots.paths) != len(self.edge_paths)
                 or not all(map(operator.is_, slots.paths, self.edge_paths.values()))):
             side = 1 << self.dimension
@@ -150,13 +168,11 @@ class CubeMaps:
                     cells.append(cell)
                     tails.append(a)
                     heads.append(b)
-            owners = np.array(self.node_owner, dtype=np.intp)
             slots = self._slots = _PathSlots(
-                self.edge_paths, list(self.edge_paths.values()), self.node_owner,
+                self.edge_paths, list(self.edge_paths.values()),
                 *(np.array(a, dtype=np.intp) for a in (cells, edge_ids, tails, heads)),
                 np.cumsum([len(path) - 1 for path in self.edge_paths.values()],
-                          dtype=np.intp),
-                owners, np.bincount(owners, minlength=g.n))
+                          dtype=np.intp))
         return slots
 
 
@@ -165,7 +181,8 @@ class CubeScheme:
     """The impl-b scheme, and its own hop backend (routing.SchemeBackend): a
     step walks the main cube to a uniform node of the target's border range
     to leave, the shuffle cube to a uniform node among the first w_S(S) to
-    spread, so each ends exactly on its law, whatever the start."""
+    spread, so each ends exactly on its law, whatever the start; loads(steps)
+    evaluates a pass in one hypercube_loads call, each walk from its start law."""
 
     graph: CapacitatedGraph
     tree: DecompositionTree
@@ -185,11 +202,11 @@ class CubeScheme:
     def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
         maps, lo, hi = self._cube(step)
-        return _cube_hop(maps, v, lo, hi, rng)
+        return _cube_hop(maps, self.graph.n, v, lo, hi, rng)
 
-    def loads(self, steps: Sequence[Step],
-              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return hypercube_loads(self.graph, [self._cube(step) for step in steps], laws)
+    def loads(self, steps: Sequence[Step]) -> tuple[np.ndarray, np.ndarray]:
+        return hypercube_loads(self.graph, [self._cube(step) for step in steps],
+                               pass_laws(self.tree, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +265,8 @@ def _weight_cube(runs: list[dict[int, int]], cluster: Cluster) -> CubeMaps:
     padding = [v for v in sorted(cluster.cluster_weight)
                for _ in range(cluster.cluster_weight[v])]
     node_owner.extend(itertools.islice(itertools.cycle(padding), (1 << d) - len(node_owner)))
-    vertex_nodes: dict[int, list[int]] = {}
-    for node, v in enumerate(node_owner):
-        vertex_nodes.setdefault(v, []).append(node)
-    return CubeMaps(dimension=d, node_owner=node_owner, vertex_nodes=vertex_nodes,
-                    ranges=ranges, edge_paths={}, fractional_congestion=0.0)
+    return CubeMaps(dimension=d, node_owner=node_owner, ranges=ranges, edge_paths={},
+                    fractional_congestion=0.0)
 
 
 def _border_runs(tree: DecompositionTree, cluster: Cluster) -> list[dict[int, int]]:
@@ -278,8 +292,8 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
 
     `cert` must hold its solutions (certify_congestion with
     store_solutions=True). The paths are drawn cluster by cluster in tree
-    order, and each cube's path slots built once; path_id_bits then numbers
-    the most paths any cube stores on one arc.
+    order, and each cube's node map and path slots built once; path_id_bits
+    then numbers the most paths any cube stores on one arc.
     """
     if not g.uniform_capacities():
         raise ValueError("hypercube scheme requires uniform unit edge capacities")
@@ -292,8 +306,11 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
             main = scheme.mains[cluster.id] = build_embedding(tree, cluster)
             shuffle = scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
             _draw_cube_paths(g, cert.solutions[cluster.id], (main, shuffle), rng)
-    most = max((int(maps.path_slots(g).arcs(g.n)[1].max(initial=1))
-                for maps in (*scheme.mains.values(), *scheme.shuffles.values())), default=1)
+    cubes = (*scheme.mains.values(), *scheme.shuffles.values())
+    for maps in cubes:
+        maps.node_map(g.n)
+    most = max((int(maps.path_slots(g).arcs(g.n)[1].max(initial=1)) for maps in cubes),
+               default=1)
     scheme.path_id_bits = max(1, _ceil_log2(most))
     return scheme
 
@@ -313,12 +330,12 @@ def _bit_fix(a: int, b: int, d: int) -> list[int]:
     return seq
 
 
-def _cube_hop(maps: CubeMaps, v: int, lo: int, hi: int,
+def _cube_hop(maps: CubeMaps, n: int, v: int, lo: int, hi: int,
               rng: np.random.Generator) -> tuple[list[int], int]:
-    """One-phase cube walk from a uniform node of v straight to a uniform node
-    of [lo, hi), with no intermediate node (unlike the paper's two-phase
-    routing); the owner of that node is the end vertex."""
-    nodes = maps.vertex_nodes.get(v)
+    """One-phase cube walk from a uniform node of v (in the node map over n
+    vertices) straight to a uniform node of [lo, hi), with no intermediate
+    node (unlike the paper's two-phase routing); its owner is the end vertex."""
+    nodes = maps.node_map(n).vertex_nodes.get(v)
     if not nodes:
         raise ValueError(f"vertex {v} owns no cube nodes")
     start = nodes[int(rng.integers(len(nodes)))]
@@ -401,7 +418,8 @@ def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, in
             raise RuntimeError(f"stored path of cube edge ({x},{x ^ (1 << dim)}) steps off "
                                f"the graph at ({s.tails[off[0]]},{s.heads[off[0]]})")
     slots = [cube_slots[id(maps)] for maps, _, _ in walks]
-    owned = np.array([s.owned for s in slots]).reshape(k, n)
+    node_maps = [maps.node_map(n) for maps, _, _ in walks]
+    owned = np.array([nodes.owned for nodes in node_maps]).reshape(k, n)
     lost = np.argwhere((start_laws != 0) & (owned == 0))
     if lost.size:
         raise ValueError(f"vertex {lost[0, 1]} owns no cube nodes")
@@ -411,7 +429,7 @@ def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, in
     load_bins, load_weights, end_bins, end_weights = [], [], [], []
     for d, rows in by_dimension.items():
         r, walk = len(rows), _walk_indices(d)
-        owners = np.array([slots[i].owners for i in rows])
+        owners = np.array([node_maps[i].owners for i in rows])
         # each node gets p(v) / #nodes of its owner v
         start = (np.take_along_axis(start_laws[rows], owners, axis=1)
                  / np.take_along_axis(owned[rows], owners, axis=1))

@@ -4,45 +4,43 @@ backend.
 
 A route for (s, t) walks the tree path between the two leaves and crosses
 every tree edge on it with one hop. A hop is made of at most two steps, each
-a Step (spread, cluster id, target index) that walks inside that cluster:
+a Step (spread, cluster id, target index) that walks inside that cluster
+between two fixed laws (step_laws):
 
-  leave   (False, c, k)  toward the border law of target k of c: c's own
-                         border (k = 0) or its k-th child's
-  spread  (True, c, k)   from a vertex on that border law onto c's cluster law
+  leave   (False, c, k)  from c's cluster law to the border law of target k
+                         of c: c's own border (k = 0) or its k-th child's
+  spread  (True, c, k)   from that border law back onto c's cluster law
 
 Every backend has two methods: sample(step, v, rng) draws one walk from v,
-its path and end vertex, and the exact kernel loads(steps, laws) evaluates a
-pass of steps in one call, row i giving the expected edge loads of step i's
-walk from a start drawn from laws[i] and the law of its end vertex. Both
+its path and end vertex, and the exact kernel loads(steps) evaluates a pass
+of steps in one call, row i giving the expected edge loads of step i's walk
+from a start drawn from its start law, and the law of its end vertex. Both
 resolve a step the same way:
 
-  ReferenceBackend    _end: the law of the far endpoint, the target's border
-                      law or the cluster law; a stored path of the cluster's
-                      certification flow joins the start to it, drawn from
-                      the pair's cmcf.PathGroup
+  ReferenceBackend    a stored path of the cluster's certification flow
+                      joins the start to a far endpoint drawn from the
+                      step's end law, from the pair's cmcf.PathGroup
   impl_a.FlowTables   the (cluster, index) flow, walked forward along random
                       links to leave, backward to spread. Its kernel is a
                       closed form: a walk started on the flow's terminal law
                       crosses each arc f/|f| times on average and ends on
-                      the opposite terminal law, so it refuses any other
-                      start law
+                      the opposite terminal law, so it raises if that
+                      terminal law is not the step's start law
   impl_b.CubeScheme   _cube: the main cube and the target's border range to
                       leave, the shuffle cube and its first w_S(S) nodes to
                       spread; each range holds exactly a law's weights
 
-Every hop ends on the exact law of the cluster it enters, and a route starts
-on the point law of its source leaf. So the expected loads of a hop depend
-only on its tree edge and direction, not on the pair routed, and by linearity
-the expected edge loads of a demand set are the sum over hops of the demand
-crossing it times the loads of one hop. route_demands computes them that way,
-without sampling: hop_loads gives every crossed hop's loads as one row of a
-hop matrix, in two backend passes. The first pass evaluates the first step of
-every hop, from the law of the cluster the hop leaves; the second the second
-step of every two-step hop, from the first pass's end law. Each row adds 0,
-then its first step's loads, then its second's. The end law of every first
-step of a two-step hop is checked against its child's border law, and the
-end law of every hop against the law of the cluster it enters, each in one
-array operation.
+A hop's first step starts on the law of the cluster it leaves, its second
+starts on the law its first ends on, and its last ends on the law of the
+cluster it enters, and a route starts on the point law of its source leaf.
+So the expected loads of a hop depend only on its tree edge and direction,
+not on the pair routed, and by linearity the expected edge loads of a demand
+set are the sum over hops of the demand crossing it times the loads of one
+hop. route_demands computes them that way, without sampling: hop_loads gives
+every crossed hop's loads as one row of a hop matrix, in one backend pass
+over the steps of every hop. Each row adds 0, then its first step's loads,
+then its second's, and every step's end law is checked against its
+step_laws end law in one array operation.
 
 Loads are float64 arrays over graph edge ids (length g.m) and laws over
 vertices (length g.n), a cluster's laws cached by DecompositionTree.law. The
@@ -50,7 +48,7 @@ sums are array arithmetic that adds in the order of the plain dict loops, so
 every load is the same to the last bit (an edge a term does not touch adds
 an exact +0.0): the demand through each hop is one np.bincount per direction
 over the leaf paths, sentinel-filled past each leaf, the pairs in sorted order;
-each pass's loads are one bincount over graph edge ids offset by row, so each
+the pass's loads are one bincount over graph edge ids offset by row, so each
 row adds its own terms in its own step's order (ReferenceBackend over the
 pass's pair tables, impl_b over the path slots each cube built with the
 scheme, impl_a over the interior arcs of each distinct flow in stored order,
@@ -65,8 +63,7 @@ pairs with p_u > 0 and q_v > 0 of its start and end laws: the pairs the loop
 over both supports visits, in the order it visits them, each term the same
 product p·q·x, so the bincount over them adds the same floats in the same
 order. A pass concatenates its steps' tables and selects the pairs of every
-step at once. A law with mass on a vertex the cluster
-does not weight raises.
+step at once. A law with mass on a vertex the cluster does not weight raises.
 
 The reference's stored paths are the certification flows decomposed: the
 first read of a source decomposes its flow once, by widest-path extraction
@@ -89,8 +86,8 @@ from obroute.cmcf import CMCFSolution
 from obroute.decomposition import DecompositionTree
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
-__all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "select_path",
-           "hop_loads", "route_demands"]
+__all__ = ["SchemeBackend", "ReferenceBackend", "LoadReport", "step_laws", "pass_laws",
+           "select_path", "hop_loads", "route_demands"]
 
 Step = tuple[bool, int, int]                 # (spread, cluster id, target index)
 Hop = tuple[bool, int]                       # (downward, child cluster id)
@@ -104,16 +101,31 @@ class SchemeBackend(Protocol):
     implemented by ReferenceBackend, impl_a.FlowTables and impl_b.CubeScheme.
     A step's index names a target as DecompositionTree.target does. sample
     returns (path, end vertex) of one walk from v. loads evaluates a pass of
-    k steps in one call: row i of `laws` (k x n, by vertex) is the law step
-    i's start vertex is drawn from, and it returns the expected edge loads of
-    the k walks (k x m, by graph edge id) and the laws of their end vertices
-    (k x n), float arrays whose row i is what step i gives on its own."""
+    k steps in one call, each walk started on its step's start law
+    (step_laws), and returns the expected edge loads of the k walks (k x m,
+    by graph edge id) and the laws of their end vertices (k x n), float
+    arrays whose row i is what step i gives on its own."""
 
     def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]: ...
 
-    def loads(self, steps: Sequence[Step],
-              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+    def loads(self, steps: Sequence[Step]) -> tuple[np.ndarray, np.ndarray]: ...
+
+
+def step_laws(tree: DecompositionTree, step: Step) -> tuple[tuple[int, bool], tuple[int, bool]]:
+    """The (cluster id, border) keys of tree.law that a step starts and ends
+    on: a leave step (False, c, k) walks from c's cluster law to the border
+    law of target k of c, a spread step (True, c, k) the other way."""
+    spread, cluster_id, index = step
+    own, border = (cluster_id, False), (tree.target(cluster_id, index).id, True)
+    return (border, own) if spread else (own, border)
+
+
+def pass_laws(tree: DecompositionTree, steps: Sequence[Step], end: bool = False) -> np.ndarray:
+    """The start laws of a pass of k steps (step_laws), or their end laws,
+    stacked as a k x n array whose row i is step i's."""
+    return np.array([tree.law(*step_laws(tree, step)[end]) for step in steps]).reshape(
+        len(steps), tree.cluster(tree.root).size)
 
 
 def _extend(path: list[int], seg: list[int]) -> None:
@@ -233,23 +245,14 @@ class ReferenceBackend:
         # astype: a bincount of nothing (no pair kept) is an int array
         return np.bincount(bins, weights, minlength=k * m).astype(float, copy=False).reshape(k, m)
 
-    def _end(self, step: Step) -> tuple[int, bool]:
-        """(cluster id, border) of the law a step's far endpoint is drawn
-        from: the target's border law to leave, the cluster law to spread."""
-        spread, cluster_id, index = step
-        if spread:
-            return cluster_id, False
-        return self.tree.target(cluster_id, index).id, True
-
     def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
-        end = self._draw(*self._end(step), rng)
+        end = self._draw(*step_laws(self.tree, step)[1], rng)
         return self._path_between(step[1], v, end, rng), end
 
-    def loads(self, steps: Sequence[Step],
-              laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ends = np.array([self.tree.law(*self._end(step)) for step in steps]).reshape(laws.shape)
-        return self._between_loads([step[1] for step in steps], laws, ends), ends
+    def loads(self, steps: Sequence[Step]) -> tuple[np.ndarray, np.ndarray]:
+        starts, ends = (pass_laws(self.tree, steps, end) for end in (False, True))
+        return self._between_loads([step[1] for step in steps], starts, ends), ends
 
 
 # ---------------------------------------------------------------------------
@@ -298,49 +301,28 @@ def select_path(s: int, t: int, tree: DecompositionTree, backend: SchemeBackend,
     return path
 
 
-def _sides(tree: DecompositionTree, hop: Hop) -> tuple[int, int]:
-    """(cluster the hop leaves, cluster it enters)."""
-    downward, child_id = hop
-    parent_id = tree.cluster(child_id).parent
-    return (parent_id, child_id) if downward else (child_id, parent_id)
-
-
 def hop_loads(tree: DecompositionTree, backend: SchemeBackend,
               hops: Sequence[Hop]) -> np.ndarray:
     """Exact expected loads of each hop started on the law of the cluster it
     leaves: a len(hops) x m matrix whose row i adds 0, then the loads of hop
-    i's first step, then those of its second. Two backend passes: the first
-    steps of every hop from the laws of the clusters they leave, then the
-    second steps of the two-step hops from the first pass's end laws. Raises
-    for the first two-step hop, in the order given, whose first step does
-    not end on its child's border law, then for the first hop that does not
-    end on the law of the cluster it enters."""
-    n = tree.cluster(tree.root).size
+    i's first step, then those of its second. One backend pass evaluates the
+    steps of every hop, each from its start law (step_laws). Raises for the
+    first step, in hop order, that does not end on its end law."""
     steps = [_steps(tree, hop) for hop in hops]
-    sides = [_sides(tree, hop) for hop in hops]
-    starts = np.array([tree.law(leaves) for leaves, _ in sides]).reshape(len(hops), n)
-    first, ends = backend.loads([s[0] for s in steps], starts)
-    loads = np.zeros(first.shape)
-    loads += first
-    two = [i for i, s in enumerate(steps) if len(s) == 2]
-    if two:
-        # the first step of a two-step hop leaves toward its child's border
-        borders = np.array([tree.law(hops[i][1], True) for i in two])
-        if (off := _first_off(ends[two], borders)) is not None:
-            (downward, child_id), gap = hops[two[off[0]]], off[1]
-            raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
-                               f"ends its first step {gap:.3g} away from the law of "
-                               f"cluster {child_id}'s border")
-        second, later = backend.loads([steps[i][1] for i in two], ends[two])
-        loads[two] += second
-        ends = ends.copy()
-        ends[two] = later
-    laws = np.array([tree.law(enters) for _, enters in sides]).reshape(len(hops), n)
-    if (off := _first_off(ends, laws)) is not None:
-        (downward, child_id), (_, enters) = hops[off[0]], sides[off[0]]
-        raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id} "
-                           f"ends {off[1]:.3g} away from the law of cluster {enters}")
-    return loads
+    counts = np.array([len(hop_steps) for hop_steps in steps], dtype=np.intp)
+    flat = [step for hop_steps in steps for step in hop_steps]
+    loads, ends = backend.loads(flat)
+    if (off := _first_off(ends, pass_laws(tree, flat, end=True))) is not None:
+        downward, child_id = hops[int(np.searchsorted(np.cumsum(counts), off[0], "right"))]
+        cluster_id, border = step_laws(tree, flat[off[0]])[1]
+        law = f"the law of cluster {cluster_id}" + ("'s border" if border else "")
+        raise RuntimeError(f"hop {'into' if downward else 'out of'} cluster {child_id}: "
+                           f"step {flat[off[0]]} ends {off[1]:.3g} away from {law}")
+    firsts = np.cumsum(counts) - counts
+    rows = 0.0 + loads[firsts]
+    two = np.flatnonzero(counts == 2)
+    rows[two] += loads[firsts[two] + 1]
+    return rows
 
 
 def _first_off(ends: np.ndarray, laws: np.ndarray) -> tuple[int, float] | None:

@@ -342,32 +342,24 @@ def _dict_reference(backend: ReferenceBackend, cluster_id: int, start: dict,
     return loads
 
 
-def _dict_flow_walk(tables: FlowTables, cluster_id: int, index: int,
-                    direction: str) -> tuple[dict, dict]:
+def _dict_flow_walk(tables: FlowTables, cluster_id: int, index: int) -> dict:
     """impl-a's closed form, one arc at a time: every interior arc adds
-    f/|f| to its edge in the flow's stored arc order, and the walk ends on
-    the opposite terminal's arcs over |f|."""
+    f/|f| to its edge in the flow's stored arc order."""
     fa = tables.flows[(cluster_id, index)]
     loads: dict = {}
-    sources: dict = {}
-    sinks: dict = {}
     for (a, b), f in fa.arcs.items():
-        if a == SRC:
-            sources[b] = f / fa.value
-        elif b == SNK:
-            sinks[a] = f / fa.value
-        else:
+        if a != SRC and b != SNK:
             edge = (a, b) if a < b else (b, a)
             loads[edge] = loads.get(edge, 0.0) + f / fa.value
-    return loads, sinks if direction == "forward" else sources
+    return loads
 
 
-def _dict_cube_walk(maps, start_law: dict, lo: int, hi: int) -> tuple[dict, dict]:
+def _dict_cube_walk(maps, start_law: dict, lo: int, hi: int) -> dict:
     d = maps.dimension
     nodes = np.arange(1 << d)
     start = np.zeros(1 << d)
     for v, p in start_law.items():
-        owned = maps.vertex_nodes[v]
+        owned = [x for x, owner in enumerate(maps.node_owner) if owner == v]
         start[owned] += p / len(owned)
     target = np.zeros(1 << d)
     target[lo:hi] = 1.0 / (hi - lo)
@@ -385,40 +377,34 @@ def _dict_cube_walk(maps, start_law: dict, lo: int, hi: int) -> tuple[dict, dict
         for a, b in zip(path, path[1:]):
             edge = (a, b) if a < b else (b, a)
             loads[edge] = loads.get(edge, 0.0) + p
-    end: dict = {}
-    for node in range(lo, hi):
-        v = maps.node_owner[node]
-        end[v] = end.get(v, 0.0) + 1.0 / (hi - lo)
-    return loads, end
+    return loads
 
 
-def _dict_kernel(backend, step: tuple[bool, int, int], law: dict) -> tuple[dict, dict]:
+def _dict_kernel(backend, step: tuple[bool, int, int]) -> dict:
+    """One step's loads by edge, its walk started on its own law: a leave
+    step on its cluster law, toward the border law of its target, and a
+    spread step on that border law, toward its cluster law."""
     tree = backend.tree
     spread, cluster_id, index = step
+    own = _normalized(tree.cluster(cluster_id).cluster_weight)
+    border = _normalized(tree.target(cluster_id, index).border_weight)
+    start, end = (border, own) if spread else (own, border)
     if isinstance(backend, ReferenceBackend):
-        weights = (tree.cluster(cluster_id).cluster_weight if spread
-                   else tree.target(cluster_id, index).border_weight)
-        end = _normalized(weights)
-        return _dict_reference(backend, cluster_id, law, end), end
+        return _dict_reference(backend, cluster_id, start, end)
     if isinstance(backend, FlowTables):
-        return _dict_flow_walk(backend, cluster_id, index,
-                               "backward" if spread else "forward")
+        return _dict_flow_walk(backend, cluster_id, index)
     if isinstance(backend, CubeScheme):
         maps, lo, hi = backend._cube(step)
-        return _dict_cube_walk(maps, law, lo, hi)
+        return _dict_cube_walk(maps, start, lo, hi)
     raise TypeError(f"no dict kernel for {type(backend).__name__}")
 
 
 def dict_hop_loads(tree, backend, hop: tuple[bool, int]) -> dict:
     """Loads of one crossing of a hop, by edge, its steps' dict kernels
-    added step by step from the law of the cluster it leaves."""
-    downward, child_id = hop
-    parent_id = tree.cluster(child_id).parent
-    law = _normalized(tree.cluster(parent_id if downward else child_id).cluster_weight)
+    added step by step, each step from its own start law."""
     loads: dict = {}
     for step in routing._steps(tree, hop):
-        part, law = _dict_kernel(backend, step, law)
-        for edge, x in part.items():
+        for edge, x in _dict_kernel(backend, step).items():
             loads[edge] = loads.get(edge, 0.0) + x
     return loads
 

@@ -4,6 +4,7 @@ The single-edge augmented network is small enough to solve by hand: with
 weights {0:1, 1:1}, target = child {0} (border 1), the only saturating flow is
 source->0 (1), source->1 (1), arc 1->0 (1), 0->sink (2), value 2.
 """
+import copy
 import math
 import os
 import subprocess
@@ -68,31 +69,37 @@ def test_single_edge_endpoint_laws(single_edge_tables):
 
 def test_loads_refuse_a_law_that_is_not_the_terminal_law(four_cycle_tables):
     # a forward walk of flow (1, 0) starts on cluster 1's law and ends on its
-    # border law; a backward walk starts only on that border law
-    g, tree, _, tables = four_cycle_tables
-    start = tree.law(1)
-    ends = tables.loads([(False, 1, 0)], start[None])[1]
+    # border law; a backward walk starts on that border law, so once the
+    # flow's sink arcs are edited to put all of it on vertex 0, it is refused
+    _, tree, _, tables = four_cycle_tables
+    ends = tables.loads([(False, 1, 0)])[1]
     assert np.abs(ends[0] - tree.law(1, True)).max() <= 1e-9
+    tables = copy.deepcopy(tables)
+    fa = tables.flows[(1, 0)]
+    fa.arcs[(0, SNK)], fa.arcs[(1, SNK)] = fa.value, 0
     with pytest.raises(ValueError, match=r"^cluster 1 target 0: start law is 0\.5 away "
                                          r"from the flow's sink law"):
-        tables.loads([(False, 1, 0), (True, 1, 0)], np.array([start, np.eye(g.n)[0]]))
+        tables.loads([(False, 1, 0), (True, 1, 0)])
 
 
 def test_loads_refuse_a_point_law_under_optimize_flag():
-    # `python -O` strips assert statements; the start-law check must still raise
+    # `python -O` strips assert statements; the start-law check must still
+    # raise, here for a flow whose source arcs were edited to a point law
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                         str(root / "tests")]))
     script = (
-        "import numpy as np\n"
         "from helpers import cycle_graph, tree_from_spec\n"
         "from obroute.decomposition import certify_congestion\n"
+        "from obroute.flows import SRC\n"
         "from obroute.impl_a import build_flow_tables\n"
         "assert False, 'asserts are live'\n"
         "g = cycle_graph(4)\n"
         "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
         "tables = build_flow_tables(g, tree, certify_congestion(g, tree).int_value)\n"
-        "tables.loads([(False, 1, 0)], np.eye(g.n)[:1])\n"
+        "fa = tables.flows[(1, 0)]\n"
+        "fa.arcs[(SRC, 0)], fa.arcs[(SRC, 1)] = fa.value, 0\n"
+        "tables.loads([(False, 1, 0)])\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -92,7 +92,7 @@ def test_range_intervals_follow_layout_order():
     assert maps.dimension == 4
     assert maps.node_owner == [0, 0, 1, 1, 1, 2, 0, 1, 1,
                                0, 1, 1, 1, 2, 0, 1]
-    assert maps.vertex_nodes[2] == [5, 13]
+    assert maps.node_map(3).vertex_nodes[2] == [5, 13]
 
 
 def test_four_cycle_node_layout(four_cycle):
@@ -136,9 +136,9 @@ def test_audit_flags_a_vertex_over_4w_nodes(grid_scheme):
 
 
 def test_a_replaced_node_owner_is_seen_by_the_kernel(grid_scheme):
-    # the path slots cache the node owners as well: once node_owner is
-    # replaced, a hop to a range ends on its new owners, as the sampler's
-    # does, and a vertex left without a node cannot start one
+    # the kernel and the sampler read one cached node map: once node_owner
+    # is replaced, a hop to a range ends on its new owners in both, and a
+    # vertex left without a node can start neither
     g, tree, scheme = grid_scheme
     scheme = copy.deepcopy(scheme)
     maps = scheme.mains[tree.root]
@@ -150,6 +150,8 @@ def test_a_replaced_node_owner_is_seen_by_the_kernel(grid_scheme):
     assert scheme.sample((False, tree.root, 1), v, np.random.default_rng(0))[1] == v
     with pytest.raises(ValueError, match=f"vertex {first} owns no cube nodes"):
         hypercube_loads(g, [(maps, lo, hi)], tree.law(tree.root)[None])
+    with pytest.raises(ValueError, match=f"^vertex {first} owns no cube nodes$"):
+        scheme.sample((False, tree.root, 1), first, np.random.default_rng(0))
 
 
 def test_audit_flags_path_ids_too_narrow(grid_scheme):
@@ -249,8 +251,7 @@ def _identity_cube_maps(dim):
             y = x ^ (1 << k)
             if x < y:
                 edge_paths[(x, y)] = [x, y]
-    return CubeMaps(dimension=dim, node_owner=list(range(n)),
-                    vertex_nodes={v: [v] for v in range(n)}, ranges=[(0, n)],
+    return CubeMaps(dimension=dim, node_owner=list(range(n)), ranges=[(0, n)],
                     edge_paths=edge_paths, fractional_congestion=1.0)
 
 

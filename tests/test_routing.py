@@ -14,7 +14,7 @@ from helpers import (connected_graphs, cycle_graph, dict_hop_loads, dict_route_d
                      tree_from_spec)
 from obroute import routing
 from obroute.decomposition import build_tree, certify_congestion
-from obroute.experiment import SCHEMES, _build_backend, demand_battery
+from obroute.experiment import SCHEMES, _build_backend, demand_battery, graph_from_config
 from obroute.flows import SNK
 from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
 from obroute.impl_a import build_flow_tables
@@ -260,8 +260,8 @@ class _VectorChecked:
         assert not (laws < 0).any() and (abs(laws.sum(axis=1) - 1.0) <= 1e-9).all()
         return out
 
-    def loads(self, steps, laws):
-        return self._checked(len(steps), self.inner.loads(steps, laws))
+    def loads(self, steps):
+        return self._checked(len(steps), self.inner.loads(steps))
 
 
 def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
@@ -351,7 +351,8 @@ def test_impl_a_hop_rows_equal_the_flow_sweep(case):
                   for downward in (False, True))
     rows = routing.hop_loads(tree, tables, hops)
     for hop, row in zip(hops, rows):
-        law = tree.law(routing._sides(tree, hop)[0])
+        downward, child_id = hop
+        law = tree.law(tree.cluster(child_id).parent if downward else child_id)
         expect = np.zeros(g.m)
         for step in routing._steps(tree, hop):
             part, law = flow_sweep(tables, step, law)
@@ -360,13 +361,38 @@ def test_impl_a_hop_rows_equal_the_flow_sweep(case):
         assert np.allclose(row, expect, rtol=1e-12, atol=0.0), hop
 
 
+@pytest.mark.parametrize("spec", ["grid:4x4", "grid:8x8", "grid:10x10", "torus:6x6",
+                                  "hypercube:5", "random_regular:32,3,3", "grid:6x6:1-4"])
+def test_every_hop_chains_its_step_laws(spec):
+    # what lets hop_loads start every step on its own law: a hop's first
+    # step starts on the law of the cluster it leaves, a second step on the
+    # law its first ends on, and its last step ends on the law of the
+    # cluster it enters, to the last bit, on every tree edge both ways
+    g = graph_from_config({"generate": spec})
+    for seed in range(3):
+        for arity in (2, 3):
+            tree = build_tree(g, target_arity=arity, seed=seed)
+            for child in (c for c in tree.clusters if c.parent is not None):
+                for downward in (False, True):
+                    leaves, enters = ((child.parent, child.id) if downward
+                                      else (child.id, child.parent))
+                    laws = [[tree.law(*key) for key in routing.step_laws(tree, step)]
+                            for step in routing._steps(tree, (downward, child.id))]
+                    hop = (spec, seed, arity, downward, child.id)
+                    assert np.array_equal(laws[0][0], tree.law(leaves)), hop
+                    if len(laws) == 2:
+                        assert np.array_equal(laws[1][0], laws[0][1]), hop
+                    assert np.array_equal(laws[-1][1], tree.law(enters)), hop
+
+
 @pytest.mark.parametrize("hop, flow, match", [
     # the one step into the singleton {0} leaves cluster 1 along flow (1, 1)
-    ((True, 2), (1, 1), r"^hop into cluster 2 ends 1 away from the law of cluster 2$"),
+    ((True, 2), (1, 1), r"^hop into cluster 2: step \(False, 1, 1\) ends 1 away from "
+                        r"the law of cluster 2's border$"),
     # the first of two steps out of cluster 1 leaves it along flow (1, 0)
-    ((False, 1), (1, 0), r"^hop out of cluster 1 ends its first step 0\.5 away from "
-                         r"the law of cluster 1's border$"),
-])
+    ((False, 1), (1, 0), r"^hop out of cluster 1: step \(False, 1, 0\) ends 0\.5 away "
+                         r"from the law of cluster 1's border$"),
+], ids=["one-step-hop", "first-of-two-steps"])
 def test_hop_loads_catch_an_edited_sink_arc(four_cycle, hop, flow, match):
     # impl-a's end laws are its flows' sink arcs over |f|, so a sink arc
     # doubled after the build moves the law the hop ends on
@@ -418,8 +444,8 @@ class _Corrupted:
             end = (end + 1) % self.g.n
         return path, end
 
-    def loads(self, steps, laws):
-        loads, ends = self.inner.loads(steps, laws)
+    def loads(self, steps):
+        loads, ends = self.inner.loads(steps)
         if self.fault == "law":
             ends = ends.copy()
             for i, step in enumerate(steps):
@@ -446,25 +472,29 @@ def test_broken_invariants_raise(four_cycle, fault, scheme, pair, match):
 
 def test_invariants_hold_under_optimize_flag():
     # `python -O` strips assert statements; the routing and cube-walk
-    # invariants must still raise
+    # invariants, and the exact loads' per-step end-law check, must still raise
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                         str(root / "tests")]))
-    for scheme, fault, message in [
-            ("reference", "junction", "hop segment starts at"),
-            ("cubes", "cube-path", "cube edge path does not continue the walk")]:
+    sample = "select_path(0, 2, tree, backend, np.random.default_rng(0))\n"
+    for scheme, fault, run, message in [
+            ("reference", "junction", sample, "hop segment starts at"),
+            ("cubes", "cube-path", sample, "cube edge path does not continue the walk"),
+            ("tables", "law", "route_demands(g, tree, backend, {(0, 2): 1.0})\n",
+             "hop out of cluster 1: step (False, 1, 0) ends 0.5 away from the law of "
+             "cluster 1's border")]:
         script = (
             "import numpy as np\n"
             "from helpers import cycle_graph, tree_from_spec\n"
             "from test_routing import _Corrupted, _backends\n"
             "from obroute.decomposition import certify_congestion\n"
-            "from obroute.routing import select_path\n"
+            "from obroute.routing import route_demands, select_path\n"
             "assert False, 'asserts are live'\n"
             "g = cycle_graph(4)\n"
             "tree = tree_from_spec(g, [[0, 1], [2, 3]])\n"
             "cert = certify_congestion(g, tree, store_solutions=True)\n"
             f"backend = _Corrupted(_backends(g, tree, cert)[{scheme!r}], g, {fault!r})\n"
-            "select_path(0, 2, tree, backend, np.random.default_rng(0))\n"
+            + run
         )
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -521,4 +551,4 @@ def test_reference_rejects_a_law_off_the_cluster():
     law = 0.5 * tree.law(cid)
     law[outside] = 0.5
     with pytest.raises(RuntimeError, match=f"^cluster {cid}: .* vertex {outside},"):
-        backend.loads([(False, cid, 0)], law[None])
+        backend._between_loads([cid], law[None], tree.law(cid, True)[None])
