@@ -13,6 +13,7 @@ cluster's product-demand concurrent-flow problem, never assumed.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -64,7 +65,7 @@ class DecompositionTree:
         self.height = max(c.level for c in clusters)
         self.leaf_of = {c.vertices[0]: c.id for c in clusters if not c.children}
         self._paths: dict[int, list[int]] = {}
-        self._laws: dict[tuple[int, bool], np.ndarray] = {}
+        self._laws: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None
 
     def cluster(self, cid: int) -> Cluster:
         return self.clusters[cid]
@@ -85,22 +86,47 @@ class DecompositionTree:
             self._paths[v] = path[::-1]
         return self._paths[v]
 
+    def _law_store(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The law matrix, built on the first read: row 2 * cluster id + border
+        holds that weight table over its total (all zero if the total is 0),
+        read-only, with whether each total is positive and a view of each row."""
+        if self._laws is None:
+            tables = [c.border_weight if border else c.cluster_weight
+                      for c in self.clusters for border in (False, True)]
+            sizes = [len(weights) for weights in tables]
+            count = sum(sizes)
+            totals = np.array([sum(weights.values()) for weights in tables], dtype=float)
+            matrix = np.zeros((len(tables), len(self.clusters[self.root].vertices)))
+            matrix[np.repeat(np.arange(len(tables)), sizes),
+                   np.fromiter(itertools.chain.from_iterable(tables), np.intp, count)] = (
+                np.fromiter(itertools.chain.from_iterable(w.values() for w in tables),
+                            float, count))
+            positive = totals > 0
+            np.divide(matrix, totals[:, None], out=matrix, where=positive[:, None])
+            matrix.setflags(write=False)
+            self._laws = matrix, positive, list(matrix)
+        return self._laws
+
     def law(self, cluster_id: int, border: bool = False) -> np.ndarray:
         """The cluster law of a cluster, or its border law: its weights over
-        their total, as a read-only float64 vector indexed by vertex."""
-        key = (cluster_id, border)
-        if key not in self._laws:
-            cluster = self.clusters[cluster_id]
-            weights = cluster.border_weight if border else cluster.cluster_weight
-            total = sum(weights.values())
-            if total <= 0:
-                raise ValueError(f"cluster {cluster_id} has an all-zero "
-                                 f"{'border' if border else 'cluster'} law")
-            law = np.bincount(list(weights), list(weights.values()),
-                              minlength=len(self.clusters[self.root].vertices)) / total
-            law.setflags(write=False)
-            self._laws[key] = law
-        return self._laws[key]
+        their total, as a read-only float64 row of the law matrix, indexed by
+        vertex. Raises ValueError for an all-zero weight table."""
+        _, positive, rows = self._law_store()
+        key = 2 * cluster_id + border
+        if not positive[key]:
+            raise ValueError(f"cluster {cluster_id} has an all-zero "
+                             f"{'border' if border else 'cluster'} law")
+        return rows[key]
+
+    def laws(self, keys: np.ndarray) -> np.ndarray:
+        """The laws of keys 2 * cluster id + border, stacked in one gather
+        from the law matrix: row i is law(*divmod(keys[i], 2)), and the first
+        all-zero one raises as law does."""
+        matrix, positive, _ = self._law_store()
+        zero = np.flatnonzero(~positive[keys])
+        if zero.size:
+            self.law(*divmod(int(keys[zero[0]]), 2))
+        return matrix[keys]
 
     def child_index(self, parent_id: int, child_id: int) -> int:
         return self.clusters[parent_id].children.index(child_id)

@@ -34,17 +34,18 @@ intermediate node (Valiant & Brebner): a hop's start law is already the
 exact cluster law and its target is already uniform on its range, so the
 detour only lengthens the walk.
 
-The build walks each cube's stored paths once, into path slots
-(CubeMaps.path_slots): one slot per arc of every path, in edge_paths order,
+The build turns the stored paths of all its cubes into path slots in one
+array pass (_path_slots): one slot per arc of every path, in edge_paths order,
 holding its cube edge's (dimension, node) cell, its graph edge id (-1 for an
 arc off the graph, on which the exact kernel raises and which the audit
 reports) and its tail and head. The exact kernel (hypercube_loads)
 evaluates a pass of walks a cube dimension at a time and bins the crossings
 of all of them over their slots; path_id_bits and the audit count the slots
 on each arc, and measure_table_bits_b counts the slots leaving each vertex.
-The slots are rebuilt when edge_paths or any entry of it is replaced, the
-node map (CubeMaps.node_map, which the sampler and the kernel both read)
-when node_owner is, so every reader sees an edited path or node map.
+A cube's slots are rebuilt, by the same function, when edge_paths or any
+entry of it is replaced (CubeMaps.path_slots), and its node map
+(CubeMaps.node_map, which the sampler and the kernel both read) when
+node_owner is, so every reader sees an edited path or node map.
 
 Per-vertex table layout (bit-exact accounting):
 
@@ -79,7 +80,7 @@ from obroute.cmcf import CMCFSolution, round_paths
 from obroute.decomposition import Cluster, CongestionCertificate, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits, _cluster_id_bits
-from obroute.routing import Step, pass_laws
+from obroute.routing import Step, _ranges, pass_laws
 
 __all__ = ["CubeMaps", "CubeScheme", "build_embedding", "build_rerand_cube",
            "build_cube_scheme", "hypercube_route", "hypercube_loads",
@@ -147,33 +148,54 @@ class CubeMaps:
         return self._nodes
 
     def path_slots(self, g: CapacitatedGraph) -> _PathSlots:
-        """The slot arrays of edge_paths in g, rebuilt when edge_paths or any
-        of its entries is replaced (compared by identity)."""
+        """The slot arrays of edge_paths in g, rebuilt (_path_slots) when
+        edge_paths or any of its entries is replaced (compared by identity)."""
         slots = self._slots
         if (slots is None or slots.edge_paths is not self.edge_paths
                 or len(slots.paths) != len(self.edge_paths)
                 or not all(map(operator.is_, slots.paths, self.edge_paths.values()))):
-            side = 1 << self.dimension
-            cells: list[int] = []
-            edge_ids: list[int] = []
-            tails: list[int] = []
-            heads: list[int] = []
-            for (x, y), path in self.edge_paths.items():
-                cell = ((x ^ y).bit_length() - 1) * side + x
-                for a, b in zip(path, path[1:]):
-                    try:
-                        edge_ids.append(g.edge_index(a, b))
-                    except KeyError:
-                        edge_ids.append(-1)
-                    cells.append(cell)
-                    tails.append(a)
-                    heads.append(b)
-            slots = self._slots = _PathSlots(
-                self.edge_paths, list(self.edge_paths.values()),
-                *(np.array(a, dtype=np.intp) for a in (cells, edge_ids, tails, heads)),
-                np.cumsum([len(path) - 1 for path in self.edge_paths.values()],
-                          dtype=np.intp))
+            slots = self._slots = _path_slots(g, [self])[0]
         return slots
+
+
+def _path_slots(g: CapacitatedGraph, cubes: Sequence[CubeMaps]) -> list[_PathSlots]:
+    """Each cube's _PathSlots of its edge_paths in g, built for all the cubes
+    in one array pass over their paths concatenated. An arc's graph edge id
+    is found by one sorted-key search over g's edges, each keyed
+    min * n + max of its endpoints."""
+    n, m = g.n, g.m
+    counts = [len(maps.edge_paths) for maps in cubes]
+    paths = [path for maps in cubes for path in maps.edge_paths.values()]
+    lengths = np.fromiter(map(len, paths), np.intp, len(paths))
+    vertices = np.fromiter(itertools.chain.from_iterable(paths), np.intp, int(lengths.sum()))
+    # slot i is the arc from vertex at[i] of the concatenated paths to the next
+    at = _ranges(np.cumsum(lengths) - lengths, lengths - 1)
+    tails, heads = vertices[at], vertices[at + 1]
+    # each path's cube edge (x, y), and the side 2^d of its cube; the edge's
+    # dimension (x ^ y).bit_length() - 1 is frexp's exponent of x ^ y, less one
+    xy = np.fromiter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(maps.edge_paths for maps in cubes)),
+        np.intp, 2 * len(paths)).reshape(-1, 2)
+    side = np.repeat(np.array([1 << maps.dimension for maps in cubes], dtype=np.intp), counts)
+    cells = np.repeat((np.frexp(xy[:, 0] ^ xy[:, 1])[1] - 1) * side + xy[:, 0], lengths - 1)
+    keys = np.fromiter((min(u, v) * n + max(u, v) for u, v, _ in g.edges), np.intp, m)
+    order = np.argsort(keys)
+    low, high = np.minimum(tails, heads), np.maximum(tails, heads)
+    arc_keys = low * n + high
+    found = order[np.minimum(np.searchsorted(keys, arc_keys, sorter=order), m - 1)]
+    # a key is an edge's only if both ends are vertices
+    edge_ids = np.where((keys[found] == arc_keys) & (low >= 0) & (high < n), found, -1)
+    # back into cubes: the paths of cube i are [path_cut[i], path_cut[i + 1])
+    slot_ends = np.cumsum(lengths - 1)
+    path_cut = np.cumsum([0, *counts])
+    slot_cut = np.concatenate([[0], slot_ends])[path_cut]
+    slots = []
+    for i, maps in enumerate(cubes):
+        lo, hi = slot_cut[i], slot_cut[i + 1]
+        slots.append(_PathSlots(maps.edge_paths, list(maps.edge_paths.values()),
+                                cells[lo:hi], edge_ids[lo:hi], tails[lo:hi], heads[lo:hi],
+                                slot_ends[path_cut[i]:path_cut[i + 1]] - lo))
+    return slots
 
 
 @dataclass
@@ -307,8 +329,9 @@ def build_cube_scheme(g: CapacitatedGraph, tree: DecompositionTree,
             shuffle = scheme.shuffles[cluster.id] = build_rerand_cube(cluster)
             _draw_cube_paths(g, cert.solutions[cluster.id], (main, shuffle), rng)
     cubes = (*scheme.mains.values(), *scheme.shuffles.values())
-    for maps in cubes:
+    for maps, slots in zip(cubes, _path_slots(g, cubes)):
         maps.node_map(g.n)
+        maps._slots = slots
     most = max((int(maps.path_slots(g).arcs(g.n)[1].max(initial=1)) for maps in cubes),
                default=1)
     scheme.path_id_bits = max(1, _ceil_log2(most))
@@ -445,11 +468,14 @@ def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, in
         out = (high[:, walk.high_at] * low[:, walk.low_at]).reshape(r, -1)
         # [row, k * 2^d + y]: either direction of edge {y, y ^ 2^k}
         crossing = out + out[:, walk.flip]
-        for j, i in enumerate(rows):
-            load_bins.append(slots[i].edge_ids + i * m)
-            load_weights.append(crossing[j, slots[i].cells])
+        # every walk's slots in row order, each walk's in slot order
+        sizes, at = [len(slots[i].cells) for i in rows], np.array(rows)
+        load_bins.append(np.concatenate([slots[i].edge_ids for i in rows])
+                         + np.repeat(at * m, sizes))
+        load_weights.append(crossing[np.repeat(np.arange(r), sizes),
+                                     np.concatenate([slots[i].cells for i in rows])])
         hit, node = np.nonzero(target)
-        end_bins.append(owners[hit, node] + np.array(rows)[hit] * n)
+        end_bins.append(owners[hit, node] + at[hit] * n)
         end_weights.append(target[hit, node])
     # astype: a bincount of nothing (no walk, or no stored path) is an int array
     loads, ends = (

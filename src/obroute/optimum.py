@@ -112,7 +112,8 @@ def _tree_loads(pred: np.ndarray, need: np.ndarray, edge_id: np.ndarray,
 
 class _TreePool:
     """The master LP's columns: one stored tree per column, each the edge
-    loads of one source's whole demand."""
+    loads of one source's whole demand. The column matrix is built once per
+    master round, on its first read after an add."""
 
     def __init__(self, n_sources: int, m: int):
         self.n_sources, self.m = n_sources, m
@@ -120,6 +121,7 @@ class _TreePool:
         self.rows: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
         self.seen: set[tuple[int, bytes]] = set()
+        self._matrix: sp.csr_matrix | None = None
 
     def add(self, sources: np.ndarray, loads: np.ndarray) -> bool:
         """Store the trees not stored yet; False when every one was."""
@@ -134,12 +136,17 @@ class _TreePool:
             self.rows.append(edges)
             self.vals.append(row[edges])
             added = True
+        if added:
+            self._matrix = None
         return added
 
     def _columns(self) -> sp.csr_matrix:
-        cols = np.repeat(np.arange(len(self.rows)), [len(e) for e in self.rows])
-        return sp.csr_matrix((np.concatenate(self.vals), (np.concatenate(self.rows), cols)),
-                             shape=(self.m, len(self.rows)))
+        if self._matrix is None:
+            cols = np.repeat(np.arange(len(self.rows)), [len(e) for e in self.rows])
+            self._matrix = sp.csr_matrix(
+                (np.concatenate(self.vals), (np.concatenate(self.rows), cols)),
+                shape=(self.m, len(self.rows)))
+        return self._matrix
 
     def loads(self, x: np.ndarray) -> np.ndarray:
         return self._columns() @ x

@@ -43,17 +43,20 @@ then its second's, and every step's end law is checked against its
 step_laws end law in one array operation.
 
 Loads are float64 arrays over graph edge ids (length g.m) and laws over
-vertices (length g.n), a cluster's laws cached by DecompositionTree.law. The
-sums are array arithmetic that adds in the order of the plain dict loops, so
-every load is the same to the last bit (an edge a term does not touch adds
-an exact +0.0): the demand through each hop is one np.bincount per direction
-over the leaf paths, sentinel-filled past each leaf, the pairs in sorted order;
-the pass's loads are one bincount over graph edge ids offset by row, so each
-row adds its own terms in its own step's order (ReferenceBackend over the
-pass's pair tables, impl_b over the path slots each cube built with the
-scheme, impl_a over the interior arcs of each distinct flow in stored order,
-then a row per step); and the edge loads add demand times hop row over the
-hops in sorted order.
+vertices (length g.n). A cluster's laws are rows of the tree's one law
+matrix (DecompositionTree.law), and pass_laws gathers a pass's laws from it
+in one indexing step. The sums are array arithmetic that adds in the order
+of the plain dict loops, so every load is the same to the last bit (an edge
+a term does not touch adds an exact +0.0): the demand through each hop is
+one np.bincount per direction over the leaf paths, sentinel-filled past each
+leaf, the pairs sorted as arrays; the pass's loads are one bincount over
+graph edge ids offset by row, so each row adds its own terms in its own
+step's order (ReferenceBackend over the pass's pair tables, impl_b over the
+path slots built with the scheme, impl_a over the interior arcs of each
+distinct flow in stored order, then a row per step); and the edge loads are
+one np.add.reduce over axis 0 of demand times hop row, which on the
+C-ordered rows adds row after row, in sorted hop order, as the loop
+totals += d * row does.
 
 A cluster's pair table, built on its first step, holds every ordered pair
 (u, v), u != v, of its weighted vertices, u ascending, then v ascending, and
@@ -75,6 +78,7 @@ path that steps off the graph makes route_demands raise.
 """
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -123,9 +127,13 @@ def step_laws(tree: DecompositionTree, step: Step) -> tuple[tuple[int, bool], tu
 
 def pass_laws(tree: DecompositionTree, steps: Sequence[Step], end: bool = False) -> np.ndarray:
     """The start laws of a pass of k steps (step_laws), or their end laws,
-    stacked as a k x n array whose row i is step i's."""
-    return np.array([tree.law(*step_laws(tree, step)[end]) for step in steps]).reshape(
-        len(steps), tree.cluster(tree.root).size)
+    stacked as a k x n array whose row i is step i's: one gather from the
+    tree's law matrix (DecompositionTree.laws)."""
+    children = [cluster.children for cluster in tree.clusters]
+    # a border law is its target's row 2 * id + 1, a cluster law its own row 2 * id
+    keys = np.fromiter((2 * (children[c][k - 1] if k else c) + 1 if spread != end else 2 * c
+                        for spread, c, k in steps), np.intp, len(steps))
+    return tree.laws(keys)
 
 
 def _extend(path: list[int], seg: list[int]) -> None:
@@ -342,16 +350,20 @@ def _through(tree: DecompositionTree, n: int,
     direction over an n x (height + 1) array of leaf paths, each filled out
     past its leaf with the sentinel id len(tree.clusters), whose bin is
     dropped. `entries` are a DemandMatrix's."""
-    if not entries:
+    k = len(entries)
+    if not k:
         return {}
-    sources, sinks, demand = zip(*((s, t, d) for (s, t), d in sorted(entries.items())))
+    pairs = np.fromiter(itertools.chain.from_iterable(entries), np.intp, 2 * k).reshape(k, 2)
+    # the pairs in sorted order: the keys s * n + t are distinct
+    order = np.argsort(pairs[:, 0] * n + pairs[:, 1])
+    demand = np.fromiter(entries.values(), float, k)[order]
     sentinel = len(tree.clusters)
     paths = np.array([path + [sentinel] * (tree.height + 1 - len(path))
                       for path in map(tree.leaf_path, range(n))])
-    up, down = paths[list(sources)], paths[list(sinks)]
+    up, down = paths[pairs[order, 0]], paths[pairs[order, 1]]
     shared = np.logical_and.accumulate(up == down, axis=1).sum(axis=1, keepdims=True)
     crossed = np.arange(paths.shape[1]) >= shared
-    weight = np.broadcast_to(np.array(demand, dtype=float)[:, None], up.shape)[crossed]
+    weight = np.broadcast_to(demand[:, None], up.shape)[crossed]
     through: dict[Hop, float] = {}
     for downward, side in ((False, up), (True, down)):
         sums = np.bincount(side[crossed], weight, minlength=sentinel + 1)[:sentinel]
@@ -391,9 +403,9 @@ def route_demands(g: CapacitatedGraph, tree: DecompositionTree,
     demands = g.check_demands(demands)
     through = _through(tree, g.n, demands.entries)
     rows = hop_loads(tree, backend, list(through))
-    totals = np.zeros(g.m)
-    for d, row in zip(through.values(), rows):
-        totals += d * row
+    # row after row: each edge adds its terms in sorted hop order, as a loop would
+    totals = np.add.reduce(np.fromiter(through.values(), float, len(through))[:, None] * rows,
+                           axis=0)
     hit = np.flatnonzero(totals)
     loads = {g.edges[i][:2]: x for i, x in zip(hit.tolist(), totals[hit].tolist())}
 

@@ -18,6 +18,7 @@ from helpers import (ancestor_at, connected_graphs, cycle_graph, path_graph, sin
                      tree_from_spec)
 from obroute.decomposition import (_grow_parts, audit_tree, build_tree,
                                    certify_congestion, cmcf_instance)
+from obroute.experiment import graph_from_config
 from obroute.graph import CapacitatedGraph, generate_graph, grid_graph, random_regular_graph
 
 
@@ -88,6 +89,35 @@ def test_law_is_weights_over_their_total():
                 law[c.vertices[0]] = 0.5
     with pytest.raises(ValueError, match="all-zero border law"):
         tree.law(tree.root, border=True)
+
+
+@pytest.mark.parametrize("spec", ["grid:3x3:1-3", "grid:8x8", "torus:6x6",
+                                  "random_regular:32,3,3"])
+def test_law_matrix_rows_are_the_bincount_laws(spec):
+    # every row of the law matrix, read by law and gathered by laws, equals
+    # the per-key construction np.bincount(...) / total to the last bit, for
+    # every cluster and both border flags; build_tree leaves the matrix
+    # unbuilt, and the root's all-zero border law raises by either read
+    g = graph_from_config({"generate": spec})
+    tree = build_tree(g, seed=0)
+    assert tree._laws is None
+    keys, expect = [], []
+    for c in tree.clusters:
+        for border, weights in ((False, c.cluster_weight), (True, c.border_weight)):
+            if border and c.parent is None:
+                continue
+            law = np.bincount(list(weights), list(weights.values()),
+                              minlength=g.n) / sum(weights.values())
+            assert tree.law(c.id, border).tobytes() == law.tobytes(), (c.id, border)
+            assert not tree.law(c.id, border).flags.writeable
+            keys.append(2 * c.id + border)
+            expect.append(law)
+    gathered = tree.laws(np.array(keys[::-1], dtype=np.intp))
+    assert gathered.tobytes() == np.array(expect[::-1]).tobytes()
+    with pytest.raises(ValueError, match=f"^cluster {tree.root} has an all-zero border law$"):
+        tree.law(tree.root, border=True)
+    with pytest.raises(ValueError, match=f"^cluster {tree.root} has an all-zero border law$"):
+        tree.laws(np.array([keys[0], 2 * tree.root + 1], dtype=np.intp))
 
 
 def test_tree_navigation(four_cycle_tree):

@@ -582,3 +582,49 @@ def test_an_edited_path_is_seen_by_every_reader(grid_scheme):
     assert audit_cube_scheme(scheme) == [
         f"cluster {cid} main cube: {(1 << scheme.path_id_bits) + 1} stored paths leave "
         f"{a} for {b}, more than {scheme.path_id_bits}-bit path ids can number"]
+
+
+def _loop_slots(g, maps) -> list[np.ndarray]:
+    """A cube's slot arrays path by path and arc by arc: cells, edge ids
+    (-1 off the graph), tails, heads and path ends."""
+    side = 1 << maps.dimension
+    cells, edge_ids, tails, heads = [], [], [], []
+    for (x, y), path in maps.edge_paths.items():
+        for a, b in zip(path, path[1:]):
+            cells.append(((x ^ y).bit_length() - 1) * side + x)
+            edge_ids.append(g.edge_index(a, b) if g.has_edge(a, b) else -1)
+            tails.append(a)
+            heads.append(b)
+    ends = np.cumsum([len(path) - 1 for path in maps.edge_paths.values()], dtype=np.intp)
+    return [np.array(a, dtype=np.intp) for a in (cells, edge_ids, tails, heads)] + [ends]
+
+
+def _slot_arrays(slots) -> list[np.ndarray]:
+    return [slots.cells, slots.edge_ids, slots.tails, slots.heads, slots.path_ends]
+
+
+def _same_arrays(got, expect) -> bool:
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+def test_scheme_wide_slots_equal_the_path_loop(grid_scheme):
+    # the slots that one array pass builds for every cube of the scheme
+    # equal the per-path loop, and so does a cube's rebuild after one entry
+    # of its edge_paths is replaced in place, by a path with an arc off the
+    # graph; the other cubes keep their slots
+    g, _, scheme = grid_scheme
+    scheme = copy.deepcopy(scheme)
+    cubes = (*scheme.mains.values(), *scheme.shuffles.values())
+    assert any(maps.dimension > 1 for maps in cubes)
+    for maps, slots in zip(cubes, impl_b._path_slots(g, cubes)):
+        assert _same_arrays(_slot_arrays(maps.path_slots(g)), _loop_slots(g, maps))
+        assert _same_arrays(_slot_arrays(slots), _loop_slots(g, maps))
+    kept = {id(maps): maps.path_slots(g) for maps in cubes}
+    maps = cubes[1]
+    key, path = list(maps.edge_paths.items())[1]
+    far = next(v for v in range(g.n) if v != path[0] and not g.has_edge(path[0], v))
+    maps.edge_paths[key] = [path[0], far] + path
+    rebuilt = maps.path_slots(g)
+    assert rebuilt is not kept[id(maps)] and -1 in rebuilt.edge_ids.tolist()
+    assert _same_arrays(_slot_arrays(rebuilt), _loop_slots(g, maps))
+    assert all(other.path_slots(g) is kept[id(other)] for other in cubes if other is not maps)

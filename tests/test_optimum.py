@@ -176,3 +176,19 @@ def test_route_exits_2_when_the_oracle_fails(tmp_path, monkeypatch, capsys):
     code = main(["route", "--generate", "grid:3x3", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_tree_pool_builds_its_columns_once_per_add():
+    # the master LP and the routing loads of one round read one column
+    # matrix; an add that stores a new tree replaces it with the matrix of
+    # every stored tree, an add of stored trees only keeps it
+    pool = optimum._TreePool(2, 3)
+    assert pool.add(np.array([0, 1]), np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    first = pool._columns()
+    assert pool._columns() is first
+    assert np.array_equal(pool.loads(np.array([1.0, 2.0])), [1.0, 6.0, 2.0])
+    assert not pool.add(np.array([1]), np.array([[0.0, 3.0, 0.0]]))
+    assert pool._columns() is first
+    assert pool.add(np.array([0]), np.array([[0.0, 1.0, 1.0]]))
+    assert np.array_equal(pool._columns().toarray(),
+                          [[1.0, 0.0, 0.0], [0.0, 3.0, 1.0], [2.0, 0.0, 1.0]])

@@ -276,7 +276,32 @@ def _assert_equals_dict_oracle(g, tree, cert, demands, schemes, seed):
         oracle = dict_route_demands(g, tree, backend, demands)
         assert report.edge_loads == oracle.edge_loads, scheme
         assert report.congestion == oracle.congestion, scheme
+        # route_demands adds its hop rows in one reduction: the sequential
+        # loop over the same rows gives every load to the last bit
+        totals = np.zeros(g.m)
+        for d, row in zip(report.through.values(), report.hop_loads):
+            totals += d * row
+        assert report.edge_loads == {g.edges[i][:2]: float(totals[i])
+                                     for i in np.flatnonzero(totals)}, scheme
     return backends
+
+
+@pytest.mark.parametrize("spec, entries", [
+    ("grid:4x4", {}),
+    ("grid:4x4", {(13, 2): 0.75}),
+    ("grid:6x6:1-4", "gravity"),
+], ids=["empty", "single-pair", "capacitated-gravity"])
+def test_through_equals_the_dict_oracle(spec, entries):
+    # _through's sorted arrays against the pair-by-pair dict loop, to the
+    # last bit and in the same hop order; the battery is given in reverse
+    # sorted order, so _through must sort it itself
+    g = graph_from_config({"generate": spec})
+    tree = build_tree(g, target_arity=2, seed=0)
+    if isinstance(entries, str):
+        entries = dict(sorted(demand_battery(entries, g, 0).entries.items(), reverse=True))
+    through = routing._through(tree, g.n, entries)
+    assert list(through.items()) == list(dict_through(tree, entries).items())
+    assert bool(through) == bool(entries)
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -383,6 +408,13 @@ def test_every_hop_chains_its_step_laws(spec):
                     if len(laws) == 2:
                         assert np.array_equal(laws[1][0], laws[0][1]), hop
                     assert np.array_equal(laws[-1][1], tree.law(enters)), hop
+            # pass_laws gathers the same rows for a pass of every hop's steps
+            steps = [step for child in tree.clusters if child.parent is not None
+                     for downward in (False, True)
+                     for step in routing._steps(tree, (downward, child.id))]
+            for end in (False, True):
+                expect = [tree.law(*routing.step_laws(tree, step)[end]) for step in steps]
+                assert np.array_equal(routing.pass_laws(tree, steps, end), expect), end
 
 
 @pytest.mark.parametrize("hop, flow, match", [
