@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from obroute.cmcf import solve_cmcf_min_congestion
 from obroute.decomposition import build_tree, certify_congestion
+from obroute.experiment import demand_battery
 from obroute.graph import (
     CapacitatedGraph,
     DemandMatrix,
@@ -179,6 +180,21 @@ def entry_points():
 def test_entry_points_reject_the_same_bad_demands(entry_points, name, demands, match):
     with pytest.raises(ValueError, match=match):
         entry_points[name](demands)
+
+
+@pytest.mark.parametrize("name", ["route_demands", "optimal_congestion",
+                                  "solve_cmcf_min_congestion"])
+def test_entry_points_name_the_first_bad_pair_of_a_battery(entry_points, name):
+    entries = dict(demand_battery("gravity", grid_graph(3, 3), 0).entries)
+    entries[(4, 9)] = 1.0
+    with pytest.raises(ValueError, match=r"^demand pair \(4,9\) out of vertex range 0\.\.8$"):
+        entry_points[name](entries)
+    entries[(-1, 2)] = 1.0
+    with pytest.raises(ValueError, match=r"^demand pair \(4,9\) out of vertex range"):
+        entry_points[name](entries)
+    del entries[(4, 9)]
+    with pytest.raises(ValueError, match=r"^demand pair \(-1,2\) out of vertex range"):
+        entry_points[name](DemandMatrix(entries))
 
 
 def test_entry_points_read_a_plain_dict_as_its_demand_matrix(entry_points):

@@ -144,6 +144,24 @@ def test_zero_dual_length_edge_stays_traversable(monkeypatch):
     assert lengths and lengths[-1][g.edge_index(1, 2)] == 0.0
 
 
+@pytest.mark.parametrize("g, battery, master_lps", [
+    (grid_graph(10, 10), "uniform_pairs:24", 5),
+    (hypercube_graph(5), "gravity", 6),
+], ids=["grid10-uniform24", "hypercube5-gravity"])
+def test_seeding_saves_master_lps(monkeypatch, g, battery, master_lps):
+    # seeded with hop-shortest trees alone, these took 12 and 21 master LPs
+    calls = []
+    solve = optimum._TreePool.solve_master
+
+    def counted(pool, caps):
+        calls.append(caps)
+        return solve(pool, caps)
+
+    monkeypatch.setattr(optimum._TreePool, "solve_master", counted)
+    optimal_congestion(g, demand_battery(battery, g, 0))
+    assert len(calls) == master_lps
+
+
 def test_empty_demands_cost_nothing():
     g = grid_graph(3, 3)
     assert optimal_congestion(g, DemandMatrix({})) == 0.0
@@ -157,7 +175,8 @@ def test_rejects_pairs_outside_the_graph():
 
 
 def test_round_cap_raises(monkeypatch):
-    g = grid_graph(4, 4)
+    # torus 3x3 with gravity demand needs 5 master LPs
+    g = torus_graph(3, 3)
     monkeypatch.setattr(optimum, "_MAX_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="did not converge in 1 master LPs"):
         optimal_congestion(g, demand_battery("gravity", g, 0))
@@ -172,8 +191,10 @@ def test_gap_to_dual_bound_raises(monkeypatch):
 
 
 def test_route_exits_2_when_the_oracle_fails(tmp_path, monkeypatch, capsys):
+    # grid 3x3 with 4 uniform pairs (seed 0) needs 6 master LPs
     monkeypatch.setattr(optimum, "_MAX_ROUNDS", 1)
-    code = main(["route", "--generate", "grid:3x3", "--out-dir", str(tmp_path)])
+    code = main(["route", "--generate", "grid:3x3", "--demands", "uniform_pairs:4",
+                 "--out-dir", str(tmp_path)])
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
 

@@ -17,6 +17,8 @@
 #                     of every field of its hops.npz, the per-hop loads at
 #                     full precision ("no hops.npz" for a checkout that
 #                     writes none);
+#                     oracle.txt: the repr of optimal_congestion's c_opt on
+#                     the run's graph and battery, and its master-LP count;
 #                     route-8x8-grav/report-stdout.txt also holds the stdout
 #                     of obroute report on that run's --out-dir
 #   build-8x8/        obroute build --generate grid:8x8: tree.json, and
@@ -113,16 +115,46 @@ for scheme in SCHEMES:
 EOF
 }
 
+oracle() {
+    name=$1
+    shift
+    "$py" - "$@" > "$out/$name/oracle.txt" <<'EOF'
+import sys
+
+from obroute import optimum
+from obroute.experiment import demand_battery, graph_from_config
+
+spec, battery, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+g = graph_from_config({"generate": spec})
+calls = []
+solve = optimum._TreePool.solve_master
+
+
+def counted(pool, caps):
+    calls.append(caps)
+    return solve(pool, caps)
+
+
+optimum._TreePool.solve_master = counted
+print("c_opt", repr(optimum.optimal_congestion(g, demand_battery(battery, g, seed))))
+print("master_lps", len(calls))
+EOF
+}
+
 route route-4x4-perm --generate grid:4x4 --demands permutation --seed 1
 loads_hash route-4x4-perm grid:4x4 permutation 1
+oracle route-4x4-perm grid:4x4 permutation 1
 route route-8x8-grav --generate grid:8x8 --demands gravity --seed 0
 obroute report --out-dir "$work/route-8x8-grav" > "$out/route-8x8-grav/report-stdout.txt" 2>&1 \
     || echo "exit $?" >> "$out/route-8x8-grav/report-stdout.txt"
 loads_hash route-8x8-grav grid:8x8 gravity 0
+oracle route-8x8-grav grid:8x8 gravity 0
 route route-torus-6x6-grav --generate torus:6x6 --demands gravity --seed 0
 loads_hash route-torus-6x6-grav torus:6x6 gravity 0
+oracle route-torus-6x6-grav torus:6x6 gravity 0
 route route-10x10-pairs --generate grid:10x10 --demands uniform_pairs:24 --seed 0
 loads_hash route-10x10-pairs grid:10x10 uniform_pairs:24 0
+oracle route-10x10-pairs grid:10x10 uniform_pairs:24 0
 
 mkdir -p "$out/build-8x8"
 obroute build --generate grid:8x8 --out-dir "$work/build" > "$work/build.stdout" 2>&1 \
