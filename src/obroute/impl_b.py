@@ -67,7 +67,6 @@ paths leaving one vertex on one edge within one cube.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections import Counter
@@ -80,7 +79,7 @@ from obroute.cmcf import CMCFSolution, round_paths
 from obroute.decomposition import Cluster, CongestionCertificate, DecompositionTree
 from obroute.graph import CapacitatedGraph
 from obroute.impl_a import TableBits, _cluster_id_bits
-from obroute.routing import Step, _ranges, pass_laws
+from obroute.routing import Step, pass_laws
 
 __all__ = ["CubeMaps", "CubeScheme", "build_embedding", "build_rerand_cube",
            "build_cube_scheme", "hypercube_route", "hypercube_loads",
@@ -168,8 +167,9 @@ def _path_slots(g: CapacitatedGraph, cubes: Sequence[CubeMaps]) -> list[_PathSlo
     paths = [path for maps in cubes for path in maps.edge_paths.values()]
     lengths = np.fromiter(map(len, paths), np.intp, len(paths))
     vertices = np.fromiter(itertools.chain.from_iterable(paths), np.intp, int(lengths.sum()))
-    # slot i is the arc from vertex at[i] of the concatenated paths to the next
-    at = _ranges(np.cumsum(lengths) - lengths, lengths - 1)
+    # slot i is the arc from vertex at[i] of the concatenated paths to the next:
+    # every vertex but the last of its path
+    at = np.delete(np.arange(len(vertices)), np.cumsum(lengths) - 1)
     tails, heads = vertices[at], vertices[at + 1]
     # each path's cube edge (x, y), and the side 2^d of its cube; the edge's
     # dimension (x ^ y).bit_length() - 1 is frexp's exponent of x ^ y, less one
@@ -384,35 +384,6 @@ def hypercube_route(maps: CubeMaps, h_from: int, h_to: int) -> list[int]:
     return path
 
 
-@dataclass(frozen=True)
-class _WalkIndices:
-    """Index arrays that evaluate, for every dimension k of a d-cube at once,
-    hypercube_loads' per-k terms; row k of a (d, 2^d) array is dimension k."""
-
-    high_at: np.ndarray     # (d, 2^d): offset of k's block sums + y >> k
-    low_bins: np.ndarray    # (d * 2^d,): offset of k's residues + y mod 2^(k+1)
-    low_size: int
-    low_at: np.ndarray      # (d, 2^d): offset of k's residues + y_<k + (1 - y_k) 2^k
-    flip: np.ndarray        # (d * 2^d,): k * 2^d + (y ^ 2^k)
-
-
-@functools.cache
-def _walk_indices(d: int) -> _WalkIndices:
-    nodes = np.arange(1 << d)
-    ks = np.arange(d)[:, None]
-    high_offsets = np.concatenate([[0], np.cumsum([1 << (d - k) for k in range(d)])])
-    low_offsets = np.concatenate([[0], np.cumsum([2 << k for k in range(d)])])
-    bit = 1 << ks
-    arrays = dict(
-        high_at=high_offsets[:-1, None] + (nodes >> ks),
-        low_bins=(low_offsets[:-1, None] + (nodes & ((2 << ks) - 1))).ravel(),
-        low_at=low_offsets[:-1, None] + ((nodes & (bit - 1)) | (~nodes & bit)),
-        flip=(ks * (1 << d) + (nodes ^ bit)).ravel())
-    for a in arrays.values():
-        a.setflags(write=False)     # shared by every cube of dimension d
-    return _WalkIndices(low_size=int(low_offsets[-1]), **arrays)
-
-
 def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, int]],
                     start_laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i: the exact expected loads on the edges of g (indexed by edge id)
@@ -424,11 +395,11 @@ def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, in
     k out of node y iff x>>k = y>>k, t agrees with y below k and t_k != y_k,
     with probability P(x>>k = y>>k) P(t mod 2^(k+1) = y_<k + (1 - y_k) 2^k).
     Each crossing of a cube edge loads the edges of its stored graph path.
-    The walks are evaluated a cube dimension d at a time: the per-k terms of
-    every walk on a d-cube at once (_walk_indices), with the same operations
-    on the same values as one walk and one k at a time. One bincount over the
-    path slots (CubeMaps.path_slots) of every walk, offset by row, sums each
-    graph edge's crossings in edge_paths order. O(d 2^d) per walk with numpy.
+    The walks are evaluated a cube dimension d at a time, and within it one
+    coordinate at a time for every walk on a d-cube at once, with the same
+    operations on the same values as one walk. One bincount over the path slots
+    (CubeMaps.path_slots) of every walk, offset by row, sums each graph
+    edge's crossings in edge_paths order. O(d 2^d) per walk with numpy.
     """
     k, m, n = len(walks), g.m, g.n
     cubes = {id(maps): maps for maps, _, _ in walks}
@@ -451,7 +422,7 @@ def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, in
         by_dimension.setdefault(maps.dimension, []).append(i)
     load_bins, load_weights, end_bins, end_weights = [], [], [], []
     for d, rows in by_dimension.items():
-        r, walk = len(rows), _walk_indices(d)
+        r = len(rows)
         owners = np.array([node_maps[i].owners for i in rows])
         # each node gets p(v) / #nodes of its owner v
         start = (np.take_along_axis(start_laws[rows], owners, axis=1)
@@ -460,14 +431,16 @@ def hypercube_loads(g: CapacitatedGraph, walks: Sequence[tuple[CubeMaps, int, in
         nodes = np.arange(1 << d)
         target = np.where((nodes >= lo[:, None]) & (nodes < hi[:, None]),
                           (1.0 / (hi - lo))[:, None], 0.0)
-        high = np.concatenate([start.reshape(r, -1, 1 << j).sum(axis=2) for j in range(d)],
-                              axis=1)
-        low = np.bincount((walk.low_bins + walk.low_size * np.arange(r)[:, None]).ravel(),
-                          np.tile(target, d).ravel(), minlength=r * walk.low_size)
-        low = low.reshape(r, walk.low_size)
-        out = (high[:, walk.high_at] * low[:, walk.low_at]).reshape(r, -1)
-        # [row, k * 2^d + y]: either direction of edge {y, y ^ 2^k}
-        crossing = out + out[:, walk.flip]
+        # per dimension j, [row, y]: either direction of edge {y, y ^ 2^j}
+        crossing = []
+        for j in range(d):
+            bit = 1 << j
+            high = start.reshape(r, -1, bit).sum(axis=2)
+            low = np.bincount(((nodes & (2 * bit - 1)) + 2 * bit * np.arange(r)[:, None]).ravel(),
+                              target.ravel(), minlength=2 * bit * r).reshape(r, 2 * bit)
+            out = high[:, nodes >> j] * low[:, (nodes & (bit - 1)) | (~nodes & bit)]
+            crossing.append(out + out[:, nodes ^ bit])
+        crossing = np.concatenate([np.empty((r, 0)), *crossing], axis=1)
         # every walk's slots in row order, each walk's in slot order
         sizes, at = [len(slots[i].cells) for i in rows], np.array(rows)
         load_bins.append(np.concatenate([slots[i].edge_ids for i in rows])

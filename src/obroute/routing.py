@@ -49,32 +49,32 @@ in one indexing step. The sums are array arithmetic that adds in the order
 of the plain dict loops, so every load is the same to the last bit (an edge
 a term does not touch adds an exact +0.0): the demand through each hop is
 one np.bincount per direction over the leaf paths, sentinel-filled past each
-leaf, the pairs sorted as arrays; the pass's loads are one bincount over
+leaf, the pairs sorted as arrays; a pass's loads are one bincount over
 graph edge ids offset by row, so each row adds its own terms in its own
-step's order (ReferenceBackend over the pass's pair tables, impl_b over the
-path slots built with the scheme, impl_a over the interior arcs of each
-distinct flow in stored order, then a row per step); and the edge loads are
-one np.add.reduce over axis 0 of demand times hop row, which on the
-C-ordered rows adds row after row, in sorted hop order, as the loop
+step's order (impl_b over the path slots built with the scheme, impl_a over
+the interior arcs of each distinct flow in stored order, then a row per
+step), or for ReferenceBackend its vertex rows added as below; and the edge
+loads are one np.add.reduce over axis 0 of demand times hop row, which on
+the C-ordered rows adds row after row, in sorted hop order, as the loop
 totals += d * row does.
 
-A cluster's pair table, built on its first step, holds every ordered pair
-(u, v), u != v, of its weighted vertices, u ascending, then v ascending, and
-the unit loads of each pair's PathGroup, concatenated; each unordered pair's
-loads are read once and placed at both of its ordered pairs. A step selects the
-pairs with p_u > 0 and q_v > 0 of its start and end laws: the pairs the loop
-over both supports visits, in the order it visits them, each term the same
-product p·q·x, so the bincount over them adds the same floats in the same
-order. A pass concatenates its steps' tables and selects the pairs of every
-step at once. A law with mass on a vertex the cluster does not weight raises.
+A reference step in cluster c walks between c's cluster law π and one
+border law β, so its loads Σ_u Σ_v p_u q_v x_uv (x_uv = x_vu, the unit loads
+of the pair's PathGroup) are β · R_c for a leave and a spread step alike, row
+v of c's vertex rows R_c being Σ_u π_u x_uv. A pass builds the vertex rows of
+the clusters it steps into first in one bincount, reading each unordered pair
+once and adding each row's terms over u ascending, then adds β_v R_v row
+after row, in vertex order, by one np.add.reduce per cluster. So a hop up a
+tree edge has the same row as the hop down it, to the last bit. A border law
+with mass on a vertex its cluster does not weight raises.
 
 The reference's stored paths are the certification flows decomposed: the
 first read of a source decomposes its flow once, by widest-path extraction
 (flows.decompose_by_sink), into one PathGroup per sink. A group holds the
 vertex paths and the cumulative sums of their probabilities, which draws
-search, and builds its per-unit load on each graph edge id when a pair
-table first reads it. Sampling and exact loads read the same paths, so a stored
-path that steps off the graph makes route_demands raise.
+search, and builds its per-unit load on each graph edge id when its
+cluster's vertex rows first read it. Sampling and exact loads read the same
+paths, so a stored path that steps off the graph makes route_demands raise.
 """
 from __future__ import annotations
 
@@ -143,26 +143,6 @@ def _extend(path: list[int], seg: list[int]) -> None:
     path.extend(seg[1:])
 
 
-def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges [first, first + count), concatenated in order."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts - firsts, counts)
-
-
-@dataclass(frozen=True)
-class _PairTable:
-    """Every ordered pair (u, v), u != v, of a cluster's weighted vertices
-    (the support of its cluster law), u ascending, then v ascending, and the
-    unit loads of each pair's PathGroup, concatenated in pair order."""
-
-    weighted: np.ndarray    # vertex -> whether the cluster weights it
-    sources: np.ndarray     # pair -> u
-    sinks: np.ndarray       # pair -> v
-    lengths: np.ndarray     # pair -> number of its unit-load entries
-    ids: np.ndarray         # graph edge ids of every pair's unit loads
-    units: np.ndarray       # the unit loads, aligned with ids
-
-
 class ReferenceBackend:
     """Hops drawn directly from the certification flow solutions."""
 
@@ -173,7 +153,8 @@ class ReferenceBackend:
         self.solutions = solutions
         # per (cluster, border), the support of tree.law and its cumulative sums
         self._draws: dict[tuple[int, bool], tuple[list[int], list[float]]] = {}
-        self._pairs: dict[int, _PairTable] = {}
+        # per cluster, its weighted vertices and their vertex rows
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _draw(self, cluster_id: int, border: bool, rng: np.random.Generator) -> int:
         """A vertex drawn from tree.law(cluster_id, border) by its cumulative sums."""
@@ -194,64 +175,36 @@ class ReferenceBackend:
         path = group.draw(rng.random())
         return path if u < v else path[::-1]
 
-    def _pair_table(self, cluster_id: int) -> _PairTable:
-        """The cluster's _PairTable, built on its first step. Each unordered
-        pair's unit loads are read once, u < v in pair order, into both cells
-        (u, v) and (v, u) of a table read row by row."""
-        if cluster_id not in self._pairs:
+    def _build_vertex_rows(self, clusters: Sequence[int]) -> None:
+        """Stores, per cluster, its weighted vertices, ascending, and its
+        vertex rows, row v holding Σ_u π_u x_uv over u ascending. One bincount
+        for all the clusters adds the terms of each row v from the pairs
+        (u, v), u < v, then those from the pairs (v, u), in pair order."""
+        g, units, pairs, weights, built = self.graph, [], [], [], []
+        for cluster_id in clusters:
             law = self.tree.law(cluster_id)
             vertices = law.nonzero()[0]
-            groups, g = self.solutions[cluster_id].path_groups, self.graph
-            vs, k = vertices.tolist(), len(vertices)
-            cells: list[list] = [[None] * k for _ in range(k)]    # None on the diagonal
-            for i in range(k - 1):
-                row = groups(vs[i])
-                for j in range(i + 1, k):
-                    try:
-                        cells[i][j] = cells[j][i] = row[vs[j]].unit_loads(g)
-                    except RuntimeError as exc:
-                        raise RuntimeError(f"cluster {cluster_id}: {exc}") from None
-            pairs = [cell for cells_i in cells for cell in cells_i if cell is not None]
-            starts, ends = np.nonzero(~np.eye(k, dtype=bool))
-            self._pairs[cluster_id] = _PairTable(
-                law > 0, vertices[starts], vertices[ends],
-                np.array([len(e) for e, _ in pairs], dtype=np.intp),
-                np.concatenate([np.empty(0, np.intp), *(e for e, _ in pairs)]),
-                np.concatenate([np.empty(0), *(x for _, x in pairs)]))
-        return self._pairs[cluster_id]
-
-    def _between_loads(self, clusters: list[int], starts: np.ndarray,
-                       ends: np.ndarray) -> np.ndarray:
-        """Row i: expected loads of a stored path of cluster clusters[i]
-        between independent draws from starts[i] and ends[i], the sum of
-        p·q·x over the cluster's pair table: the pairs with p_u > 0 and
-        q_v > 0 in pair order, x the unit loads of the pair's PathGroup. The
-        steps' tables are concatenated, and one bincount, offset by row, adds
-        every selected entry. Raises if a law has mass off its cluster's
-        table."""
-        k, m = len(clusters), self.graph.m
-        if not k:
-            return np.zeros((0, m))
-        tables = [self._pair_table(c) for c in clusters]
-        weighted = np.array([t.weighted for t in tables])
-        # [step, start or end, vertex], the first in step order, then start first
-        stray = np.argwhere((np.stack([starts, ends], axis=1) != 0) & ~weighted[:, None])
-        if stray.size:
-            i, _, v = stray[0]
-            raise RuntimeError(f"cluster {clusters[i]}: a law puts mass on vertex {v}, "
-                               "which is not a weighted vertex of the cluster")
-        # every step's table, concatenated in step order
-        sources, sinks, lengths, ids, units = (
-            np.concatenate([getattr(t, name) for t in tables])
-            for name in ("sources", "sinks", "lengths", "ids", "units"))
-        rows = np.repeat(np.arange(k), [len(t.sources) for t in tables])
-        p, q = starts[rows, sources], ends[rows, sinks]
-        keep = np.flatnonzero((p > 0) & (q > 0))
-        entries = _ranges((np.cumsum(lengths) - lengths)[keep], lengths[keep])
-        weights = np.repeat((p * q)[keep], lengths[keep]) * units[entries]
-        bins = ids[entries] + np.repeat(rows[keep] * m, lengths[keep])
-        # astype: a bincount of nothing (no pair kept) is an int array
-        return np.bincount(bins, weights, minlength=k * m).astype(float, copy=False).reshape(k, m)
+            groups, vs, base = self.solutions[cluster_id].path_groups, vertices.tolist(), len(weights)
+            try:
+                for i in range(len(vs) - 1):
+                    row = groups(vs[i])
+                    units.extend(row[v].unit_loads(g) for v in vs[i + 1:])
+                    pairs.extend((base + i, base + j) for j in range(i + 1, len(vs)))
+            except RuntimeError as exc:
+                raise RuntimeError(f"cluster {cluster_id}: {exc}") from None
+            weights.extend(law[vertices].tolist())     # row -> π of its vertex
+            built.append((cluster_id, vertices, base))
+        # each pair's rows (u, v) over all the clusters' rows, and its unit loads
+        lower, upper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        lengths = np.tile(np.fromiter((len(ids) for ids, _ in units), np.intp, len(units)), 2)
+        ids = np.concatenate([np.empty(0, np.intp), *(ids for ids, _ in units)])
+        x = np.concatenate([np.empty(0), *(x for _, x in units)])
+        bins = np.repeat(np.concatenate([upper, lower]) * g.m, lengths) + np.tile(ids, 2)
+        terms = np.repeat(np.array(weights)[np.concatenate([lower, upper])], lengths) * np.tile(x, 2)
+        # astype: a bincount of nothing is an int array
+        rows = np.bincount(bins, terms, minlength=len(weights) * g.m).astype(float, copy=False)
+        for cluster_id, vertices, base in built:
+            self._rows[cluster_id] = vertices, rows.reshape(-1, g.m)[base:base + len(vertices)]
 
     def sample(self, step: Step, v: int,
                rng: np.random.Generator) -> tuple[list[int], int]:
@@ -259,8 +212,29 @@ class ReferenceBackend:
         return self._path_between(step[1], v, end, rng), end
 
     def loads(self, steps: Sequence[Step]) -> tuple[np.ndarray, np.ndarray]:
-        starts, ends = (pass_laws(self.tree, steps, end) for end in (False, True))
-        return self._between_loads([step[1] for step in steps], starts, ends), ends
+        """Row i: β · R for β the border law of steps[i]'s target and R its
+        cluster's vertex rows, each distinct target's row computed once."""
+        tree = self.tree
+        # each distinct (cluster, target) of the pass, numbered in order of first use
+        targets = {key: i for i, key in enumerate(dict.fromkeys((c, k) for _, c, k in steps))}
+        by_cluster: dict[int, list[int]] = {}
+        for (cluster_id, _), i in targets.items():
+            by_cluster.setdefault(cluster_id, []).append(i)
+        self._build_vertex_rows([c for c in by_cluster if c not in self._rows])
+        # a leave step of each target walks from its cluster law to its border law
+        owns, borders = (pass_laws(tree, [(False, c, k) for c, k in targets], end)
+                         for end in (False, True))
+        stray = np.argwhere((borders != 0) & (owns == 0))
+        if stray.size:
+            i, v = stray[0]
+            raise RuntimeError(f"cluster {list(targets)[i][0]}: a law puts mass on vertex "
+                               f"{v}, which is not a weighted vertex of the cluster")
+        rows = np.empty((len(targets), self.graph.m))
+        for cluster_id, at in by_cluster.items():
+            vertices, vertex_rows = self._rows[cluster_id]
+            rows[at] = np.add.reduce(borders[at][:, vertices, None] * vertex_rows, axis=1)
+        at = np.fromiter((targets[c, k] for _, c, k in steps), np.intp, len(steps))
+        return rows[at], pass_laws(tree, steps, end=True)
 
 
 # ---------------------------------------------------------------------------

@@ -324,21 +324,55 @@ def _normalized(weights: dict[int, int]) -> dict:
     return {v: w / total for v, w in sorted(weights.items()) if w > 0}
 
 
-def _dict_reference(backend: ReferenceBackend, cluster_id: int, start: dict,
-                    end: dict) -> dict:
+def _pair_loads(backend: ReferenceBackend, cluster_id: int, u: int, v: int) -> dict:
+    """One draw from the pair's path group, by edge: each edge's probability
+    summed over its paths in stored order."""
+    group = backend.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
+    loads: dict = {}
+    for path, w in zip(group.paths, group.probs):
+        for a, b in zip(path, path[1:]):
+            edge = (a, b) if a < b else (b, a)
+            loads[edge] = loads.get(edge, 0.0) + float(w)
+    return loads
+
+
+def _laws(tree, step: tuple[bool, int, int]) -> tuple[dict, dict]:
+    """The two laws a step walks between: its cluster law, and the border
+    law of its target."""
+    _, cluster_id, index = step
+    return (_normalized(tree.cluster(cluster_id).cluster_weight),
+            _normalized(tree.target(cluster_id, index).border_weight))
+
+
+def _dict_reference(backend: ReferenceBackend, cluster_id: int, own: dict,
+                    border: dict) -> dict:
+    """The reference kernel's sums, leave and spread steps alike: each
+    vertex v's row, pi_u x_uv added over u ascending, then beta_v times row
+    v added over v ascending, pi the cluster law and beta the border law."""
+    rows: dict = {v: {} for v in own}
+    for u, p in own.items():
+        for v, row in rows.items():
+            if u != v:
+                for edge, x in _pair_loads(backend, cluster_id, u, v).items():
+                    row[edge] = row.get(edge, 0.0) + p * x
+    loads: dict = {}
+    for v, q in border.items():
+        for edge, x in rows[v].items():
+            loads[edge] = loads.get(edge, 0.0) + q * x
+    return loads
+
+
+def reference_pair_products(backend: ReferenceBackend, step: tuple[bool, int, int]) -> dict:
+    """A reference step's loads as the sum over its start law p and end law
+    q of p_u q_v x_uv, pair by pair: the kernel's terms in another order."""
+    own, border = _laws(backend.tree, step)
+    start, end = (border, own) if step[0] else (own, border)
     loads: dict = {}
     for u, p in start.items():
         for v, q in end.items():
-            if u == v:
-                continue
-            group = backend.solutions[cluster_id].path_groups(min(u, v))[max(u, v)]
-            pair: dict = {}
-            for path, w in zip(group.paths, group.probs):
-                for a, b in zip(path, path[1:]):
-                    edge = (a, b) if a < b else (b, a)
-                    pair[edge] = pair.get(edge, 0.0) + float(w)
-            for edge, x in pair.items():
-                loads[edge] = loads.get(edge, 0.0) + p * q * x
+            if u != v:
+                for edge, x in _pair_loads(backend, step[1], u, v).items():
+                    loads[edge] = loads.get(edge, 0.0) + p * q * x
     return loads
 
 
@@ -384,18 +418,15 @@ def _dict_kernel(backend, step: tuple[bool, int, int]) -> dict:
     """One step's loads by edge, its walk started on its own law: a leave
     step on its cluster law, toward the border law of its target, and a
     spread step on that border law, toward its cluster law."""
-    tree = backend.tree
     spread, cluster_id, index = step
-    own = _normalized(tree.cluster(cluster_id).cluster_weight)
-    border = _normalized(tree.target(cluster_id, index).border_weight)
-    start, end = (border, own) if spread else (own, border)
+    own, border = _laws(backend.tree, step)
     if isinstance(backend, ReferenceBackend):
-        return _dict_reference(backend, cluster_id, start, end)
+        return _dict_reference(backend, cluster_id, own, border)
     if isinstance(backend, FlowTables):
         return _dict_flow_walk(backend, cluster_id, index)
     if isinstance(backend, CubeScheme):
         maps, lo, hi = backend._cube(step)
-        return _dict_cube_walk(maps, start, lo, hi)
+        return _dict_cube_walk(maps, border if spread else own, lo, hi)
     raise TypeError(f"no dict kernel for {type(backend).__name__}")
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (connected_graphs, cycle_graph, dict_hop_loads, dict_route_demands,
-                     dict_through, flow_sweep, path_graph, sampled_loads, single_edge,
-                     tree_from_spec)
+                     dict_through, flow_sweep, path_graph, reference_pair_products,
+                     sampled_loads, single_edge, tree_from_spec)
 from obroute import routing
 from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import SCHEMES, _build_backend, demand_battery, graph_from_config
@@ -237,8 +237,9 @@ _ORACLE_CASES = {
     "torus-6x6-gravity": (lambda: generate_graph("torus", rows=6, cols=6), "gravity", 0),
     "random-regular-32-3-permutation": (
         lambda: generate_graph("random_regular", n=32, deg=3, seed=0), "permutation", 0),
-    # perfbench's lp-10x10 instance: its 24 pairs cross only some hops, and
-    # each step selects only part of its cluster's reference pair table
+    # perfbench's lp-10x10 instance: its 24 pairs cross only some hops, so a
+    # pass builds the reference's vertex rows of only some clusters, and
+    # reads only some targets of each
     "grid-10x10-uniform-pairs": (lambda: grid_graph(10, 10), "uniform_pairs:24", 0),
 }
 
@@ -435,25 +436,58 @@ def test_hop_loads_catch_an_edited_sink_arc(four_cycle, hop, flow, match):
         routing.hop_loads(tree, tables, [hop])
 
 
-def test_reference_pair_table_is_the_ordered_loop():
-    # every ordered pair (u, v), u != v, of each cluster's weighted vertices,
-    # u then v ascending, with the unit loads of the pair's path group
+def test_reference_vertex_rows_are_the_ordered_loop():
+    # row v of each cluster's vertex rows is pi_u times the unit loads of
+    # the pair's path group, added over u ascending, every cluster's rows
+    # built in one call
     g = grid_graph(4, 4)
     tree = build_tree(g, target_arity=2, seed=0)
     cert = certify_congestion(g, tree, store_solutions=True)
     backend = ReferenceBackend(g, tree, cert.solutions)
-    for cluster in tree.clusters:
-        if cluster.size == 1:
-            continue
-        table = backend._pair_table(cluster.id)
-        groups = cert.solutions[cluster.id].path_groups
-        vertices = tree.law(cluster.id).nonzero()[0].tolist()
-        pairs = [(u, v) for u in vertices for v in vertices if u != v]
-        units = [groups(min(u, v))[max(u, v)].unit_loads(g) for u, v in pairs]
-        assert list(zip(table.sources.tolist(), table.sinks.tolist())) == pairs
-        assert table.lengths.tolist() == [len(ids) for ids, _ in units]
-        assert table.ids.tolist() == [e for ids, _ in units for e in ids.tolist()]
-        assert table.units.tolist() == [x for _, xs in units for x in xs.tolist()]
+    clusters = [cluster.id for cluster in tree.clusters if cluster.size > 1]
+    backend._build_vertex_rows(clusters)
+    for cluster_id in clusters:
+        law = tree.law(cluster_id)
+        groups = cert.solutions[cluster_id].path_groups
+        vertices = law.nonzero()[0].tolist()
+        expect = np.zeros((len(vertices), g.m))
+        for u in vertices:
+            for row, v in zip(expect, vertices):
+                if u != v:
+                    ids, units = groups(min(u, v))[max(u, v)].unit_loads(g)
+                    for e, x in zip(ids.tolist(), units.tolist()):
+                        row[e] += law[u] * x
+        got, rows = backend._rows[cluster_id]
+        assert got.tolist() == vertices, cluster_id
+        assert np.array_equal(rows, expect), cluster_id
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_reference_hop_rows_equal_the_pair_products(case):
+    # the reference kernel re-associates the pair-by-pair sum of
+    # p_u q_v x_uv: every hop row agrees with it up to rounding, on the same
+    # edges. A leave step and a spread step walk between the same two laws,
+    # so they give the same row, and each hop up a tree edge the same row as
+    # the hop down it, to the last bit
+    make, _, seed = _ORACLE_CASES[case]
+    g = make()
+    tree = build_tree(g, target_arity=2, seed=seed)
+    backend = ReferenceBackend(g, tree, certify_congestion(g, tree, store_solutions=True).solutions)
+    children = [c.id for c in tree.clusters if c.parent is not None]
+    up, down = (routing.hop_loads(tree, backend, [(downward, c) for c in children])
+                for downward in (False, True))
+    assert np.array_equal(up, down)
+    for child, row in zip(children, up):
+        expect = np.zeros(g.m)
+        for step in routing._steps(tree, (False, child)):
+            _, cluster_id, index = step
+            leave, spread = (backend.loads([(flag, cluster_id, index)])[0]
+                             for flag in (False, True))
+            assert np.array_equal(leave, spread), step
+            for edge, x in reference_pair_products(backend, step).items():
+                expect[g.edge_index(*edge)] += x
+        assert np.array_equal(row != 0, expect != 0), child
+        assert np.allclose(row, expect, rtol=1e-12, atol=0.0), child
 
 
 class _Corrupted:
@@ -573,14 +607,16 @@ def test_stored_path_off_the_graph_raises():
 
 
 def test_reference_rejects_a_law_off_the_cluster():
-    # half the start law's mass on a vertex the cluster does not weight: the
-    # kernel names the cluster and the vertex rather than drop that half
+    # a child's border law with mass on a vertex its parent does not weight:
+    # the kernel names the cluster and the vertex rather than drop that mass.
+    # The tree builds its law matrix on its first read, after the edit
     g = grid_graph(4, 4)
     tree = build_tree(g, target_arity=2, seed=0)
     backend = ReferenceBackend(g, tree, certify_congestion(g, tree, store_solutions=True).solutions)
     cid = tree.leaf_path(0)[1]
-    outside = next(v for v in range(g.n) if v not in tree.cluster(cid).vertices)
-    law = 0.5 * tree.law(cid)
-    law[outside] = 0.5
-    with pytest.raises(RuntimeError, match=f"^cluster {cid}: .* vertex {outside},"):
-        backend._between_loads([cid], law[None], tree.law(cid, True)[None])
+    child = tree.cluster(tree.cluster(cid).children[0])
+    outside = next(v for v, w in sorted(child.border_weight.items()) if w > 0)
+    tree.cluster(cid).cluster_weight[outside] = 0
+    for spread in (False, True):
+        with pytest.raises(RuntimeError, match=f"^cluster {cid}: .* vertex {outside},"):
+            backend.loads([(spread, cid, 1)])

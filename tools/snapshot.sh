@@ -16,7 +16,9 @@
 #                     hops-sha256.txt: per scheme, a sha256 over the repr
 #                     of every field of its hops.npz, the per-hop loads at
 #                     full precision ("no hops.npz" for a checkout that
-#                     writes none);
+#                     writes none), and the file itself as <scheme>-hops.npz,
+#                     which tools/compare_hops.py reads to show how far two
+#                     snapshots' hop rows and congestion differ;
 #                     oracle.txt: the repr of optimal_congestion's c_opt on
 #                     the run's graph and battery, and its master-LP count;
 #                     route-8x8-grav/report-stdout.txt also holds the stdout
@@ -70,6 +72,9 @@ route() {
         grep -v '"timestamp"' "$work/$name/$scheme/report.json" > "$out/$name/$scheme-report.json"
         cp "$work/$name/$scheme/loads.csv" "$out/$name/$scheme-loads.csv"
         cp "$work/$name/$scheme/tables.csv" "$out/$name/$scheme-tables.csv"
+        if [ -f "$work/$name/$scheme/hops.npz" ]; then
+            cp "$work/$name/$scheme/hops.npz" "$out/$name/$scheme-hops.npz"
+        fi
     done
     cp "$work/$name.stdout" "$out/$name/stdout.txt"
     "$py" - "$work/$name" > "$out/$name/hops-sha256.txt" <<'EOF'
