@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from obroute.cmcf import CMCFSolution, solve_cmcf_batch
+from obroute.cmcf import CMCFSolution, solve_cmcf_min_congestion
 from obroute.graph import CapacitatedGraph, DemandMatrix
 
 __all__ = ["Cluster", "DecompositionTree", "CongestionCertificate",
@@ -365,18 +365,18 @@ def certify_congestion(g: CapacitatedGraph, tree: DecompositionTree,
                        store_solutions: bool = False) -> CongestionCertificate:
     """Solve every cluster's product-demand instance and record the worst congestion.
 
-    Each non-singleton cluster costs one LP, unless it induces a tree, whose
-    routing is forced and built without one. Symmetric pairs are solved once
-    (u < v at doubled demand); reversing those flows restores the other
-    direction with identical undirected loads, so the congestion value is
-    exact for the full instance. The clusters' instances are independent and
-    are solved concurrently on the usable CPUs (`solve_cmcf_batch`); the
-    certificate does not depend on that.
+    Each non-singleton cluster is one solve_cmcf_min_congestion call, made
+    serially: column generation over shortest-path trees, or no LP for a
+    cluster that induces a tree, whose routing is forced. Symmetric pairs are
+    solved once (u < v at doubled demand); reversing those paths restores the
+    other direction with identical undirected loads, so the congestion value
+    is exact for the full instance.
     """
-    solved = [c for c in tree.clusters if c.size > 1 and c.total_weight > 0]
-    instances = [({(u, v): 2.0 * d for (u, v), d in cmcf_instance(c).entries.items() if u < v},
-                  set(c.vertices)) for c in solved]
-    solutions = {c.id: sol for c, sol in zip(solved, solve_cmcf_batch(g, instances))}
+    solutions = {}
+    for c in tree.clusters:
+        if c.size > 1 and c.total_weight > 0:
+            half = {(u, v): 2.0 * d for (u, v), d in cmcf_instance(c).entries.items() if u < v}
+            solutions[c.id] = solve_cmcf_min_congestion(g, half, set(c.vertices))
     per_cluster = {c.id: solutions[c.id].congestion if c.id in solutions else 0.0
                    for c in tree.clusters}
     value = max(per_cluster.values(), default=0.0)

@@ -1,5 +1,7 @@
-"""Single-commodity flow machinery: integral max flow, cycle cancellation,
-random-walk path sampling, and flow-path decomposition.
+"""Single-commodity flow machinery: integral max flow, cycle cancellation
+and random-walk path sampling; and the paths of a source's weighted
+shortest-path trees, grouped by sink, which multicommodity solutions
+(obroute.cmcf) draw from.
 
 Flows live on directed arcs between integer vertex ids; the virtual
 super-terminals SRC and SNK are ordinary ids as far as arc bookkeeping goes
@@ -7,7 +9,6 @@ but never appear in returned paths.
 """
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -18,11 +19,10 @@ import numpy as np
 SRC = -1
 SNK = -2
 
-_DECOMPOSE_REL_TOL = 1e-9   # decompose_paths drops residual below this share of the value
 _CANCEL_EPS = 1e-12         # cancel_cycles drops arcs with at most this much flow
 
 __all__ = ["SRC", "SNK", "FlowAssignment", "max_flow_integral", "cancel_cycles",
-           "sample_path", "decompose_paths", "decompose_by_sink"]
+           "sample_path", "decompose_by_sink"]
 
 
 @dataclass
@@ -253,76 +253,35 @@ def sample_path(fa: FlowAssignment, start: int, direction: str,
         cur = pick
 
 
-def _widest_path(out: list[list[tuple[int, int]]], left: list[float], tails: list[int],
-                 s: int, t: int) -> tuple[list[int], float] | None:
-    """Arcs of a path from s to t whose narrowest arc is widest (Dijkstra on
-    bottleneck width over local vertex indices), and that width; ties go to
-    the vertex reached first, as heap order decides. out[v] lists (head, arc)
-    per arc leaving v, left[arc] is its residual flow and tails[arc] its tail."""
-    pop, push = heapq.heappop, heapq.heappush
-    best = [0.0] * len(out)           # 0.0: not reached
-    best[s] = float("inf")
-    prev = [0] * len(out)             # arc that reached each vertex
-    heap = [(-float("inf"), s)]
-    while heap:
-        negw, v = pop(heap)
-        width = -negw
-        if width < best[v]:
-            continue
-        if v == t:
-            break
-        for u, k in out[v]:
-            f = left[k]
-            w = f if f < width else width
-            if w > best[u]:
-                best[u] = w
-                prev[u] = k
-                push(heap, (-w, u))
-    width = best[t]               # the least residual along the path to t
-    if width == 0.0:
-        return None
-    arcs = []
-    while t != s:
-        arcs.append(prev[t])
-        t = tails[prev[t]]
-    return arcs[::-1], width
+def decompose_by_sink(preds: np.ndarray, weights: np.ndarray, sinks: np.ndarray,
+                      names: np.ndarray) -> dict[int, list[tuple[list[int], float]]]:
+    """The paths of one source's weighted trees, grouped by sink.
 
-
-def decompose_paths(fa: FlowAssignment) -> list[tuple[list[int], float]]:
-    """Decompose into weighted source-to-sink paths by repeated widest-path extraction.
-
-    Each extraction zeroes at least one arc, so at most |arcs| paths result.
-    Returned paths exclude the terminals. Residual below _DECOMPOSE_REL_TOL *
-    value is dropped. Vertices are indexed in sorted id order, so heap ties
-    break as they would on the ids.
+    preds holds one predecessor row per tree over local vertex ids (negative
+    at the root), weights the trees' weights, sinks the local ids to group,
+    and names maps a local id to the vertex id paths are written in. Per
+    sink, in `sinks` order, each tree's path from the root to the sink, in
+    tree order, identical paths merged into one entry whose weight is their
+    trees' weights summed in tree order. All sinks climb all trees at once.
     """
-    if not fa.is_acyclic():
-        raise ValueError("decompose_paths requires an acyclic flow")
-    ids = sorted({v for arc in fa.arcs for v in arc} | {fa.source, fa.sink})
-    index = {v: i for i, v in enumerate(ids)}
-    out: list[list[tuple[int, int]]] = [[] for _ in ids]
-    tails = [index[a] for a, _ in fa.arcs]
-    heads = [b for _, b in fa.arcs]
-    left = [float(f) for f in fa.arcs.values()]   # LP flows arrive as np.float64
-    for k, b in enumerate(heads):
-        out[tails[k]].append((index[b], k))
-    cutoff = max(_DECOMPOSE_REL_TOL * max(fa.value, 1.0), 1e-15)
-    paths: list[tuple[list[int], float]] = []
-    while True:
-        found = _widest_path(out, left, tails, index[fa.source], index[fa.sink])
-        if found is None or found[1] <= cutoff:
-            break
-        arcs, width = found
-        for k in arcs:
-            rest = left[k] - width
-            left[k] = 0.0 if rest <= cutoff else rest   # 0.0 never relaxes
-        paths.append(([heads[k] for k in arcs[:-1]], width))
-    return paths
-
-
-def decompose_by_sink(fa: FlowAssignment) -> dict[int, list[tuple[list[int], float]]]:
-    """Group the path decomposition by the final graph vertex of each path."""
+    k = len(preds)
+    rows, cur = np.tile(np.arange(k), len(sinks)), np.repeat(sinks, k)
+    levels = []                       # column j: sink j // k climbing tree j % k
+    while (cur >= 0).any():
+        levels.append(cur)
+        up = preds[rows, np.maximum(cur, 0)]
+        cur = np.where((cur >= 0) & (up >= 0), up, -1)
+    walks = np.array(levels).T        # each row: sink, ..., root, then -1 padding
+    weight = weights.tolist()
     groups: dict[int, list[tuple[list[int], float]]] = {}
-    for path, w in decompose_paths(fa):
-        groups.setdefault(path[-1], []).append((path, w))
+    for j, (walk, hops) in enumerate(zip(names[walks].tolist(),
+                                         (walks >= 0).sum(axis=1).tolist())):
+        path = walk[hops - 1::-1]
+        entries = groups.setdefault(path[-1], [])
+        for i, (other, w) in enumerate(entries):
+            if other == path:
+                entries[i] = (other, w + weight[j % k])
+                break
+        else:
+            entries.append((path, weight[j % k]))
     return groups

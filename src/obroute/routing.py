@@ -68,11 +68,12 @@ after row, in vertex order, by one np.add.reduce per cluster. So a hop up a
 tree edge has the same row as the hop down it, to the last bit. A border law
 with mass on a vertex its cluster does not weight raises.
 
-The reference's stored paths are the certification flows decomposed: the
-first read of a source decomposes its flow once, by widest-path extraction
-(flows.decompose_by_sink), into one PathGroup per sink. A group holds the
-vertex paths and the cumulative sums of their probabilities, which draws
-search, and builds its per-unit load on each graph edge id when its
+The reference's stored paths are read off the certification solutions:
+each source's demand rides a weighted mixture of shortest-path trees, and
+the first read of a source turns its trees once (flows.decompose_by_sink)
+into one PathGroup per sink, the tree paths to it in tree order, identical
+ones merged. A group holds the vertex paths and the cumulative sums of
+their probabilities, which draws search, and builds its per-unit load on each graph edge id when its
 cluster's vertex rows first read it. Sampling and exact loads read the same
 paths, so a stored path that steps off the graph makes route_demands raise.
 """

@@ -1,17 +1,17 @@
 """Shared tiny-instance builders and independent oracles used across test modules."""
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from itertools import accumulate, combinations
 
 import numpy as np
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from obroute import routing
 from obroute.decomposition import DecompositionTree, _assemble
-from obroute.flows import _DECOMPOSE_REL_TOL, SNK, SRC, FlowAssignment
+from obroute.flows import SNK, SRC, FlowAssignment
 from obroute.graph import CapacitatedGraph, DemandMatrix
 from obroute.impl_a import FlowTables
 from obroute.impl_b import CubeScheme
@@ -177,6 +177,70 @@ def brute_force_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict) ->
     return float(res.x[-1])
 
 
+def arc_lp_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
+                      restrict: set[int]) -> float:
+    """Minimum congestion of `demands` inside G[restrict] by one LP over arc
+    flows, commodities aggregated by source: per source and vertex, flow
+    out minus flow in is the supply, and per edge both directions of every
+    source's flow sum to at most lambda times the capacity."""
+    entries = g.check_demands(demands).entries
+    if not entries:
+        return 0.0
+    verts = sorted(restrict)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [g.edges[i] for i in g.edges_inside(set(verts))]
+    row = {s: r for r, s in enumerate(sorted({s for s, _ in entries}))}
+    m, nv, k = len(edges), len(verts), len(row)
+    tail = np.array([index[u] for u, _, _ in edges] + [index[v] for _, v, _ in edges])
+    head = np.roll(tail, m)
+    arc = np.arange(2 * m)
+    lam = 2 * m * k
+    supply = np.zeros((k, nv))
+    for (s, t), d in entries.items():
+        supply[row[s], index[s]] += d
+        supply[row[s], index[t]] -= d
+    blocks = np.arange(k)[:, None]
+    a_eq = sp.csr_matrix(
+        (np.concatenate([np.ones(2 * m * k), -np.ones(2 * m * k)]),
+         (np.concatenate([(blocks * nv + tail).ravel(), (blocks * nv + head).ravel()]),
+          np.tile((blocks * 2 * m + arc).ravel(), 2))),
+        shape=(k * nv, lam + 1))
+    a_ub = sp.csr_matrix(
+        (np.concatenate([np.ones(2 * m * k), -np.array([c for _, _, c in edges], float)]),
+         (np.concatenate([np.tile(arc % m, k), np.arange(m)]),
+          np.concatenate([np.arange(2 * m * k), np.full(m, lam)]))),
+        shape=(m, lam + 1))
+    cost = np.zeros(lam + 1)
+    cost[lam] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=supply.ravel(),
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"arc LP failed: {res.message}")
+    return float(res.fun)
+
+
+def assert_groups_route(g: CapacitatedGraph, sol, demands: dict,
+                        restrict: set[int]) -> None:
+    """Every demand pair of sol has a PathGroup whose probabilities sum to 1
+    and whose paths are simple paths from its source to its sink over edges
+    of G[restrict]; and each edge's load in sol is the sum over pairs of the
+    demand times that pair's expected load of one draw."""
+    loads: dict[tuple[int, int], float] = {}
+    for (s, t), d in demands.items():
+        group = sol.path_groups(s)[t]
+        assert abs(sum(group.probs) - 1.0) <= 1e-12
+        for path in group.paths:
+            assert path[0] == s and path[-1] == t and len(set(path)) == len(path)
+            assert set(path) <= restrict
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        for e, x in zip(*group.unit_loads(g)):
+            u, v, _ = g.edges[e]
+            loads[(u, v)] = loads.get((u, v), 0.0) + d * x
+    assert set(sol.edge_loads) == set(loads)
+    for edge, load in loads.items():
+        assert abs(sol.edge_loads[edge] - load) <= 1e-9 * max(1.0, load)
+
+
 def path_edge_loads(g: CapacitatedGraph, weighted_paths: list[tuple[list[int], float]]) -> dict[int, float]:
     loads: dict[int, float] = {}
     for path, w in weighted_paths:
@@ -226,59 +290,25 @@ def sampled_loads(g: CapacitatedGraph, tree, backend, demands: DemandMatrix | di
 
 
 # ---------------------------------------------------------------------------
-# flow decomposition on dicts: the oracle of the decomposition tables
+# tree paths on dicts: the oracle of the path-group tables
 # ---------------------------------------------------------------------------
 
-def _dict_widest_path(adj: dict[int, dict[int, float]], s: int, t: int) -> list[int] | None:
-    """Path from s to t whose narrowest arc is widest (Dijkstra on bottleneck
-    width over vertex ids); ties go to the vertex reached first, as heap order
-    decides."""
-    best: dict[int, float] = {s: float("inf")}
-    prev: dict[int, int] = {}
-    heap = [(-float("inf"), s)]
-    while heap:
-        negw, v = heapq.heappop(heap)
-        width = -negw
-        if width < best[v]:
-            continue
-        if v == t:
-            break
-        for u, f in adj.get(v, {}).items():
-            w = min(f, width)
-            if w > best.get(u, 0.0):
-                best[u] = w
-                prev[u] = v
-                heapq.heappush(heap, (-w, u))
-    if t not in best:
-        return None
-    path = [t]
-    while path[-1] != s:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
-def dict_decompose_by_sink(fa: FlowAssignment) -> dict[int, list[tuple[list[int], float]]]:
-    """Repeated widest-path extraction on a dict of residual arcs, each path
-    without its terminals, grouped by its last vertex in extraction order."""
-    adj: dict[int, dict[int, float]] = {}
-    for (a, b), f in fa.arcs.items():
-        adj.setdefault(a, {})[b] = f
-    cutoff = max(_DECOMPOSE_REL_TOL * max(fa.value, 1.0), 1e-15)
+def dict_tree_groups(preds: np.ndarray, weights: np.ndarray, sinks: np.ndarray,
+                     names: np.ndarray) -> dict[int, list[tuple[list[int], float]]]:
+    """flows.decompose_by_sink one tree at a time: per sink, each tree's path
+    climbed predecessor by predecessor from the sink to the root, reversed
+    and renamed, identical paths merged with their weights added in tree
+    order."""
     groups: dict[int, list[tuple[list[int], float]]] = {}
-    while True:
-        path = _dict_widest_path(adj, fa.source, fa.sink)
-        if path is None:
-            break
-        width = min(adj[a][b] for a, b in zip(path, path[1:]))
-        if width <= cutoff:
-            break
-        for a, b in zip(path, path[1:]):
-            left = adj[a][b] - width
-            if left <= cutoff:
-                del adj[a][b]
-            else:
-                adj[a][b] = left
-        groups.setdefault(path[-2], []).append((path[1:-1], width))
+    for t in sinks.tolist():
+        merged: dict[tuple[int, ...], float] = {}
+        for pred, w in zip(preds.tolist(), weights.tolist()):
+            path = [t]
+            while pred[path[-1]] >= 0:
+                path.append(pred[path[-1]])
+            key = tuple(int(names[v]) for v in reversed(path))
+            merged[key] = merged.get(key, 0.0) + w
+        groups[int(names[t])] = [(list(path), w) for path, w in merged.items()]
     return groups
 
 

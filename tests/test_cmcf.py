@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import sys
-import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,41 +10,42 @@ from hypothesis import strategies as st
 from obroute import cmcf
 from obroute.cmcf import CMCFSolution, PathGroup, round_paths, solve_cmcf_min_congestion
 from obroute.decomposition import build_tree, certify_congestion, cmcf_instance
-from obroute.flows import SNK, SRC, cancel_cycles, decompose_by_sink, max_flow_integral
-from obroute.graph import CapacitatedGraph, DemandMatrix, generate_graph, grid_graph
+from obroute.flows import decompose_by_sink
+from obroute.graph import CapacitatedGraph, generate_graph, grid_graph
 from obroute.impl_b import build_cube_scheme
 from obroute.optimum import optimal_congestion
 from helpers import (
     all_simple_paths,
+    arc_lp_congestion,
+    assert_groups_route,
     connected_graphs,
     cycle_graph,
     diamond,
-    dict_decompose_by_sink,
     dict_path_group,
+    dict_tree_groups,
     dict_unit_loads,
-    path_graph,
     single_edge,
 )
 
 
 def test_single_edge_both_directions():
     # demand 0.5 each way shares one unit edge: congestion exactly 1
-    sol = solve_cmcf_min_congestion(single_edge(), {(0, 1): 0.5, (1, 0): 0.5}, {0, 1})
+    demands = {(0, 1): 0.5, (1, 0): 0.5}
+    sol = solve_cmcf_min_congestion(single_edge(), demands, {0, 1})
     assert sol.congestion == pytest.approx(1.0, abs=1e-9)
-    assert all(fa.conservation_violations(tol=1e-9) == {} for fa in sol.source_flows.values())
+    assert_groups_route(single_edge(), sol, demands, {0, 1})
 
 
 def test_cycle_both_directions():
     # 0.5 each way between neighbours of a unit 4-cycle: a quarter of each
     # direction takes the 3-hop detour, so every edge carries 0.5
     g = cycle_graph(4)
-    sol = solve_cmcf_min_congestion(g, {(0, 1): 0.5, (1, 0): 0.5}, set(range(g.n)))
+    demands = {(0, 1): 0.5, (1, 0): 0.5}
+    sol = solve_cmcf_min_congestion(g, demands, set(range(g.n)))
     assert sol.congestion == pytest.approx(0.5, abs=1e-9)
     for u, v, _ in g.edges:
         assert sol.edge_loads[(min(u, v), max(u, v))] == pytest.approx(0.5, abs=1e-9)
-    for fa in sol.source_flows.values():
-        assert fa.is_acyclic()
-        assert fa.conservation_violations(tol=1e-9) == {}
+    assert_groups_route(g, sol, demands, set(range(g.n)))
 
 
 @st.composite
@@ -86,16 +84,13 @@ def test_tree_routing_is_forced_without_lp(case):
     assert set(sol.edge_loads) == set(expected)
     for key, load in expected.items():
         assert abs(sol.edge_loads[key] - load) <= 1e-12
-    assert sol.congestion == pytest.approx(optimal_congestion(g, demands), abs=1e-9)
-    assert sol.lp_objective == sol.congestion
-    for fa in sol.source_flows.values():
-        assert fa.is_acyclic()
-        assert fa.conservation_violations(tol=1e-9) == {}
+    assert sol.congestion == pytest.approx(arc_lp_congestion(g, demands, set(range(g.n))),
+                                           abs=1e-9)
+    assert_groups_route(g, sol, demands, set(range(g.n)))
 
 
 def _count_linprog(monkeypatch) -> list[int]:
-    # one entry per call, its variable count; list.append is atomic, and
-    # batches call from several threads
+    # one entry per master LP, its variable count
     calls: list[int] = []
     real = cmcf.linprog
 
@@ -120,43 +115,21 @@ def test_lp_only_off_trees(monkeypatch):
 
 
 def test_lp_calls_grid_8x8(monkeypatch):
-    # 35 of the 59 clusters that need a solve induce trees; the others take
-    # one LP each in certification, and the impl-b cubes, drawn from those
-    # flows, take none
+    # 35 of the 59 clusters that need a solve induce trees; the other 24
+    # take 29 master LPs in certification, and the impl-b cubes, drawn from
+    # those solutions, take none
     calls = _count_linprog(monkeypatch)
     g = grid_graph(8, 8)
     tree = build_tree(g, target_arity=2, seed=0)
     cert = certify_congestion(g, tree, store_solutions=True)
-    assert len(calls) == 24
+    assert len(calls) == 29
     build_cube_scheme(g, tree, cert, np.random.default_rng(0))
-    assert len(calls) == 24
-
-
-@pytest.fixture
-def scrambled(monkeypatch):
-    """Batch solves that finish out of order: each solve sleeps 0-2 ms by its
-    restriction, and the interpreter switches threads every 10 us."""
-    real = cmcf.solve_cmcf_min_congestion
-
-    def delayed(g, demands, restrict=None):
-        time.sleep(0.001 * (min(restrict) % 3))
-        return real(g, demands, restrict)
-
-    monkeypatch.setattr(cmcf, "solve_cmcf_min_congestion", delayed)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _flows(sol):
-    return {s: (fa.arcs, fa.value) for s, fa in sol.source_flows.items()}
+    assert len(calls) == 29
 
 
 @pytest.mark.parametrize("kind, side", [("grid", 8), ("torus", 6)])
-def test_certify_batch_matches_one_by_one(monkeypatch, scrambled, kind, side):
+def test_certify_batch_matches_one_by_one(kind, side):
+    # certification is the clusters' half instances solved one by one
     g = generate_graph(kind, rows=side, cols=side)
     tree = build_tree(g, target_arity=2, seed=0)
     expect = {}
@@ -166,33 +139,21 @@ def test_certify_batch_matches_one_by_one(monkeypatch, scrambled, kind, side):
             expect[c.id] = solve_cmcf_min_congestion(g, half, restrict=set(c.vertices))
     per_cluster = [(c.id, expect[c.id].congestion if c.id in expect else 0.0)
                    for c in tree.clusters]
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(cmcf, "_usable_cpus", lambda cpus=cpus: cpus)
-        cert = certify_congestion(g, tree, store_solutions=True)
-        assert list(cert.per_cluster.items()) == per_cluster
-        assert list(cert.solutions) == list(expect)
-        for cid, sol in expect.items():
-            assert cert.solutions[cid].edge_loads == sol.edge_loads
-            assert _flows(cert.solutions[cid]) == _flows(sol)
+    cert = certify_congestion(g, tree, store_solutions=True)
+    assert list(cert.per_cluster.items()) == per_cluster
+    assert list(cert.solutions) == list(expect)
+    for cid, sol in expect.items():
+        got = cert.solutions[cid]
+        assert got.edge_loads == sol.edge_loads
+        assert np.array_equal(got.vertices, sol.vertices)
+        for s in sol.trees:
+            assert np.array_equal(got.trees[s], sol.trees[s])
+            assert np.array_equal(got.weights[s], sol.weights[s])
+            assert np.array_equal(got.sinks[s], sol.sinks[s])
 
 
-@pytest.mark.parametrize("kind, side", [("grid", 8), ("torus", 6)])
-def test_cube_scheme_repeats_under_any_finishing_order(monkeypatch, scrambled, kind, side):
-    g = generate_graph(kind, rows=side, cols=side)
-    tree = build_tree(g, target_arity=2, seed=0)
-    builds = []
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(cmcf, "_usable_cpus", lambda cpus=cpus: cpus)
-        cert = certify_congestion(g, tree, store_solutions=True)
-        scheme = build_cube_scheme(g, tree, cert, np.random.default_rng(5))
-        builds.append([(cid, maps.edge_paths, maps.fractional_congestion)
-                       for cubes in (scheme.mains, scheme.shuffles)
-                       for cid, maps in cubes.items()])
-    assert builds[0] == builds[1] == builds[2]
-
-
-def test_failed_cluster_lp_raises_and_stops_the_pool(monkeypatch):
-    # the certification LP of a small cluster, solved on a pool thread, fails
+def test_failed_cluster_lp_raises(monkeypatch):
+    # the first master LP of a small cluster fails
     g = grid_graph(6, 6)
     tree = build_tree(g, target_arity=2, seed=0)
     sizes = _count_linprog(monkeypatch)
@@ -207,48 +168,26 @@ def test_failed_cluster_lp_raises_and_stops_the_pool(monkeypatch):
         return counting(*args, **kwargs)
 
     monkeypatch.setattr(cmcf, "linprog", failing)
-    before = threading.active_count()
     with pytest.raises(RuntimeError, match="LP solver failed"):
         certify_congestion(g, tree)
-    assert threading.active_count() == before
-
-
-def test_batch_failure_cancels_pending_solves(monkeypatch):
-    # the caller's own, largest instance fails at once, while the one pool
-    # thread is at most in its first 50 ms solve: the other 19 never start
-    started = []
-
-    def fake(g, demands, restrict=None):
-        started.append(len(restrict))
-        if len(restrict) == 3:
-            raise RuntimeError("LP solver failed")
-        time.sleep(0.05)
-
-    monkeypatch.setattr(cmcf, "solve_cmcf_min_congestion", fake)
-    monkeypatch.setattr(cmcf, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="LP solver failed"):
-        cmcf.solve_cmcf_batch(path_graph(3), [({}, {0, 1})] * 20 + [({}, {0, 1, 2})])
-    assert threading.active_count() == before
-    assert 3 in started and len(started) <= 2
 
 
 def test_congestion_matches_recomputation_and_lp():
     g = cycle_graph(4)
-    sol = solve_cmcf_min_congestion(g, {(0, 2): 1.0, (1, 3): 1.0}, set(range(g.n)))
+    demands = {(0, 2): 1.0, (1, 3): 1.0}
+    sol = solve_cmcf_min_congestion(g, demands, set(range(g.n)))
     recomputed = max(sol.edge_loads.get((u, v), 0.0) / c for u, v, c in g.edges)
     assert sol.congestion == pytest.approx(recomputed, abs=1e-12)
-    # cycle cancellation can only help, never hurt, the LP objective
-    assert sol.congestion <= sol.lp_objective + 1e-9
+    assert sol.congestion == pytest.approx(arc_lp_congestion(g, demands, set(range(g.n))),
+                                           rel=1e-9)
 
 
 def test_restriction_solves_inside_subgraph_only():
     g = generate_graph("grid", rows=2, cols=3)
     sub = {0, 1, 3, 4}
     sol = solve_cmcf_min_congestion(g, {(0, 4): 1.0}, restrict=sub)
-    for fa in sol.source_flows.values():
-        for (a, b) in fa.arcs:
-            assert a in sub | {-1, -2} and b in sub | {-1, -2}
+    assert_groups_route(g, sol, {(0, 4): 1.0}, sub)
+    assert sol.vertices.tolist() == [0, 1, 3, 4]
 
 
 def test_restriction_rejections():
@@ -259,17 +198,30 @@ def test_restriction_rejections():
         solve_cmcf_min_congestion(g, {(0, 5): 1.0}, restrict={0, 5})
 
 
+def test_restricted_solve_checks_the_dual_bound(monkeypatch):
+    # outside the restriction every distance is infinite; the bound must
+    # still be finite, so a negative gap fails the check
+    g = grid_graph(4, 4)
+    sub = {0, 1, 2, 4, 5, 6}
+    demands = {(0, 6): 1.0, (2, 4): 1.0}
+    assert solve_cmcf_min_congestion(g, demands, sub).congestion == pytest.approx(
+        arc_lp_congestion(g, demands, sub), rel=1e-9)
+    monkeypatch.setattr(cmcf, "_GAP", -1.0)
+    with pytest.raises(RuntimeError, match="not within relative gap"):
+        solve_cmcf_min_congestion(g, demands, sub)
+
+
 def test_no_demands_trivial():
     sol = solve_cmcf_min_congestion(single_edge(), {}, {0, 1})
-    assert sol.congestion == 0.0 and sol.source_flows == {}
+    assert sol.congestion == 0.0 and sol.trees == {} and sol.edge_loads == {}
 
 
 def test_flows_are_cycle_free_and_conserved():
+    # every path is simple, and the groups' loads are the solution's
     g = cycle_graph(6)
-    sol = solve_cmcf_min_congestion(g, {(0, 3): 1.0, (1, 4): 0.5}, set(range(g.n)))
-    for fa in sol.source_flows.values():
-        assert fa.is_acyclic()
-        assert fa.conservation_violations(tol=1e-8) == {}
+    demands = {(0, 3): 1.0, (1, 4): 0.5}
+    sol = solve_cmcf_min_congestion(g, demands, set(range(g.n)))
+    assert_groups_route(g, sol, demands, set(range(g.n)))
 
 
 def test_path_groups_normalized():
@@ -282,13 +234,15 @@ def test_path_groups_normalized():
 
 
 def _assert_tables_match_oracle(g: CapacitatedGraph, sol: CMCFSolution) -> int:
-    """Every source of sol against the dict decomposition: the same paths,
-    widths and sink order, and per group the same probabilities, cumulative
-    sums and unit loads, all to the last bit. Returns the groups checked."""
+    """Every source of sol against its trees walked one at a time: the same
+    paths, weights and sink order, and per group the same probabilities,
+    cumulative sums and unit loads, all to the last bit. Returns the groups
+    checked."""
     checked = 0
-    for s, fa in sol.source_flows.items():
-        oracle = dict_decompose_by_sink(fa)
-        assert list(decompose_by_sink(fa).items()) == list(oracle.items())
+    for s, preds in sol.trees.items():
+        oracle = dict_tree_groups(preds, sol.weights[s], sol.sinks[s], sol.vertices)
+        got = decompose_by_sink(preds, sol.weights[s], sol.sinks[s], sol.vertices)
+        assert list(got.items()) == list(oracle.items())
         groups = sol.path_groups(s)
         assert list(groups) == list(oracle)
         for t, entries in oracle.items():
@@ -304,7 +258,7 @@ def _assert_tables_match_oracle(g: CapacitatedGraph, sol: CMCFSolution) -> int:
 
 
 def test_decomposition_tables_match_the_dict_oracle():
-    # every certification flow of grids 8x8 and 10x10 (tree seed 0)
+    # every certification solution of grids 8x8 and 10x10 (tree seed 0)
     checked = 0
     for side in (8, 10):
         g = grid_graph(side, side)
@@ -316,23 +270,41 @@ def test_decomposition_tables_match_the_dict_oracle():
 
 
 @st.composite
-def _integer_flows(draw):
-    """A cycle-free integral max flow on a random connected graph, from one
-    vertex to several sinks, each sink's arc to SNK of random capacity."""
-    g = draw(connected_graphs())
+def _weighted_trees(draw):
+    """One source's shortest-path trees on a random connected graph, each
+    under random small integer lengths (so trees tie and repeat), with
+    random weights and a random set of sinks."""
+    g = draw(connected_graphs().filter(lambda g: g.n >= 2))
     source = draw(st.integers(0, g.n - 1))
-    sinks = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True))
-    arcs = ([(u, v, c) for u, v, c in g.edges] + [(v, u, c) for u, v, c in g.edges]
-            + [(SRC, source, 100)] + [(t, SNK, draw(st.integers(1, 9))) for t in sinks])
-    return g, source, cancel_cycles(max_flow_integral(arcs, SRC, SNK))
+    sinks = draw(st.lists(st.integers(0, g.n - 1).filter(lambda t: t != source),
+                          min_size=1, max_size=g.n - 1, unique=True))
+    preds = []
+    for _ in range(draw(st.integers(1, 4))):
+        lengths = [draw(st.integers(1, 3)) for _ in range(g.m)]
+        preds.append(_shortest_tree(g, source, lengths))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(preds), max_size=len(preds)))
+    return g, CMCFSolution(vertices=np.arange(g.n), sinks={source: np.array(sorted(sinks))},
+                           trees={source: np.array(preds)}, weights={source: np.array(weights)},
+                           edge_loads={}, congestion=0.0)
+
+
+def _shortest_tree(g: CapacitatedGraph, source: int, lengths: list[int]) -> list[int]:
+    """Predecessors of a Bellman-Ford shortest-path tree from source, -9999
+    at the root as scipy writes it."""
+    dist, pred = [float("inf")] * g.n, [-9999] * g.n
+    dist[source] = 0
+    for _ in range(g.n):
+        for (u, v, _), w in zip(g.edges, lengths):
+            for a, b in ((u, v), (v, u)):
+                if dist[a] + w < dist[b]:
+                    dist[b], pred[b] = dist[a] + w, a
+    return pred
 
 
 @settings(max_examples=150, deadline=None)
-@given(_integer_flows())
-def test_decomposition_tables_match_the_dict_oracle_on_integer_flows(case):
-    g, source, fa = case
-    sol = CMCFSolution(source_flows={source: fa}, edge_loads={}, congestion=0.0,
-                       lp_objective=0.0)
+@given(_weighted_trees())
+def test_decomposition_tables_match_the_dict_oracle_on_random_trees(case):
+    g, sol = case
     assert _assert_tables_match_oracle(g, sol) >= 1
 
 
@@ -345,8 +317,9 @@ def test_path_group_probabilities_are_numpy_division_by_numpy_sum(widths):
     assert group.probs == (w / w.sum()).tolist()
 
 
-def test_solver_flows_violating_demands_raise(monkeypatch):
-    # zeroing the largest arc flow of the real LP result breaks conservation
+def test_broken_master_solution_raises(monkeypatch):
+    # zeroing the largest tree weight of every master LP's result leaves a
+    # routing its dual bound does not match
     real = cmcf.linprog
 
     def broken(*args, **kwargs):
@@ -357,7 +330,7 @@ def test_solver_flows_violating_demands_raise(monkeypatch):
         return res
 
     monkeypatch.setattr(cmcf, "linprog", broken)
-    with pytest.raises(RuntimeError, match="violating demands"):
+    with pytest.raises(RuntimeError, match="not within relative gap"):
         solve_cmcf_min_congestion(cycle_graph(6), {(0, 3): 1.0, (1, 4): 0.5}, set(range(6)))
 
 

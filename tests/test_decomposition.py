@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ancestor_at, connected_graphs, cycle_graph, path_graph, single_edge,
-                     tree_from_spec)
+from helpers import (ancestor_at, arc_lp_congestion, assert_groups_route, connected_graphs,
+                     cycle_graph, path_graph, single_edge, tree_from_spec)
 from obroute.decomposition import (_grow_parts, audit_tree, build_tree,
                                    certify_congestion, cmcf_instance)
 from obroute.experiment import graph_from_config
-from obroute.graph import CapacitatedGraph, generate_graph, grid_graph, random_regular_graph
+from obroute.graph import (CapacitatedGraph, generate_graph, grid_graph, hypercube_graph,
+                           random_regular_graph, torus_graph)
 
 
 @pytest.fixture
@@ -213,9 +214,34 @@ def test_certificate_four_cycle(four_cycle_tree):
     assert cert.value == pytest.approx(2.0, abs=1e-7)
     assert cert.int_value == 2
     assert set(cert.solutions) == {0, 1, 4}
-    for sol in cert.solutions.values():
-        assert all(fa.conservation_violations(tol=1e-7) == {}
-                   for fa in sol.source_flows.values())
+    for cid, sol in cert.solutions.items():
+        c = tree.cluster(cid)
+        half = {(u, v): 2.0 * d for (u, v), d in cmcf_instance(c).entries.items() if u < v}
+        assert_groups_route(g, sol, half, set(c.vertices))
+
+
+@pytest.mark.parametrize("g, exact", [
+    (cycle_graph(4), None),
+    (grid_graph(4, 4), None),
+    (grid_graph(6, 6, cap_range=(1, 5), seed=0), None),
+    (grid_graph(3, 3, cap_range=(1, 3), seed=0), None),
+    (torus_graph(4, 4), 4.0),
+    (hypercube_graph(3), 3.0),
+], ids=["four-cycle", "grid4", "grid6-caps1to5", "grid3-caps1to3", "torus4", "hypercube3"])
+def test_certificate_matches_arc_lp(g, exact):
+    # every cluster's congestion against the source-aggregated arc LP
+    tree = build_tree(g, target_arity=2, seed=0)
+    cert = certify_congestion(g, tree)
+    oracle = {}
+    for c in tree.clusters:
+        half = {(u, v): 2.0 * d for (u, v), d in cmcf_instance(c).entries.items() if u < v}
+        oracle[c.id] = arc_lp_congestion(g, half, set(c.vertices)) if c.size > 1 else 0.0
+    assert cert.per_cluster.keys() == oracle.keys()
+    for cid, value in oracle.items():
+        assert cert.per_cluster[cid] == pytest.approx(value, rel=1e-9, abs=1e-12)
+    assert cert.int_value == max(1, math.ceil(max(oracle.values()) - 1e-9))
+    if exact is not None:
+        assert cert.value == exact
 
 
 def test_certificate_scale_invariance():

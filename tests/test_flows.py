@@ -10,7 +10,6 @@ from obroute.flows import (
     FlowAssignment,
     cancel_cycles,
     decompose_by_sink,
-    decompose_paths,
     max_flow_integral,
     sample_path,
 )
@@ -136,42 +135,12 @@ def test_sample_path_rejects_cyclic_flow():
         sample_path(fa, 0, "forward", np.random.default_rng(0))
 
 
-def test_decompose_paths_reconstructs_flow():
-    fa = two_route_flow()
-    paths = decompose_paths(fa)
-    assert sum(w for _, w in paths) == pytest.approx(3.0, abs=1e-12)
-    assert len(paths) <= len(fa.arcs)
-    rebuilt: dict[tuple[int, int], float] = {}
-    for path, w in paths:
-        hops = [(SRC, path[0])] + list(zip(path, path[1:])) + [(path[-1], SNK)]
-        for h in hops:
-            rebuilt[h] = rebuilt.get(h, 0.0) + w
-    for k, f in fa.arcs.items():
-        assert rebuilt.get(k, 0.0) == pytest.approx(f, abs=1e-9)
-
-
 def test_decompose_by_sink_groups():
-    arcs = {(SRC, 0): 3.0, (0, 1): 2.0, (0, 2): 1.0, (1, SNK): 2.0, (2, SNK): 1.0}
-    fa = FlowAssignment(arcs=arcs, source=SRC, sink=SNK, value=3.0)
-    groups = decompose_by_sink(fa)
-    assert set(groups) == {1, 2}
-    assert sum(w for _, w in groups[1]) == pytest.approx(2.0)
-    assert sum(w for _, w in groups[2]) == pytest.approx(1.0)
-
-
-def test_decompose_random_integer_flows():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        n = int(rng.integers(4, 9))
-        arcs = []
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < 0.4:
-                    arcs.append((u, v, int(rng.integers(1, 9))))
-        arcs.append((SRC, 0, 20))
-        arcs.append((n - 1, SNK, 20))
-        fa = cancel_cycles(max_flow_integral(arcs, SRC, SNK))
-        paths = decompose_paths(fa)
-        assert sum(w for _, w in paths) == pytest.approx(fa.value, abs=1e-9)
-        arc_list = [(u, v) for (u, v) in fa.arcs]
-        assert len(paths) <= max(len(arc_list), 1)
+    # two trees from vertex 0 of the diamond 0-1-3, 0-2-3 plus the pendant
+    # 3-4: they agree on the path to 1 and differ on the paths to 3 and 4
+    preds = np.array([[-9999, 0, 0, 1, 3], [-9999, 0, 0, 2, 3]])
+    names = np.array([10, 11, 12, 13, 14])
+    groups = decompose_by_sink(preds, np.array([0.75, 0.25]), np.array([1, 3, 4]), names)
+    assert groups == {11: [([10, 11], 1.0)],
+                      13: [([10, 11, 13], 0.75), ([10, 12, 13], 0.25)],
+                      14: [([10, 11, 13, 14], 0.75), ([10, 12, 13, 14], 0.25)]}

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obroute import optimum
+from obroute import cmcf, optimum
 from obroute.cli import main
-from obroute.cmcf import solve_cmcf_min_congestion
 from obroute.experiment import demand_battery
 from obroute.graph import (CapacitatedGraph, DemandMatrix, grid_graph, hypercube_graph,
                            torus_graph)
 from obroute.optimum import competitive_ratio, optimal_congestion
 import helpers
-from helpers import brute_force_congestion, connected_graphs, cycle_graph, single_edge, triangle
+from helpers import (arc_lp_congestion, brute_force_congestion, connected_graphs, cycle_graph,
+                     single_edge, triangle)
 
 
 # oracle battery: values derived by hand from the two-path split argument
@@ -89,7 +89,7 @@ def test_competitive_ratio_conventions():
         competitive_ratio(1.0, 0.0)
 
 
-# column generation against the source-aggregated arc LP
+# column generation against the source-aggregated arc LP (tests/helpers.py)
 
 @pytest.mark.parametrize("g, battery", [
     (grid_graph(8, 8), "gravity"),
@@ -102,7 +102,7 @@ def test_competitive_ratio_conventions():
         "torus6-gravity", "hypercube5-gravity"])
 def test_matches_arc_lp(g, battery):
     demands = demand_battery(battery, g, 0)
-    arc = solve_cmcf_min_congestion(g, demands, set(range(g.n))).congestion
+    arc = arc_lp_congestion(g, demands, set(range(g.n)))
     assert optimal_congestion(g, demands) == pytest.approx(arc, rel=1e-9)
 
 
@@ -123,25 +123,26 @@ def graphs_with_two_way_demands(draw):
 @given(graphs_with_two_way_demands())
 def test_matches_arc_lp_on_random_graphs(case):
     g, demands = case
-    arc = solve_cmcf_min_congestion(g, demands, set(range(g.n))).congestion
+    arc = arc_lp_congestion(g, demands, set(range(g.n)))
     assert optimal_congestion(g, demands) == pytest.approx(arc, rel=1e-9)
 
 
 def test_zero_dual_length_edge_stays_traversable(monkeypatch):
-    # the wide edge 1-2 has slack at the optimum, so its dual length is 0,
-    # yet every route from 0 to 2 crosses it
-    g = CapacitatedGraph(3, [(0, 1, 1), (1, 2, 100)])
+    # the wide edge 2-3 has slack at the optimum, so its dual length is 0,
+    # yet every route from 0 to 3 crosses it; the unit triangle 0-1-2 makes
+    # the graph no tree, whose routing would be forced without a master LP
+    g = CapacitatedGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 100)])
     lengths = []
-    solve = optimum._TreePool.solve_master
+    solve = cmcf._TreePool.solve_master
 
     def recorded(pool, caps):
         x, sigma, w = solve(pool, caps)
         lengths.append(w.copy())
         return x, sigma, w
 
-    monkeypatch.setattr(optimum._TreePool, "solve_master", recorded)
-    assert optimal_congestion(g, DemandMatrix({(0, 2): 1.0})) == pytest.approx(1.0, rel=1e-12)
-    assert lengths and lengths[-1][g.edge_index(1, 2)] == 0.0
+    monkeypatch.setattr(cmcf._TreePool, "solve_master", recorded)
+    assert optimal_congestion(g, DemandMatrix({(0, 3): 1.0})) == pytest.approx(0.5, rel=1e-12)
+    assert lengths and lengths[-1][g.edge_index(2, 3)] == 0.0
 
 
 @pytest.mark.parametrize("g, battery, master_lps", [
@@ -151,13 +152,13 @@ def test_zero_dual_length_edge_stays_traversable(monkeypatch):
 def test_seeding_saves_master_lps(monkeypatch, g, battery, master_lps):
     # seeded with hop-shortest trees alone, these took 12 and 21 master LPs
     calls = []
-    solve = optimum._TreePool.solve_master
+    solve = cmcf._TreePool.solve_master
 
     def counted(pool, caps):
         calls.append(caps)
         return solve(pool, caps)
 
-    monkeypatch.setattr(optimum._TreePool, "solve_master", counted)
+    monkeypatch.setattr(cmcf._TreePool, "solve_master", counted)
     optimal_congestion(g, demand_battery(battery, g, 0))
     assert len(calls) == master_lps
 
@@ -177,7 +178,7 @@ def test_rejects_pairs_outside_the_graph():
 def test_round_cap_raises(monkeypatch):
     # torus 3x3 with gravity demand needs 5 master LPs
     g = torus_graph(3, 3)
-    monkeypatch.setattr(optimum, "_MAX_ROUNDS", 1)
+    monkeypatch.setattr(cmcf, "_MAX_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="did not converge in 1 master LPs"):
         optimal_congestion(g, demand_battery("gravity", g, 0))
 
@@ -185,14 +186,21 @@ def test_round_cap_raises(monkeypatch):
 def test_gap_to_dual_bound_raises(monkeypatch):
     # a tie-break term as long as the duals themselves leaves the bound loose
     g = grid_graph(4, 4)
-    monkeypatch.setattr(optimum, "_TIE", 1.0)
+    monkeypatch.setattr(cmcf, "_TIE", 1.0)
     with pytest.raises(RuntimeError, match="not within relative gap"):
         optimal_congestion(g, demand_battery("gravity", g, 0))
 
 
 def test_route_exits_2_when_the_oracle_fails(tmp_path, monkeypatch, capsys):
-    # grid 3x3 with 4 uniform pairs (seed 0) needs 6 master LPs
-    monkeypatch.setattr(optimum, "_MAX_ROUNDS", 1)
+    # grid 3x3 with 4 uniform pairs (seed 0) needs 6 master LPs; the cap
+    # holds in the oracle only, after certification
+    solve = optimum.solve_cmcf_min_congestion
+
+    def capped(*args):
+        monkeypatch.setattr(cmcf, "_MAX_ROUNDS", 1)
+        return solve(*args)
+
+    monkeypatch.setattr(optimum, "solve_cmcf_min_congestion", capped)
     code = main(["route", "--generate", "grid:3x3", "--demands", "uniform_pairs:4",
                  "--out-dir", str(tmp_path)])
     assert code == 2
@@ -203,13 +211,15 @@ def test_tree_pool_builds_its_columns_once_per_add():
     # the master LP and the routing loads of one round read one column
     # matrix; an add that stores a new tree replaces it with the matrix of
     # every stored tree, an add of stored trees only keeps it
-    pool = optimum._TreePool(2, 3)
-    assert pool.add(np.array([0, 1]), np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    pool = cmcf._TreePool(2, 3)
+    preds = np.zeros((2, 4), dtype=np.int32)    # not read by the columns
+    assert pool.add(np.array([0, 1]), preds, np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
     first = pool._columns()
     assert pool._columns() is first
     assert np.array_equal(pool.loads(np.array([1.0, 2.0])), [1.0, 6.0, 2.0])
-    assert not pool.add(np.array([1]), np.array([[0.0, 3.0, 0.0]]))
+    assert not pool.add(np.array([1]), preds[:1], np.array([[0.0, 3.0, 0.0]]))
     assert pool._columns() is first
-    assert pool.add(np.array([0]), np.array([[0.0, 1.0, 1.0]]))
+    assert pool.add(np.array([0]), preds[:1], np.array([[0.0, 1.0, 1.0]]))
+    assert len(pool.preds) == 3
     assert np.array_equal(pool._columns().toarray(),
                           [[1.0, 0.0, 0.0], [0.0, 3.0, 1.0], [2.0, 0.0, 1.0]])

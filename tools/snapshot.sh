@@ -20,7 +20,9 @@
 #                     which tools/compare_hops.py reads to show how far two
 #                     snapshots' hop rows and congestion differ;
 #                     oracle.txt: the repr of optimal_congestion's c_opt on
-#                     the run's graph and battery, and its master-LP count;
+#                     the run's graph and battery, its master-LP count, and
+#                     the master-LP count of certify_congestion on the run's
+#                     tree (tree seed = the run's seed);
 #                     route-8x8-grav/report-stdout.txt also holds the stdout
 #                     of obroute report on that run's --out-dir
 #   build-8x8/        obroute build --generate grid:8x8: tree.json, and
@@ -126,13 +128,14 @@ oracle() {
     "$py" - "$@" > "$out/$name/oracle.txt" <<'EOF'
 import sys
 
-from obroute import optimum
+from obroute import cmcf, optimum
+from obroute.decomposition import build_tree, certify_congestion
 from obroute.experiment import demand_battery, graph_from_config
 
 spec, battery, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 g = graph_from_config({"generate": spec})
 calls = []
-solve = optimum._TreePool.solve_master
+solve = cmcf._TreePool.solve_master
 
 
 def counted(pool, caps):
@@ -140,9 +143,12 @@ def counted(pool, caps):
     return solve(pool, caps)
 
 
-optimum._TreePool.solve_master = counted
+cmcf._TreePool.solve_master = counted
 print("c_opt", repr(optimum.optimal_congestion(g, demand_battery(battery, g, seed))))
 print("master_lps", len(calls))
+calls.clear()
+certify_congestion(g, build_tree(g, target_arity=2, seed=seed))
+print("certify_master_lps", len(calls))
 EOF
 }
 
