@@ -13,9 +13,12 @@ path formulation of Ford & Fulkerson, with one column per source tree).
 Under edge lengths w the cheapest way to ship all of one source's demand is
 its shortest-path tree, so pricing is one Dijkstra run from every source.
 The master LP mixes the stored trees of each source (one convexity row per
-source, one capacity row per edge) to minimise the congestion λ. Its
-capacity-row duals are the next lengths w, and any lengths w >= 0 give the
-lower bound
+source, one capacity row per edge) to minimise the congestion λ. It is
+built column-wise from the pool's column arrays and passed straight to the
+HiGHS bundled with SciPy (scipy.optimize._highspy._core), with the options
+linprog(method="highs") sets, so each round costs HiGHS's solve and little
+else. Its capacity-row duals are the next lengths w, and any lengths w >= 0
+give the lower bound
 
     C_opt >= Σ_s Σ_t d_st · dist_w(s, t) / Σ_e c_e · w_e
 
@@ -48,7 +51,9 @@ from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsOptions,
+                                           HighsStatus, MatrixFormat, _Highs, kHighsInf,
+                                           simplex_constants)
 from scipy.sparse.csgraph import dijkstra
 
 from obroute.flows import decompose_by_sink
@@ -291,8 +296,10 @@ def _tree_loads(pred: np.ndarray, need: np.ndarray, edge_id: np.ndarray,
 
 class _TreePool:
     """The master LP's columns: one stored tree per column, its predecessor
-    row and the edge loads of its source's whole demand. The column matrix
-    is built once per master round, on its first read after an add."""
+    row and the edge loads of its source's whole demand. The columns are
+    three arrays, built once per master round on their first read after an
+    add: the edge ids of every column's nonzero loads, column after column,
+    those loads, and each column's count of them."""
 
     def __init__(self, n_sources: int, m: int):
         self.n_sources, self.m = n_sources, m
@@ -301,7 +308,7 @@ class _TreePool:
         self.rows: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
         self.seen: set[tuple[int, bytes]] = set()
-        self._matrix: sp.csr_matrix | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def add(self, sources: np.ndarray, preds: np.ndarray, loads: np.ndarray) -> bool:
         """Store the trees not stored yet; False when every one was."""
@@ -318,36 +325,82 @@ class _TreePool:
             self.vals.append(row[edges])
             added = True
         if added:
-            self._matrix = None
+            self._arrays = None
         return added
 
-    def _columns(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            cols = np.repeat(np.arange(len(self.rows)), [len(e) for e in self.rows])
-            self._matrix = sp.csr_matrix(
-                (np.concatenate(self.vals), (np.concatenate(self.rows), cols)),
-                shape=(self.m, len(self.rows)))
-        return self._matrix
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            self._arrays = (np.concatenate(self.rows), np.concatenate(self.vals),
+                            np.array([len(e) for e in self.rows]))
+        return self._arrays
 
     def loads(self, x: np.ndarray) -> np.ndarray:
-        return self._columns() @ x
+        """Edge loads of the tree weights x: each edge's terms added in
+        column order, as a CSR matrix-vector product adds them."""
+        index, value, lengths = self._columns()
+        return np.bincount(index, weights=value * np.repeat(x, lengths), minlength=self.m)
 
     def solve_master(self, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """min λ over mixtures of stored trees; returns the tree weights, the
-        convexity-row duals and the capacity-row duals as edge lengths."""
-        k = len(self.source)
-        a_ub = sp.hstack([self._columns(), sp.csr_matrix(-caps[:, None])], format="csr")
-        a_eq = sp.csr_matrix((np.ones(k), (self.source, np.arange(k))),
-                             shape=(self.n_sources, k + 1))
-        cost = np.zeros(k + 1)
-        cost[k] = 1.0
-        res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(self.m), A_eq=a_eq,
-                      b_eq=np.ones(self.n_sources), bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
-        x = res.x[:k]
-        x /= np.bincount(self.source, weights=x)[self.source]   # ship each demand exactly
-        return x, res.eqlin.marginals, np.maximum(-res.ineqlin.marginals, 0.0)
+        convexity-row duals and the capacity-row duals as edge lengths.
+
+        The model is column-wise: capacity rows (loads - λ c <= 0), then one
+        convexity row per source (its weights sum to 1); a tree's column
+        holds its loads, then a 1 in its source's row, and λ is the last
+        column."""
+        index, value, lengths = self._columns()
+        k, m, n_rows = len(lengths), self.m, self.m + self.n_sources
+        source = np.array(self.source)
+        ends = np.cumsum(lengths)
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = k + 1, n_rows
+        lp.col_cost_ = np.concatenate((np.zeros(k), [1.0]))
+        lp.col_lower_ = np.zeros(k + 1)
+        lp.col_upper_ = np.full(k + 1, kHighsInf)
+        lp.row_lower_ = np.concatenate((np.full(m, -kHighsInf), np.ones(self.n_sources)))
+        lp.row_upper_ = np.concatenate((np.zeros(m), np.ones(self.n_sources)))
+        a = lp.a_matrix_
+        a.format_ = MatrixFormat.kColwise
+        a.num_col_, a.num_row_ = k + 1, n_rows
+        # integer lists convert to HiGHS's index vectors several times faster
+        # than integer arrays
+        a.start_ = np.concatenate(([0], ends + np.arange(1, k + 1), [ends[-1] + k + m])).tolist()
+        a.index_ = np.concatenate((np.insert(index, ends, m + source), np.arange(m))).tolist()
+        a.value_ = np.concatenate((np.insert(value, ends, 1.0), -caps))
+        col_value, row_dual = _solve_lp(lp)
+        x = col_value[:k]
+        x /= np.bincount(source, weights=x)[source]   # ship each demand exactly
+        return x, row_dual[m:], np.maximum(-row_dual[:m], 0.0)
+
+
+# the options linprog(method="highs") passes: presolve on, dual simplex, no output
+_OPTIONS = HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+
+
+def _solve_lp(lp: HighsLp) -> tuple[np.ndarray, np.ndarray]:
+    """Solve lp with HiGHS; returns its column values and row duals. Raises
+    RuntimeError, before any solution is read, when HiGHS rejects the
+    options or the model or fails to run, or when the model status is not
+    optimal."""
+    highs = _Highs()
+    if highs.passOptions(_OPTIONS) == HighsStatus.kError:
+        status, text = HighsModelStatus.kNotset, "HiGHS rejected the options"
+    elif highs.passModel(lp) == HighsStatus.kError:
+        status, text = HighsModelStatus.kModelError, "HiGHS rejected the model"
+    elif highs.run() == HighsStatus.kError:
+        status = highs.getModelStatus()
+        text = f"HiGHS run failed, {highs.modelStatusToString(status)}"
+    else:
+        status = highs.getModelStatus()
+        text = "" if status == HighsModelStatus.kOptimal else highs.modelStatusToString(status)
+    if text:
+        raise RuntimeError(f"LP solver failed (status {int(status)}): {text}")
+    solution = highs.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,32 @@ def arc_lp_congestion(g: CapacitatedGraph, demands: DemandMatrix | dict,
     return float(res.fun)
 
 
+def column_matrix(pool) -> sp.csr_matrix:
+    """A tree pool's columns as the m x k CSR matrix of their edge loads."""
+    cols = np.repeat(np.arange(len(pool.rows)), [len(e) for e in pool.rows])
+    return sp.csr_matrix((np.concatenate(pool.vals), (np.concatenate(pool.rows), cols)),
+                         shape=(pool.m, len(pool.rows)))
+
+
+def linprog_master(pool, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A tree pool's master LP solved by linprog: the tree weights, the
+    convexity-row duals and the capacity-row duals as edge lengths, as
+    `_TreePool.solve_master` returns them."""
+    k = len(pool.source)
+    a_ub = sp.hstack([column_matrix(pool), sp.csr_matrix(-caps[:, None])], format="csr")
+    a_eq = sp.csr_matrix((np.ones(k), (pool.source, np.arange(k))),
+                         shape=(pool.n_sources, k + 1))
+    cost = np.zeros(k + 1)
+    cost[k] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(pool.m), A_eq=a_eq,
+                  b_eq=np.ones(pool.n_sources), bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"master LP failed: {res.message}")
+    x = res.x[:k]
+    x /= np.bincount(pool.source, weights=x)[pool.source]
+    return x, res.eqlin.marginals, np.maximum(-res.ineqlin.marginals, 0.0)
+
+
 def assert_groups_route(g: CapacitatedGraph, sol, demands: dict,
                         restrict: set[int]) -> None:
     """Every demand pair of sol has a PathGroup whose probabilities sum to 1

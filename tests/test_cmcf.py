@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,11 +67,11 @@ def tree_instances(draw):
 def test_tree_routing_is_forced_without_lp(case):
     g, demands = case
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("a spanning-tree restriction reached linprog")
+    def no_lp(lp):
+        raise AssertionError("a spanning-tree restriction reached HiGHS")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cmcf, "linprog", no_lp)
+        mp.setattr(cmcf, "_solve_lp", no_lp)
         sol = solve_cmcf_min_congestion(g, demands, set(range(g.n)))
     expected: dict[tuple[int, int], float] = {}
     for (s, t), d in demands.items():
@@ -89,23 +87,23 @@ def test_tree_routing_is_forced_without_lp(case):
     assert_groups_route(g, sol, demands, set(range(g.n)))
 
 
-def _count_linprog(monkeypatch) -> list[int]:
+def _count_lps(monkeypatch) -> list[int]:
     # one entry per master LP, its variable count
     calls: list[int] = []
-    real = cmcf.linprog
+    real = cmcf._solve_lp
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return real(*args, **kwargs)
+    def counting(lp):
+        calls.append(lp.num_col_)
+        return real(lp)
 
-    monkeypatch.setattr(cmcf, "linprog", counting)
+    monkeypatch.setattr(cmcf, "_solve_lp", counting)
     return calls
 
 
 def test_lp_only_off_trees(monkeypatch):
     # grid 2x3: {0, 1, 3, 4} induces a 4-cycle, {0, 1, 2, 5} the path 0-1-2-5
     g = generate_graph("grid", rows=2, cols=3)
-    calls = _count_linprog(monkeypatch)
+    calls = _count_lps(monkeypatch)
     cyc = solve_cmcf_min_congestion(g, {(0, 4): 1.0}, restrict={0, 1, 3, 4})
     assert len(calls) == 1
     assert cyc.congestion == pytest.approx(0.5, abs=1e-9)
@@ -118,7 +116,7 @@ def test_lp_calls_grid_8x8(monkeypatch):
     # 35 of the 59 clusters that need a solve induce trees; the other 24
     # take 29 master LPs in certification, and the impl-b cubes, drawn from
     # those solutions, take none
-    calls = _count_linprog(monkeypatch)
+    calls = _count_lps(monkeypatch)
     g = grid_graph(8, 8)
     tree = build_tree(g, target_arity=2, seed=0)
     cert = certify_congestion(g, tree, store_solutions=True)
@@ -156,18 +154,18 @@ def test_failed_cluster_lp_raises(monkeypatch):
     # the first master LP of a small cluster fails
     g = grid_graph(6, 6)
     tree = build_tree(g, target_arity=2, seed=0)
-    sizes = _count_linprog(monkeypatch)
+    sizes = _count_lps(monkeypatch)
     certify_congestion(g, tree)
     smallest = min(sizes)
     assert smallest < max(sizes)
-    counting = cmcf.linprog
+    counting = cmcf._solve_lp
 
-    def failing(*args, **kwargs):
-        if len(args[0]) == smallest:
-            return SimpleNamespace(status=4, message="numerical difficulties")
-        return counting(*args, **kwargs)
+    def failing(lp):
+        if lp.num_col_ == smallest:
+            lp.col_upper_ = np.zeros(lp.num_col_)    # no weight can reach 1: infeasible
+        return counting(lp)
 
-    monkeypatch.setattr(cmcf, "linprog", failing)
+    monkeypatch.setattr(cmcf, "_solve_lp", failing)
     with pytest.raises(RuntimeError, match="LP solver failed"):
         certify_congestion(g, tree)
 
@@ -320,16 +318,14 @@ def test_path_group_probabilities_are_numpy_division_by_numpy_sum(widths):
 def test_broken_master_solution_raises(monkeypatch):
     # zeroing the largest tree weight of every master LP's result leaves a
     # routing its dual bound does not match
-    real = cmcf.linprog
+    real = cmcf._solve_lp
 
-    def broken(*args, **kwargs):
-        res = real(*args, **kwargs)
-        x = res.x.copy()
+    def broken(lp):
+        x, duals = real(lp)
         x[int(np.argmax(x[:-1]))] = 0.0     # the last variable is lambda
-        res.x = x
-        return res
+        return x, duals
 
-    monkeypatch.setattr(cmcf, "linprog", broken)
+    monkeypatch.setattr(cmcf, "_solve_lp", broken)
     with pytest.raises(RuntimeError, match="not within relative gap"):
         solve_cmcf_min_congestion(cycle_graph(6), {(0, 3): 1.0, (1, 4): 0.5}, set(range(6)))
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -482,13 +481,16 @@ def test_cli_reports_a_directory_read_as_a_file(args, tmp_path, monkeypatch, cap
 
 
 def test_cli_maps_solver_failure_to_exit_2(tmp_path, monkeypatch, capsys):
-    def failing_linprog(*args, **kwargs):
-        return SimpleNamespace(status=4, message="numerical difficulties")
+    solve = cmcf._solve_lp
 
-    monkeypatch.setattr(cmcf, "linprog", failing_linprog)
+    def infeasible(lp):
+        lp.col_upper_ = np.zeros(lp.num_col_)    # no weight can reach 1
+        return solve(lp)
+
+    monkeypatch.setattr(cmcf, "_solve_lp", infeasible)
     assert main(["build", "--generate", "grid:2x2", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: LP solver failed (status 4): numerical difficulties"]
+    assert err == ["error: LP solver failed (status 8): Infeasible"]
 
 
 def test_cli_audit(capsys):

@@ -208,9 +208,9 @@ def test_route_exits_2_when_the_oracle_fails(tmp_path, monkeypatch, capsys):
 
 
 def test_tree_pool_builds_its_columns_once_per_add():
-    # the master LP and the routing loads of one round read one column
-    # matrix; an add that stores a new tree replaces it with the matrix of
-    # every stored tree, an add of stored trees only keeps it
+    # the master LP and the routing loads of one round read one set of
+    # column arrays; an add that stores a new tree replaces them with the
+    # arrays of every stored tree, an add of stored trees only keeps them
     pool = cmcf._TreePool(2, 3)
     preds = np.zeros((2, 4), dtype=np.int32)    # not read by the columns
     assert pool.add(np.array([0, 1]), preds, np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
@@ -221,5 +221,7 @@ def test_tree_pool_builds_its_columns_once_per_add():
     assert pool._columns() is first
     assert pool.add(np.array([0]), preds[:1], np.array([[0.0, 1.0, 1.0]]))
     assert len(pool.preds) == 3
-    assert np.array_equal(pool._columns().toarray(),
-                          [[1.0, 0.0, 0.0], [0.0, 3.0, 1.0], [2.0, 0.0, 1.0]])
+    index, value, lengths = pool._columns()
+    dense = np.zeros((3, 3))
+    dense[index, np.repeat(np.arange(3), lengths)] = value
+    assert np.array_equal(dense, [[1.0, 0.0, 0.0], [0.0, 3.0, 1.0], [2.0, 0.0, 1.0]])
